@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable
 
 from .textops import tokenize
 
@@ -72,11 +73,60 @@ class GraphStats:
 
 
 @dataclass(frozen=True)
+class NameIndex:
+    """Retrieval index over the ``name`` feature.
+
+    ``exact`` maps a case-folded name to the first node id in load order that
+    carries it; ``postings`` maps a token to the ascending load positions of
+    the nodes whose name contains it; ``records`` lists the nodes in load
+    order, so a position resolves to its node.
+    """
+
+    exact: dict[str, str]
+    postings: dict[str, list[int]]
+    records: tuple[NodeRecord, ...]
+
+
+@dataclass(frozen=True)
 class KnowledgeGraph:
-    """All nodes keyed by id (in load order) plus derived summary stats."""
+    """All nodes keyed by id (in load order) plus derived summary stats.
+
+    The retrieval index and the graph definition are derived on first use and
+    kept, so graphs built directly get them too and loading does not pay for
+    them.
+    """
 
     nodes: dict[str, NodeRecord]
     stats: GraphStats
+
+    @cached_property
+    def name_index(self) -> NameIndex:
+        """The index ``retrieve_node`` looks names up in."""
+        exact: dict[str, str] = {}
+        postings: dict[str, list[int]] = {}
+        records = tuple(self.nodes.values())
+        for position, node in enumerate(records):
+            name = node.features.get(NAME_FEATURE)
+            if name is None:
+                continue
+            folded = name.casefold()
+            # Key on the name itself when folding leaves it unchanged, so the
+            # common all-lowercase name costs no second string.
+            exact.setdefault(name if folded == name else folded, node.id)
+            for token in set(tokenize(name)):
+                postings.setdefault(token, []).append(position)
+        return NameIndex(exact=exact, postings=postings, records=records)
+
+    @cached_property
+    def definition(self) -> str:
+        """Frozen one-line textual description of the graph for prompt headers."""
+        node_types = sorted({node.node_type for node in self.nodes.values()})
+        relations = sorted(self.stats.relation_types)
+        return (
+            f"A directed knowledge graph with {self.stats.node_count} nodes and "
+            f"{self.stats.edge_count} edges. Node types: {', '.join(node_types) or 'none'}. "
+            f"Relation types: {', '.join(relations) or 'none'}."
+        )
 
 
 @dataclass(frozen=True)
@@ -256,20 +306,13 @@ def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
             )
 
 
-class RetrieverPolicy(Protocol):
-    """Scores how well a node answers a text query; higher wins."""
-
-    def score(self, query: str, node: NodeRecord) -> float: ...
-
-
-#: Score returned on an exact (case-folded) name match. Anything at or above
-#: this value short-circuits the scan, so the first exact match in load order
-#: wins immediately.
+#: Score returned on an exact (case-folded) name match; it dominates every F1
+#: value.
 EXACT_MATCH_SCORE = 2.0
 
 
 class LexicalOverlapRetriever:
-    """Default retrieval policy: token-overlap F1 against the name feature.
+    """Retrieval scoring: token-overlap F1 against the name feature.
 
     The query and the node's ``name`` feature are tokenized with the frozen
     tokenizer; the score is the F1 of the shared-token overlap. An exact
@@ -295,18 +338,16 @@ class LexicalOverlapRetriever:
         return 2.0 * precision * recall / (precision + recall)
 
 
-_DEFAULT_RETRIEVER = LexicalOverlapRetriever()
+_LEXICAL = LexicalOverlapRetriever()
 
 
-def retrieve_node(
-    graph: KnowledgeGraph,
-    query: str,
-    retriever: RetrieverPolicy | None = None,
-) -> str:
-    """Return the id of the highest-scoring node for ``query``.
+def retrieve_node(graph: KnowledgeGraph, query: str) -> str:
+    """Return the id of the best node for ``query``.
 
-    Deterministic for a fixed graph and query: ties break toward the node
-    that was loaded earlier.
+    The first node in load order whose name equals the query case-folded
+    wins outright. Otherwise only nodes sharing a token with the query can
+    score above zero, so just those are scored, in load order; the highest
+    token-overlap F1 wins and ties break toward the node loaded earlier.
 
     Raises:
         EmptyGraphError: the graph has no nodes.
@@ -314,14 +355,19 @@ def retrieve_node(
     """
     if not graph.nodes:
         raise EmptyGraphError("cannot retrieve from an empty graph")
-    policy = retriever if retriever is not None else _DEFAULT_RETRIEVER
+    index = graph.name_index
+    exact = index.exact.get(query.casefold())
+    if exact is not None:
+        return exact
 
+    candidates: set[int] = set()
+    for token in set(tokenize(query)):
+        candidates.update(index.postings.get(token, ()))
     best_id: str | None = None
     best_score = 0.0
-    for node in graph.nodes.values():
-        score = policy.score(query, node)
-        if score >= EXACT_MATCH_SCORE:
-            return node.id
+    for position in sorted(candidates):
+        node = index.records[position]
+        score = _LEXICAL.score(query, node)
         if score > best_score:
             best_id = node.id
             best_score = score
@@ -374,13 +420,7 @@ def node_name(graph: KnowledgeGraph, node_id: str) -> str:
 
 def graph_definition(graph: KnowledgeGraph) -> str:
     """Frozen one-line textual description of the graph for prompt headers."""
-    node_types = sorted({node.node_type for node in graph.nodes.values()})
-    relations = sorted(graph.stats.relation_types)
-    return (
-        f"A directed knowledge graph with {graph.stats.node_count} nodes and "
-        f"{graph.stats.edge_count} edges. Node types: {', '.join(node_types) or 'none'}. "
-        f"Relation types: {', '.join(relations) or 'none'}."
-    )
+    return graph.definition
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,13 @@ can be edited without code changes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 _ASSETS_ROOT = Path(__file__).parent / "assets" / "examples"
+
+_PLACEHOLDER_RE = re.compile(r"\{(\w+)\}")
 
 
 class MissingPlaceholderError(KeyError):
@@ -40,18 +43,25 @@ class PromptTemplate:
 def render(template: PromptTemplate, variables: dict[str, str]) -> str:
     """Substitute placeholders; extra keys are ignored, missing ones error.
 
+    Substitution is a single pass over the body, so a value is inserted
+    verbatim: placeholder text inside a question or a model thought is never
+    expanded.
+
     Raises:
         MissingPlaceholderError: a required placeholder has no value.
     """
-    missing = template.required_placeholders - set(variables)
+    required = template.required_placeholders
+    missing = required - set(variables)
     if missing:
         raise MissingPlaceholderError(
             f"template {template.name!r} is missing placeholders {sorted(missing)}"
         )
-    rendered = template.body
-    for key in sorted(template.required_placeholders):
-        rendered = rendered.replace("{" + key + "}", str(variables[key]))
-    return rendered
+
+    def substitute(match: re.Match[str]) -> str:
+        key = match[1]
+        return str(variables[key]) if key in required else match[0]
+
+    return _PLACEHOLDER_RE.sub(substitute, template.body)
 
 
 _AGENT_STEP = """\

@@ -129,6 +129,10 @@ def preflight(config: RunConfig) -> None:
             raise ConfigError("replay backend requires a replay script path")
         if not Path(config.replay_path).is_file():
             raise ConfigError(f"replay script not found: {config.replay_path}")
+        if config.strict_replay and config.concurrency > 1:
+            # One strict cursor shared across worker threads would be consumed
+            # in whatever order the threads reach it.
+            raise ConfigError("strict replay needs concurrency 1: it consumes its script in order")
     else:
         if not config.endpoint or not config.model:
             raise ConfigError("wire backend requires both an endpoint and a model")

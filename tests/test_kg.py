@@ -1,9 +1,12 @@
 """Graph store: loading, lookups, retrieval, synthetic generation."""
 
 import json
+import re
+import sys
+import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphreason.kg import (
@@ -14,6 +17,7 @@ from graphreason.kg import (
     GraphStats,
     KnowledgeGraph,
     LexicalOverlapRetriever,
+    NodeRecord,
     NoMatchError,
     SyntheticGraphSpec,
     Triple,
@@ -155,6 +159,118 @@ def test_retrieve_empty_graph():
     )
     with pytest.raises(EmptyGraphError):
         retrieve_node(empty, "anything")
+
+
+def scan_oracle(names: list[str | None], query: str) -> int | None:
+    """Retrieval written from its contract, scanning every node: the first
+    exact case-folded name in load order, else the best token-overlap F1 with
+    the earlier node winning ties, else nothing."""
+    for position, name in enumerate(names):
+        if name is not None and name.casefold() == query.casefold():
+            return position
+    wanted = set(re.findall(r"[0-9a-z]+", query.lower()))
+    best, best_f1 = None, 0.0
+    for position, name in enumerate(names):
+        have = set(re.findall(r"[0-9a-z]+", name.lower())) if name is not None else set()
+        overlap = len(wanted & have)
+        if overlap:
+            precision, recall = overlap / len(wanted), overlap / len(have)
+            f1 = 2.0 * precision * recall / (precision + recall)
+            if f1 > best_f1:
+                best, best_f1 = position, f1
+    return best
+
+
+def graph_of(names: list[str | None]) -> KnowledgeGraph:
+    records = [
+        NodeRecord(
+            id=f"n{i}",
+            node_type="t",
+            features={} if name is None else {"name": name},
+            out_edges={},
+        )
+        for i, name in enumerate(names)
+    ]
+    return KnowledgeGraph(
+        nodes={r.id: r for r in records},
+        stats=GraphStats(node_count=len(records), edge_count=0, relation_types=frozenset()),
+    )
+
+
+# Duplicates, case-only and casefold-only variants ("Straße" folds to
+# "strasse" but tokenizes to "stra", "e"), words without [0-9a-z] tokens, and
+# shared words so that F1 ties are common.
+NAME_WORDS = ["alpha", "Alpha", "beta", "7", "Straße", "STRASSE", "ß", "--", "é", ""]
+names_st = st.lists(st.sampled_from(NAME_WORDS), max_size=3).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    names=st.lists(st.none() | names_st, max_size=10),
+    queries=st.lists(names_st | st.text(max_size=8), min_size=1, max_size=6),
+)
+@example(names=["alpha beta", "beta alpha", "alpha"], queries=["beta", "ALPHA", "alpha 7"])
+@example(names=[None, "Straße", "strasse"], queries=["STRASSE", "stra", "ß"])
+@example(names=["ß", "--", None, "é 7"], queries=["ß", "--", "7", "x"])
+@example(names=["beta", "Beta", "alpha 7", "7 alpha"], queries=["BETA", "7", "alpha"])
+@example(names=[], queries=["alpha"])
+def test_retrieve_matches_a_full_scan(names, queries):
+    graph = graph_of(names)
+    for query in queries:
+        if not names:
+            with pytest.raises(EmptyGraphError):
+                retrieve_node(graph, query)
+            continue
+        expected = scan_oracle(names, query)
+        if expected is None:
+            with pytest.raises(NoMatchError):
+                retrieve_node(graph, query)
+        else:
+            assert retrieve_node(graph, query) == f"n{expected}"
+
+
+def test_index_and_definition_are_built_once():
+    graph = krt39_graph()
+    assert graph.name_index is graph.name_index
+    assert graph_definition(graph) is graph_definition(graph)
+    assert retrieve_node(graph, "body") == "UBERON:0002097"
+    assert graph == krt39_graph()  # cached values are not part of equality
+
+
+def test_concurrent_first_retrievals_agree():
+    """Threads racing to build the lazy index all see the serial answers."""
+    names = [f"{word} {i}" for i in range(400) for word in ("alpha", "beta")]
+    queries = ["beta 7", "alpha zeta", "399 gamma", "zzz"]
+    expected = [scan_oracle(names, q) for q in queries]
+    expected = [None if e is None else f"n{e}" for e in expected]
+
+    def lookup(graph, query):
+        try:
+            return retrieve_node(graph, query)
+        except NoMatchError:
+            return None
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            graph = graph_of(names)
+            barrier = threading.Barrier(8)
+            results = [None] * 8
+
+            def worker(slot):
+                barrier.wait(timeout=10)
+                results[slot] = [lookup(graph, q) for q in queries]
+
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected] * 8
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_retriever_scores():

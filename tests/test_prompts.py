@@ -101,6 +101,47 @@ def test_render_substitutes_verbatim(value):
     assert render(template, {"slot": value}) == f"A {value} Z"
 
 
+def test_render_keeps_placeholder_text_in_values_verbatim():
+    """A question or thought that mentions a slot name is not expanded."""
+    text = render(
+        get_template("agent_step"),
+        {
+            "examples": "EX",
+            "graph_definition": "DEF",
+            "question": "What fills {scratchpad}?",
+            "scratchpad": "Thought 1: look at {triples} and {question}",
+        },
+    )
+    assert "Question: What fills {scratchpad}?\n" in text
+    assert text.endswith("\nThought 1: look at {triples} and {question}")
+
+    text = render(
+        get_template("search_thought"),
+        {
+            "examples": "EX",
+            "graph_definition": "DEF",
+            "question": "Q",
+            "triples": "TRIPLE-ROWS",
+            "thoughts": "Next, expand {triples}.",
+            "attributes": "{attributes}",
+        },
+    )
+    assert text.count("TRIPLE-ROWS") == 1
+    assert "Previous thoughts:\nNext, expand {triples}.\n" in text
+    assert "Related Entity Attributes:\n{attributes}\n" in text
+
+
+_BRACED = st.lists(st.sampled_from(["{a}", "{b}", "{", "}", "a", " "]), max_size=6).map("".join)
+
+
+@given(first=_BRACED, second=_BRACED)
+def test_render_is_one_pass(first, second):
+    template = PromptTemplate(
+        name="probe", body="A {a} B {b} Z", required_placeholders=frozenset({"a", "b"})
+    )
+    assert render(template, {"a": first, "b": second}) == f"A {first} B {second} Z"
+
+
 def test_load_examples_reads_packaged_assets():
     text = load_examples("agent_step", "synthetic")
     assert "Finish[" in text
