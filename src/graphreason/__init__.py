@@ -7,7 +7,7 @@ every model and graph call against closed-form cost bounds, and evaluates
 answers with deterministic overlap scoring plus an optional model judge.
 """
 
-from .agent import AgentAction, AgentOutcome, AgentStep, Scratchpad, run_agent, run_agent_step
+from .agent import AgentAction, AgentStep, Scratchpad, run_agent_step
 from .costs import CostBound, CostCounters, bound_for, check
 from .evaluation import (
     EvalResult,
@@ -72,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentAction",
-    "AgentOutcome",
     "AgentStep",
     "AttributeHit",
     "CompletionRequest",
@@ -128,7 +127,6 @@ __all__ = [
     "resolve_anchors",
     "retrieve_node",
     "rouge_l",
-    "run_agent",
     "run_agent_step",
     "run_experiment",
     "run_search",

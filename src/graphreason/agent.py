@@ -47,14 +47,11 @@ _SPELLING_ALIASES = {"NeighbourCheck": ACTION_NEIGHBORS}
 _KNOWN_NAMES = frozenset(_ARITY) | {ACTION_FINISH} | frozenset(_SPELLING_ALIASES)
 
 DEFAULT_MAX_ACTIONS_PER_STEP = 4
-DEFAULT_STEP_LIMIT = 10
 
 ACTION_REMINDER = (
     "\nReminder: reply with a Thought followed by a line of the form "
     "'Action <i>: ActionName[arguments]'."
 )
-
-_MALFORMED_OBSERVATION = "Malformed action; no operation executed."
 
 
 class MalformedActionError(MalformedOutputError):
@@ -100,9 +97,6 @@ class Scratchpad:
             lines.append(f"Thought {next_index}:")
         return "\n".join(lines)
 
-    def observations(self) -> list[str]:
-        return [obs for step in self.steps for obs in step.observations]
-
     def clone(self) -> "Scratchpad":
         return Scratchpad(
             steps=[
@@ -117,13 +111,6 @@ class Scratchpad:
                 for s in self.steps
             ]
         )
-
-
-@dataclass
-class AgentOutcome:
-    answer: str | None
-    termination: str  # "finished" | "step_limit"
-    scratchpad: Scratchpad
 
 
 _ACTION_MARKER_RE = re.compile(r"\bAction(?:\s+\d+)?\s*:")
@@ -276,12 +263,13 @@ def run_agent_step(
     counters: CostCounters,
     *,
     max_actions_per_step: int = DEFAULT_MAX_ACTIONS_PER_STEP,
-) -> Scratchpad | AgentOutcome:
-    """Run one thought/action/observation step.
+) -> str | None:
+    """Run one thought/action/observation step, appending it to ``scratchpad``.
 
-    Returns the (mutated) scratchpad to keep going, or an AgentOutcome when
-    the step issued Finish. A reply that stays malformed after one re-ask is
-    recorded as a no-op step that still counts toward the step limit.
+    Returns the Finish payload (possibly ``""``) when the step issued
+    Finish, else None to keep going. A reply that stays malformed after one
+    re-ask is recorded as a no-op step that still counts toward the step
+    limit.
     """
     index = scratchpad.next_index()
     request = request_for(
@@ -318,7 +306,7 @@ def run_agent_step(
                     malformed=True,
                 )
             )
-            return scratchpad
+            return None
 
     observations: list[str] = []
     finish_answer: str | None = None
@@ -341,35 +329,5 @@ def run_agent_step(
             observations=observations,
         )
     )
-    if finish_answer is not None:
-        return AgentOutcome(answer=finish_answer, termination="finished", scratchpad=scratchpad)
-    return scratchpad
+    return finish_answer
 
-
-def run_agent(
-    question: Question,
-    graph: kg.KnowledgeGraph,
-    backend: Backend,
-    *,
-    n: int = DEFAULT_STEP_LIMIT,
-    counters: CostCounters | None = None,
-    max_actions_per_step: int = DEFAULT_MAX_ACTIONS_PER_STEP,
-) -> AgentOutcome:
-    """Run up to ``n`` steps; without a Finish the run ends at the limit."""
-    if n < 1:
-        raise ValueError(f"step limit must be >= 1, got {n}")
-    if counters is None:
-        counters = CostCounters()
-    scratchpad = Scratchpad()
-    for _ in range(n):
-        result = run_agent_step(
-            scratchpad,
-            question,
-            graph,
-            backend,
-            counters,
-            max_actions_per_step=max_actions_per_step,
-        )
-        if isinstance(result, AgentOutcome):
-            return result
-    return AgentOutcome(answer=None, termination="step_limit", scratchpad=scratchpad)

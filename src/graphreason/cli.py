@@ -67,22 +67,17 @@ def _run_options(command):
         click.option(
             "--judge", type=click.Choice(["none", "llm"]), default="none", show_default=True
         ),
-        click.option("--seed", type=int, default=0, show_default=True),
     ]
     for option in reversed(options):
         command = option(command)
     return command
 
 
-def _build_config(**kwargs) -> RunConfig:
-    return RunConfig(**kwargs)
-
-
 @main.command("run")
 @_run_options
 def run_command(**kwargs) -> None:
     """Run one experiment and write traces, results, and a report."""
-    config = _build_config(**kwargs)
+    config = RunConfig(**kwargs)
     try:
         report = run_experiment(config)
     except ConfigError as exc:
@@ -100,7 +95,7 @@ def run_command(**kwargs) -> None:
 @click.option("--values", required=True, help="Comma-separated axis values.")
 def sweep_command(axis: str, values: str, **kwargs) -> None:
     """Run one experiment per axis value and write a sweep summary table."""
-    config = _build_config(**kwargs)
+    config = RunConfig(**kwargs)
     value_list = [v.strip() for v in values.split(",") if v.strip()]
     try:
         run_sweep(config, axis, value_list)

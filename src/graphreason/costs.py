@@ -11,7 +11,7 @@ tight).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Tag under which thought-generation completions are metered. Evaluator
 #: votes, pruning calls, re-asks, and answer extraction carry their own tags
@@ -44,7 +44,6 @@ class CostCounters:
         self.transport_retries = 0
         self.explore_searches = 0
         self.explore_search_cost_max = 0
-        self.wall_time_s = 0.0
 
     def record_llm_call(self, tag: str) -> None:
         with self._lock:
@@ -63,10 +62,6 @@ class CostCounters:
             self.explore_searches += 1
             self.explore_search_cost_max = max(self.explore_search_cost_max, cost)
 
-    def add_wall_time(self, seconds: float) -> None:
-        with self._lock:
-            self.wall_time_s += seconds
-
     def llm_total(self) -> int:
         return sum(self.llm_calls_by_tag.values())
 
@@ -80,7 +75,7 @@ class CostCounters:
         return self.llm_calls_by_tag.get(MERGE_TAG, 0)
 
     def as_dict(self) -> dict:
-        """Deterministic serializable snapshot (wall time deliberately omitted)."""
+        """Deterministic serializable snapshot."""
         return {
             "llm_calls_by_tag": dict(sorted(self.llm_calls_by_tag.items())),
             "llm_total": self.llm_total(),

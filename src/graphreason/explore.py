@@ -117,34 +117,6 @@ class ExplorationState:
             f"{hit.entity_name}.{hit.key}: {hit.value}" for hit in self.relevant_attributes
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "seen_entities": {
-                eid: {"visited": meta.visited, "depth_discovered": meta.depth_discovered}
-                for eid, meta in self.seen_entities.items()
-            },
-            "found_triples": [
-                {
-                    "head_id": t.head_id,
-                    "head_name": t.head_name,
-                    "relation": t.relation,
-                    "tail_id": t.tail_id,
-                    "tail_name": t.tail_name,
-                }
-                for t in self.found_triples
-            ],
-            "relevant_attributes": [
-                {
-                    "entity_id": h.entity_id,
-                    "entity_name": h.entity_name,
-                    "key": h.key,
-                    "value": h.value,
-                }
-                for h in self.relevant_attributes
-            ],
-            "sufficient": self.sufficient,
-        }
-
 
 def extract_entities(
     text: str,

@@ -47,8 +47,12 @@ class TransportError(Exception):
     """The backend could not produce a completion (network, HTTP, shape)."""
 
 
-class ReplayMismatchError(TransportError):
-    """A replay script had no entry for the request."""
+class ReplayMismatchError(Exception):
+    """A replay script had no entry for the request.
+
+    Deliberately not a TransportError, so no call site's transport fallback
+    swallows it: a script mismatch is a test failure, not a flaky call.
+    """
 
 
 class MalformedOutputError(Exception):
@@ -245,8 +249,6 @@ def complete(backend: Backend, request: CompletionRequest, counters: CostCounter
             logger.debug("transport retry %d for tag %s", attempt, request.tag)
         try:
             return backend.raw_complete(request)
-        except ReplayMismatchError:
-            raise  # a script mismatch is a test failure signal, not flakiness
         except TransportError as exc:
             last_error = exc
     assert last_error is not None

@@ -76,7 +76,6 @@ class RunConfig:
     model: str | None = None
     replay_path: str | None = None
     judge: str = "none"
-    seed: int = 0
     concurrency: int = 1
     max_actions_per_step: int = 4
     score_votes: int = 1
@@ -110,7 +109,6 @@ class RunConfig:
             "backend": self.backend,
             "model": self.model if self.backend == "wire" else None,
             "judge": self.judge,
-            "seed": self.seed,
         }
 
 
@@ -161,7 +159,6 @@ def _run_single(
     counters = CostCounters()
     started = time.perf_counter()
     result = run_search(question, config.search_config(), graph, backend, counters)
-    counters.add_wall_time(time.perf_counter() - started)
 
     rouge = rouge_l(result.answer, question.gold_answer) if result.answer is not None else None
     judged: bool | None = None

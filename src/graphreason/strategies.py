@@ -19,11 +19,10 @@ import re
 from dataclasses import dataclass, field
 
 from . import kg
-from .agent import AgentOutcome, AgentStep, Scratchpad, run_agent_step
-from .costs import GENERATION_TAG, MERGE_TAG, REASK_SUFFIX, CostCounters
+from .agent import AgentStep, Scratchpad, run_agent_step
+from .costs import GENERATION_TAG, MERGE_TAG, CostCounters
 from .evaluation import Question
 from .explore import (
-    AttributeHit,
     ExplorationState,
     ExploreConfig,
     explore,
@@ -32,7 +31,6 @@ from .explore import (
 )
 from .llm import (
     Backend,
-    CompletionRequest,
     MalformedOutputError,
     TransportError,
     complete,
@@ -65,12 +63,10 @@ class Evidence:
     """What a thought state has gathered so far.
 
     The agent driver accumulates a scratchpad; the explore driver an
-    exploration state whose triples/attributes are mirrored here for
-    uniform rendering. ``answer`` is set exactly on finished states.
+    exploration state, the one home of its triples and attributes.
+    ``answer`` is set exactly on finished states.
     """
 
-    triples: list[kg.Triple] = field(default_factory=list)
-    attributes: list[AttributeHit] = field(default_factory=list)
     thought_log: list[str] = field(default_factory=list)
     scratchpad: Scratchpad | None = None
     exploration: ExplorationState | None = None
@@ -156,12 +152,13 @@ class SearchResult:
 def describe_candidate(state: ThoughtState) -> str:
     """Compact single-candidate rendering for evaluator prompts."""
     parts = [state.thought]
-    if state.evidence.triples:
-        parts.append("Triples: " + "; ".join(kg.render_triple(t) for t in state.evidence.triples))
-    if state.evidence.attributes:
+    explored = state.evidence.exploration or ExplorationState()
+    if explored.found_triples:
+        parts.append("Triples: " + "; ".join(kg.render_triple(t) for t in explored.found_triples))
+    if explored.relevant_attributes:
         parts.append(
             "Attributes: "
-            + "; ".join(f"{h.entity_name}.{h.key}={h.value}" for h in state.evidence.attributes)
+            + "; ".join(f"{h.entity_name}.{h.key}={h.value}" for h in explored.relevant_attributes)
         )
     if state.evidence.scratchpad is not None and state.evidence.scratchpad.steps:
         last = state.evidence.scratchpad.steps[-1]
@@ -173,8 +170,9 @@ def describe_candidate(state: ThoughtState) -> str:
 def describe_chain(state: ThoughtState) -> str:
     """Whole-chain rendering (thought log plus triples) for scoring/merging."""
     lines = list(state.evidence.thought_log) or [state.thought]
-    if state.evidence.triples:
-        lines.append("Triples: " + "; ".join(kg.render_triple(t) for t in state.evidence.triples))
+    explored = state.evidence.exploration or ExplorationState()
+    if explored.found_triples:
+        lines.append("Triples: " + "; ".join(kg.render_triple(t) for t in explored.found_triples))
     return "\n".join(lines)
 
 
@@ -197,6 +195,19 @@ def parse_finish_answer(text: str) -> str:
     raise MalformedOutputError("unbalanced Finish[...] span")
 
 
+def _born_pruned(parent: ThoughtState, child_id: int) -> ThoughtState:
+    """The child whose generation call failed: pruned, carrying no evidence."""
+    logger.debug("child %d generation failed; born pruned", child_id)
+    return ThoughtState(
+        id=child_id,
+        depth=parent.depth + 1,
+        thought="(generation failed)",
+        evidence=Evidence(thought_log=list(parent.evidence.thought_log)),
+        parents=(parent.id,),
+        status=STATUS_PRUNED,
+    )
+
+
 def _expand_child_agent(
     parent: ThoughtState,
     question: Question,
@@ -208,7 +219,7 @@ def _expand_child_agent(
 ) -> ThoughtState:
     pad = parent.evidence.scratchpad.clone() if parent.evidence.scratchpad else Scratchpad()
     try:
-        outcome = run_agent_step(
+        answer = run_agent_step(
             pad,
             question,
             graph,
@@ -217,21 +228,12 @@ def _expand_child_agent(
             max_actions_per_step=config.max_actions_per_step,
         )
     except TransportError:
-        logger.debug("child %d generation failed; born pruned", child_id)
-        return ThoughtState(
-            id=child_id,
-            depth=parent.depth + 1,
-            thought="(generation failed)",
-            evidence=Evidence(thought_log=list(parent.evidence.thought_log)),
-            parents=(parent.id,),
-            status=STATUS_PRUNED,
-        )
-    finished = isinstance(outcome, AgentOutcome)
+        return _born_pruned(parent, child_id)
     thought = pad.steps[-1].thought if pad.steps else ""
     evidence = Evidence(
         thought_log=list(parent.evidence.thought_log) + [thought],
         scratchpad=pad,
-        answer=outcome.answer if finished else None,
+        answer=answer,
     )
     return ThoughtState(
         id=child_id,
@@ -239,7 +241,7 @@ def _expand_child_agent(
         thought=thought,
         evidence=evidence,
         parents=(parent.id,),
-        status=STATUS_FINISHED if finished else STATUS_ACTIVE,
+        status=STATUS_FINISHED if answer is not None else STATUS_ACTIVE,
     )
 
 
@@ -272,15 +274,7 @@ def _expand_child_explore(
     try:
         thought = complete(backend, request, counters).strip()
     except TransportError:
-        logger.debug("child %d generation failed; born pruned", child_id)
-        return ThoughtState(
-            id=child_id,
-            depth=parent.depth + 1,
-            thought="(generation failed)",
-            evidence=Evidence(thought_log=list(parent.evidence.thought_log)),
-            parents=(parent.id,),
-            status=STATUS_PRUNED,
-        )
+        return _born_pruned(parent, child_id)
     thought_log = list(parent.evidence.thought_log) + [thought]
     kg_before = counters.kg_total()
     surface_forms = extract_entities(thought, backend, counters, question.domain)
@@ -316,8 +310,6 @@ def _expand_child_explore(
         except (MalformedOutputError, TransportError):
             logger.debug("answer extraction failed for child %d; staying active", child_id)
     evidence = Evidence(
-        triples=list(exploration.found_triples),
-        attributes=list(exploration.relevant_attributes),
         thought_log=thought_log,
         exploration=exploration,
         answer=answer,
@@ -541,19 +533,6 @@ def merge_pair(
         logger.debug("merge of %d and %d aborted", a.id, b.id)
         return None
 
-    triples = list(a.evidence.triples)
-    triple_keys = {(t.head_id, t.relation, t.tail_id) for t in triples}
-    for triple in b.evidence.triples:
-        key = (triple.head_id, triple.relation, triple.tail_id)
-        if key not in triple_keys:
-            triples.append(triple)
-            triple_keys.add(key)
-    attributes = list(a.evidence.attributes)
-    attr_keys = {(h.entity_id, h.key) for h in attributes}
-    for hit in b.evidence.attributes:
-        if (hit.entity_id, hit.key) not in attr_keys:
-            attributes.append(hit)
-            attr_keys.add((hit.entity_id, hit.key))
     thought_log = list(a.evidence.thought_log)
     for entry in b.evidence.thought_log:
         if entry not in thought_log:
@@ -572,8 +551,6 @@ def merge_pair(
         depth=a.depth,
         thought=thought,
         evidence=Evidence(
-            triples=triples,
-            attributes=attributes,
             thought_log=thought_log,
             scratchpad=_merge_scratchpads(a.evidence.scratchpad, b.evidence.scratchpad),
             exploration=exploration,

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .agent import Scratchpad
 from .evaluation import ERROR_CLASSES, ERROR_CORRECT, ERROR_REACHED_LIMIT, Question
+from .explore import ExplorationState
 from .strategies import (
     STATUS_ACTIVE,
     STATUS_FINISHED,
@@ -25,7 +26,7 @@ from .strategies import (
     VALID_STATUSES,
 )
 
-TRACE_SCHEMA = "trace/v1"
+TRACE_SCHEMA = "trace/v2"
 RESULTS_SCHEMA = "results/v1"
 REPORT_SCHEMA = "report/v1"
 SWEEP_SCHEMA = "sweep/v1"
@@ -47,8 +48,23 @@ def _serialize_scratchpad(pad: Scratchpad | None) -> list[dict] | None:
     ]
 
 
+def _serialize_exploration(exploration: ExplorationState | None) -> dict | None:
+    """What an exploration has seen; its triples and attributes are written
+    once, as the state's ``evidence.triples``/``evidence.attributes``."""
+    if exploration is None:
+        return None
+    return {
+        "seen_entities": {
+            eid: {"visited": meta.visited, "depth_discovered": meta.depth_discovered}
+            for eid, meta in exploration.seen_entities.items()
+        },
+        "sufficient": exploration.sufficient,
+    }
+
+
 def _serialize_state(state: ThoughtState) -> dict:
     evidence = state.evidence
+    explored = evidence.exploration or ExplorationState()
     return {
         "id": state.id,
         "depth": state.depth,
@@ -65,7 +81,7 @@ def _serialize_state(state: ThoughtState) -> dict:
                     "tail_id": t.tail_id,
                     "tail_name": t.tail_name,
                 }
-                for t in evidence.triples
+                for t in explored.found_triples
             ],
             "attributes": [
                 {
@@ -74,12 +90,12 @@ def _serialize_state(state: ThoughtState) -> dict:
                     "key": h.key,
                     "value": h.value,
                 }
-                for h in evidence.attributes
+                for h in explored.relevant_attributes
             ],
             "thought_log": list(evidence.thought_log),
             "answer": evidence.answer,
             "scratchpad": _serialize_scratchpad(evidence.scratchpad),
-            "exploration": evidence.exploration.as_dict() if evidence.exploration else None,
+            "exploration": _serialize_exploration(evidence.exploration),
         },
     }
 

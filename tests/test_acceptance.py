@@ -136,7 +136,7 @@ def test_acceptance_1_golden_traces():
     assert backend.remaining() == 0
 
     final = result.graph.states[max(result.graph.states)]
-    found = {(t.head_name, t.relation, t.tail_name) for t in final.evidence.triples}
+    found = {(t.head_name, t.relation, t.tail_name) for t in final.evidence.exploration.found_triples}
     assert found == {
         ("KRT39", "Anatomy-expresses-Gene", "head"),
         ("KRT39", "Anatomy-expresses-Gene", "skin of body"),

@@ -5,16 +5,15 @@ import pytest
 from graphreason.agent import (
     ACTION_REMINDER,
     AgentAction,
-    AgentOutcome,
     MalformedActionError,
     Scratchpad,
     execute_action,
     parse_actions,
-    run_agent,
     run_agent_step,
 )
 from graphreason.costs import CostCounters
 from graphreason.llm import ReplayBackend, ReplayEntry
+from graphreason.strategies import SearchConfig, run_search
 
 from helpers import krt39_graph, krt39_question
 
@@ -148,7 +147,7 @@ def test_step_records_thought_action_observation(graph):
         step_backend("Thought 1: find the gene.\nAction 1: RetrieveNode[KRT39]"),
         counters,
     )
-    assert result is pad
+    assert result is None
     step = pad.steps[0]
     assert step.thought == "find the gene."
     assert step.raw_action == "RetrieveNode[KRT39]"
@@ -164,9 +163,7 @@ def test_step_finish_returns_outcome(graph):
         step_backend("Thought 1: done.\nAction 1: Finish[head, skin of body]"),
         CostCounters(),
     )
-    assert isinstance(outcome, AgentOutcome)
-    assert outcome.answer == "head, skin of body"
-    assert outcome.termination == "finished"
+    assert outcome == "head, skin of body"
 
 
 def test_step_reasks_once_with_action_reminder(graph):
@@ -182,7 +179,7 @@ def test_step_reasks_once_with_action_reminder(graph):
     backend = Recorder()
     counters = CostCounters()
     outcome = run_agent_step(Scratchpad(), krt39_question(), graph, backend, counters)
-    assert isinstance(outcome, AgentOutcome)
+    assert outcome == "x"
     assert backend.prompts[1].endswith(ACTION_REMINDER)
     assert counters.llm_calls_by_tag == {"thought": 1, "thought:reask": 1}
 
@@ -197,7 +194,7 @@ def test_step_malformed_twice_becomes_noop(graph):
         step_backend("no action at all", "still no action"),
         counters,
     )
-    assert result is pad
+    assert result is None
     assert pad.steps[0].malformed
     assert pad.steps[0].observations == []
     assert pad.steps[0].thought == "still no action"
@@ -251,18 +248,16 @@ def test_scratchpad_clone_is_deep(graph):
     assert pad.steps[0].observations == ["The ID of the node is 390792."]
 
 
-def test_run_agent_stops_at_step_limit(graph):
+def test_cot_agent_search_stops_at_step_limit(graph):
     backend = ReplayBackend(
         [ReplayEntry("", "Thought: again.\nAction 1: NodeDegree[390792, Anatomy-expresses-Gene]")]
     )
     counters = CostCounters()
-    outcome = run_agent(krt39_question(), graph, backend, n=3, counters=counters)
-    assert outcome.answer is None
-    assert outcome.termination == "step_limit"
-    assert len(outcome.scratchpad.steps) == 3
+    result = run_search(
+        krt39_question(), SearchConfig(strategy="cot", n=3), graph, backend, counters
+    )
+    assert result.answer is None
+    assert result.termination == "step_limit"
+    final = result.graph.states[result.graph.frontier[0]]
+    assert len(final.evidence.scratchpad.steps) == 3
     assert counters.llm_calls_by_tag == {"thought": 3}
-
-
-def test_run_agent_rejects_nonpositive_limit(graph):
-    with pytest.raises(ValueError):
-        run_agent(krt39_question(), graph, step_backend(), n=0)

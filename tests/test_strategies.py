@@ -5,8 +5,9 @@ import random
 import pytest
 
 from graphreason.costs import CostCounters
-from graphreason.kg import generate_synthetic_graph
-from graphreason.llm import ReplayBackend, ReplayEntry, TransportError
+from graphreason.explore import ExplorationState
+from graphreason.kg import Triple, generate_synthetic_graph
+from graphreason.llm import ReplayBackend, ReplayEntry, ReplayMismatchError, TransportError
 from graphreason.strategies import (
     Evidence,
     SearchConfig,
@@ -52,6 +53,8 @@ def test_config_rejects_unknown_choices():
         SearchConfig(strategy="tot", evaluator="coin-flip")
     with pytest.raises(ValueError):
         SearchConfig(strategy="tot", k=0)
+    with pytest.raises(ValueError):
+        SearchConfig(strategy="cot", n=0)
 
 
 def test_cot_pins_width_to_one():
@@ -331,21 +334,19 @@ def merge_backend(reply="Unified view of both chains."):
 
 
 def test_merge_pair_unions_evidence_and_marks_parents():
-    from graphreason.kg import Triple
-
     shared = Triple(head_name="a", relation="r", tail_name="b", head_id="1", tail_id="2")
     only_b = Triple(head_name="b", relation="r", tail_name="c", head_id="2", tail_id="3")
     a = make_state(5)
-    a.evidence.triples = [shared]
+    a.evidence.exploration = ExplorationState(found_triples=[shared])
     b = make_state(6, thought="other")
-    b.evidence.triples = [shared, only_b]
+    b.evidence.exploration = ExplorationState(found_triples=[shared, only_b])
     merged = merge_pair(a, b, synthetic_question(), merge_backend(), CostCounters(), merged_id=9)
     assert merged is not None
     assert merged.id == 9
     assert merged.depth == a.depth
     assert merged.parents == (5, 6)
     assert merged.status == "active"
-    assert merged.evidence.triples == [shared, only_b]
+    assert merged.evidence.exploration.found_triples == [shared, only_b]
     assert merged.evidence.thought_log == ["probe", "other", "Unified view of both chains."]
     assert a.status == "merged_away"
     assert b.status == "merged_away"
@@ -359,6 +360,14 @@ def test_merge_pair_aborts_on_empty_merge_thought():
     assert a.status == "active"
     assert b.status == "active"
     assert counters.llm_calls_by_tag == {"merge": 1, "merge:reask": 1}
+
+
+def test_merge_pair_raises_on_replay_mismatch():
+    a, b = make_state(1), make_state(2)
+    with pytest.raises(ReplayMismatchError):
+        merge_pair(
+            a, b, synthetic_question(), ReplayBackend([], strict=True), CostCounters(), merged_id=3
+        )
 
 
 def test_merge_pair_requires_same_depth_active_states():
@@ -457,6 +466,35 @@ def test_run_search_explore_interaction_round_trip():
     result = run(strategy="tot", interaction="explore", k=2, t=2, d_max=2, finish=True)
     assert result.termination == "finished"
     assert result.answer == "alpha 2"
-    state = result.graph.states[1]
-    assert state.evidence.exploration is not None
-    assert state.evidence.triples == state.evidence.exploration.found_triples
+    assert result.graph.states[1].evidence.exploration is not None
+
+
+def test_got_explore_trace_writes_each_triple_once():
+    from graphreason.traces import build_trace
+
+    result = run(strategy="got", interaction="explore", k=3, t=3, d_max=2)
+    data = build_trace(synthetic_question(), {}, result).as_dict()
+    assert data["schema"] == "trace/v2"
+    merged = 0
+    for state in data["states"][1:]:
+        exploration = state["evidence"]["exploration"]
+        assert set(exploration) == {"seen_entities", "sufficient"}
+        if len(state["parents"]) == 2:
+            merged += 1
+            a, b = (result.graph.states[p].evidence.exploration for p in state["parents"])
+            union = ExplorationState.merge(a, b)
+            assert [Triple(**t) for t in state["evidence"]["triples"]] == union.found_triples
+            assert union.found_triples
+    assert merged
+
+
+@pytest.mark.parametrize("interaction", ["agent", "explore"])
+def test_run_search_raises_on_replay_mismatch(interaction):
+    config = SearchConfig(strategy="cot", interaction=interaction, n=3)
+    with pytest.raises(ReplayMismatchError):
+        run_search(
+            synthetic_question(),
+            config,
+            generate_synthetic_graph(11),
+            ReplayBackend([], strict=True),
+        )

@@ -127,7 +127,7 @@ def test_serialized_form_is_canonical(got_trace):
     assert text.endswith("\n")
     data = json.loads(text)
     assert text == json.dumps(data, sort_keys=True, indent=2) + "\n"
-    assert data["schema"] == "trace/v1"
+    assert data["schema"] == "trace/v2"
 
 
 def test_write_then_load_round_trips(tmp_path, got_trace):
