@@ -62,6 +62,19 @@ class CostCounters:
             self.explore_searches += 1
             self.explore_search_cost_max = max(self.explore_search_cost_max, cost)
 
+    def add(self, other: CostCounters) -> None:
+        """Fold another set of meters (one task's) into these."""
+        with self._lock:
+            for tag, count in other.llm_calls_by_tag.items():
+                self.llm_calls_by_tag[tag] = self.llm_calls_by_tag.get(tag, 0) + count
+            for kind, count in other.kg_ops_by_kind.items():
+                self.kg_ops_by_kind[kind] = self.kg_ops_by_kind.get(kind, 0) + count
+            self.transport_retries += other.transport_retries
+            self.explore_searches += other.explore_searches
+            self.explore_search_cost_max = max(
+                self.explore_search_cost_max, other.explore_search_cost_max
+            )
+
     def llm_total(self) -> int:
         return sum(self.llm_calls_by_tag.values())
 

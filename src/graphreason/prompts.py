@@ -14,11 +14,12 @@ can be edited without code changes.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
-_ASSETS_ROOT = Path(__file__).parent / "assets" / "examples"
+_ASSETS_ROOT = Path(__file__).resolve().parent / "assets" / "examples"
 
 _PLACEHOLDER_RE = re.compile(r"\{(\w+)\}")
 
@@ -273,9 +274,16 @@ def load_examples(template_name: str, domain: str, assets_root: Path | None = No
 
     Missing assets render as an empty block rather than failing: the prompt
     still works zero-shot, and domains without curated examples degrade
-    gracefully.
+    gracefully. Each asset is read once per process, keyed on the resolved
+    assets root, the domain and the template, so an edit to an asset file
+    takes effect in the next process.
     """
-    root = assets_root if assets_root is not None else _ASSETS_ROOT
+    root = _ASSETS_ROOT if assets_root is None else assets_root.resolve()
+    return _read_examples(root, domain, template_name)
+
+
+@functools.cache
+def _read_examples(root: Path, domain: str, template_name: str) -> str:
     path = root / domain / f"{template_name}.txt"
     if not path.is_file():
         return ""

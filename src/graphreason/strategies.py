@@ -16,7 +16,11 @@ from __future__ import annotations
 
 import logging
 import re
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, TypeVar
 
 from . import kg
 from .agent import AgentStep, Scratchpad, run_agent_step
@@ -31,6 +35,7 @@ from .explore import (
 )
 from .llm import (
     Backend,
+    CompletionRequest,
     MalformedOutputError,
     TransportError,
     complete,
@@ -42,6 +47,8 @@ from .llm import (
 from .prompts import load_examples
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 VALID_STRATEGIES = frozenset({"cot", "tot", "got"})
 VALID_EVALUATORS = frozenset({"select", "score"})
@@ -404,14 +411,25 @@ def evaluate_score(
     counters: CostCounters,
     *,
     votes: int = 1,
+    pool: Executor | None = None,
 ) -> list[ThoughtState]:
     """Score each candidate (mean of ``votes`` samples, clamped to [0, 1])
     and keep the top ``t``; ties break toward earlier creation. Every
     candidate keeps its score for later answer ranking. With ``t`` or fewer
-    candidates no call is made.
+    candidates no call is made. The votes are independent and run on
+    ``pool`` when one is given.
     """
     if len(candidates) <= t:
         return list(candidates)
+
+    def vote(request: CompletionRequest, counters: CostCounters) -> float:
+        try:
+            value = complete_with_reask(backend, request, counters, parse_last_number)
+        except MalformedOutputError:
+            value = 0.0
+        return min(1.0, max(0.0, value))
+
+    tasks = []
     for candidate in candidates:
         request = request_for(
             "score_vote",
@@ -422,14 +440,10 @@ def evaluate_score(
             },
             tag="score",
         )
-        total = 0.0
-        for _ in range(votes):
-            try:
-                value = complete_with_reask(backend, request, counters, parse_last_number)
-            except MalformedOutputError:
-                value = 0.0
-            total += min(1.0, max(0.0, value))
-        candidate.score = total / votes
+        tasks += [partial(vote, request)] * votes
+    values = _gather(pool, tasks, counters)
+    for i, candidate in enumerate(candidates):
+        candidate.score = sum(values[i * votes : (i + 1) * votes]) / votes
     ranked = sorted(candidates, key=lambda c: (-(c.score or 0.0), c.id))
     return ranked[:t]
 
@@ -440,6 +454,8 @@ def select_frontier(
     question: Question,
     backend: Backend,
     counters: CostCounters,
+    *,
+    pool: Executor | None = None,
 ) -> list[int]:
     """Retain up to ``t`` candidates and prune the rest.
 
@@ -455,7 +471,7 @@ def select_frontier(
         retained = evaluate_select(eligible, config.t, question, backend, counters)
     else:
         retained = evaluate_score(
-            eligible, config.t, question, backend, counters, votes=config.score_votes
+            eligible, config.t, question, backend, counters, votes=config.score_votes, pool=pool
         )
     retained_ids = {c.id for c in retained}
     for candidate in eligible:
@@ -562,6 +578,33 @@ def merge_pair(
     return merged
 
 
+def _gather(
+    pool: Executor | None, tasks: list[Callable[..., T]], counters: CostCounters
+) -> list[T]:
+    """Run independent tasks and return their results in task order.
+
+    Each task is called as ``task(counters=meters)`` with meters of its own,
+    folded into ``counters`` in task order once all are done, so a task's
+    meters (an explore search's cost among them) never hold another task's
+    work. Without a pool the tasks run inline, in order; with one, the first
+    failure in task order propagates and tasks not yet started are cancelled.
+    """
+    meters = [CostCounters() for _ in tasks]
+    if pool is None:
+        results = [task(counters=m) for task, m in zip(tasks, meters)]
+    else:
+        futures = [pool.submit(task, counters=m) for task, m in zip(tasks, meters)]
+        try:
+            results = [future.result() for future in futures]
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
+    for m in meters:
+        counters.add(m)
+    return results
+
+
 def run_search(
     question: Question,
     config: SearchConfig,
@@ -575,6 +618,11 @@ def run_search(
     soon as the retained frontier contains a finished state, answering with
     the best-scored (earliest-created on ties) finished state. An exhausted
     limit or an empty frontier ends the run with no answer.
+
+    A round's expansions, merges and score votes are independent model
+    work. When the backend declares ``max_in_flight`` above 1 they run on
+    that many threads, otherwise inline; results are collected in state-id
+    order either way, so the state graph does not depend on timing.
     """
     if counters is None:
         counters = CostCounters()
@@ -587,36 +635,49 @@ def run_search(
     answer: str | None = None
     termination = TERMINATION_STEP_LIMIT
 
-    for _ in range(config.depth_limit()):
-        expansions: list[ThoughtState] = []
-        for sid in frontier:
-            parent = states[sid]
-            for _ in range(config.k):
-                child = expand_child(parent, question, graph, backend, counters, config, next_id)
-                states[next_id] = child
-                next_id += 1
-                expansions.append(child)
-        candidates = list(expansions)
-        if config.strategy == "got":
-            actives = [c for c in expansions if c.status == STATUS_ACTIVE]
-            for a, b in zip(actives[0::2], actives[1::2]):
-                merged = merge_pair(a, b, question, backend, counters, next_id)
-                if merged is not None:
-                    states[next_id] = merged
+    width = getattr(backend, "max_in_flight", 1)
+    with ThreadPoolExecutor(width) if width > 1 else nullcontext() as pool:
+        for _ in range(config.depth_limit()):
+            tasks = []
+            for sid in frontier:
+                for _ in range(config.k):
+                    tasks.append(
+                        partial(
+                            expand_child, states[sid], question, graph, backend,
+                            config=config, child_id=next_id,
+                        )
+                    )
                     next_id += 1
-                    candidates.append(merged)
-        frontier = select_frontier(candidates, config, question, backend, counters)
-        if not frontier:
-            break
-        finished = [states[i] for i in frontier if states[i].status == STATUS_FINISHED]
-        if finished:
-            best = min(
-                finished,
-                key=lambda s: ((-s.score) if s.score is not None else float("inf"), s.id),
-            )
-            answer = best.evidence.answer
-            termination = TERMINATION_FINISHED
-            break
+            expansions = _gather(pool, tasks, counters)
+            for child in expansions:
+                states[child.id] = child
+            candidates = list(expansions)
+            if config.strategy == "got":
+                actives = [c for c in expansions if c.status == STATUS_ACTIVE]
+                # Ids go to successful merges only, in pair order, once all
+                # are back; -1 holds the place until then.
+                pairs = [
+                    partial(merge_pair, a, b, question, backend, merged_id=-1)
+                    for a, b in zip(actives[0::2], actives[1::2])
+                ]
+                for merged in _gather(pool, pairs, counters):
+                    if merged is not None:
+                        merged.id = next_id
+                        states[next_id] = merged
+                        next_id += 1
+                        candidates.append(merged)
+            frontier = select_frontier(candidates, config, question, backend, counters, pool=pool)
+            if not frontier:
+                break
+            finished = [states[i] for i in frontier if states[i].status == STATUS_FINISHED]
+            if finished:
+                best = min(
+                    finished,
+                    key=lambda s: ((-s.score) if s.score is not None else float("inf"), s.id),
+                )
+                answer = best.evidence.answer
+                termination = TERMINATION_FINISHED
+                break
 
     return SearchResult(
         answer=answer,

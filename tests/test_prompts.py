@@ -157,3 +157,12 @@ def test_load_examples_honors_assets_root(tmp_path):
     root.mkdir(parents=True)
     (root / "score_vote.txt").write_text("CUSTOM BLOCK\n", encoding="utf-8")
     assert load_examples("score_vote", "custom", assets_root=tmp_path) == "CUSTOM BLOCK"
+
+
+def test_load_examples_reads_each_asset_once(tmp_path):
+    asset = tmp_path / "custom" / "score_vote.txt"
+    asset.parent.mkdir(parents=True)
+    asset.write_text("FIRST BLOCK\n", encoding="utf-8")
+    assert load_examples("score_vote", "custom", assets_root=tmp_path) == "FIRST BLOCK"
+    asset.write_text("SECOND BLOCK\n", encoding="utf-8")
+    assert load_examples("score_vote", "custom", assets_root=tmp_path) == "FIRST BLOCK"

@@ -1,6 +1,9 @@
 """Search strategies: expansion, evaluation, merging, and the run loop."""
 
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -21,10 +24,13 @@ from graphreason.strategies import (
     select_frontier,
 )
 
+from graphreason.traces import build_trace, serialize_trace
+
 from helpers import (
     TEMPLATE_MATCHERS,
     krt39_graph,
     permissive_backend,
+    permissive_entries,
     synthetic_question,
 )
 
@@ -449,8 +455,6 @@ def test_run_search_got_merges_adjacent_actives():
 
 
 def test_run_search_cot_equals_degenerate_tot():
-    from graphreason.traces import build_trace
-
     question = synthetic_question()
     graph = generate_synthetic_graph(11)
     results = {}
@@ -470,8 +474,6 @@ def test_run_search_explore_interaction_round_trip():
 
 
 def test_got_explore_trace_writes_each_triple_once():
-    from graphreason.traces import build_trace
-
     result = run(strategy="got", interaction="explore", k=3, t=3, d_max=2)
     data = build_trace(synthetic_question(), {}, result).as_dict()
     assert data["schema"] == "trace/v2"
@@ -498,3 +500,154 @@ def test_run_search_raises_on_replay_mismatch(interaction):
             generate_synthetic_graph(11),
             ReplayBackend([], strict=True),
         )
+
+
+# --- concurrent rounds ------------------------------------------------------------
+
+MERGE_THOUGHT = "Merging the two candidate chains."
+
+
+class JitteryReplay(ReplayBackend):
+    """Non-strict replay that declares ``width`` calls in flight and sleeps a
+    seeded random time per call, so completions arrive out of order. It
+    records the most calls it saw in flight at once, and raises
+    TransportError for every request ``fail`` picks."""
+
+    def __init__(self, entries, *, width=4, delay_s=0.002, seed=0, fail=None):
+        super().__init__(entries)
+        self.max_in_flight = width
+        self.delay_s = delay_s
+        self.fail = fail
+        self.in_flight = 0
+        self.peak = 0
+        self._rng = random.Random(seed)
+        self._meter = threading.Lock()
+
+    def raw_complete(self, request):
+        with self._meter:
+            delay = self._rng.uniform(0, self.delay_s)
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(delay)
+            if self.fail is not None and self.fail(request):
+                raise TransportError("injected")
+            return super().raw_complete(request)
+        finally:
+            with self._meter:
+                self.in_flight -= 1
+
+
+@pytest.fixture
+def fast_switching():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def concurrency_entries():
+    """The permissive script, with replies that make a state's fate depend on
+    its position and lineage: select picks out of creation order, and merged
+    chains outscore plain ones."""
+    return [
+        ReplayEntry(TEMPLATE_MATCHERS["selection_vote"], "The best choice is {{9, 4, 2}}"),
+        ReplayEntry(MERGE_THOUGHT + "\nTriples", "Score: 0.9"),
+        *permissive_entries(),
+    ]
+
+
+def search_outcome(config, backend):
+    question = synthetic_question()
+    result = run_search(question, config, generate_synthetic_graph(11), backend)
+    return serialize_trace(build_trace(question, {}, result)), result.counters.as_dict(), result
+
+
+CONCURRENCY_CONFIGS = {
+    "tot-agent-select": dict(strategy="tot", interaction="agent", evaluator="select"),
+    "got-explore-score": dict(
+        strategy="got", interaction="explore", evaluator="score", score_votes=2
+    ),
+    "cot-agent": dict(strategy="cot", interaction="agent", n=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONCURRENCY_CONFIGS))
+def test_concurrency_never_changes_results(name, fast_switching):
+    config = SearchConfig(**CONCURRENCY_CONFIGS[name])
+    serial = search_outcome(config, JitteryReplay(concurrency_entries(), width=1))
+    for seed in range(3):
+        backend = JitteryReplay(concurrency_entries(), width=4, seed=seed)
+        parallel = search_outcome(config, backend)
+        assert parallel[0] == serial[0]
+        assert parallel[1] == serial[1]
+    if name != "cot-agent":
+        assert backend.peak > 1
+    if name == "got-explore-score":
+        counters = serial[1]
+        assert counters["llm_calls_by_tag"]["merge"] and counters["llm_calls_by_tag"]["score"]
+        assert counters["explore_search_cost_max"] < counters["kg_total"]
+
+
+def test_concurrent_round_overlaps_calls_up_to_the_limit():
+    config = SearchConfig(strategy="tot", interaction="agent", k=3, t=3, d_max=2)
+    backend = JitteryReplay(permissive_entries(), width=4, delay_s=0.005)
+    result = run_search(synthetic_question(), config, generate_synthetic_graph(11), backend)
+    assert result.counters.generation_calls() == 3 + 9
+    assert 1 < backend.peak <= backend.max_in_flight
+
+
+def failing_outcome(fail):
+    """The got/explore search with ``fail`` injected, at width 4 and at
+    width 1; the two must agree byte for byte."""
+    config = SearchConfig(strategy="got", interaction="explore", d_max=2)
+    serial = search_outcome(config, JitteryReplay(permissive_entries(), width=1, fail=fail))
+    parallel = search_outcome(config, JitteryReplay(permissive_entries(), width=4, fail=fail))
+    assert parallel[:2] == serial[:2]
+    return parallel[2].graph.states
+
+
+def test_concurrent_transport_failure_prunes_only_its_children():
+    # Round 2 expands plain state 3 into 5-7 and merged state 4 into 8-10;
+    # only generation calls that carry the merge thought fail.
+    states = failing_outcome(
+        lambda request: request.tag == "thought" and MERGE_THOUGHT in request.prompt
+    )
+    assert [states[i].parents for i in range(5, 11)] == [(3,)] * 3 + [(4,)] * 3
+    assert [states[i].status for i in range(8, 11)] == ["pruned"] * 3
+    assert [states[i].thought for i in range(8, 11)] == ["(generation failed)"] * 3
+    assert states[5].status == states[6].status == "merged_away"
+    assert states[11].parents == (5, 6)
+    assert sorted(states) == list(range(12))
+
+
+def test_concurrent_merge_transport_failure_aborts_only_its_pair():
+    # Round 2 pairs (5, 6), (7, 8) and (9, 10); only (7, 8) mixes a plain
+    # chain with one that holds the merge thought.
+    states = failing_outcome(
+        lambda request: request.tag == "merge" and request.prompt.count(MERGE_THOUGHT) == 1
+    )
+    assert [states[i].parents for i in (11, 12)] == [(5, 6), (9, 10)]
+    assert states[7].status == states[8].status == "active"
+    assert sorted(states) == list(range(13))
+
+
+@pytest.mark.parametrize("missing", ["search_thought", "got_merge", "score_vote"])
+def test_concurrent_replay_mismatch_propagates(missing):
+    entries = [
+        e
+        for e in concurrency_entries()
+        if TEMPLATE_MATCHERS[missing] not in e.match and not e.match.startswith(MERGE_THOUGHT)
+    ]
+    config = SearchConfig(strategy="got", interaction="explore", evaluator="score")
+    threads = threading.active_count()
+    with pytest.raises(ReplayMismatchError):
+        run_search(
+            synthetic_question(),
+            config,
+            generate_synthetic_graph(11),
+            JitteryReplay(entries, width=4),
+        )
+    assert threading.active_count() == threads
