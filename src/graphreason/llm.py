@@ -216,6 +216,7 @@ class WireBackend:
             payload["stop"] = list(request.decoding.stop)
         with self._gate:
             try:
+                # Not a shared requests.Session: one made wire-latency p50 ~0.16 -> ~0.46 s.
                 response = requests.post(
                     self.endpoint, json=payload, headers=headers, timeout=self.timeout_s
                 )

@@ -4,7 +4,7 @@ A run takes a graph, a question file, and a backend, executes the search
 per question, evaluates answers, and writes a fixed artifact layout under
 the output directory:
 
-    out/traces/<qid>.trace   one JSON trace per question
+    out/traces/<qid>.trace   one JSON trace per question, written as it finishes
     out/results.lines        one JSON result row per question, run order
     out/report.table         human-readable table plus aggregates
 
@@ -41,7 +41,6 @@ from .traces import (
     REPORT_SCHEMA,
     RESULTS_SCHEMA,
     SWEEP_SCHEMA,
-    TraceRecord,
     build_trace,
     load_trace,
     write_trace,
@@ -52,6 +51,10 @@ logger = logging.getLogger(__name__)
 VALID_BACKENDS = frozenset({"replay", "wire"})
 VALID_JUDGES = frozenset({"none", "llm"})
 SWEEP_AXES = frozenset({"steps", "depth", "width", "evaluator"})
+
+
+# What the result tables read from a trace: its termination and counters.
+Summary = tuple[str, dict]
 
 
 class ConfigError(ValueError):
@@ -155,7 +158,9 @@ def _run_single(
     config: RunConfig,
     graph: kg.KnowledgeGraph,
     backend: Backend,
-) -> tuple[TraceRecord, EvalResult]:
+    traces_dir: Path,
+) -> tuple[Summary, EvalResult]:
+    """Run, evaluate and write one question's trace; the states stay on disk."""
     counters = CostCounters()
     started = time.perf_counter()
     result = run_search(question, config.search_config(), graph, backend, counters)
@@ -180,7 +185,8 @@ def _run_single(
             "started": round(started, 3),
             "finished": round(time.perf_counter(), 3),
         }
-    return trace, EvalResult(
+    write_trace(trace, traces_dir / f"{question.qid}.trace")
+    return (trace.termination, trace.counters), EvalResult(
         qid=question.qid,
         answer=result.answer,
         rouge_l=rouge,
@@ -195,13 +201,14 @@ def _totals(counters: dict) -> tuple[int, int]:
     return llm, ops
 
 
-def _results_row(trace: TraceRecord, result: EvalResult) -> dict:
-    llm, ops = _totals(trace.counters)
+def _results_row(summary: Summary, result: EvalResult) -> dict:
+    termination, counters = summary
+    llm, ops = _totals(counters)
     return {
         "schema": RESULTS_SCHEMA,
         "qid": result.qid,
         "answer": result.answer,
-        "termination": trace.termination,
+        "termination": termination,
         "rouge_l": result.rouge_l,
         "judge_correct": result.judge_correct,
         "error_class": result.error_class,
@@ -222,7 +229,7 @@ def _fmt(value, pattern: str = "{:.4f}") -> str:
 
 def _format_report(
     questions: list[Question],
-    traces: list[TraceRecord],
+    summaries: list[Summary],
     results: list[EvalResult],
     config_echo: dict,
     report: AggregateReport,
@@ -231,8 +238,8 @@ def _format_report(
     echo = " ".join(f"{key}={config_echo[key]}" for key in sorted(config_echo))
     lines.append(f"# config: {echo}")
     lines.append("qid\tanswer\trouge_l\tjudge\terror_class\tllm_calls\tkg_ops")
-    for trace, result in zip(traces, results):
-        llm, ops = _totals(trace.counters)
+    for (_, counters), result in zip(summaries, results):
+        llm, ops = _totals(counters)
         lines.append(
             "\t".join(
                 [
@@ -275,16 +282,16 @@ def _format_report(
 def _write_tables(
     out_dir: Path,
     questions: list[Question],
-    traces: list[TraceRecord],
+    summaries: list[Summary],
     results: list[EvalResult],
     config_echo: dict,
 ) -> AggregateReport:
-    report = aggregate(questions, results, [t.counters for t in traces])
-    rows = [_results_row(trace, result) for trace, result in zip(traces, results)]
+    report = aggregate(questions, results, [counters for _, counters in summaries])
+    rows = [_results_row(summary, result) for summary, result in zip(summaries, results)]
     results_text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
     (out_dir / "results.lines").write_text(results_text, encoding="utf-8")
     (out_dir / "report.table").write_text(
-        _format_report(questions, traces, results, config_echo, report), encoding="utf-8"
+        _format_report(questions, summaries, results, config_echo, report), encoding="utf-8"
     )
     return report
 
@@ -300,20 +307,19 @@ def run_experiment(config: RunConfig) -> AggregateReport:
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
 
+    def run_one(question: Question) -> tuple[Summary, EvalResult]:
+        return _run_single(question, config, graph, backend, traces_dir)
+
     if config.concurrency == 1:
-        outcomes = [_run_single(q, config, graph, backend) for q in questions]
+        outcomes = [run_one(q) for q in questions]
     else:
         with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-            outcomes = list(
-                pool.map(lambda q: _run_single(q, config, graph, backend), questions)
-            )
+            outcomes = list(pool.map(run_one, questions))
 
-    traces = [t for t, _ in outcomes]
+    summaries = [s for s, _ in outcomes]
     results = [r for _, r in outcomes]
-    for trace in traces:
-        write_trace(trace, traces_dir / f"{trace.qid}.trace")
-    report = _write_tables(out_dir, questions, traces, results, config.echo())
-    logger.info("wrote %d traces to %s", len(traces), out_dir)
+    report = _write_tables(out_dir, questions, summaries, results, config.echo())
+    logger.info("wrote %d traces to %s", len(outcomes), out_dir)
     return report
 
 
@@ -325,15 +331,18 @@ def score_run(traces_dir: str | Path, questions_path: str | Path, out_dir: str |
     """
     questions = load_questions(questions_path)
     traces_dir = Path(traces_dir)
-    traces: list[TraceRecord] = []
+    summaries: list[Summary] = []
     results: list[EvalResult] = []
+    config_echo: dict = {}
     for question in questions:
         path = traces_dir / f"{question.qid}.trace"
         if not path.is_file():
             raise ConfigError(f"no trace for question {question.qid!r} at {path}")
         trace = load_trace(path)
         rouge = rouge_l(trace.answer, question.gold_answer) if trace.answer is not None else None
-        traces.append(trace)
+        if not summaries:
+            config_echo = trace.config
+        summaries.append((trace.termination, trace.counters))
         results.append(
             EvalResult(
                 qid=question.qid,
@@ -345,8 +354,7 @@ def score_run(traces_dir: str | Path, questions_path: str | Path, out_dir: str |
         )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config_echo = traces[0].config if traces else {}
-    return _write_tables(out, questions, traces, results, config_echo)
+    return _write_tables(out, questions, summaries, results, config_echo)
 
 
 def _sweep_override(config: RunConfig, axis: str, value: str) -> RunConfig:

@@ -2,14 +2,16 @@
 
 A trace is the full account of one question's run — every thought state
 with its evidence, the final frontier, the answer, the cost meters, and
-the evaluation block — written as canonical JSON (sorted keys) so replay
-runs are byte-identical. The validator re-checks the structural invariants
-on the raw dict, so hand-edited or truncated artifacts are caught.
+the evaluation block — written as one line of canonical JSON (sorted keys,
+no indent) so replay runs are byte-identical. The validator re-checks the
+structural invariants on the raw dict, so hand-edited or truncated artifacts
+are caught.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -189,11 +191,21 @@ def build_trace(
 
 
 def serialize_trace(trace: TraceRecord) -> str:
-    return json.dumps(trace.as_dict(), sort_keys=True, indent=2) + "\n"
+    # No indent: CPython 3.10/3.11 use the C encoder only when ``indent`` is None.
+    return json.dumps(trace.as_dict(), sort_keys=True) + "\n"
 
 
 def write_trace(trace: TraceRecord, path: str | Path) -> None:
-    Path(path).write_text(serialize_trace(trace), encoding="utf-8")
+    """Write the trace to a temporary file beside ``path``, then rename it
+    into place, so ``path`` never holds a partly written trace."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        partial.write_text(serialize_trace(trace), encoding="utf-8")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_trace(path: str | Path) -> TraceRecord:

@@ -1,19 +1,23 @@
-"""Experiment orchestration: pre-flight checks and concurrent runs."""
+"""Experiment orchestration: pre-flight checks, concurrent runs, and the
+traces a run leaves on disk."""
+
+import json
 
 import pytest
 
 from helpers import write_question_file, write_replay_script
 from graphreason.evaluation import Question
 from graphreason.kg import SyntheticGraphSpec, generate_synthetic_graph, save_graph
-from graphreason.llm import ReplayEntry
-from graphreason.runner import ConfigError, RunConfig, preflight, run_experiment
+from graphreason.llm import ReplayEntry, ReplayMismatchError
+from graphreason.runner import ConfigError, RunConfig, preflight, run_experiment, score_run
+from graphreason.traces import load_trace, validate_trace
 
 # Synthetic names are "<type> <index>" with types alternating alpha/beta, so
 # odd indices are beta nodes.
 TARGETS = (3, 5, 7, 9, 11, 13)
 
 
-def agent_entries() -> list[ReplayEntry]:
+def agent_entries(targets=TARGETS) -> list[ReplayEntry]:
     """Per question: one step retrieving by a missed and an exact query, then
     Finish. The step-2 entries come first: their matcher is the step-1
     thought, which only a step-2 prompt contains."""
@@ -22,7 +26,7 @@ def agent_entries() -> list[ReplayEntry]:
             f"Thought 1: Locate beta {n} zeta.",
             f"Thought 2: Found it.\nAction 2: Finish[beta {n}]",
         )
-        for n in TARGETS
+        for n in targets
     ]
     lookups = [
         ReplayEntry(
@@ -30,13 +34,13 @@ def agent_entries() -> list[ReplayEntry]:
             f"Thought 1: Locate beta {n} zeta.\n"
             f"Action 1: RetrieveNode[beta {n} zeta], RetrieveNode[ALPHA {n + 1}]",
         )
-        for n in TARGETS
+        for n in targets
     ]
     return finishes + lookups
 
 
-@pytest.fixture()
-def inputs(tmp_path):
+def make_inputs(tmp_path, targets=TARGETS, scripted=TARGETS) -> dict:
+    """Run inputs asking about ``targets``; the script answers ``scripted``."""
     graph_path = tmp_path / "graph.kg"
     spec = SyntheticGraphSpec(node_count=40, edges_per_node=2)
     save_graph(generate_synthetic_graph(5, spec), graph_path)
@@ -48,13 +52,19 @@ def inputs(tmp_path):
             difficulty="easy",
             domain="synthetic",
         )
-        for n in TARGETS
+        for n in targets
     ]
+    script = agent_entries(scripted)
     return {
         "kg_path": str(graph_path),
         "questions_path": str(write_question_file(tmp_path / "questions.lines", questions)),
-        "replay_path": str(write_replay_script(tmp_path / "script.replay", agent_entries())),
+        "replay_path": str(write_replay_script(tmp_path / "script.replay", script)),
     }
+
+
+@pytest.fixture()
+def inputs(tmp_path):
+    return make_inputs(tmp_path)
 
 
 def test_preflight_rejects_strict_replay_with_concurrency(inputs, tmp_path):
@@ -87,3 +97,38 @@ def test_concurrent_run_is_byte_identical_to_serial(inputs, tmp_path):
         trace = outputs[1][f"traces/q{n}.trace"]
         assert f"The ID of the node is n{n:04d}.".encode() in trace
         assert f"The ID of the node is n{n + 1:04d}.".encode() in trace
+
+
+def test_a_run_that_aborts_keeps_the_traces_it_finished(tmp_path):
+    """The script answers the first question only, so the second aborts the
+    run; the first question's trace is already on disk, whole."""
+    first, second = TARGETS[:2]
+    inputs = make_inputs(tmp_path, targets=(first, second), scripted=(first,))
+    out = tmp_path / "out"
+    with pytest.raises(ReplayMismatchError):
+        run_experiment(RunConfig(out_dir=str(out), **inputs))
+    traces_dir = out / "traces"
+    assert sorted(p.name for p in traces_dir.iterdir()) == [f"q{first}.trace"]
+    data = json.loads((traces_dir / f"q{first}.trace").read_text(encoding="utf-8"))
+    assert validate_trace(data) == []
+    assert data["answer"] == f"beta {first}"
+    assert not (out / "results.lines").exists()
+
+
+def test_traces_in_the_indented_layout_still_load_and_score(inputs, tmp_path):
+    """Traces were once written with ``indent=2``; the same content in that
+    layout loads, validates and rescores to the same tables."""
+    out = tmp_path / "out"
+    run_experiment(RunConfig(out_dir=str(out), **inputs))
+    old = tmp_path / "old"
+    old.mkdir()
+    for path in sorted((out / "traces").glob("*.trace")):
+        record = load_trace(path)
+        indented = json.dumps(record.as_dict(), sort_keys=True, indent=2) + "\n"
+        (old / path.name).write_text(indented, encoding="utf-8")
+        reloaded = load_trace(old / path.name)
+        assert reloaded.as_dict() == record.as_dict()
+        assert validate_trace(json.loads(indented)) == []
+    score_run(old, inputs["questions_path"], tmp_path / "rescore")
+    expected = (out / "results.lines").read_bytes()
+    assert (tmp_path / "rescore" / "results.lines").read_bytes() == expected

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 
 import pytest
 
@@ -126,7 +127,8 @@ def test_serialized_form_is_canonical(got_trace):
     text = serialize_trace(got_trace)
     assert text.endswith("\n")
     data = json.loads(text)
-    assert text == json.dumps(data, sort_keys=True, indent=2) + "\n"
+    assert text == json.dumps(data, sort_keys=True) + "\n"
+    assert "\n" not in text[:-1]
     assert data["schema"] == "trace/v2"
 
 
@@ -139,6 +141,17 @@ def test_write_then_load_round_trips(tmp_path, got_trace):
     again = tmp_path / "again.trace"
     write_trace(loaded, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_write_leaves_no_partial_trace_when_the_rename_fails(tmp_path, got_trace, monkeypatch):
+    def failing_replace(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    path = tmp_path / "q1.trace"
+    with pytest.raises(OSError, match="rename refused"):
+        write_trace(got_trace, path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_trace_from_dict_fills_optional_blocks():
