@@ -16,16 +16,9 @@ import re
 from dataclasses import dataclass, field
 
 from . import kg
-from .costs import GENERATION_TAG, REASK_SUFFIX, CostCounters
+from .costs import GENERATION_TAG, CostCounters
 from .evaluation import Question
-from .llm import (
-    Backend,
-    CompletionRequest,
-    MalformedOutputError,
-    complete,
-    request_for,
-)
-from .prompts import load_examples
+from .llm import Backend, MalformedOutputError, complete, reask_request, request_for
 
 logger = logging.getLogger(__name__)
 
@@ -275,23 +268,19 @@ def run_agent_step(
     request = request_for(
         "agent_step",
         {
-            "examples": load_examples("agent_step", question.domain),
             "graph_definition": kg.graph_definition(graph),
             "question": question.text,
             "scratchpad": scratchpad.render(next_index=index),
         },
         tag=GENERATION_TAG,
+        domain=question.domain,
     )
     reply = complete(backend, request, counters)
     try:
         thought, raw_action, actions = _parse_step_reply(reply)
     except MalformedActionError:
-        retry = CompletionRequest(
-            prompt=request.prompt + ACTION_REMINDER,
-            decoding=request.decoding,
-            tag=request.tag + REASK_SUFFIX,
-        )
-        reply = complete(backend, retry, counters)
+        # Not complete_with_reask: the no-op step below records the second reply.
+        reply = complete(backend, reask_request(request, ACTION_REMINDER), counters)
         try:
             thought, raw_action, actions = _parse_step_reply(reply)
         except MalformedActionError:

@@ -10,7 +10,6 @@ call.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -28,8 +27,6 @@ from .textops import tokenize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .traces import TraceRecord
-
-logger = logging.getLogger(__name__)
 
 VALID_DIFFICULTIES = frozenset({"easy", "medium", "hard"})
 
@@ -177,12 +174,9 @@ def judge_correct(
             "model_answer": model_answer,
         },
         tag="judge",
+        domain=question.domain,
     )
-    try:
-        return complete_with_reask(backend, request, counters, parse_yes_no)
-    except MalformedOutputError:
-        logger.debug("judge verdict stayed malformed for %s", question.qid)
-        return None
+    return complete_with_reask(backend, request, counters, parse_yes_no, None)
 
 
 def _parse_error_class(text: str) -> str:
@@ -224,11 +218,9 @@ def classify_error(
             "evidence": "\n".join(evidence) if evidence else "(no evidence collected)",
         },
         tag="judge",
+        domain=question.domain,
     )
-    try:
-        return complete_with_reask(backend, request, counters, _parse_error_class)
-    except MalformedOutputError:
-        return ERROR_WRONG_STEP
+    return complete_with_reask(backend, request, counters, _parse_error_class, ERROR_WRONG_STEP)
 
 
 @dataclass

@@ -20,14 +20,7 @@ from dataclasses import dataclass, field
 from . import kg
 from .costs import CostCounters
 from .evaluation import Question
-from .llm import (
-    Backend,
-    MalformedOutputError,
-    complete_with_reask,
-    parse_bracketed_answer,
-    request_for,
-)
-from .prompts import load_examples
+from .llm import Backend, complete_with_reask, parse_bracketed_answer, request_for
 
 logger = logging.getLogger(__name__)
 
@@ -125,20 +118,13 @@ def extract_entities(
     domain: str,
 ) -> list[str]:
     """Pull entity surface forms out of free text; malformed replies yield []."""
-    request = request_for(
-        "entity_extraction",
-        {"examples": load_examples("entity_extraction", domain), "text": text},
-        tag="extract",
-    )
+    request = request_for("entity_extraction", {"text": text}, tag="extract", domain=domain)
 
     def parse(reply: str) -> list[str]:
         span = parse_bracketed_answer(reply)
         return [part.strip() for part in span.split(",") if part.strip()]
 
-    try:
-        return complete_with_reask(backend, request, counters, parse)
-    except MalformedOutputError:
-        return []
+    return complete_with_reask(backend, request, counters, parse, [])
 
 
 def resolve_anchors(
@@ -176,29 +162,23 @@ def prune_relations(
     """
     if not relations:
         raise ValueError(f"prune_relations needs a nonempty relation list for {entity_id}")
-    fallback = relations[: config.max_relations_per_entity]
     request = request_for(
         "prune_relations",
         {
-            "examples": load_examples("prune_relations", question.domain),
             "question": question.text,
             "entity": kg.node_name(graph, entity_id),
             "relations": ", ".join(relations),
         },
         tag="prune_relations",
+        domain=question.domain,
     )
 
     def parse(reply: str) -> set[str]:
         span = parse_bracketed_answer(reply)
         return {part.strip().casefold() for part in span.split(",") if part.strip()}
 
-    try:
-        answered = complete_with_reask(backend, request, counters, parse)
-    except MalformedOutputError:
-        return fallback
-    selected = [rel for rel in relations if rel.casefold() in answered]
-    if not selected:
-        return fallback
+    answered = complete_with_reask(backend, request, counters, parse, set())
+    selected = [rel for rel in relations if rel.casefold() in answered] or relations
     return selected[: config.max_relations_per_entity]
 
 
@@ -222,22 +202,21 @@ def prune_entities(
     request = request_for(
         "prune_entities",
         {
-            "examples": load_examples("prune_entities", question.domain),
             "question": question.text,
             "head_entity": kg.node_name(graph, head_id),
             "relation": relation,
             "tail_entities": ", ".join(kg.node_name(graph, tid) for tid in tail_ids),
         },
         tag="prune_entities",
+        domain=question.domain,
     )
 
     def parse(reply: str) -> set[str]:
         span = parse_bracketed_answer(reply)
         return {part.strip() for part in span.split(",") if part.strip()}
 
-    try:
-        answered = complete_with_reask(backend, request, counters, parse)
-    except MalformedOutputError:
+    answered = complete_with_reask(backend, request, counters, parse, None)
+    if answered is None:
         return tail_ids[: config.max_neighbors_per_relation]
     selected = [tid for tid in tail_ids if kg.node_name(graph, tid) in answered]
     return selected[: config.max_neighbors_per_relation]
@@ -260,13 +239,9 @@ def search_attributes(
     rendered = "; ".join(f"{key}: {value}" for key, value in node.features.items())
     request = request_for(
         "search_attributes",
-        {
-            "examples": load_examples("search_attributes", question.domain),
-            "question": question.text,
-            "entity": name,
-            "attributes": rendered,
-        },
+        {"question": question.text, "entity": name, "attributes": rendered},
         tag="attributes",
+        domain=question.domain,
     )
 
     def parse(reply: str) -> list[str]:
@@ -275,11 +250,7 @@ def search_attributes(
             return []
         return [part.strip() for part in span.split(",") if part.strip()]
 
-    try:
-        keys = complete_with_reask(backend, request, counters, parse)
-    except MalformedOutputError:
-        return []
-    answered = set(keys)
+    answered = set(complete_with_reask(backend, request, counters, parse, []))
     return [
         AttributeHit(entity_id=entity_id, entity_name=name, key=key, value=value)
         for key, value in node.features.items()
@@ -299,22 +270,19 @@ def end_check(
     request = request_for(
         "search_end",
         {
-            "examples": load_examples("search_end", question.domain),
             "question": question.text,
             "thoughts": thoughts,
             "triples": state.rendered_triples(),
             "attributes": state.rendered_attributes(),
         },
         tag="end_check",
+        domain=question.domain,
     )
 
     def parse(reply: str) -> bool:
         return parse_bracketed_answer(reply).casefold() == "yes"
 
-    try:
-        return complete_with_reask(backend, request, counters, parse)
-    except MalformedOutputError:
-        return False
+    return complete_with_reask(backend, request, counters, parse, False)
 
 
 def explore(

@@ -4,8 +4,8 @@ Every completion flows through :func:`complete`, which increments the
 per-run call meter exactly once per request (tagged, so generation calls
 can be budgeted separately from pruning/evaluation/judging) and applies the
 transport retry policy. Malformed-output handling is a separate, single
-re-ask with a format reminder, after which the call site falls back to its
-documented deterministic behavior.
+re-ask with a format reminder (:func:`reask_request`), after which
+:func:`complete_with_reask` returns the call site's documented fallback.
 
 The replay backend makes whole runs bit-reproducible: it serves canned
 responses from a line-delimited script of ``{"match": ..., "response": ...}``
@@ -41,6 +41,7 @@ FORMAT_REMINDER = (
 )
 
 T = TypeVar("T")
+F = TypeVar("F")
 
 
 class TransportError(Exception):
@@ -108,14 +109,27 @@ def request_for(
     variables: dict[str, str],
     *,
     tag: str,
-    decoding: DecodingParams | None = None,
+    domain: str,
 ) -> CompletionRequest:
-    """Render a registry template into a tagged completion request."""
+    """Render a registry template into a tagged completion request.
+
+    A template with an ``{examples}`` slot gets the few-shot block of
+    ``domain`` from :func:`prompts.load_examples`; callers never pass one.
+    """
     template = prompts.get_template(template_name)
+    if "examples" in template.required_placeholders:
+        variables = {**variables, "examples": prompts.load_examples(template_name, domain)}
     prompt = prompts.render(template, variables)
-    if decoding is None:
-        decoding = DEFAULT_DECODING[template_name]
-    return CompletionRequest(prompt=prompt, decoding=decoding, tag=tag)
+    return CompletionRequest(prompt=prompt, decoding=DEFAULT_DECODING[template_name], tag=tag)
+
+
+def reask_request(request: CompletionRequest, reminder: str = FORMAT_REMINDER) -> CompletionRequest:
+    """The one form of a re-ask: the prompt plus a reminder, tagged ``<tag>:reask``."""
+    return CompletionRequest(
+        prompt=request.prompt + reminder,
+        decoding=request.decoding,
+        tag=request.tag + REASK_SUFFIX,
+    )
 
 
 @dataclass(frozen=True)
@@ -141,7 +155,7 @@ class ReplayBackend:
         self._lock = threading.Lock()
 
     @classmethod
-    def from_file(cls, path: str | Path, *, strict: bool = False) -> "ReplayBackend":
+    def from_file(cls, path: str | Path) -> "ReplayBackend":
         entries = []
         with open(path, encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
@@ -152,7 +166,7 @@ class ReplayBackend:
                     entries.append(ReplayEntry(match=record["match"], response=record["response"]))
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise ValueError(f"{path}:{lineno}: bad replay record: {exc}") from exc
-        return cls(entries, strict=strict)
+        return cls(entries)
 
     def raw_complete(self, request: CompletionRequest) -> str:
         with self._lock:
@@ -261,25 +275,25 @@ def complete_with_reask(
     request: CompletionRequest,
     counters: CostCounters,
     parse: Callable[[str], T],
-) -> T:
+    fallback: F,
+) -> T | F:
     """Complete, parse, and on malformed output re-ask once with a reminder.
 
     The re-ask is its own metered call tagged ``<tag>:reask``. A second
-    malformed reply propagates MalformedOutputError so the call site can
-    apply its deterministic fallback.
+    malformed reply returns ``fallback``, the call site's documented
+    deterministic behaviour. A transport failure propagates.
     """
     text = complete(backend, request, counters)
     try:
         return parse(text)
     except MalformedOutputError:
         logger.debug("malformed output for tag %s; re-asking", request.tag)
-        retry = CompletionRequest(
-            prompt=request.prompt + FORMAT_REMINDER,
-            decoding=request.decoding,
-            tag=request.tag + REASK_SUFFIX,
-        )
-        text = complete(backend, retry, counters)
+    text = complete(backend, reask_request(request), counters)
+    try:
         return parse(text)
+    except MalformedOutputError:
+        logger.debug("output for tag %s stayed malformed; falling back", request.tag)
+        return fallback
 
 
 _BRACKET_SPAN_RE = re.compile(r"\{\{(.*?)\}\}|\[(.*?)\]", re.DOTALL)

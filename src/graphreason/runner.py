@@ -82,7 +82,6 @@ class RunConfig:
     concurrency: int = 1
     max_actions_per_step: int = 4
     score_votes: int = 1
-    strict_replay: bool = False
 
     def search_config(self) -> SearchConfig:
         return SearchConfig(
@@ -130,10 +129,6 @@ def preflight(config: RunConfig) -> None:
             raise ConfigError("replay backend requires a replay script path")
         if not Path(config.replay_path).is_file():
             raise ConfigError(f"replay script not found: {config.replay_path}")
-        if config.strict_replay and config.concurrency > 1:
-            # One strict cursor shared across worker threads would be consumed
-            # in whatever order the threads reach it.
-            raise ConfigError("strict replay needs concurrency 1: it consumes its script in order")
     else:
         if not config.endpoint or not config.model:
             raise ConfigError("wire backend requires both an endpoint and a model")
@@ -148,7 +143,7 @@ def preflight(config: RunConfig) -> None:
 def build_backend(config: RunConfig) -> Backend:
     if config.backend == "replay":
         assert config.replay_path is not None
-        return ReplayBackend.from_file(config.replay_path, strict=config.strict_replay)
+        return ReplayBackend.from_file(config.replay_path)
     assert config.endpoint is not None and config.model is not None
     return WireBackend(endpoint=config.endpoint, model=config.model)
 

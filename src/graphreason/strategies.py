@@ -44,7 +44,6 @@ from .llm import (
     parse_last_number,
     request_for,
 )
-from .prompts import load_examples
 
 logger = logging.getLogger(__name__)
 
@@ -266,18 +265,22 @@ def _expand_child_explore(
         if parent.evidence.exploration is not None
         else ExplorationState()
     )
-    request = request_for(
-        "search_thought",
-        {
-            "examples": load_examples("search_thought", question.domain),
-            "graph_definition": kg.graph_definition(graph),
-            "question": question.text,
-            "triples": exploration.rendered_triples(),
-            "thoughts": "\n".join(parent.evidence.thought_log),
-            "attributes": exploration.rendered_attributes(),
-        },
-        tag=GENERATION_TAG,
-    )
+
+    def thought_request(thought_log: list[str], tag: str) -> CompletionRequest:
+        return request_for(
+            "search_thought",
+            {
+                "graph_definition": kg.graph_definition(graph),
+                "question": question.text,
+                "triples": exploration.rendered_triples(),
+                "thoughts": "\n".join(thought_log),
+                "attributes": exploration.rendered_attributes(),
+            },
+            tag=tag,
+            domain=question.domain,
+        )
+
+    request = thought_request(parent.evidence.thought_log, GENERATION_TAG)
     try:
         thought = complete(backend, request, counters).strip()
     except TransportError:
@@ -300,21 +303,12 @@ def _expand_child_explore(
 
     answer: str | None = None
     if exploration.sufficient:
-        answer_request = request_for(
-            "search_thought",
-            {
-                "examples": load_examples("search_thought", question.domain),
-                "graph_definition": kg.graph_definition(graph),
-                "question": question.text,
-                "triples": exploration.rendered_triples(),
-                "thoughts": "\n".join(thought_log),
-                "attributes": exploration.rendered_attributes(),
-            },
-            tag="answer",
-        )
+        answer_request = thought_request(thought_log, "answer")
         try:
-            answer = complete_with_reask(backend, answer_request, counters, parse_finish_answer)
-        except (MalformedOutputError, TransportError):
+            answer = complete_with_reask(
+                backend, answer_request, counters, parse_finish_answer, None
+            )
+        except TransportError:
             logger.debug("answer extraction failed for child %d; staying active", child_id)
     evidence = Evidence(
         thought_log=thought_log,
@@ -368,12 +362,9 @@ def evaluate_select(
     choices = "\n".join(f"{i}. {describe_candidate(c)}" for i, c in enumerate(candidates, 1))
     request = request_for(
         "selection_vote",
-        {
-            "examples": load_examples("selection_vote", question.domain),
-            "question": question.text,
-            "choices": choices,
-        },
+        {"question": question.text, "choices": choices},
         tag="select",
+        domain=question.domain,
     )
 
     def parse(reply: str) -> list[int]:
@@ -383,10 +374,7 @@ def evaluate_select(
             raise MalformedOutputError(f"no choice numbers in span {span!r}")
         return numbers
 
-    try:
-        picks = complete_with_reask(backend, request, counters, parse)
-    except MalformedOutputError:
-        picks = []
+    picks = complete_with_reask(backend, request, counters, parse, [])
     retained: list[ThoughtState] = []
     seen: set[int] = set()
     for pick in picks:
@@ -422,25 +410,20 @@ def evaluate_score(
     if len(candidates) <= t:
         return list(candidates)
 
-    def vote(request: CompletionRequest, counters: CostCounters) -> float:
-        try:
-            value = complete_with_reask(backend, request, counters, parse_last_number)
-        except MalformedOutputError:
-            value = 0.0
-        return min(1.0, max(0.0, value))
+    def clamped(reply: str) -> float:
+        return min(1.0, max(0.0, parse_last_number(reply)))
 
     tasks = []
     for candidate in candidates:
         request = request_for(
             "score_vote",
-            {
-                "examples": load_examples("score_vote", question.domain),
-                "question": question.text,
-                "thoughts": describe_chain(candidate),
-            },
+            {"question": question.text, "thoughts": describe_chain(candidate)},
             tag="score",
+            domain=question.domain,
         )
-        tasks += [partial(vote, request)] * votes
+        tasks += [
+            partial(complete_with_reask, backend, request, parse=clamped, fallback=0.0)
+        ] * votes
     values = _gather(pool, tasks, counters)
     for i, candidate in enumerate(candidates):
         candidate.score = sum(values[i * votes : (i + 1) * votes]) / votes
@@ -528,13 +511,13 @@ def merge_pair(
     request = request_for(
         "got_merge",
         {
-            "examples": load_examples("got_merge", question.domain),
             "question": question.text,
             "chain_1": describe_chain(a),
             "chain_2": describe_chain(b),
             "merged_chain": "",
         },
         tag=MERGE_TAG,
+        domain=question.domain,
     )
 
     def parse(reply: str) -> str:
@@ -544,8 +527,10 @@ def merge_pair(
         return thought
 
     try:
-        thought = complete_with_reask(backend, request, counters, parse)
-    except (MalformedOutputError, TransportError):
+        thought = complete_with_reask(backend, request, counters, parse, None)
+    except TransportError:
+        thought = None
+    if thought is None:
         logger.debug("merge of %d and %d aborted", a.id, b.id)
         return None
 

@@ -229,17 +229,36 @@ def trace_from_dict(data: dict) -> TraceRecord:
     )
 
 
-def validate_trace(data: dict) -> list[str]:
-    """Check a raw trace dict against the structural invariants.
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
 
-    Returns human-readable violation strings; an empty list means the trace
-    is well-formed.
+
+def _json_type(value: object) -> str:
+    return _JSON_NAMES.get(type(value), type(value).__name__)
+
+
+def validate_trace(data: object) -> list[str]:
+    """Check a raw trace against the structural invariants.
+
+    Takes any JSON value: a hand-edited trace whose fields have the wrong
+    JSON type is reported, never raised on. Returns human-readable violation
+    strings; an empty list means the trace is well-formed.
     """
     violations: list[str] = []
+    bad = violations.append
 
-    def bad(message: str) -> None:
-        violations.append(message)
+    def typed(holder: dict, key: str, kind: type, where: str = "") -> dict | list:
+        """``holder[key]`` if it is a ``kind`` (absent reads as empty), else
+        report it and read an empty one."""
+        value = holder.get(key, kind())
+        if isinstance(value, kind):
+            return value
+        bad(f"{where}{key} must be {_JSON_NAMES[kind]}, got {_json_type(value)}")
+        return kind()
 
+    if not isinstance(data, dict):
+        bad(f"a trace must be an object, got {_json_type(data)}")
+        return violations
     if data.get("schema") != TRACE_SCHEMA:
         bad(f"schema is {data.get('schema')!r}, expected {TRACE_SCHEMA!r}")
     states = data.get("states")
@@ -247,13 +266,19 @@ def validate_trace(data: dict) -> list[str]:
         bad("states must be a nonempty list")
         return violations
 
-    strategy = data.get("config", {}).get("strategy")
+    strategy = typed(data, "config", dict).get("strategy")
     by_id: dict[int, dict] = {}
     previous_id = -1
-    for state in states:
+    for position, state in enumerate(states):
+        if not isinstance(state, dict):
+            bad(f"state at position {position} must be an object, got {_json_type(state)}")
+            return violations
         sid = state.get("id")
         if not isinstance(sid, int) or sid <= previous_id:
             bad(f"state ids must be strictly increasing, got {sid!r} after {previous_id}")
+            return violations
+        if not isinstance(state.get("depth"), int):
+            bad(f"state {sid}: depth must be an integer, got {state.get('depth')!r}")
             return violations
         previous_id = sid
         by_id[sid] = state
@@ -263,14 +288,37 @@ def validate_trace(data: dict) -> list[str]:
         bad("first state must be the root: id 0, depth 0, no parents")
 
     max_parents = 2 if strategy == "got" else 1
-    for state in states[1:]:
+    for state in states:
         sid = state["id"]
-        parents = state.get("parents", [])
+        where = f"state {sid}: "
+        evidence = typed(state, "evidence", dict, where)
+        triples = typed(evidence, "triples", list, where + "evidence.")
+        try:
+            keys = {(t.get("head_id"), t.get("relation"), t.get("tail_id")) for t in triples}
+        except (AttributeError, TypeError):  # a triple that is no object, or a list id
+            bad(f"state {sid}: every triple must be an object with scalar ids")
+        else:
+            if len(keys) != len(triples):
+                bad(f"state {sid}: duplicate triples in evidence")
+        pad = evidence.get("scratchpad")
+        if pad and not (isinstance(pad, list) and all(isinstance(step, dict) for step in pad)):
+            bad(f"state {sid}: scratchpad must be a list of step objects")
+        elif pad:
+            indices = [step.get("index") for step in pad]
+            if indices != list(range(1, len(pad) + 1)):
+                bad(f"state {sid}: scratchpad indices {indices} are not contiguous from 1")
+        if state is root:
+            continue
+
+        parents = typed(state, "parents", list, where)
         status = state.get("status")
-        if status not in VALID_STATUSES:
+        if not isinstance(status, str) or status not in VALID_STATUSES:
             bad(f"state {sid}: unknown status {status!r}")
         if not parents:
             bad(f"state {sid}: non-root state has no parents")
+            continue
+        if not all(isinstance(pid, int) for pid in parents):
+            bad(f"state {sid}: parents {parents!r} are not all state ids")
             continue
         if len(parents) > max_parents:
             bad(f"state {sid}: {len(parents)} parents exceeds {max_parents} for {strategy}")
@@ -283,23 +331,17 @@ def validate_trace(data: dict) -> list[str]:
                 bad(f"state {sid}: parent {pid} does not precede it (cycle)")
         known = [by_id[p] for p in parents if p in by_id]
         if len(parents) == 1 and known:
-            if state.get("depth") != known[0].get("depth", -2) + 1:
-                bad(f"state {sid}: depth {state.get('depth')} is not parent depth + 1")
+            if state["depth"] != known[0]["depth"] + 1:
+                bad(f"state {sid}: depth {state['depth']} is not parent depth + 1")
         elif len(parents) == 2 and len(known) == 2:
-            depths = {k.get("depth") for k in known}
-            if len(depths) != 1 or state.get("depth") not in depths:
+            depths = {k["depth"] for k in known}
+            if len(depths) != 1 or state["depth"] not in depths:
                 bad(f"state {sid}: merged state must share its parents' depth")
-        triples = state.get("evidence", {}).get("triples", [])
-        keys = [(t.get("head_id"), t.get("relation"), t.get("tail_id")) for t in triples]
-        if len(keys) != len(set(keys)):
-            bad(f"state {sid}: duplicate triples in evidence")
-        pad = state.get("evidence", {}).get("scratchpad")
-        if pad:
-            indices = [step.get("index") for step in pad]
-            if indices != list(range(1, len(pad) + 1)):
-                bad(f"state {sid}: scratchpad indices {indices} are not contiguous from 1")
 
-    frontier = data.get("frontier", [])
+    frontier = typed(data, "frontier", list)
+    if not all(isinstance(sid, int) for sid in frontier):
+        bad(f"frontier {frontier!r} does not list state ids")
+        frontier = []
     frontier_depths = set()
     for sid in frontier:
         state = by_id.get(sid)
@@ -308,7 +350,7 @@ def validate_trace(data: dict) -> list[str]:
             continue
         if state.get("status") not in (STATUS_ACTIVE, STATUS_FINISHED):
             bad(f"frontier state {sid} has status {state.get('status')!r}")
-        frontier_depths.add(state.get("depth"))
+        frontier_depths.add(state["depth"])
     if len(frontier_depths) > 1:
         bad(f"frontier spans multiple depths {sorted(frontier_depths)}")
     if list(frontier) != sorted(frontier):
@@ -321,22 +363,22 @@ def validate_trace(data: dict) -> list[str]:
     if (answer is not None) != (termination == TERMINATION_FINISHED):
         bad("answer must be present exactly when termination is 'finished'")
 
-    eval_block = data.get("eval", {})
+    eval_block = typed(data, "eval", dict)
     rouge = eval_block.get("rouge_l")
     if (rouge is not None) != (answer is not None):
         bad("eval.rouge_l must be present exactly when an answer is")
     error_class = eval_block.get("error_class")
     if error_class is not None:
-        if error_class not in ERROR_CLASSES:
+        if not isinstance(error_class, str) or error_class not in ERROR_CLASSES:
             bad(f"unknown error class {error_class!r}")
         if error_class == ERROR_CORRECT and eval_block.get("judge_correct") is not True:
             bad("error class 'correct' requires a true judge verdict")
         if termination == TERMINATION_STEP_LIMIT and error_class != ERROR_REACHED_LIMIT:
             bad("step-limit runs must classify as 'reached_limit'")
 
-    counters = data.get("counters", {})
+    counters = typed(data, "counters", dict)
     for group in ("llm_calls_by_tag", "kg_ops_by_kind"):
-        for key, value in counters.get(group, {}).items():
+        for key, value in typed(counters, group, dict, "counters.").items():
             if not isinstance(value, int) or value < 0:
                 bad(f"counters.{group}[{key!r}] must be a nonnegative integer")
 

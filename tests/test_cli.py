@@ -227,6 +227,24 @@ def test_validate_trace_command(runner, workspace):
     assert "unreadable" in unreadable.output
 
 
+def test_validate_trace_reports_a_bad_file_and_checks_the_next(runner, workspace):
+    out = workspace["root"] / "out_vt"
+    assert runner.invoke(main, run_args(workspace, out)).exit_code == 0
+    good_path = out / "traces" / "q1.trace"
+    data = json.loads(good_path.read_text())
+    data["states"][1]["evidence"] = None
+    data["frontier"] = None
+    bad_path = workspace["root"] / "bad.trace"
+    bad_path.write_text(json.dumps(data))
+
+    result = runner.invoke(main, ["validate-trace", str(bad_path), str(good_path)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"{bad_path}: state 1: evidence must be an object, got null" in result.output
+    assert f"{bad_path}: frontier must be a list, got null" in result.output
+    assert f"{good_path}: ok" in result.output
+
+
 # ------------------------------------------------------------------ score
 
 

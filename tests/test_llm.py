@@ -83,7 +83,7 @@ def test_default_decoding_covers_every_template():
 
 def test_request_for_renders_and_tags():
     request = request_for(
-        "entity_extraction", {"examples": "", "text": "probe text"}, tag="extract"
+        "entity_extraction", {"text": "probe text"}, tag="extract", domain="synthetic"
     )
     assert "probe text" in request.prompt
     assert request.tag == "extract"
@@ -186,7 +186,9 @@ def test_complete_does_not_retry_replay_mismatch():
 def test_reask_appends_reminder_and_retags():
     counters = CostCounters()
     backend = SequenceBackend(["no brackets", "fine [Yes] really"])
-    result = complete_with_reask(backend, _request(tag="end_check"), counters, parse_yes_no)
+    result = complete_with_reask(
+        backend, _request(tag="end_check"), counters, parse_yes_no, None
+    )
     assert result is True
     assert backend.prompts[1].endswith(FORMAT_REMINDER)
     assert counters.llm_calls_by_tag == {"end_check": 1, "end_check:reask": 1}
@@ -195,15 +197,16 @@ def test_reask_appends_reminder_and_retags():
 def test_reask_happens_at_most_once():
     counters = CostCounters()
     backend = SequenceBackend(["junk", "more junk"])
-    with pytest.raises(MalformedOutputError):
-        complete_with_reask(backend, _request(tag="select"), counters, parse_yes_no)
+    fallback = object()
+    result = complete_with_reask(backend, _request(tag="select"), counters, parse_yes_no, fallback)
+    assert result is fallback
     assert counters.llm_total() == 2
 
 
 def test_reask_skipped_when_first_reply_parses():
     counters = CostCounters()
     backend = SequenceBackend(["[No] done"])
-    assert complete_with_reask(backend, _request(), counters, parse_yes_no) is False
+    assert complete_with_reask(backend, _request(), counters, parse_yes_no, None) is False
     assert counters.llm_total() == 1
 
 

@@ -9,7 +9,7 @@ from helpers import write_question_file, write_replay_script
 from graphreason.evaluation import Question
 from graphreason.kg import SyntheticGraphSpec, generate_synthetic_graph, save_graph
 from graphreason.llm import ReplayEntry, ReplayMismatchError
-from graphreason.runner import ConfigError, RunConfig, preflight, run_experiment, score_run
+from graphreason.runner import RunConfig, run_experiment, score_run
 from graphreason.traces import load_trace, validate_trace
 
 # Synthetic names are "<type> <index>" with types alternating alpha/beta, so
@@ -65,18 +65,6 @@ def make_inputs(tmp_path, targets=TARGETS, scripted=TARGETS) -> dict:
 @pytest.fixture()
 def inputs(tmp_path):
     return make_inputs(tmp_path)
-
-
-def test_preflight_rejects_strict_replay_with_concurrency(inputs, tmp_path):
-    out = tmp_path / "out"
-    config = RunConfig(out_dir=str(out), strict_replay=True, concurrency=2, **inputs)
-    with pytest.raises(ConfigError, match="strict replay"):
-        preflight(config)
-    with pytest.raises(ConfigError, match="strict replay"):
-        run_experiment(config)
-    assert not out.exists()
-    preflight(RunConfig(out_dir=str(out), strict_replay=True, **inputs))
-    preflight(RunConfig(out_dir=str(out), concurrency=2, **inputs))
 
 
 def test_concurrent_run_is_byte_identical_to_serial(inputs, tmp_path):

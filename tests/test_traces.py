@@ -5,6 +5,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import permissive_backend, synthetic_question
 from graphreason.evaluation import rouge_l
@@ -465,3 +467,99 @@ def test_tampering_a_real_trace_is_caught(got_trace):
         pytest.fail("expected a merged state in a got trace")
     assert validate_trace(data) == []
     assert validate_trace(broken) != []
+
+
+# (dotted path into the minimal trace, JSON value put there, expected fragment)
+WRONG_TYPES = [
+    ("states.1", None, "position 1 must be an object, got null"),
+    ("states.1", [1], "position 1 must be an object, got a list"),
+    ("states.0", "root", "position 0 must be an object, got a string"),
+    ("states.1.evidence", None, "state 1: evidence must be an object, got null"),
+    ("states.1.evidence", [], "state 1: evidence must be an object, got a list"),
+    ("states.1.evidence", "x", "state 1: evidence must be an object, got a string"),
+    ("states.0.evidence", None, "state 0: evidence must be an object, got null"),
+    ("states.0.evidence.scratchpad", "steps", "state 0: scratchpad must be a list"),
+    ("states.1.parents", 0, "state 1: parents must be a list, got a number"),
+    ("states.1.parents", [[0]], "are not all state ids"),
+    ("states.1.depth", "1", "state 1: depth must be an integer"),
+    ("states.1.status", ["active"], "unknown status"),
+    ("states.1.evidence.triples", None, "evidence.triples must be a list, got null"),
+    ("states.1.evidence.triples", ["a -> r -> b"], "every triple must be an object"),
+    ("states.1.evidence.triples", [{"head_id": ["a"]}], "every triple must be an object"),
+    ("states.1.evidence.scratchpad", ["step"], "scratchpad must be a list of step objects"),
+    ("states.1.evidence.scratchpad", "steps", "scratchpad must be a list of step objects"),
+    ("config", None, "config must be an object, got null"),
+    ("config", ["got"], "config must be an object, got a list"),
+    ("config", "got", "config must be an object, got a string"),
+    ("counters", None, "counters must be an object, got null"),
+    ("counters", [], "counters must be an object, got a list"),
+    ("counters", "0", "counters must be an object, got a string"),
+    ("counters.llm_calls_by_tag", [1], "counters.llm_calls_by_tag must be an object"),
+    ("eval", None, "eval must be an object, got null"),
+    ("eval", [], "eval must be an object, got a list"),
+    ("eval", "1.0", "eval must be an object, got a string"),
+    ("eval.error_class", ["wrong_step"], "unknown error class"),
+    ("frontier", None, "frontier must be a list, got null"),
+    ("frontier", [[1]], "does not list state ids"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, fragment",
+    WRONG_TYPES,
+    ids=[f"{path}={json.dumps(value)}" for path, value, _ in WRONG_TYPES],
+)
+def test_validator_reports_wrong_json_types(path, value, fragment):
+    *parents, last = [int(key) if key.isdigit() else key for key in path.split(".")]
+
+    def mutate(data):
+        for key in parents:
+            data = data[key]
+        data[last] = value
+
+    expect(tampered(mutate), fragment)
+
+
+@pytest.mark.parametrize("document", [[], ["trace"], "trace", 3, None, True])
+def test_validator_reports_a_document_that_is_not_an_object(document):
+    expect(validate_trace(document), "a trace must be an object")
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(document=_json_values)
+def test_validator_returns_a_list_for_any_json_value(document):
+    assert isinstance(validate_trace(document), list)
+
+
+def _holders(data):
+    """Every object in a trace paired with each of its keys, depth first."""
+    if isinstance(data, dict):
+        for key, value in data.items():
+            yield data, key
+            yield from _holders(value)
+    elif isinstance(data, list):
+        for value in data:
+            yield from _holders(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), value=_json_values)
+def test_validator_returns_a_list_for_any_field_replaced(data, value):
+    """A well-formed trace with one field, at any depth, set to any JSON value."""
+    document = minimal_trace_dict()
+    document["states"][1]["evidence"]["triples"] = [
+        {"head_id": "a", "head_name": "a", "relation": "r", "tail_id": "b", "tail_name": "b"}
+    ]
+    document["states"][1]["evidence"]["scratchpad"] = [{"index": 1, "observations": []}]
+    holders = list(_holders(document))
+    holder, key = data.draw(st.sampled_from(holders))
+    holder[key] = value
+    assert isinstance(validate_trace(document), list)
