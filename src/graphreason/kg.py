@@ -9,6 +9,7 @@ neighbor listing, and degree counting.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from dataclasses import dataclass
@@ -145,24 +146,20 @@ def render_triple(triple: Triple) -> str:
     return f'"{triple.head_name}" --> {triple.relation} --> {triple.tail_name}'
 
 
-def _build_graph(records: list[NodeRecord]) -> KnowledgeGraph:
-    """Assemble and validate a graph from node records.
+def _raise_first_graph_error(records: list[NodeRecord]) -> None:
+    """Raise the error a check of ``records`` in file order meets first.
 
-    Raises:
-        GraphLoadError: on duplicate node ids or dangling edge references.
+    Duplicate ids are checked over the whole file before any edge; then each
+    record's targets in stored order, a duplicate or a missing target,
+    whichever comes first.
     """
-    nodes: dict[str, NodeRecord] = {}
+    ids: set[str] = set()
     for record in records:
-        if record.id in nodes:
+        if record.id in ids:
             raise GraphLoadError(f"duplicate node id: {record.id!r}")
-        nodes[record.id] = record
-
-    edge_count = 0
-    relation_types: set[str] = set()
+        ids.add(record.id)
     for record in records:
         for relation, targets in record.out_edges.items():
-            relation_types.add(relation)
-            edge_count += len(targets)
             seen: set[str] = set()
             for target in targets:
                 if target in seen:
@@ -171,35 +168,89 @@ def _build_graph(records: list[NodeRecord]) -> KnowledgeGraph:
                         f"under relation {relation!r}"
                     )
                 seen.add(target)
-                if target not in nodes:
+                if target not in ids:
                     raise GraphLoadError(
                         f"node {record.id!r} references missing node {target!r} "
                         f"under relation {relation!r}"
                     )
 
+
+def _build_graph(records: list[NodeRecord]) -> KnowledgeGraph:
+    """Assemble and validate a graph from node records.
+
+    The checks run over whole records; only a graph that fails one is walked
+    again in file order, so the error reported is the first one there.
+
+    Raises:
+        GraphLoadError: on duplicate node ids, a duplicate neighbor under one
+            relation, or dangling edge references.
+    """
+    nodes = {record.id: record for record in records}
+    valid = len(nodes) == len(records)
+    relation_types: set[str] = set()
+    all_targets: list[str] = []
+    for record in records:
+        relation_types.update(record.out_edges)
+        for targets in record.out_edges.values():
+            all_targets.extend(targets)
+            if len(targets) > 1 and len(set(targets)) != len(targets):
+                valid = False
+    if not valid or not nodes.keys() >= set(all_targets):
+        _raise_first_graph_error(records)
+
     stats = GraphStats(
         node_count=len(nodes),
-        edge_count=edge_count,
+        edge_count=len(all_targets),
         relation_types=frozenset(relation_types),
     )
     return KnowledgeGraph(nodes=nodes, stats=stats)
 
 
-def _parse_node_line(line: str, line_number: int) -> NodeRecord:
+# JSON's own whitespace; ``str.strip()`` with no argument strips more (a form
+# feed, say), which the decoder rejects.
+_JSON_WHITESPACE = " \t\n\r"
+_decode_prefix = json.JSONDecoder().raw_decode
+
+
+def _decode_line(line: str, line_number: int) -> object:
+    text = line.strip(_JSON_WHITESPACE)
     try:
-        raw = json.loads(line)
+        value, end = _decode_prefix(text)
+        if end == len(text):
+            return value
+    except json.JSONDecodeError:
+        pass
+    # Whatever the prefix decode rejects, ``json.loads`` rejects too, and its
+    # message is the one reported.
+    try:
+        return json.loads(line)
     except json.JSONDecodeError as exc:
         raise GraphLoadError(f"line {line_number}: not valid JSON ({exc.msg})") from exc
+
+
+def _all_strings(values: Iterable) -> bool:
+    # A plain loop: ``all()`` over a generator costs about twice as much on
+    # the handful of values a record holds.
+    for value in values:
+        if not isinstance(value, str):
+            return False
+    return True
+
+
+def _parse_node_line(line: str, line_number: int) -> NodeRecord:
+    raw = _decode_line(line, line_number)
     if not isinstance(raw, dict):
         raise GraphLoadError(f"line {line_number}: expected an object, got {type(raw).__name__}")
 
-    unknown = set(raw) - _NODE_FILE_FIELDS
-    if unknown:
-        raise GraphLoadError(f"line {line_number}: unknown fields {sorted(unknown)}")
-    missing = _NODE_FILE_FIELDS - set(raw)
-    if missing:
+    if raw.keys() != _NODE_FILE_FIELDS:
+        unknown = raw.keys() - _NODE_FILE_FIELDS
+        if unknown:
+            raise GraphLoadError(f"line {line_number}: unknown fields {sorted(unknown)}")
+        missing = _NODE_FILE_FIELDS - raw.keys()
         raise GraphLoadError(f"line {line_number}: missing fields {sorted(missing)}")
 
+    # JSON object keys are always strings, so only the values need checking,
+    # and the decoded dicts and lists are fresh, so they are kept as they are.
     node_id = raw["id"]
     node_type = raw["type"]
     features = raw["features"]
@@ -208,26 +259,17 @@ def _parse_node_line(line: str, line_number: int) -> NodeRecord:
         raise GraphLoadError(f"line {line_number}: 'id' must be a non-empty string")
     if not isinstance(node_type, str):
         raise GraphLoadError(f"line {line_number}: 'type' must be a string")
-    if not isinstance(features, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in features.items()
-    ):
+    if not isinstance(features, dict) or not _all_strings(features.values()):
         raise GraphLoadError(f"line {line_number}: 'features' must map strings to strings")
     if not isinstance(neighbors, dict):
         raise GraphLoadError(f"line {line_number}: 'neighbors' must be an object")
-    for relation, targets in neighbors.items():
-        if not isinstance(relation, str) or not isinstance(targets, list) or not all(
-            isinstance(t, str) for t in targets
-        ):
+    for targets in neighbors.values():
+        if not isinstance(targets, list) or not _all_strings(targets):
             raise GraphLoadError(
                 f"line {line_number}: 'neighbors' must map relation names to lists of node ids"
             )
 
-    return NodeRecord(
-        id=node_id,
-        node_type=node_type,
-        features=dict(features),
-        out_edges={rel: list(targets) for rel, targets in neighbors.items()},
-    )
+    return NodeRecord(node_id, node_type, features, neighbors)
 
 
 def load_graph(
@@ -243,45 +285,58 @@ def load_graph(
     name to list of target node ids). Unknown fields are rejected. Every
     referenced target must itself be a node in the file.
 
+    The file is read a line at a time. Parsing builds no reference cycles, so
+    the cyclic garbage collector is paused while loading and then left as it
+    was found.
+
     Args:
         path: the node file.
         materialize_inverse: when true, every edge ``h -r-> t`` additionally
             yields ``t -(inverse_prefix + r)-> h`` so relations can be walked
-            from either end.
+            from either end. A reversed edge the node already lists under
+            that name is not added twice.
         inverse_prefix: prefix for the materialized reverse relations.
 
     Raises:
         GraphLoadError: malformed line (reported with its line number),
             duplicate node id, duplicate neighbor, or dangling reference.
     """
-    records: list[NodeRecord] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            records.append(_parse_node_line(line, line_number))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        records: list[NodeRecord] = []
+        with open(path, encoding="utf-8") as handle:
+            for line_number, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                records.append(_parse_node_line(line, line_number))
+        if materialize_inverse:
+            records = _with_inverse_edges(records, inverse_prefix)
+        return _build_graph(records)
+    finally:
+        if collecting:
+            gc.enable()
 
-    if materialize_inverse:
-        reverse: dict[str, dict[str, list[str]]] = {r.id: {} for r in records}
-        for record in records:
-            for relation, targets in record.out_edges.items():
-                inverse_relation = inverse_prefix + relation
-                for target in targets:
-                    if target in reverse:
-                        bucket = reverse[target].setdefault(inverse_relation, [])
-                        if record.id not in bucket:
-                            bucket.append(record.id)
-        records = [
-            NodeRecord(
-                id=r.id,
-                node_type=r.node_type,
-                features=r.features,
-                out_edges={**r.out_edges, **reverse[r.id]},
-            )
-            for r in records
-        ]
 
-    return _build_graph(records)
+def _with_inverse_edges(records: list[NodeRecord], prefix: str) -> list[NodeRecord]:
+    """The records with every edge also stored reversed under ``prefix``."""
+    reverse: dict[str, dict[str, list[str]]] = {r.id: {} for r in records}
+    for record in records:
+        for relation, targets in record.out_edges.items():
+            inverse_relation = prefix + relation
+            for target in targets:
+                if target in reverse:
+                    bucket = reverse[target].setdefault(inverse_relation, [])
+                    if record.id not in bucket:
+                        bucket.append(record.id)
+    merged = []
+    for record in records:
+        out_edges = dict(record.out_edges)
+        for relation, heads in reverse[record.id].items():
+            listed = out_edges.get(relation, [])
+            out_edges[relation] = listed + [head for head in heads if head not in listed]
+        merged.append(NodeRecord(record.id, record.node_type, record.features, out_edges))
+    return merged
 
 
 def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:

@@ -16,10 +16,12 @@ rebuilds the two tables exactly from the traces alone.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -291,11 +293,28 @@ def _write_tables(
     return report
 
 
-def run_experiment(config: RunConfig) -> AggregateReport:
-    """Run every question and write the artifact tree; returns the aggregate."""
-    preflight(config)
-    graph = kg.load_graph(config.kg_path)
-    questions = load_questions(config.questions_path)
+@contextmanager
+def _setup_frozen():
+    """Keep the cyclic collector off everything allocated before the block.
+
+    A run's set-up (graph, questions) is immutable, acyclic and lives as long
+    as the run, so rescanning it at every full collection during questions is
+    pure waste. Objects a caller already froze stay frozen: the block then
+    neither freezes nor thaws.
+    """
+    if gc.get_freeze_count():
+        yield
+        return
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+
+
+def _run_loaded(
+    config: RunConfig, graph: kg.KnowledgeGraph, questions: list[Question]
+) -> AggregateReport:
     backend = build_backend(config)
 
     out_dir = Path(config.out_dir)
@@ -316,6 +335,15 @@ def run_experiment(config: RunConfig) -> AggregateReport:
     report = _write_tables(out_dir, questions, summaries, results, config.echo())
     logger.info("wrote %d traces to %s", len(outcomes), out_dir)
     return report
+
+
+def run_experiment(config: RunConfig) -> AggregateReport:
+    """Run every question and write the artifact tree; returns the aggregate."""
+    preflight(config)
+    graph = kg.load_graph(config.kg_path)
+    questions = load_questions(config.questions_path)
+    with _setup_frozen():
+        return _run_loaded(config, graph, questions)
 
 
 def score_run(traces_dir: str | Path, questions_path: str | Path, out_dir: str | Path) -> AggregateReport:
@@ -384,9 +412,14 @@ def run_sweep(base: RunConfig, axis: str, values: list[str]) -> None:
         preflight(sub)
         configs.append((value, sub))
 
+    # No sweep axis changes the graph or the questions, so they are loaded
+    # once; each value still gets its own backend.
+    graph = kg.load_graph(base.kg_path)
+    questions = load_questions(base.questions_path)
     rows: list[tuple[str, str, str, str]] = []
-    for value, sub in configs:
-        report = run_experiment(sub)
+    with _setup_frozen():
+        reports = [(value, _run_loaded(sub, graph, questions)) for value, sub in configs]
+    for value, report in reports:
         rows.extend(
             [
                 (axis, value, "rouge_mean", _fmt(report.overall.rouge_mean)),

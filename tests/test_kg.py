@@ -1,5 +1,6 @@
 """Graph store: loading, lookups, retrieval, synthetic generation."""
 
+import gc
 import json
 import re
 import sys
@@ -136,6 +137,277 @@ def test_save_round_trip(tmp_path):
     assert again == graph
     save_graph(again, tmp_path / "twice.lines")
     assert (tmp_path / "twice.lines").read_bytes() == path.read_bytes()
+
+
+# ------------------------------------------------ exact load errors, in order
+
+GOOD = json.dumps(GOOD_ROWS[1])
+
+
+def node_row(node_id, **neighbors):
+    return {"id": node_id, "type": "", "features": {}, "neighbors": neighbors}
+
+
+def row_with(**fields):
+    row = {"id": "c", "type": "", "features": {}, "neighbors": {}}
+    row.update(fields)
+    return json.dumps(row)
+
+
+NOT_JSON = "line 2: not valid JSON ({})"
+BAD_FEATURES = "line 2: 'features' must map strings to strings"
+BAD_NEIGHBORS = "line 2: 'neighbors' must map relation names to lists of node ids"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("not json at all", NOT_JSON.format("Expecting value")),
+        ("\ufeff" + GOOD, NOT_JSON.format("Unexpected UTF-8 BOM (decode using utf-8-sig)")),
+        (GOOD + " x", NOT_JSON.format("Extra data")),
+        (GOOD + "\t" + GOOD, NOT_JSON.format("Extra data")),
+        ("\f" + GOOD, NOT_JSON.format("Expecting value")),
+        (GOOD + "\f", NOT_JSON.format("Extra data")),
+        ('{"id": "c",', NOT_JSON.format("Expecting property name enclosed in double quotes")),
+        ("[1, 2]", "line 2: expected an object, got list"),
+        ('"c"', "line 2: expected an object, got str"),
+        ("null", "line 2: expected an object, got NoneType"),
+        (row_with(extra=1, zeta=2), "line 2: unknown fields ['extra', 'zeta']"),
+        (
+            json.dumps({"id": "c", "type": "", "features": {}, "extra": 1}),
+            "line 2: unknown fields ['extra']",
+        ),
+        (json.dumps({"id": "c"}), "line 2: missing fields ['features', 'neighbors', 'type']"),
+        (row_with(id=""), "line 2: 'id' must be a non-empty string"),
+        (row_with(id=3, type=3), "line 2: 'id' must be a non-empty string"),
+        (row_with(id=None), "line 2: 'id' must be a non-empty string"),
+        (row_with(type=3, features=[]), "line 2: 'type' must be a string"),
+        (row_with(features=[], neighbors=[]), BAD_FEATURES),
+        (row_with(features={"k": 3}), BAD_FEATURES),
+        (row_with(features={"k": None}), BAD_FEATURES),
+        (row_with(features={"k": "v", "j": ["v"]}), BAD_FEATURES),
+        ('{"id": "c", "type": "", "features": {"k": NaN}, "neighbors": {}}', BAD_FEATURES),
+        (row_with(neighbors=[]), "line 2: 'neighbors' must be an object"),
+        (row_with(neighbors={"r": "b"}), BAD_NEIGHBORS),
+        (row_with(neighbors={"r": [1]}), BAD_NEIGHBORS),
+        (row_with(neighbors={"r": ["b"], "s": ["b", None]}), BAD_NEIGHBORS),
+    ],
+)
+def test_load_reports_a_bad_line_exactly(tmp_path, line, message):
+    path = tmp_path / "g.lines"
+    path.write_text(GOOD + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(GraphLoadError) as caught:
+        load_graph(path)
+    assert str(caught.value) == message
+
+
+def test_a_bom_at_the_start_of_the_file_is_not_json(tmp_path):
+    path = tmp_path / "g.lines"
+    path.write_bytes(b"\xef\xbb\xbf" + GOOD.encode("utf-8") + b"\n")
+    with pytest.raises(GraphLoadError) as caught:
+        load_graph(path)
+    assert str(caught.value) == "line 1: not valid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"
+
+
+def test_whitespace_only_lines_are_skipped_but_counted(tmp_path):
+    """Any whitespace counts as blank, not just JSON's: a form feed, a
+    vertical tab or a no-break space alone on a line is skipped."""
+    path = tmp_path / "g.lines"
+    blanks = ["", "  \t", "\f", "\v", "\u00a0"]
+    path.write_text("\n".join([GOOD, *blanks, "not json"]) + "\n", encoding="utf-8")
+    with pytest.raises(GraphLoadError) as caught:
+        load_graph(path)
+    assert str(caught.value) == f"line {len(blanks) + 2}: not valid JSON (Expecting value)"
+    path.write_text("\n".join([*blanks, GOOD, *blanks]) + "\n", encoding="utf-8")
+    assert load_graph(path).stats.node_count == 1
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # A line that does not parse wins over anything about the graph.
+        (
+            [node_row("a", r=["ghost"]), node_row("b"), node_row("b"), "not json"],
+            "line 4: not valid JSON (Expecting value)",
+        ),
+        # Any duplicate id wins over any edge, and the first repeat is named.
+        (
+            [node_row("a", r=["ghost"]), node_row("b"), node_row("b"), node_row("a")],
+            "duplicate node id: 'b'",
+        ),
+        # Edges are checked record by record in file order.
+        (
+            [node_row("a", r=["ghost"]), node_row("b", r=["a", "a"])],
+            "node 'a' references missing node 'ghost' under relation 'r'",
+        ),
+        (
+            [node_row("a", r=["b", "b"]), node_row("b", r=["ghost"])],
+            "node 'a' lists duplicate neighbor 'b' under relation 'r'",
+        ),
+        # Within a record, relations and targets in stored order.
+        (
+            [node_row("a", r=["b", "ghost"], s=["b", "b"]), node_row("b")],
+            "node 'a' references missing node 'ghost' under relation 'r'",
+        ),
+        (
+            [node_row("a", s=["b", "b"], r=["ghost"]), node_row("b")],
+            "node 'a' lists duplicate neighbor 'b' under relation 's'",
+        ),
+        (
+            [node_row("a", r=["b", "b", "ghost"]), node_row("b")],
+            "node 'a' lists duplicate neighbor 'b' under relation 'r'",
+        ),
+        (
+            [node_row("a", r=["ghost", "b", "b"]), node_row("b")],
+            "node 'a' references missing node 'ghost' under relation 'r'",
+        ),
+    ],
+)
+def test_the_first_defect_of_a_file_is_the_one_reported(tmp_path, rows, message):
+    path = tmp_path / "g.lines"
+    lines = [row if isinstance(row, str) else json.dumps(row) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(GraphLoadError) as caught:
+        load_graph(path)
+    assert str(caught.value) == message
+
+
+def test_one_target_under_two_relations_is_not_a_duplicate(tmp_path):
+    rows = [node_row("a", r=["b"], s=["b", "a"]), node_row("b")]
+    graph = load_graph(write_nodes(tmp_path / "g.lines", rows))
+    assert graph.stats.edge_count == 3
+    assert graph.stats.relation_types == {"r", "s"}
+
+
+def reference_graph_error(rows):
+    """The graph checks written as one walk over the file, in order."""
+    ids = set()
+    for row in rows:
+        if row["id"] in ids:
+            return f"duplicate node id: {row['id']!r}"
+        ids.add(row["id"])
+    for row in rows:
+        for relation, targets in row["neighbors"].items():
+            seen = set()
+            for target in targets:
+                if target in seen:
+                    return (
+                        f"node {row['id']!r} lists duplicate neighbor {target!r} "
+                        f"under relation {relation!r}"
+                    )
+                seen.add(target)
+                if target not in ids:
+                    return (
+                        f"node {row['id']!r} references missing node {target!r} "
+                        f"under relation {relation!r}"
+                    )
+    return None
+
+
+NODE_IDS = st.sampled_from(["a", "b", "c", "d"])
+GRAPH_ROWS = st.lists(
+    st.builds(
+        node_row,
+        NODE_IDS,
+        **{relation: st.lists(NODE_IDS, max_size=3) for relation in ("r", "s")},
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=GRAPH_ROWS)
+def test_graph_checks_match_one_ordered_walk(tmp_path_factory, rows):
+    """Duplicate ids, duplicate neighbors and dangling targets, alone or
+    together: the error is the one an ordered walk meets first, and a graph
+    with none loads with every edge."""
+    path = write_nodes(tmp_path_factory.mktemp("walk") / "g.lines", rows)
+    expected = reference_graph_error(rows)
+    if expected is None:
+        graph = load_graph(path)
+        assert graph.stats.edge_count == sum(
+            len(targets) for row in rows for targets in row["neighbors"].values()
+        )
+        assert {node.id: node.out_edges for node in graph.nodes.values()} == {
+            row["id"]: row["neighbors"] for row in rows
+        }
+    else:
+        with pytest.raises(GraphLoadError) as caught:
+            load_graph(path)
+        assert str(caught.value) == expected
+
+
+def test_inverse_materialization_keeps_edges_already_listed(tmp_path):
+    rows = [
+        node_row("a", **{"inverse:rel": ["c"]}),
+        node_row("b", rel=["a"]),
+        node_row("c"),
+        node_row("d", **{"inverse:rel": ["e"]}),
+        node_row("e", rel=["d"]),
+    ]
+    graph = load_graph(write_nodes(tmp_path / "g.lines", rows), materialize_inverse=True)
+    for row in rows:
+        for relation, targets in row["neighbors"].items():
+            for target in targets:
+                assert target in neighbor_check(graph, row["id"], relation)
+    assert neighbor_check(graph, "a", "inverse:rel") == ["c", "b"]
+    assert neighbor_check(graph, "d", "inverse:rel") == ["e"]  # e -rel-> d is listed once
+    assert graph.stats.edge_count == sum(
+        len(targets) for node in graph.nodes.values() for targets in node.out_edges.values()
+    )
+    assert graph.stats.edge_count == 7
+
+
+# ------------------------------------------------------ the cyclic collector
+
+
+@pytest.fixture()
+def collector_state():
+    """Restores the collector's on/off state after a test that flips it."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("valid", [True, False])
+def test_loading_leaves_the_collector_as_it_found_it(tmp_path, collector_state, enabled, valid):
+    rows = GOOD_ROWS if valid else GOOD_ROWS[:1]  # "a" -> "b" dangles without "b"
+    path = write_nodes(tmp_path / "g.lines", rows)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    if valid:
+        load_graph(path)
+    else:
+        with pytest.raises(GraphLoadError):
+            load_graph(path)
+    assert gc.isenabled() is enabled
+
+
+def test_loading_runs_no_collection(tmp_path, collector_state):
+    """A graph allocates far more objects than a young-generation threshold,
+    and none of them can be cyclic garbage, so loading collects nothing."""
+    path = tmp_path / "g.lines"
+    save_graph(generate_synthetic_graph(3, SyntheticGraphSpec(node_count=2000)), path)
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        graph = load_graph(path)
+    finally:
+        gc.callbacks.remove(count)
+    assert graph.stats.node_count == 2000
+    assert collections == []
 
 
 def test_retrieve_exact_match_beats_overlap():

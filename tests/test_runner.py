@@ -1,15 +1,17 @@
 """Experiment orchestration: pre-flight checks, concurrent runs, and the
 traces a run leaves on disk."""
 
+import gc
 import json
 
 import pytest
 
 from helpers import write_question_file, write_replay_script
+from graphreason import kg, runner
 from graphreason.evaluation import Question
 from graphreason.kg import SyntheticGraphSpec, generate_synthetic_graph, save_graph
 from graphreason.llm import ReplayEntry, ReplayMismatchError
-from graphreason.runner import RunConfig, run_experiment, score_run
+from graphreason.runner import RunConfig, run_experiment, run_sweep, score_run
 from graphreason.traces import load_trace, validate_trace
 
 # Synthetic names are "<type> <index>" with types alternating alpha/beta, so
@@ -120,3 +122,97 @@ def test_traces_in_the_indented_layout_still_load_and_score(inputs, tmp_path):
     score_run(old, inputs["questions_path"], tmp_path / "rescore")
     expected = (out / "results.lines").read_bytes()
     assert (tmp_path / "rescore" / "results.lines").read_bytes() == expected
+
+
+# ------------------------------------------------- set-up shared and frozen
+
+
+def tables_and_traces(out):
+    return {
+        path.relative_to(out).as_posix(): path.read_bytes()
+        for path in sorted(out.rglob("*"))
+        if path.name in ("results.lines", "report.table") or path.suffix == ".trace"
+    }
+
+
+def test_a_sweep_loads_the_graph_once_and_runs_each_value_as_a_run_would(
+    inputs, tmp_path, monkeypatch
+):
+    loads = []
+    load_graph = kg.load_graph
+
+    def counted(*args, **kwargs):
+        loads.append(args)
+        return load_graph(*args, **kwargs)
+
+    monkeypatch.setattr(kg, "load_graph", counted)
+    base = RunConfig(out_dir=str(tmp_path / "sweep"), **inputs)
+    values = ["1", "2", "3"]
+    run_sweep(base, "steps", values)
+    assert len(loads) == 1
+    for value in values:
+        alone = tmp_path / f"alone_{value}"
+        run_experiment(RunConfig(out_dir=str(alone), steps=int(value), **inputs))
+        swept = tables_and_traces(tmp_path / "sweep" / f"steps_{value}")
+        assert len(swept) == len(TARGETS) + 2
+        assert swept == tables_and_traces(alone)
+
+
+def frozen_during_questions(monkeypatch):
+    """Records the freeze count each question starts under."""
+    seen = []
+    search = runner.run_search
+
+    def recording(*args, **kwargs):
+        seen.append(gc.get_freeze_count())
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_search", recording)
+    return seen
+
+
+def entry_point(name, inputs, out):
+    """A run, or a two-value sweep, over the given inputs."""
+    if name == "run_experiment":
+        return lambda: run_experiment(RunConfig(out_dir=str(out / "run"), **inputs))
+    return lambda: run_sweep(RunConfig(out_dir=str(out / "sweep"), **inputs), "steps", ["2", "3"])
+
+
+ENTRY_POINTS = ["run_experiment", "run_sweep"]
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_set_up_is_frozen_while_questions_run_and_thawed_after(
+    inputs, tmp_path, monkeypatch, entry
+):
+    assert gc.get_freeze_count() == 0
+    seen = frozen_during_questions(monkeypatch)
+    entry_point(entry, inputs, tmp_path)()
+    assert seen and all(count > 0 for count in seen)
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_question_that_raises_leaves_nothing_frozen(tmp_path, monkeypatch, entry):
+    first, second = TARGETS[:2]
+    inputs = make_inputs(tmp_path, targets=(first, second), scripted=(first,))
+    assert gc.get_freeze_count() == 0
+    seen = frozen_during_questions(monkeypatch)
+    with pytest.raises(ReplayMismatchError):
+        entry_point(entry, inputs, tmp_path)()
+    assert len(seen) == 2 and all(count > 0 for count in seen)
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_objects_the_caller_froze_stay_frozen(inputs, tmp_path, monkeypatch, entry):
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        seen = frozen_during_questions(monkeypatch)
+        entry_point(entry, inputs, tmp_path)()
+        assert seen and all(count == frozen for count in seen)
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
