@@ -57,15 +57,18 @@ class AgentAction:
     args: tuple[str, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentStep:
-    """One executed step: thought, actions as parsed and as written, feedback."""
+    """One executed step: thought, actions as parsed and as written, feedback.
+
+    Frozen, so a child's scratchpad shares its ancestors' steps.
+    """
 
     index: int
     thought: str
     raw_action: str
-    actions: list[AgentAction]
-    observations: list[str]
+    actions: tuple[AgentAction, ...]
+    observations: tuple[str, ...]
     malformed: bool = False
 
 
@@ -91,19 +94,7 @@ class Scratchpad:
         return "\n".join(lines)
 
     def clone(self) -> "Scratchpad":
-        return Scratchpad(
-            steps=[
-                AgentStep(
-                    index=s.index,
-                    thought=s.thought,
-                    raw_action=s.raw_action,
-                    actions=list(s.actions),
-                    observations=list(s.observations),
-                    malformed=s.malformed,
-                )
-                for s in self.steps
-            ]
-        )
+        return Scratchpad(steps=list(self.steps))
 
 
 _ACTION_MARKER_RE = re.compile(r"\bAction(?:\s+\d+)?\s*:")
@@ -290,8 +281,8 @@ def run_agent_step(
                     index=index,
                     thought=reply.strip(),
                     raw_action="",
-                    actions=[],
-                    observations=[],
+                    actions=(),
+                    observations=(),
                     malformed=True,
                 )
             )
@@ -314,8 +305,8 @@ def run_agent_step(
             index=index,
             thought=thought,
             raw_action=raw_action,
-            actions=actions,
-            observations=observations,
+            actions=tuple(actions),
+            observations=tuple(observations),
         )
     )
     return finish_answer

@@ -57,6 +57,9 @@ class Question:
     def __post_init__(self) -> None:
         if not self.qid:
             raise ValueError("qid must be nonempty")
+        # The qid names the question's trace file.
+        if self.qid in (".", "..") or any(c in self.qid for c in "/\\\0"):
+            raise ValueError(f"qid {self.qid!r} cannot be a file name")
         if not self.text:
             raise ValueError(f"question {self.qid}: text must be nonempty")
         if self.difficulty not in VALID_DIFFICULTIES:
@@ -70,7 +73,8 @@ def load_questions(path: str | Path) -> list[Question]:
     """Load a line-delimited question file.
 
     Each line holds ``qid``, ``question``, ``answer``, ``difficulty`` and an
-    optional ``domain``; anything else is rejected, as are duplicate qids.
+    optional ``domain``, all strings; anything else is rejected, as are
+    duplicate qids and qids that cannot be a file name.
     """
     questions: list[Question] = []
     seen: set[str] = set()
@@ -90,13 +94,18 @@ def load_questions(path: str | Path) -> list[Question]:
             missing = {"qid", "question", "answer", "difficulty"} - set(record)
             if missing:
                 raise QuestionLoadError(f"{path}:{lineno}: missing fields {sorted(missing)}")
+            for name, value in record.items():
+                if not isinstance(value, str):
+                    raise QuestionLoadError(
+                        f"{path}:{lineno}: {name} must be a string, got {json.dumps(value)}"
+                    )
             try:
                 question = Question(
-                    qid=str(record["qid"]),
-                    text=str(record["question"]),
-                    gold_answer=str(record["answer"]),
-                    difficulty=str(record["difficulty"]),
-                    domain=str(record.get("domain", "synthetic")),
+                    qid=record["qid"],
+                    text=record["question"],
+                    gold_answer=record["answer"],
+                    difficulty=record["difficulty"],
+                    domain=record.get("domain", "synthetic"),
                 )
             except ValueError as exc:
                 raise QuestionLoadError(f"{path}:{lineno}: {exc}") from exc

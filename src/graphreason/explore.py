@@ -25,7 +25,7 @@ from .llm import Backend, complete_with_reask, parse_bracketed_answer, request_f
 logger = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeenEntity:
     visited: bool
     depth_discovered: int
@@ -37,6 +37,11 @@ class AttributeHit:
     entity_name: str
     key: str
     value: str
+
+
+def render_attribute(hit: AttributeHit) -> str:
+    """Display form used in prompts and judge evidence."""
+    return f"{hit.entity_name}.{hit.key}: {hit.value}"
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,11 @@ class ExploreConfig:
 
 @dataclass
 class ExplorationState:
-    """Everything a search has seen: entities, harvested triples, attributes."""
+    """Everything a search has seen: entities, harvested triples, attributes.
+
+    The entries are frozen values, so a clone copies only the containers and
+    shares the entries with the state it came from.
+    """
 
     seen_entities: dict[str, SeenEntity] = field(default_factory=dict)
     found_triples: list[kg.Triple] = field(default_factory=list)
@@ -68,10 +77,7 @@ class ExplorationState:
 
     def clone(self) -> "ExplorationState":
         return ExplorationState(
-            seen_entities={
-                eid: SeenEntity(visited=meta.visited, depth_discovered=meta.depth_discovered)
-                for eid, meta in self.seen_entities.items()
-            },
+            seen_entities=dict(self.seen_entities),
             found_triples=list(self.found_triples),
             relevant_attributes=list(self.relevant_attributes),
             sufficient=self.sufficient,
@@ -83,11 +89,12 @@ class ExplorationState:
         merged = a.clone()
         for eid, meta in b.seen_entities.items():
             mine = merged.seen_entities.get(eid)
-            if mine is None:
-                merged.seen_entities[eid] = SeenEntity(meta.visited, meta.depth_discovered)
-            else:
-                mine.visited = mine.visited or meta.visited
-                mine.depth_discovered = min(mine.depth_discovered, meta.depth_discovered)
+            if mine is not None and mine is not meta:
+                meta = SeenEntity(
+                    mine.visited or meta.visited,
+                    min(mine.depth_discovered, meta.depth_discovered),
+                )
+            merged.seen_entities[eid] = meta
         keys = {(t.head_id, t.relation, t.tail_id) for t in merged.found_triples}
         for triple in b.found_triples:
             key = (triple.head_id, triple.relation, triple.tail_id)
@@ -106,9 +113,7 @@ class ExplorationState:
         return "\n".join(kg.render_triple(t) for t in self.found_triples)
 
     def rendered_attributes(self) -> str:
-        return "\n".join(
-            f"{hit.entity_name}.{hit.key}: {hit.value}" for hit in self.relevant_attributes
-        )
+        return "\n".join(render_attribute(hit) for hit in self.relevant_attributes)
 
 
 def extract_entities(
@@ -313,7 +318,7 @@ def explore(
             break
         for entity_id in frontier:
             meta = state.seen_entities[entity_id]
-            meta.visited = True
+            state.seen_entities[entity_id] = SeenEntity(True, meta.depth_discovered)
             counters.record_kg_op("node_fetch")
             node = graph.nodes[entity_id]
             head_name = node.features.get(kg.NAME_FEATURE, entity_id)

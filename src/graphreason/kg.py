@@ -272,12 +272,7 @@ def _parse_node_line(line: str, line_number: int) -> NodeRecord:
     return NodeRecord(node_id, node_type, features, neighbors)
 
 
-def load_graph(
-    path: str | Path,
-    *,
-    materialize_inverse: bool = False,
-    inverse_prefix: str = "inverse:",
-) -> KnowledgeGraph:
+def load_graph(path: str | Path) -> KnowledgeGraph:
     """Load a graph from a UTF-8 line-delimited node file.
 
     Each non-blank line is one JSON object with exactly the fields ``id``,
@@ -288,14 +283,6 @@ def load_graph(
     The file is read a line at a time. Parsing builds no reference cycles, so
     the cyclic garbage collector is paused while loading and then left as it
     was found.
-
-    Args:
-        path: the node file.
-        materialize_inverse: when true, every edge ``h -r-> t`` additionally
-            yields ``t -(inverse_prefix + r)-> h`` so relations can be walked
-            from either end. A reversed edge the node already lists under
-            that name is not added twice.
-        inverse_prefix: prefix for the materialized reverse relations.
 
     Raises:
         GraphLoadError: malformed line (reported with its line number),
@@ -310,33 +297,10 @@ def load_graph(
                 if not line.strip():
                     continue
                 records.append(_parse_node_line(line, line_number))
-        if materialize_inverse:
-            records = _with_inverse_edges(records, inverse_prefix)
         return _build_graph(records)
     finally:
         if collecting:
             gc.enable()
-
-
-def _with_inverse_edges(records: list[NodeRecord], prefix: str) -> list[NodeRecord]:
-    """The records with every edge also stored reversed under ``prefix``."""
-    reverse: dict[str, dict[str, list[str]]] = {r.id: {} for r in records}
-    for record in records:
-        for relation, targets in record.out_edges.items():
-            inverse_relation = prefix + relation
-            for target in targets:
-                if target in reverse:
-                    bucket = reverse[target].setdefault(inverse_relation, [])
-                    if record.id not in bucket:
-                        bucket.append(record.id)
-    merged = []
-    for record in records:
-        out_edges = dict(record.out_edges)
-        for relation, heads in reverse[record.id].items():
-            listed = out_edges.get(relation, [])
-            out_edges[relation] = listed + [head for head in heads if head not in listed]
-        merged.append(NodeRecord(record.id, record.node_type, record.features, out_edges))
-    return merged
 
 
 def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:

@@ -199,61 +199,31 @@ Decide which failure mode applies:
 Reply with [found_not_returned] or [wrong_step] at the beginning of your answer, then explain briefly."""
 
 
-def _template(name: str, body: str, placeholders: tuple[str, ...]) -> PromptTemplate:
-    return PromptTemplate(name=name, body=body, required_placeholders=frozenset(placeholders))
+# A ``{name}`` slot; ``{{...}}`` is a literal answer marker, not a slot.
+_SLOT_RE = re.compile(r"(?<!\{)\{(\w+)\}(?!\})")
+
+
+def _template(name: str, body: str) -> PromptTemplate:
+    return PromptTemplate(
+        name=name, body=body, required_placeholders=frozenset(_SLOT_RE.findall(body))
+    )
 
 
 PROMPT_TEMPLATES: dict[str, PromptTemplate] = {
     t.name: t
     for t in (
-        _template(
-            "agent_step",
-            _AGENT_STEP,
-            ("examples", "graph_definition", "question", "scratchpad"),
-        ),
-        _template(
-            "search_thought",
-            _SEARCH_THOUGHT,
-            ("examples", "graph_definition", "question", "triples", "thoughts", "attributes"),
-        ),
-        _template(
-            "search_end",
-            _SEARCH_END,
-            ("examples", "question", "thoughts", "triples", "attributes"),
-        ),
-        _template("entity_extraction", _ENTITY_EXTRACTION, ("examples", "text")),
-        _template(
-            "prune_relations",
-            _PRUNE_RELATIONS,
-            ("examples", "question", "entity", "relations"),
-        ),
-        _template(
-            "prune_entities",
-            _PRUNE_ENTITIES,
-            ("examples", "question", "head_entity", "relation", "tail_entities"),
-        ),
-        _template(
-            "search_attributes",
-            _SEARCH_ATTRIBUTES,
-            ("examples", "question", "entity", "attributes"),
-        ),
-        _template("selection_vote", _SELECTION_VOTE, ("examples", "question", "choices")),
-        _template("score_vote", _SCORE_VOTE, ("examples", "question", "thoughts")),
-        _template(
-            "got_merge",
-            _GOT_MERGE,
-            ("examples", "question", "chain_1", "chain_2", "merged_chain"),
-        ),
-        _template(
-            "judge_correctness",
-            _JUDGE_CORRECTNESS,
-            ("question", "gold_answer", "model_answer"),
-        ),
-        _template(
-            "judge_error_class",
-            _JUDGE_ERROR_CLASS,
-            ("question", "gold_answer", "model_answer", "evidence"),
-        ),
+        _template("agent_step", _AGENT_STEP),
+        _template("search_thought", _SEARCH_THOUGHT),
+        _template("search_end", _SEARCH_END),
+        _template("entity_extraction", _ENTITY_EXTRACTION),
+        _template("prune_relations", _PRUNE_RELATIONS),
+        _template("prune_entities", _PRUNE_ENTITIES),
+        _template("search_attributes", _SEARCH_ATTRIBUTES),
+        _template("selection_vote", _SELECTION_VOTE),
+        _template("score_vote", _SCORE_VOTE),
+        _template("got_merge", _GOT_MERGE),
+        _template("judge_correctness", _JUDGE_CORRECTNESS),
+        _template("judge_error_class", _JUDGE_ERROR_CLASS),
     )
 }
 

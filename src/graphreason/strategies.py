@@ -18,7 +18,7 @@ import logging
 import re
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, TypeVar
 
@@ -476,16 +476,7 @@ def _merge_scratchpads(a: Scratchpad | None, b: Scratchpad | None) -> Scratchpad
             if key in seen:
                 continue
             seen.add(key)
-            steps.append(
-                AgentStep(
-                    index=len(steps) + 1,
-                    thought=step.thought,
-                    raw_action=step.raw_action,
-                    actions=list(step.actions),
-                    observations=list(step.observations),
-                    malformed=step.malformed,
-                )
-            )
+            steps.append(replace(step, index=len(steps) + 1))
     return Scratchpad(steps=steps)
 
 

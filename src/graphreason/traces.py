@@ -15,9 +15,10 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import kg
 from .agent import Scratchpad
 from .evaluation import ERROR_CLASSES, ERROR_CORRECT, ERROR_REACHED_LIMIT, Question
-from .explore import ExplorationState
+from .explore import AttributeHit, ExplorationState, render_attribute
 from .strategies import (
     STATUS_ACTIVE,
     STATUS_FINISHED,
@@ -139,12 +140,9 @@ class TraceRecord:
                 for obs in step.get("observations", []):
                     push(obs)
             for triple in evidence.get("triples", []):
-                push(
-                    f"\"{triple['head_name']}\" --> {triple['relation']} "
-                    f"--> {triple['tail_name']}"
-                )
+                push(kg.render_triple(kg.Triple(**triple)))
             for hit in evidence.get("attributes", []):
-                push(f"{hit['entity_name']}.{hit['key']}: {hit['value']}")
+                push(render_attribute(AttributeHit(**hit)))
         return strings
 
     def as_dict(self) -> dict:

@@ -109,10 +109,10 @@ def test_acceptance_1_golden_traces():
         "Finish[head, skin of body]",
     ]
     assert [s.observations for s in pad.steps] == [
-        ["The ID of the node is 390792."],
-        ["The neighbors are ['UBERON:0000033', 'UBERON:0002097']."],
-        ["UBERON:0000033 -> head", "UBERON:0002097 -> skin of body"],
-        [],
+        ("The ID of the node is 390792.",),
+        ("The neighbors are ['UBERON:0000033', 'UBERON:0002097'].",),
+        ("UBERON:0000033 -> head", "UBERON:0002097 -> skin of body"),
+        (),
     ]
     assert counters.llm_calls_by_tag == {"thought": 4}
     assert counters.kg_ops_by_kind == {

@@ -1,10 +1,13 @@
 """Action parsing, execution, and the step loop of the graph agent."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from graphreason.agent import (
     ACTION_REMINDER,
     AgentAction,
+    AgentStep,
     MalformedActionError,
     Scratchpad,
     execute_action,
@@ -151,7 +154,7 @@ def test_step_records_thought_action_observation(graph):
     step = pad.steps[0]
     assert step.thought == "find the gene."
     assert step.raw_action == "RetrieveNode[KRT39]"
-    assert step.observations == ["The ID of the node is 390792."]
+    assert step.observations == ("The ID of the node is 390792.",)
     assert counters.llm_calls_by_tag == {"thought": 1}
 
 
@@ -196,7 +199,7 @@ def test_step_malformed_twice_becomes_noop(graph):
     )
     assert result is None
     assert pad.steps[0].malformed
-    assert pad.steps[0].observations == []
+    assert pad.steps[0].observations == ()
     assert pad.steps[0].thought == "still no action"
     assert counters.kg_total() == 0
     assert "(malformed output; no operation executed)" in pad.render()
@@ -234,7 +237,13 @@ def test_scratchpad_render_includes_step_numbers_and_cue(graph):
     ]
 
 
-def test_scratchpad_clone_is_deep(graph):
+def test_steps_are_frozen():
+    step = AgentStep(1, "find it.", "RetrieveNode[KRT39]", (), ())
+    with pytest.raises(FrozenInstanceError):
+        step.observations = ("tampered",)
+
+
+def test_scratchpad_clone_is_independent(graph):
     pad = Scratchpad()
     run_agent_step(
         pad,
@@ -243,9 +252,19 @@ def test_scratchpad_clone_is_deep(graph):
         step_backend("Thought 1: find it.\nAction 1: RetrieveNode[KRT39]"),
         CostCounters(),
     )
+    before = pad.render()
     copy = pad.clone()
-    copy.steps[0].observations.append("tampered")
-    assert pad.steps[0].observations == ["The ID of the node is 390792."]
+    run_agent_step(
+        copy,
+        krt39_question(),
+        graph,
+        step_backend("Thought 2: count.\nAction 2: NodeDegree[390792, Anatomy-expresses-Gene]"),
+        CostCounters(),
+    )
+    assert [s.index for s in copy.steps] == [1, 2]
+    assert copy.steps[0] is pad.steps[0]  # shared, not copied
+    assert len(pad.steps) == 1
+    assert pad.render() == before
 
 
 def test_cot_agent_search_stops_at_step_limit(graph):

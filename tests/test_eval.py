@@ -151,6 +151,16 @@ def test_load_questions_round_trip(tmp_path):
         ('{"qid": "a", "question": "x", "answer": "y", "difficulty": "brutal"}', "difficulty 'brutal'"),
         ('{"qid": "", "question": "x", "answer": "y", "difficulty": "easy"}', "qid must be nonempty"),
         ('{"qid": "a", "question": "", "answer": "y", "difficulty": "easy"}', "text must be nonempty"),
+        ('{"qid": "../escaped", "question": "x", "answer": "y", "difficulty": "easy"}', "qid '../escaped' cannot be a file name"),
+        ('{"qid": "a\\\\b", "question": "x", "answer": "y", "difficulty": "easy"}', "cannot be a file name"),
+        ('{"qid": "a\\u0000b", "question": "x", "answer": "y", "difficulty": "easy"}', "cannot be a file name"),
+        ('{"qid": ".", "question": "x", "answer": "y", "difficulty": "easy"}', "qid '.' cannot be a file name"),
+        ('{"qid": "..", "question": "x", "answer": "y", "difficulty": "easy"}', "qid '..' cannot be a file name"),
+        ('{"qid": null, "question": "x", "answer": "y", "difficulty": "easy"}', "qid must be a string, got null"),
+        ('{"qid": 7, "question": "x", "answer": "y", "difficulty": "easy"}', "qid must be a string, got 7"),
+        ('{"qid": "a", "question": "x", "answer": null, "difficulty": "easy"}', "answer must be a string, got null"),
+        ('{"qid": "a", "question": ["x"], "answer": "y", "difficulty": "easy"}', 'question must be a string, got ["x"]'),
+        ('{"qid": "a", "question": "x", "answer": "y", "difficulty": "easy", "domain": 1}', "domain must be a string, got 1"),
     ],
 )
 def test_load_questions_rejects_bad_lines(tmp_path, line, fragment):

@@ -1,5 +1,8 @@
 """Model-pruned breadth-first exploration."""
 
+import copy
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from graphreason.costs import CostCounters
@@ -17,7 +20,7 @@ from graphreason.explore import (
     resolve_anchors,
     search_attributes,
 )
-from graphreason.kg import generate_synthetic_graph
+from graphreason.kg import Triple, generate_synthetic_graph
 from graphreason.llm import ReplayBackend, ReplayEntry
 
 from helpers import (
@@ -333,14 +336,50 @@ def test_state_merge_unions_and_dedupes():
     assert set(merged.seen_entities) == set(a.seen_entities)
 
 
+def test_state_merge_keeps_the_visited_flag_and_the_shallower_depth():
+    a = ExplorationState(seen_entities={"x": SeenEntity(visited=False, depth_discovered=1)})
+    b = ExplorationState(seen_entities={"x": SeenEntity(visited=True, depth_discovered=2)})
+    merged = ExplorationState.merge(a, b)
+    assert merged.seen_entities == {"x": SeenEntity(visited=True, depth_discovered=1)}
+    assert a.seen_entities == {"x": SeenEntity(visited=False, depth_discovered=1)}
+    assert b.seen_entities == {"x": SeenEntity(visited=True, depth_discovered=2)}
+
+
+def test_seen_entities_are_frozen():
+    with pytest.raises(FrozenInstanceError):
+        SeenEntity(visited=False, depth_discovered=0).visited = True
+
+
 def test_state_clone_is_independent():
     state = ExplorationState()
     state.add_anchors(["x"])
-    copy = state.clone()
-    copy.seen_entities["x"].visited = True
-    copy.sufficient = True
-    assert not state.seen_entities["x"].visited
-    assert not state.sufficient
+    clone = state.clone()
+    clone.seen_entities["x"] = SeenEntity(visited=True, depth_discovered=0)
+    clone.add_anchors(["y"])
+    clone.found_triples.append(Triple("x", "rel", "y", "x", "y"))
+    clone.relevant_attributes.append(AttributeHit("x", "x", "name", "x"))
+    clone.sufficient = True
+    assert state == ExplorationState(
+        seen_entities={"x": SeenEntity(visited=False, depth_discovered=0)}
+    )
+
+
+def test_exploring_a_clone_leaves_the_original_unchanged():
+    graph = krt39_graph()
+    config = ExploreConfig(
+        search_depth=1, max_relations_per_entity=10**9, max_neighbors_per_relation=10**9
+    )
+    state = explore(
+        krt39_question(), ["390792"], ExplorationState(), config, graph,
+        permissive_backend(), CostCounters(),
+    )
+    before = copy.deepcopy(state)
+    clone = state.clone()
+    # The second round visits the tails the first one discovered.
+    explore(krt39_question(), [], clone, config, graph, permissive_backend(), CostCounters())
+    assert clone.seen_entities["UBERON:0000033"].visited
+    assert clone.found_triples[0] is state.found_triples[0]  # shared, not copied
+    assert state == before
 
 
 def test_explore_config_validates():

@@ -120,15 +120,6 @@ def test_load_rejects_duplicate_neighbor(tmp_path):
         load_graph(write_nodes(tmp_path / "g.lines", rows))
 
 
-def test_inverse_materialization(tmp_path):
-    graph = load_graph(
-        write_nodes(tmp_path / "g.lines", GOOD_ROWS), materialize_inverse=True
-    )
-    assert neighbor_check(graph, "b", "inverse:rel") == ["a"]
-    assert neighbor_check(graph, "a", "rel") == ["b"]
-    assert graph.stats.edge_count == 2
-
-
 def test_save_round_trip(tmp_path):
     graph = generate_synthetic_graph(7)
     path = tmp_path / "out.lines"
@@ -335,27 +326,6 @@ def test_graph_checks_match_one_ordered_walk(tmp_path_factory, rows):
         with pytest.raises(GraphLoadError) as caught:
             load_graph(path)
         assert str(caught.value) == expected
-
-
-def test_inverse_materialization_keeps_edges_already_listed(tmp_path):
-    rows = [
-        node_row("a", **{"inverse:rel": ["c"]}),
-        node_row("b", rel=["a"]),
-        node_row("c"),
-        node_row("d", **{"inverse:rel": ["e"]}),
-        node_row("e", rel=["d"]),
-    ]
-    graph = load_graph(write_nodes(tmp_path / "g.lines", rows), materialize_inverse=True)
-    for row in rows:
-        for relation, targets in row["neighbors"].items():
-            for target in targets:
-                assert target in neighbor_check(graph, row["id"], relation)
-    assert neighbor_check(graph, "a", "inverse:rel") == ["c", "b"]
-    assert neighbor_check(graph, "d", "inverse:rel") == ["e"]  # e -rel-> d is listed once
-    assert graph.stats.edge_count == sum(
-        len(targets) for node in graph.nodes.values() for targets in node.out_edges.values()
-    )
-    assert graph.stats.edge_count == 7
 
 
 # ------------------------------------------------------ the cyclic collector

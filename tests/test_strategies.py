@@ -1,9 +1,11 @@
 """Search strategies: expansion, evaluation, merging, and the run loop."""
 
+import copy
 import random
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -651,3 +653,36 @@ def test_concurrent_replay_mismatch_propagates(missing):
             JitteryReplay(entries, width=4),
         )
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("interaction", ["agent", "explore"])
+def test_concurrent_siblings_leave_their_shared_parent_unchanged(interaction, fast_switching):
+    # Children share the parent's frozen steps and seen entities; k of them
+    # grounding at once must still leave the parent's evidence as it was.
+    graph = generate_synthetic_graph(11)
+    question = synthetic_question()
+    config = SearchConfig(strategy="tot", interaction=interaction, k=8, search_depth=1)
+    chain = run_search(
+        question,
+        SearchConfig(strategy="cot", interaction=interaction, n=2, search_depth=1),
+        graph,
+        permissive_backend(),
+    )
+    parent = chain.graph.states[chain.graph.frontier[0]]
+    before = copy.deepcopy(parent.evidence)
+    backend = JitteryReplay(permissive_entries(), width=4)
+    with ThreadPoolExecutor(backend.max_in_flight) as pool:
+        children = list(
+            pool.map(
+                lambda child_id: expand_child(
+                    parent, question, graph, backend, CostCounters(), config, child_id
+                ),
+                range(10, 10 + config.k),
+            )
+        )
+    assert backend.peak > 1
+    assert parent.evidence == before
+    # Siblings get the same replies, so each grew the parent's evidence alike.
+    grown = [(c.evidence.scratchpad, c.evidence.exploration) for c in children]
+    assert grown == [grown[0]] * config.k
+    assert grown[0] != (before.scratchpad, before.exploration)

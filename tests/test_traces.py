@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import permissive_backend, synthetic_question
-from graphreason.evaluation import rouge_l
+from helpers import TEMPLATE_MATCHERS, permissive_backend, permissive_entries, synthetic_question
+from graphreason.costs import CostCounters
+from graphreason.evaluation import classify_error, rouge_l
 from graphreason.kg import generate_synthetic_graph
+from graphreason.llm import ReplayBackend, ReplayEntry
 from graphreason.strategies import SearchConfig, run_search
 from graphreason.traces import (
     TRACE_SCHEMA,
@@ -218,6 +220,44 @@ def test_evidence_strings_from_a_real_agent_run(got_trace):
     assert strings  # the permissive agent pokes the graph every step
     assert len(strings) == len(set(strings))
     assert any("neighbors" in s for s in strings)
+
+
+def test_judge_evidence_lines_are_the_prompt_renderings():
+    # The error judge reads a got/explore run's triples and attributes in
+    # the very form the search prompts showed the model.
+    question = synthetic_question()
+    config = SearchConfig(
+        strategy="got", interaction="explore", k=2, t=2, d_max=2, search_depth=1,
+        select_attributes=True,
+    )
+    backend = ReplayBackend(
+        [ReplayEntry(TEMPLATE_MATCHERS["search_attributes"], "{{name, blurb}}")]
+        + permissive_entries(explore_finish=True)
+    )
+    result = run_search(question, config, generate_synthetic_graph(11), backend)
+    expected: list[str] = []
+    for sid in sorted(result.graph.states):
+        explored = result.graph.states[sid].evidence.exploration
+        if explored is None:
+            continue
+        rendered = explored.rendered_triples().splitlines()
+        rendered += explored.rendered_attributes().splitlines()
+        expected += [line for line in rendered if line not in expected]
+    assert any(".blurb: synthetic" in line for line in expected)
+
+    prompts = []
+
+    class Judge:
+        def raw_complete(self, request):
+            prompts.append(request.prompt)
+            return "[wrong_step] Off track."
+
+    trace = build_trace(question, {"strategy": "got"}, result)
+    assert result.answer is not None
+    assert classify_error(trace, question, Judge(), CostCounters()) == "wrong_step"
+    (prompt,) = prompts
+    block = prompt.split("Evidence collected during the run:\n")[1]
+    assert block.split("\nDecide which failure mode applies")[0].split("\n") == expected
 
 
 # ------------------------------------------------------------- validation
