@@ -3,19 +3,21 @@
 Five commands: ``run`` one experiment, ``sweep`` an axis of experiments,
 ``score`` to rebuild result tables from stored traces, ``validate-trace``
 to check trace files, and ``gen-graph`` to produce a synthetic graph.
-Configuration problems surface before anything is written and exit
-nonzero.
+Configuration problems and malformed input files surface as a one-line
+error, before anything is written, and exit nonzero.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 
 from . import kg
+from .evaluation import QuestionLoadError
 from .runner import ConfigError, RunConfig, run_experiment, run_sweep, score_run
 from .traces import validate_trace
 
@@ -73,15 +75,24 @@ def _run_options(command):
     return command
 
 
+@contextmanager
+def _one_line_errors(kg_path: str | None = None):
+    """Report a bad configuration or input file as a click error, not a traceback."""
+    try:
+        yield
+    except kg.GraphLoadError as exc:
+        raise click.ClickException(f"{kg_path}: {exc}") from exc
+    except (ConfigError, QuestionLoadError) as exc:
+        raise click.ClickException(str(exc)) from exc
+
+
 @main.command("run")
 @_run_options
 def run_command(**kwargs) -> None:
     """Run one experiment and write traces, results, and a report."""
     config = RunConfig(**kwargs)
-    try:
+    with _one_line_errors(config.kg_path):
         report = run_experiment(config)
-    except ConfigError as exc:
-        raise click.ClickException(str(exc)) from exc
     click.echo(f"ran {report.overall.count} questions; artifacts in {config.out_dir}")
 
 
@@ -97,10 +108,8 @@ def sweep_command(axis: str, values: str, **kwargs) -> None:
     """Run one experiment per axis value and write a sweep summary table."""
     config = RunConfig(**kwargs)
     value_list = [v.strip() for v in values.split(",") if v.strip()]
-    try:
+    with _one_line_errors(config.kg_path):
         run_sweep(config, axis, value_list)
-    except ConfigError as exc:
-        raise click.ClickException(str(exc)) from exc
     click.echo(f"swept {axis} over {value_list}; artifacts in {config.out_dir}")
 
 
@@ -133,10 +142,8 @@ def validate_command(paths: tuple[str, ...]) -> None:
 @click.option("--out", "out_dir", required=True, help="Output directory.")
 def score_command(traces_dir: str, questions_path: str, out_dir: str) -> None:
     """Recompute results.lines and report.table from stored traces."""
-    try:
+    with _one_line_errors():
         report = score_run(traces_dir, questions_path, out_dir)
-    except ConfigError as exc:
-        raise click.ClickException(str(exc)) from exc
     click.echo(f"scored {report.overall.count} questions; tables in {out_dir}")
 
 

@@ -10,7 +10,7 @@ call.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -151,13 +151,20 @@ def rouge_l(candidate: str, reference: str) -> float:
 
 @dataclass
 class EvalResult:
-    """Per-question outcome; absent fields stay None rather than defaulting."""
+    """One question's result row; absent fields stay None rather than defaulting.
+
+    ``llm_calls`` and ``kg_ops`` are the totals of the trace's per-tag and
+    per-kind counters.
+    """
 
     qid: str
     answer: str | None
+    termination: str
     rouge_l: float | None
     judge_correct: bool | None
     error_class: str | None
+    llm_calls: int
+    kg_ops: int
 
     def __post_init__(self) -> None:
         if (self.answer is None) != (self.rouge_l is None):
@@ -240,15 +247,6 @@ class GroupStats:
     judge_evaluated: int = 0
     judge_absent: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "rouge_mean": self.rouge_mean,
-            "judge_rate": self.judge_rate,
-            "judge_evaluated": self.judge_evaluated,
-            "judge_absent": self.judge_absent,
-        }
-
 
 @dataclass
 class AggregateReport:
@@ -259,19 +257,6 @@ class AggregateReport:
     error_shares: dict[str, float]  # percent of classified traces
     mean_llm_calls: float
     mean_kg_ops: float
-    llm_calls_by_tag: dict[str, float] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "overall": self.overall.as_dict(),
-            "by_domain": {k: v.as_dict() for k, v in sorted(self.by_domain.items())},
-            "by_difficulty": {k: v.as_dict() for k, v in sorted(self.by_difficulty.items())},
-            "error_counts": dict(sorted(self.error_counts.items())),
-            "error_shares": dict(sorted(self.error_shares.items())),
-            "mean_llm_calls": self.mean_llm_calls,
-            "mean_kg_ops": self.mean_kg_ops,
-            "llm_calls_by_tag": dict(sorted(self.llm_calls_by_tag.items())),
-        }
 
 
 def _stats_for(pairs: list[tuple[Question, EvalResult]]) -> GroupStats:
@@ -287,18 +272,14 @@ def _stats_for(pairs: list[tuple[Question, EvalResult]]) -> GroupStats:
     return stats
 
 
-def aggregate(
-    questions: list[Question],
-    results: list[EvalResult],
-    costs: list[dict],
-) -> AggregateReport:
+def aggregate(questions: list[Question], results: list[EvalResult]) -> AggregateReport:
     """Fold per-question results into per-domain/difficulty summaries.
 
     Order-insensitive: any permutation of the inputs (kept pairwise aligned)
     produces the same report.
     """
-    if not (len(questions) == len(results) == len(costs)):
-        raise ValueError("questions, results, and costs must align")
+    if len(questions) != len(results):
+        raise ValueError("questions and results must align")
     pairs = sorted(zip(questions, results), key=lambda pair: pair[0].qid)
 
     by_domain: dict[str, list[tuple[Question, EvalResult]]] = {}
@@ -316,25 +297,13 @@ def aggregate(
         cls: 100.0 * count / classified for cls, count in error_counts.items()
     }
 
-    def llm_total(cost: dict) -> int:
-        return sum(cost.get("llm_calls_by_tag", {}).values())
-
-    def kg_total(cost: dict) -> int:
-        return sum(cost.get("kg_ops_by_kind", {}).values())
-
     count = len(pairs)
-    tag_sums: dict[str, int] = {}
-    for cost in costs:
-        for tag, calls in cost.get("llm_calls_by_tag", {}).items():
-            tag_sums[tag] = tag_sums.get(tag, 0) + calls
-
     return AggregateReport(
         overall=_stats_for(pairs),
         by_domain={k: _stats_for(v) for k, v in by_domain.items()},
         by_difficulty={k: _stats_for(v) for k, v in by_difficulty.items()},
         error_counts=error_counts,
         error_shares=error_shares,
-        mean_llm_calls=sum(llm_total(c) for c in costs) / count if count else 0.0,
-        mean_kg_ops=sum(kg_total(c) for c in costs) / count if count else 0.0,
-        llm_calls_by_tag={t: s / count for t, s in tag_sums.items()} if count else {},
+        mean_llm_calls=sum(r.llm_calls for r in results) / count if count else 0.0,
+        mean_kg_ops=sum(r.kg_ops for r in results) / count if count else 0.0,
     )

@@ -5,7 +5,8 @@ per-run call meter exactly once per request (tagged, so generation calls
 can be budgeted separately from pruning/evaluation/judging) and applies the
 transport retry policy. Malformed-output handling is a separate, single
 re-ask with a format reminder (:func:`reask_request`), after which
-:func:`complete_with_reask` returns the call site's documented fallback.
+:func:`complete_with_reask` returns the call site's documented fallback; a
+transport failure that outlasts the retries returns the same fallback.
 
 The replay backend makes whole runs bit-reproducible: it serves canned
 responses from a line-delimited script of ``{"match": ..., "response": ...}``
@@ -281,19 +282,22 @@ def complete_with_reask(
 
     The re-ask is its own metered call tagged ``<tag>:reask``. A second
     malformed reply returns ``fallback``, the call site's documented
-    deterministic behaviour. A transport failure propagates.
+    deterministic behaviour, and so does a transport failure that outlasts
+    the retries of either call.
     """
-    text = complete(backend, request, counters)
     try:
-        return parse(text)
-    except MalformedOutputError:
-        logger.debug("malformed output for tag %s; re-asking", request.tag)
-    text = complete(backend, reask_request(request), counters)
-    try:
+        text = complete(backend, request, counters)
+        try:
+            return parse(text)
+        except MalformedOutputError:
+            logger.debug("malformed output for tag %s; re-asking", request.tag)
+        text = complete(backend, reask_request(request), counters)
         return parse(text)
     except MalformedOutputError:
         logger.debug("output for tag %s stayed malformed; falling back", request.tag)
-        return fallback
+    except TransportError:
+        logger.debug("transport failed for tag %s; falling back", request.tag)
+    return fallback
 
 
 _BRACKET_SPAN_RE = re.compile(r"\{\{(.*?)\}\}|\[(.*?)\]", re.DOTALL)

@@ -22,7 +22,7 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import kg
@@ -43,6 +43,7 @@ from .traces import (
     REPORT_SCHEMA,
     RESULTS_SCHEMA,
     SWEEP_SCHEMA,
+    TraceRecord,
     build_trace,
     load_trace,
     write_trace,
@@ -53,10 +54,6 @@ logger = logging.getLogger(__name__)
 VALID_BACKENDS = frozenset({"replay", "wire"})
 VALID_JUDGES = frozenset({"none", "llm"})
 SWEEP_AXES = frozenset({"steps", "depth", "width", "evaluator"})
-
-
-# What the result tables read from a trace: its termination and counters.
-Summary = tuple[str, dict]
 
 
 class ConfigError(ValueError):
@@ -150,68 +147,54 @@ def build_backend(config: RunConfig) -> Backend:
     return WireBackend(endpoint=config.endpoint, model=config.model)
 
 
+def _outcome(question: Question, trace: TraceRecord) -> EvalResult:
+    """The question's result row, a projection of its trace alone.
+
+    ROUGE-L is worked out afresh against the gold answer; the judge verdict
+    and error class are read from the trace's eval block.
+    """
+    return EvalResult(
+        qid=question.qid,
+        answer=trace.answer,
+        termination=trace.termination,
+        rouge_l=rouge_l(trace.answer, question.gold_answer) if trace.answer is not None else None,
+        judge_correct=trace.eval.get("judge_correct"),
+        error_class=trace.eval.get("error_class"),
+        llm_calls=sum(trace.counters.get("llm_calls_by_tag", {}).values()),
+        kg_ops=sum(trace.counters.get("kg_ops_by_kind", {}).values()),
+    )
+
+
 def _run_single(
     question: Question,
     config: RunConfig,
     graph: kg.KnowledgeGraph,
     backend: Backend,
     traces_dir: Path,
-) -> tuple[Summary, EvalResult]:
+) -> EvalResult:
     """Run, evaluate and write one question's trace; the states stay on disk."""
     counters = CostCounters()
     started = time.perf_counter()
     result = run_search(question, config.search_config(), graph, backend, counters)
 
-    rouge = rouge_l(result.answer, question.gold_answer) if result.answer is not None else None
     judged: bool | None = None
     if config.judge == "llm" and result.answer is not None:
         judged = judge_correct(question, result.answer, backend, counters)
-    trace = build_trace(
-        question,
-        config.echo(),
-        result,
-        {"rouge_l": rouge, "judge_correct": judged, "error_class": None},
-    )
-    error = classify_error(
+    trace = build_trace(question, config.echo(), result, {"judge_correct": judged})
+    trace.eval["error_class"] = classify_error(
         trace, question, backend if config.judge == "llm" else None, counters
     )
-    trace.eval["error_class"] = error
     trace.counters = counters.as_dict()  # judge calls landed after the first snapshot
     if config.backend == "wire":
         trace.timestamps = {
             "started": round(started, 3),
             "finished": round(time.perf_counter(), 3),
         }
+    # The row's ROUGE-L goes into the trace, so it is worked out once per run.
+    outcome = _outcome(question, trace)
+    trace.eval["rouge_l"] = outcome.rouge_l
     write_trace(trace, traces_dir / f"{question.qid}.trace")
-    return (trace.termination, trace.counters), EvalResult(
-        qid=question.qid,
-        answer=result.answer,
-        rouge_l=rouge,
-        judge_correct=judged,
-        error_class=error,
-    )
-
-
-def _totals(counters: dict) -> tuple[int, int]:
-    llm = sum(counters.get("llm_calls_by_tag", {}).values())
-    ops = sum(counters.get("kg_ops_by_kind", {}).values())
-    return llm, ops
-
-
-def _results_row(summary: Summary, result: EvalResult) -> dict:
-    termination, counters = summary
-    llm, ops = _totals(counters)
-    return {
-        "schema": RESULTS_SCHEMA,
-        "qid": result.qid,
-        "answer": result.answer,
-        "termination": termination,
-        "rouge_l": result.rouge_l,
-        "judge_correct": result.judge_correct,
-        "error_class": result.error_class,
-        "llm_calls": llm,
-        "kg_ops": ops,
-    }
+    return outcome
 
 
 def _fmt(value, pattern: str = "{:.4f}") -> str:
@@ -225,18 +208,13 @@ def _fmt(value, pattern: str = "{:.4f}") -> str:
 
 
 def _format_report(
-    questions: list[Question],
-    summaries: list[Summary],
-    results: list[EvalResult],
-    config_echo: dict,
-    report: AggregateReport,
+    results: list[EvalResult], config_echo: dict, report: AggregateReport
 ) -> str:
     lines = [f"# schema: {REPORT_SCHEMA}"]
     echo = " ".join(f"{key}={config_echo[key]}" for key in sorted(config_echo))
     lines.append(f"# config: {echo}")
     lines.append("qid\tanswer\trouge_l\tjudge\terror_class\tllm_calls\tkg_ops")
-    for (_, counters), result in zip(summaries, results):
-        llm, ops = _totals(counters)
+    for result in results:
         lines.append(
             "\t".join(
                 [
@@ -245,8 +223,8 @@ def _format_report(
                     _fmt(result.rouge_l),
                     _fmt(result.judge_correct),
                     result.error_class if result.error_class is not None else "-",
-                    str(llm),
-                    str(ops),
+                    str(result.llm_calls),
+                    str(result.kg_ops),
                 ]
             )
         )
@@ -277,18 +255,16 @@ def _format_report(
 
 
 def _write_tables(
-    out_dir: Path,
-    questions: list[Question],
-    summaries: list[Summary],
-    results: list[EvalResult],
-    config_echo: dict,
+    out_dir: Path, questions: list[Question], results: list[EvalResult], config_echo: dict
 ) -> AggregateReport:
-    report = aggregate(questions, results, [counters for _, counters in summaries])
-    rows = [_results_row(summary, result) for summary, result in zip(summaries, results)]
-    results_text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    report = aggregate(questions, results)
+    results_text = "".join(
+        json.dumps({"schema": RESULTS_SCHEMA, **asdict(result)}, sort_keys=True) + "\n"
+        for result in results
+    )
     (out_dir / "results.lines").write_text(results_text, encoding="utf-8")
     (out_dir / "report.table").write_text(
-        _format_report(questions, summaries, results, config_echo, report), encoding="utf-8"
+        _format_report(results, config_echo, report), encoding="utf-8"
     )
     return report
 
@@ -321,19 +297,17 @@ def _run_loaded(
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
 
-    def run_one(question: Question) -> tuple[Summary, EvalResult]:
+    def run_one(question: Question) -> EvalResult:
         return _run_single(question, config, graph, backend, traces_dir)
 
     if config.concurrency == 1:
-        outcomes = [run_one(q) for q in questions]
+        results = [run_one(q) for q in questions]
     else:
         with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-            outcomes = list(pool.map(run_one, questions))
+            results = list(pool.map(run_one, questions))
 
-    summaries = [s for s, _ in outcomes]
-    results = [r for _, r in outcomes]
-    report = _write_tables(out_dir, questions, summaries, results, config.echo())
-    logger.info("wrote %d traces to %s", len(outcomes), out_dir)
+    report = _write_tables(out_dir, questions, results, config.echo())
+    logger.info("wrote %d traces to %s", len(results), out_dir)
     return report
 
 
@@ -350,34 +324,29 @@ def score_run(traces_dir: str | Path, questions_path: str | Path, out_dir: str |
     """Rebuild results.lines and report.table from stored traces alone.
 
     Deterministic scores are recomputed; judge verdicts and error classes
-    are echoed from the traces (re-judging would need a backend).
+    are echoed from the traces (re-judging would need a backend). A trace
+    that does not load, or whose eval block no result row can hold, raises
+    ``ConfigError`` naming its file.
     """
     questions = load_questions(questions_path)
     traces_dir = Path(traces_dir)
-    summaries: list[Summary] = []
     results: list[EvalResult] = []
     config_echo: dict = {}
     for question in questions:
         path = traces_dir / f"{question.qid}.trace"
         if not path.is_file():
             raise ConfigError(f"no trace for question {question.qid!r} at {path}")
-        trace = load_trace(path)
-        rouge = rouge_l(trace.answer, question.gold_answer) if trace.answer is not None else None
-        if not summaries:
+        try:
+            trace = load_trace(path)
+            result = _outcome(question, trace)
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"cannot score trace {path}: {exc}") from exc
+        if not results:
             config_echo = trace.config
-        summaries.append((trace.termination, trace.counters))
-        results.append(
-            EvalResult(
-                qid=question.qid,
-                answer=trace.answer,
-                rouge_l=rouge,
-                judge_correct=trace.eval.get("judge_correct"),
-                error_class=trace.eval.get("error_class"),
-            )
-        )
+        results.append(result)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _write_tables(out, questions, summaries, results, config_echo)
+    return _write_tables(out, questions, results, config_echo)
 
 
 def _sweep_override(config: RunConfig, axis: str, value: str) -> RunConfig:

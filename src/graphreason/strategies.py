@@ -31,6 +31,7 @@ from .explore import (
     ExploreConfig,
     explore,
     extract_entities,
+    render_attribute,
     resolve_anchors,
 )
 from .llm import (
@@ -124,7 +125,10 @@ class SearchConfig:
         if self.strategy == "cot":
             object.__setattr__(self, "k", 1)
             object.__setattr__(self, "t", 1)
-        for name in ("k", "t", "d_max", "n", "score_votes", "max_actions_per_step"):
+        for name in (
+            "k", "t", "d_max", "n", "score_votes", "max_actions_per_step",
+            "search_depth", "max_relations_per_entity", "max_neighbors_per_relation",
+        ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -163,8 +167,7 @@ def describe_candidate(state: ThoughtState) -> str:
         parts.append("Triples: " + "; ".join(kg.render_triple(t) for t in explored.found_triples))
     if explored.relevant_attributes:
         parts.append(
-            "Attributes: "
-            + "; ".join(f"{h.entity_name}.{h.key}={h.value}" for h in explored.relevant_attributes)
+            "Attributes: " + "; ".join(render_attribute(h) for h in explored.relevant_attributes)
         )
     if state.evidence.scratchpad is not None and state.evidence.scratchpad.steps:
         last = state.evidence.scratchpad.steps[-1]
@@ -304,12 +307,7 @@ def _expand_child_explore(
     answer: str | None = None
     if exploration.sufficient:
         answer_request = thought_request(thought_log, "answer")
-        try:
-            answer = complete_with_reask(
-                backend, answer_request, counters, parse_finish_answer, None
-            )
-        except TransportError:
-            logger.debug("answer extraction failed for child %d; staying active", child_id)
+        answer = complete_with_reask(backend, answer_request, counters, parse_finish_answer, None)
     evidence = Evidence(
         thought_log=thought_log,
         exploration=exploration,
@@ -517,10 +515,7 @@ def merge_pair(
             raise MalformedOutputError("empty merge thought")
         return thought
 
-    try:
-        thought = complete_with_reask(backend, request, counters, parse, None)
-    except TransportError:
-        thought = None
+    thought = complete_with_reask(backend, request, counters, parse, None)
     if thought is None:
         logger.debug("merge of %d and %d aborted", a.id, b.id)
         return None

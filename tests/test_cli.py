@@ -65,6 +65,24 @@ def run_args(ws, out, *extra):
     ]
 
 
+def sweep_args(ws, out, *extra):
+    return ["sweep", *run_args(ws, out, *extra)[1:]]
+
+
+def score_args(ws, traces, out):
+    return ["score", "--traces", str(traces), "--questions", ws["questions"], "--out", str(out)]
+
+
+def assert_one_line_error(result, *fragments):
+    """Exit 1 with a single ``Error:`` line; an escaped exception leaves the
+    output empty under click's test runner."""
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: "), result.output
+    assert result.output.count("\n") == 1, result.output
+    for fragment in fragments:
+        assert fragment in result.output
+
+
 def tree_bytes(root):
     root = Path(root)
     return {
@@ -127,6 +145,55 @@ def test_run_requires_a_replay_script(runner, workspace, tmp_path):
     )
     assert result.exit_code != 0
     assert "replay backend requires" in result.output
+    assert not out.exists()
+
+
+def test_run_rejects_an_explore_depth_that_explore_rejects(runner, workspace, tmp_path):
+    out = tmp_path / "never"
+    result = runner.invoke(
+        main, run_args(workspace, out, "--interaction", "explore", "--search-depth", "0")
+    )
+    assert_one_line_error(result, "search_depth must be >= 1")
+    assert not out.exists()
+
+
+def write_bad_questions(ws):
+    """The question file, with one line naming its text ``text``."""
+    path = Path(ws["questions"])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    record["text"] = record.pop("question")
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "score"])
+def test_a_malformed_question_file_is_a_one_line_error(runner, workspace, command):
+    root = workspace["root"]
+    if command == "score":
+        assert runner.invoke(main, run_args(workspace, root / "out")).exit_code == 0
+    write_bad_questions(workspace)
+    args = {
+        "run": run_args(workspace, root / "bad"),
+        "sweep": sweep_args(workspace, root / "bad", "--axis", "steps", "--values", "2"),
+        "score": score_args(workspace, root / "out" / "traces", root / "bad"),
+    }[command]
+    result = runner.invoke(main, args)
+    assert_one_line_error(result, workspace["questions"], "unknown fields ['text']")
+    assert not (root / "bad").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_malformed_graph_file_is_a_one_line_error(runner, workspace, command):
+    graph = Path(workspace["graph"])
+    graph.write_text(graph.read_text(encoding="utf-8") + "{not json\n", encoding="utf-8")
+    out = workspace["root"] / "bad"
+    args = {
+        "run": run_args(workspace, out),
+        "sweep": sweep_args(workspace, out, "--axis", "steps", "--values", "2"),
+    }[command]
+    result = runner.invoke(main, args)
+    assert_one_line_error(result, workspace["graph"], "not valid JSON")
     assert not out.exists()
 
 
@@ -282,6 +349,31 @@ def test_score_names_the_missing_trace(runner, workspace, tmp_path):
     assert "no trace for question 'q1'" in result.output
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(lambda text: text[: len(text) // 2], id="truncated"),
+        pytest.param(
+            lambda text: text.replace('"error_class": null', '"error_class": "gave_up"'),
+            id="unknown-error-class",
+        ),
+        pytest.param(
+            lambda text: text.replace('"eval": {', '"eval": [], "was": {'), id="eval-not-an-object"
+        ),
+    ],
+)
+def test_score_names_a_trace_it_cannot_score(runner, workspace, damage):
+    root = workspace["root"]
+    assert runner.invoke(main, run_args(workspace, root / "out")).exit_code == 0
+    trace = root / "out" / "traces" / "q2.trace"
+    text = trace.read_text(encoding="utf-8")
+    trace.write_text(damage(text), encoding="utf-8")
+    assert trace.read_text(encoding="utf-8") != text
+    result = runner.invoke(main, score_args(workspace, root / "out" / "traces", root / "bad"))
+    assert_one_line_error(result, str(trace))
+    assert not (root / "bad").exists()
+
+
 # ------------------------------------------------------------------ sweep
 
 
@@ -336,4 +428,15 @@ def test_sweep_rejects_unknown_axis_and_empty_values(runner, workspace):
     empty = runner.invoke(main, base + ["--axis", "steps", "--values", " , "])
     assert empty.exit_code != 0
     assert "at least one value" in empty.output
+    assert not out.exists()
+
+
+def test_sweep_rejects_a_bad_depth_before_running_any_value(runner, workspace):
+    out = workspace["root"] / "sweep_depth"
+    result = runner.invoke(
+        main,
+        sweep_args(workspace, out, "--interaction", "explore", "--axis", "depth", "--values", "2,0"),
+    )
+    assert_one_line_error(result, "search_depth must be >= 1")
+    assert not (out / "depth_2").exists()
     assert not out.exists()

@@ -188,25 +188,43 @@ def test_error_line_numbers_skip_blanks(tmp_path):
 
 def test_eval_result_requires_rouge_iff_answer():
     with pytest.raises(ValueError, match="iff"):
-        EvalResult(qid="q", answer="x", rouge_l=None, judge_correct=None, error_class=None)
+        EvalResult(
+            qid="q", answer="x", termination="finished", rouge_l=None,
+            judge_correct=None, error_class=None, llm_calls=0, kg_ops=0,
+        )
     with pytest.raises(ValueError, match="iff"):
-        EvalResult(qid="q", answer=None, rouge_l=0.5, judge_correct=None, error_class=None)
+        EvalResult(
+            qid="q", answer=None, termination="step_limit", rouge_l=0.5,
+            judge_correct=None, error_class=None, llm_calls=0, kg_ops=0,
+        )
 
 
 def test_eval_result_rejects_unknown_error_class():
     with pytest.raises(ValueError, match="gave_up"):
-        EvalResult(qid="q", answer=None, rouge_l=None, judge_correct=None, error_class="gave_up")
+        EvalResult(
+            qid="q", answer=None, termination="step_limit", rouge_l=None,
+            judge_correct=None, error_class="gave_up", llm_calls=0, kg_ops=0,
+        )
 
 
 def test_eval_result_correct_needs_a_true_judge():
     with pytest.raises(ValueError, match="requires"):
-        EvalResult(qid="q", answer="x", rouge_l=1.0, judge_correct=None, error_class="correct")
-    EvalResult(qid="q", answer="x", rouge_l=1.0, judge_correct=True, error_class="correct")
+        EvalResult(
+            qid="q", answer="x", termination="finished", rouge_l=1.0,
+            judge_correct=None, error_class="correct", llm_calls=0, kg_ops=0,
+        )
+    EvalResult(
+        qid="q", answer="x", termination="finished", rouge_l=1.0,
+        judge_correct=True, error_class="correct", llm_calls=0, kg_ops=0,
+    )
 
 
 def test_every_error_class_is_constructible():
     for cls in sorted(ERROR_CLASSES - {"correct"}):
-        EvalResult(qid="q", answer=None, rouge_l=None, judge_correct=False, error_class=cls)
+        EvalResult(
+            qid="q", answer=None, termination="step_limit", rouge_l=None,
+            judge_correct=False, error_class=cls, llm_calls=0, kg_ops=0,
+        )
 
 
 # ------------------------------------------------------------------ judge
@@ -335,18 +353,16 @@ def corpus():
         Question(qid="d", text="q", gold_answer="x", difficulty="hard", domain="synthetic"),
     ]
     results = [
-        EvalResult(qid="a", answer="x", rouge_l=1.0, judge_correct=True, error_class="correct"),
-        EvalResult(qid="b", answer="y", rouge_l=0.5, judge_correct=False, error_class="wrong_step"),
-        EvalResult(qid="c", answer=None, rouge_l=None, judge_correct=None, error_class="reached_limit"),
-        EvalResult(qid="d", answer="z", rouge_l=0.25, judge_correct=False, error_class="wrong_step"),
+        EvalResult(qid="a", answer="x", termination="finished", rouge_l=1.0,
+                   judge_correct=True, error_class="correct", llm_calls=2, kg_ops=4),
+        EvalResult(qid="b", answer="y", termination="finished", rouge_l=0.5,
+                   judge_correct=False, error_class="wrong_step", llm_calls=5, kg_ops=0),
+        EvalResult(qid="c", answer=None, termination="step_limit", rouge_l=None,
+                   judge_correct=None, error_class="reached_limit", llm_calls=0, kg_ops=2),
+        EvalResult(qid="d", answer="z", termination="finished", rouge_l=0.25,
+                   judge_correct=False, error_class="wrong_step", llm_calls=3, kg_ops=2),
     ]
-    costs = [
-        {"llm_calls_by_tag": {"thought": 2}, "kg_ops_by_kind": {"node_fetch": 4}},
-        {"llm_calls_by_tag": {"thought": 4, "judge": 1}, "kg_ops_by_kind": {}},
-        {"llm_calls_by_tag": {}, "kg_ops_by_kind": {"node_fetch": 2}},
-        {"llm_calls_by_tag": {"thought": 2, "judge": 1}, "kg_ops_by_kind": {"node_fetch": 2}},
-    ]
-    return questions, results, costs
+    return questions, results
 
 
 def test_aggregate_overall_and_groups():
@@ -377,12 +393,11 @@ def test_aggregate_mean_costs():
     report = aggregate(*corpus())
     assert report.mean_llm_calls == pytest.approx(10 / 4)
     assert report.mean_kg_ops == pytest.approx(8 / 4)
-    assert report.llm_calls_by_tag == {"thought": pytest.approx(2.0), "judge": pytest.approx(0.5)}
 
 
 def test_aggregate_is_permutation_invariant():
-    questions, results, costs = corpus()
-    baseline = aggregate(questions, results, costs).as_dict()
+    questions, results = corpus()
+    baseline = aggregate(questions, results)
     rng = random.Random(9)
     for _ in range(10):
         order = list(range(len(questions)))
@@ -390,19 +405,18 @@ def test_aggregate_is_permutation_invariant():
         shuffled = aggregate(
             [questions[i] for i in order],
             [results[i] for i in order],
-            [costs[i] for i in order],
         )
-        assert shuffled.as_dict() == baseline
+        assert shuffled == baseline
 
 
 def test_aggregate_rejects_misaligned_inputs():
-    questions, results, costs = corpus()
+    questions, results = corpus()
     with pytest.raises(ValueError, match="align"):
-        aggregate(questions, results[:-1], costs)
+        aggregate(questions, results[:-1])
 
 
 def test_aggregate_of_nothing():
-    report = aggregate([], [], [])
+    report = aggregate([], [])
     assert report.overall.count == 0
     assert report.overall.rouge_mean is None
     assert report.mean_llm_calls == 0.0

@@ -1,4 +1,5 @@
-"""The model-call protocol: few-shot blocks, and each call site's fallback."""
+"""The model-call protocol: few-shot blocks, and each call site's fallback
+for a reply that never parses and for a transport failure."""
 
 import pytest
 
@@ -15,7 +16,12 @@ from graphreason.explore import (
     prune_relations,
     search_attributes,
 )
-from graphreason.llm import request_for
+from graphreason.llm import (
+    MAX_TRANSPORT_RETRIES,
+    ReplayMismatchError,
+    TransportError,
+    request_for,
+)
 from graphreason.prompts import PROMPT_TEMPLATES, load_examples, render
 from graphreason.strategies import (
     STATUS_ACTIVE,
@@ -68,12 +74,17 @@ CAPS = ExploreConfig(max_relations_per_entity=1, max_neighbors_per_relation=1)
 
 
 class Unparseable:
-    """Answers every call with a blank reply, except tags given a reply."""
+    """Answers every call with a blank reply, except tags given a reply;
+    every attempt at a call tagged ``fail`` raises ``error``."""
 
-    def __init__(self, **replies):
+    def __init__(self, fail=None, error=TransportError, **replies):
+        self.fail = fail
+        self.error = error
         self.replies = replies
 
     def raw_complete(self, request):
+        if request.tag == self.fail:
+            raise self.error("injected")
         return self.replies.get(request.tag, UNPARSEABLE)
 
 
@@ -200,3 +211,42 @@ def test_a_reply_that_never_parses_gets_the_documented_fallback(call, fallback, 
     counters = CostCounters()
     assert call(Unparseable(), counters) == fallback
     assert counters.llm_calls_by_tag == calls
+
+
+# The tag each call site that parses its reply meters its calls under. Agent
+# steps are generation: a transport failure there prunes the child instead.
+SITE_TAGS = {
+    "extract-entities": "extract",
+    "prune-relations": "prune_relations",
+    "prune-entities": "prune_entities",
+    "search-attributes": "attributes",
+    "end-check": "end_check",
+    "evaluate-select": "select",
+    "score-votes": "score",
+    "merge-pair": "merge",
+    "answer-extraction": "answer",
+    "judge": "judge",
+    "classify-error": "judge",
+}
+PARSING_SITES = [
+    pytest.param(*param.values, SITE_TAGS[param.id], id=param.id)
+    for param in FALLBACKS
+    if param.id in SITE_TAGS
+]
+
+
+@pytest.mark.parametrize("call, fallback, calls, tag", PARSING_SITES)
+def test_a_transport_failure_after_the_retries_gets_the_same_fallback(
+    call, fallback, calls, tag
+):
+    counters = CostCounters()
+    assert call(Unparseable(fail=tag), counters) == fallback
+    # The failed call is not re-asked; every other call is metered as before.
+    assert counters.llm_calls_by_tag == {t: n for t, n in calls.items() if t != tag + ":reask"}
+    assert counters.transport_retries == MAX_TRANSPORT_RETRIES * calls[tag]
+
+
+@pytest.mark.parametrize("call, fallback, calls, tag", PARSING_SITES)
+def test_a_replay_mismatch_still_propagates_from_every_site(call, fallback, calls, tag):
+    with pytest.raises(ReplayMismatchError):
+        call(Unparseable(fail=tag, error=ReplayMismatchError), CostCounters())

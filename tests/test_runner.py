@@ -1,16 +1,29 @@
-"""Experiment orchestration: pre-flight checks, concurrent runs, and the
-traces a run leaves on disk."""
+"""Experiment orchestration: pre-flight checks, concurrent runs, the traces
+a run leaves on disk, and runs whose calls at one site always fail."""
 
+import dataclasses
 import gc
 import json
 
 import pytest
 
-from helpers import write_question_file, write_replay_script
+from helpers import (
+    TEMPLATE_MATCHERS,
+    permissive_entries,
+    synthetic_question,
+    write_question_file,
+    write_replay_script,
+)
 from graphreason import kg, runner
 from graphreason.evaluation import Question
 from graphreason.kg import SyntheticGraphSpec, generate_synthetic_graph, save_graph
-from graphreason.llm import ReplayEntry, ReplayMismatchError
+from graphreason.llm import (
+    MAX_TRANSPORT_RETRIES,
+    ReplayBackend,
+    ReplayEntry,
+    ReplayMismatchError,
+    TransportError,
+)
 from graphreason.runner import RunConfig, run_experiment, run_sweep, score_run
 from graphreason.traces import load_trace, validate_trace
 
@@ -124,6 +137,19 @@ def test_traces_in_the_indented_layout_still_load_and_score(inputs, tmp_path):
     assert (tmp_path / "rescore" / "results.lines").read_bytes() == expected
 
 
+def test_score_names_a_trace_whose_error_class_is_unknown(inputs, tmp_path):
+    out = tmp_path / "out"
+    run_experiment(RunConfig(out_dir=str(out), **inputs))
+    path = out / "traces" / f"q{TARGETS[1]}.trace"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["eval"]["error_class"] = "gave_up"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(runner.ConfigError, match="gave_up") as raised:
+        score_run(out / "traces", inputs["questions_path"], tmp_path / "rescore")
+    assert str(path) in str(raised.value)
+    assert not (tmp_path / "rescore").exists()
+
+
 # ------------------------------------------------- set-up shared and frozen
 
 
@@ -216,3 +242,92 @@ def test_objects_the_caller_froze_stay_frozen(inputs, tmp_path, monkeypatch, ent
         assert gc.get_freeze_count() == frozen
     finally:
         gc.unfreeze()
+
+
+# ------------------------------------------------ a call site that always fails
+
+
+class FailingReplay(ReplayBackend):
+    """Non-strict replay in which every attempt at a prompt rendered from
+    one template raises TransportError."""
+
+    def __init__(self, entries, template):
+        super().__init__(entries)
+        self.phrase = TEMPLATE_MATCHERS[template]
+        self.failed = 0
+
+    def raw_complete(self, request):
+        if self.phrase in request.prompt:
+            self.failed += 1
+            raise TransportError("injected")
+        return super().raw_complete(request)
+
+
+# The nine call sites that parse a reply, by template, with the evaluator
+# that reaches each; the judge runs on every answered question.
+PARSING_SITES = {
+    "entity_extraction": "score",
+    "prune_relations": "score",
+    "prune_entities": "score",
+    "search_attributes": "score",
+    "search_end": "score",
+    "selection_vote": "select",
+    "score_vote": "score",
+    "judge_correctness": "score",
+    "judge_error_class": "score",
+}
+
+
+@pytest.mark.parametrize("template", sorted(PARSING_SITES))
+def test_a_call_site_whose_calls_all_fail_costs_no_question(template, tmp_path, monkeypatch):
+    graph_path = tmp_path / "graph.kg"
+    save_graph(generate_synthetic_graph(11), graph_path)
+    questions = [synthetic_question("q1"), synthetic_question("q2")]
+    backend = FailingReplay(
+        [
+            ReplayEntry(TEMPLATE_MATCHERS["search_attributes"], "{{name}}"),
+            ReplayEntry(TEMPLATE_MATCHERS["judge_correctness"], "[No] Different."),
+            ReplayEntry(TEMPLATE_MATCHERS["judge_error_class"], "[found_not_returned] Saw it."),
+            *permissive_entries(explore_finish=True),
+        ],
+        template,
+    )
+    monkeypatch.setattr(runner, "build_backend", lambda config: backend)
+    # Attribute search is reachable through SearchConfig only.
+    search_config = RunConfig.search_config
+    monkeypatch.setattr(
+        RunConfig,
+        "search_config",
+        lambda self: dataclasses.replace(search_config(self), select_attributes=True),
+    )
+    out = tmp_path / "out"
+    report = run_experiment(
+        RunConfig(
+            kg_path=str(graph_path),
+            questions_path=str(write_question_file(tmp_path / "q.lines", questions)),
+            out_dir=str(out),
+            replay_path=str(write_replay_script(tmp_path / "empty.replay", [])),
+            strategy="got",
+            interaction="explore",
+            evaluator=PARSING_SITES[template],
+            retain=1,
+            max_depth=2,
+            search_depth=1,
+            judge="llm",
+        )
+    )
+
+    assert backend.failed > 0
+    assert report.overall.count == len(questions)
+    rows = [json.loads(line) for line in (out / "results.lines").read_text().splitlines()]
+    retries = 0
+    for row in rows:
+        trace = json.loads((out / "traces" / f"{row['qid']}.trace").read_text(encoding="utf-8"))
+        assert validate_trace(trace) == []
+        retries += trace["counters"]["transport_retries"]
+        if template == "judge_correctness" and row["answer"] is not None:
+            assert (row["judge_correct"], row["error_class"]) == (None, "found_not_returned")
+        if template == "judge_error_class" and row["answer"] is not None:
+            assert (row["judge_correct"], row["error_class"]) == (False, "wrong_step")
+    # Each failed call used up its retries and was not re-asked.
+    assert retries * (1 + MAX_TRANSPORT_RETRIES) == backend.failed * MAX_TRANSPORT_RETRIES

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from graphreason.costs import CostCounters
-from graphreason.explore import ExplorationState
+from graphreason.explore import AttributeHit, ExplorationState, render_attribute
 from graphreason.kg import Triple, generate_synthetic_graph
 from graphreason.llm import ReplayBackend, ReplayEntry, ReplayMismatchError, TransportError
 from graphreason.strategies import (
@@ -217,6 +217,24 @@ def test_evaluate_select_malformed_fills_in_creation_order():
     )
     assert [c.id for c in kept] == [1, 2]
     assert counters.llm_calls_by_tag == {"select": 1, "select:reask": 1}
+
+
+def test_select_vote_prompt_renders_attribute_hits_as_explore_does():
+    hit = AttributeHit(entity_id="n0001", entity_name="alpha 1", key="colour", value="teal")
+    candidates = [make_state(i) for i in range(1, 4)]
+    candidates[1].evidence.exploration = ExplorationState(relevant_attributes=[hit])
+
+    class Recording:
+        def __init__(self):
+            self.prompts = []
+
+        def raw_complete(self, request):
+            self.prompts.append(request.prompt)
+            return "The best choice is {{2}}"
+
+    backend = Recording()
+    evaluate_select(candidates, 1, synthetic_question(), backend, CostCounters())
+    assert render_attribute(hit) in backend.prompts[0]
 
 
 def score_backend(scores_by_sentinel):
