@@ -18,7 +18,17 @@ import click
 
 from . import kg
 from .evaluation import QuestionLoadError
-from .runner import ConfigError, RunConfig, run_experiment, run_sweep, score_run
+from .runner import (
+    SWEEP_AXES,
+    VALID_BACKENDS,
+    VALID_JUDGES,
+    ConfigError,
+    RunConfig,
+    run_experiment,
+    run_sweep,
+    score_run,
+)
+from .strategies import VALID_EVALUATORS, VALID_INTERACTIONS, VALID_STRATEGIES
 from .traces import validate_trace
 
 
@@ -27,48 +37,29 @@ def main() -> None:
     """Knowledge-graph grounded stepwise reasoning runner."""
 
 
+def _choice(name: str, values, default: str):
+    return click.option(name, type=click.Choice(sorted(values)), default=default, show_default=True)
+
+
 def _run_options(command):
     options = [
         click.option("--kg", "kg_path", required=True, help="Knowledge graph file."),
         click.option("--questions", "questions_path", required=True, help="Question file."),
         click.option("--out", "out_dir", required=True, help="Output directory."),
-        click.option(
-            "--strategy",
-            type=click.Choice(["cot", "tot", "got"]),
-            default="cot",
-            show_default=True,
-        ),
-        click.option(
-            "--interaction",
-            type=click.Choice(["agent", "explore"]),
-            default="agent",
-            show_default=True,
-        ),
-        click.option(
-            "--evaluator",
-            type=click.Choice(["select", "score"]),
-            default="select",
-            show_default=True,
-        ),
-        click.option("--steps", type=int, default=10, show_default=True, help="Chain step limit."),
+        _choice("--strategy", VALID_STRATEGIES, "cot"),
+        _choice("--interaction", VALID_INTERACTIONS, "agent"),
+        _choice("--evaluator", VALID_EVALUATORS, "select"),
         click.option("--branching", type=int, default=3, show_default=True, help="Children per state."),
         click.option("--retain", type=int, default=3, show_default=True, help="Beam width."),
-        click.option("--max-depth", type=int, default=3, show_default=True, help="Tree depth limit."),
+        click.option("--max-depth", type=int, default=3, show_default=True, help="Depth limit."),
         click.option(
             "--search-depth", type=int, default=3, show_default=True, help="Graph search depth."
         ),
-        click.option(
-            "--backend",
-            type=click.Choice(["wire", "replay"]),
-            default="replay",
-            show_default=True,
-        ),
+        _choice("--backend", VALID_BACKENDS, "replay"),
         click.option("--endpoint", default=None, help="Wire backend URL."),
         click.option("--model", default=None, help="Wire backend model name."),
         click.option("--replay", "replay_path", default=None, help="Replay script file."),
-        click.option(
-            "--judge", type=click.Choice(["none", "llm"]), default="none", show_default=True
-        ),
+        _choice("--judge", VALID_JUDGES, "none"),
     ]
     for option in reversed(options):
         command = option(command)
@@ -98,11 +89,7 @@ def run_command(**kwargs) -> None:
 
 @main.command("sweep")
 @_run_options
-@click.option(
-    "--axis",
-    type=click.Choice(["steps", "depth", "width", "evaluator"]),
-    required=True,
-)
+@click.option("--axis", type=click.Choice(sorted(SWEEP_AXES)), required=True)
 @click.option("--values", required=True, help="Comma-separated axis values.")
 def sweep_command(axis: str, values: str, **kwargs) -> None:
     """Run one experiment per axis value and write a sweep summary table."""

@@ -133,6 +133,8 @@ def bound_for(cfg, n: int, d: int, *, max_actions_per_step: int = 4) -> CostBoun
 
     Generation-call bounds: ``n`` for chains; ``k * (t**D - 1) / (t - 1)``
     (or ``k * D`` when t == 1) for tree and graph search at depth limit D.
+    A chain runs to the same ``d_max`` as every strategy, and at k = t = 1
+    the tree bound is that depth, so callers pass ``n = cfg.d_max``.
     Graph search additionally gets a merge-attempt bound of
     ``sum(floor(k * t**i / 2) for i in 1..D)``.
 
@@ -142,7 +144,7 @@ def bound_for(cfg, n: int, d: int, *, max_actions_per_step: int = 4) -> CostBoun
     Deeper runs stay strictly under the bound.
 
     ``cfg`` needs ``strategy``, ``interaction``, ``k``, ``t``, and ``d_max``
-    attributes; ``n`` is the chain step limit and ``d`` the graph search
+    attributes; ``n`` is the chain's step bound and ``d`` the graph search
     depth. All arithmetic is exact integer arithmetic.
     """
     strategy = cfg.strategy

@@ -23,7 +23,7 @@ from .llm import (
     parse_yes_no,
     request_for,
 )
-from .textops import tokenize
+from .textops import first_undecodable_line, tokenize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .traces import TraceRecord
@@ -74,45 +74,50 @@ def load_questions(path: str | Path) -> list[Question]:
 
     Each line holds ``qid``, ``question``, ``answer``, ``difficulty`` and an
     optional ``domain``, all strings; anything else is rejected, as are
-    duplicate qids and qids that cannot be a file name.
+    duplicate qids, qids that cannot be a file name, and bytes that are not
+    UTF-8.
     """
     questions: list[Question] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise QuestionLoadError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise QuestionLoadError(f"{path}:{lineno}: expected an object")
-            unknown = set(record) - _QUESTION_FIELDS
-            if unknown:
-                raise QuestionLoadError(f"{path}:{lineno}: unknown fields {sorted(unknown)}")
-            missing = {"qid", "question", "answer", "difficulty"} - set(record)
-            if missing:
-                raise QuestionLoadError(f"{path}:{lineno}: missing fields {sorted(missing)}")
-            for name, value in record.items():
-                if not isinstance(value, str):
-                    raise QuestionLoadError(
-                        f"{path}:{lineno}: {name} must be a string, got {json.dumps(value)}"
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise QuestionLoadError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                if not isinstance(record, dict):
+                    raise QuestionLoadError(f"{path}:{lineno}: expected an object")
+                unknown = set(record) - _QUESTION_FIELDS
+                if unknown:
+                    raise QuestionLoadError(f"{path}:{lineno}: unknown fields {sorted(unknown)}")
+                missing = {"qid", "question", "answer", "difficulty"} - set(record)
+                if missing:
+                    raise QuestionLoadError(f"{path}:{lineno}: missing fields {sorted(missing)}")
+                for name, value in record.items():
+                    if not isinstance(value, str):
+                        raise QuestionLoadError(
+                            f"{path}:{lineno}: {name} must be a string, got {json.dumps(value)}"
+                        )
+                try:
+                    question = Question(
+                        qid=record["qid"],
+                        text=record["question"],
+                        gold_answer=record["answer"],
+                        difficulty=record["difficulty"],
+                        domain=record.get("domain", "synthetic"),
                     )
-            try:
-                question = Question(
-                    qid=record["qid"],
-                    text=record["question"],
-                    gold_answer=record["answer"],
-                    difficulty=record["difficulty"],
-                    domain=record.get("domain", "synthetic"),
-                )
-            except ValueError as exc:
-                raise QuestionLoadError(f"{path}:{lineno}: {exc}") from exc
-            if question.qid in seen:
-                raise QuestionLoadError(f"{path}:{lineno}: duplicate qid {question.qid!r}")
-            seen.add(question.qid)
-            questions.append(question)
+                except ValueError as exc:
+                    raise QuestionLoadError(f"{path}:{lineno}: {exc}") from exc
+                if question.qid in seen:
+                    raise QuestionLoadError(f"{path}:{lineno}: duplicate qid {question.qid!r}")
+                seen.add(question.qid)
+                questions.append(question)
+    except UnicodeDecodeError as exc:
+        line = first_undecodable_line(path)
+        raise QuestionLoadError(f"{path}:{line}: not UTF-8 ({exc.reason})") from exc
     return questions
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
-from .textops import tokenize
+from .textops import first_undecodable_line, tokenize
 
 NAME_FEATURE = "name"
 
@@ -285,18 +285,22 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
     was found.
 
     Raises:
-        GraphLoadError: malformed line (reported with its line number),
+        GraphLoadError: malformed or non-UTF-8 line (reported with its line number),
             duplicate node id, duplicate neighbor, or dangling reference.
     """
     collecting = gc.isenabled()
     gc.disable()
     try:
         records: list[NodeRecord] = []
-        with open(path, encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                records.append(_parse_node_line(line, line_number))
+        try:
+            with open(path, encoding="utf-8") as handle:
+                for line_number, line in enumerate(handle, start=1):
+                    if not line.strip():
+                        continue
+                    records.append(_parse_node_line(line, line_number))
+        except UnicodeDecodeError as exc:
+            line = first_undecodable_line(path)
+            raise GraphLoadError(f"line {line}: not UTF-8 ({exc.reason})") from exc
         return _build_graph(records)
     finally:
         if collecting:
@@ -501,18 +505,3 @@ def generate_synthetic_graph(
         )
     return _build_graph(records)
 
-
-def all_triples(graph: KnowledgeGraph) -> Iterable[Triple]:
-    """Enumerate every edge of the graph as a resolved triple."""
-    for record in graph.nodes.values():
-        head_name = record.features.get(NAME_FEATURE, record.id)
-        for relation, targets in record.out_edges.items():
-            for target in targets:
-                tail = graph.nodes[target]
-                yield Triple(
-                    head_name=head_name,
-                    relation=relation,
-                    tail_name=tail.features.get(NAME_FEATURE, target),
-                    head_id=record.id,
-                    tail_id=target,
-                )

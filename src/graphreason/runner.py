@@ -37,6 +37,7 @@ from .evaluation import (
     load_questions,
     rouge_l,
 )
+from .explore import ExploreConfig
 from .llm import Backend, ReplayBackend, WireBackend
 from .strategies import SearchConfig, run_search
 from .traces import (
@@ -53,7 +54,13 @@ logger = logging.getLogger(__name__)
 
 VALID_BACKENDS = frozenset({"replay", "wire"})
 VALID_JUDGES = frozenset({"none", "llm"})
-SWEEP_AXES = frozenset({"steps", "depth", "width", "evaluator"})
+#: Each sweep axis, with the run options a value of it sets.
+SWEEP_AXES = {
+    "max-depth": lambda value: {"max_depth": int(value)},
+    "search-depth": lambda value: {"search_depth": int(value)},
+    "width": lambda value: {"branching": int(value), "retain": int(value)},
+    "evaluator": lambda value: {"evaluator": value},
+}
 
 
 class ConfigError(ValueError):
@@ -68,7 +75,6 @@ class RunConfig:
     strategy: str = "cot"
     interaction: str = "agent"
     evaluator: str = "select"
-    steps: int = 10
     branching: int = 3
     retain: int = 3
     max_depth: int = 3
@@ -82,6 +88,12 @@ class RunConfig:
     max_actions_per_step: int = 4
     score_votes: int = 1
 
+    @property
+    def steps(self) -> int:
+        # Read only by bench/run.py, which passes it to costs.bound_for as
+        # the chain limit; remove with the next benchmark change.
+        return self.max_depth
+
     def search_config(self) -> SearchConfig:
         return SearchConfig(
             strategy=self.strategy,
@@ -90,23 +102,22 @@ class RunConfig:
             k=self.branching,
             t=self.retain,
             d_max=self.max_depth,
-            n=self.steps,
-            search_depth=self.search_depth,
             max_actions_per_step=self.max_actions_per_step,
             score_votes=self.score_votes,
+            explore=ExploreConfig(search_depth=self.search_depth),
         )
 
     def echo(self) -> dict:
-        """The configuration block echoed into every artifact."""
+        """The configuration block echoed into every artifact: what the run used."""
+        search = self.search_config()
         return {
-            "strategy": self.strategy,
-            "interaction": self.interaction,
-            "evaluator": self.evaluator,
-            "k": self.branching,
-            "t": self.retain,
-            "d_max": self.max_depth,
-            "n": self.steps,
-            "search_depth": self.search_depth,
+            "strategy": search.strategy,
+            "interaction": search.interaction,
+            "evaluator": search.evaluator,
+            "k": search.k,
+            "t": search.t,
+            "d_max": search.d_max,
+            "search_depth": search.explore.search_depth,
             "backend": self.backend,
             "model": self.model if self.backend == "wire" else None,
             "judge": self.judge,
@@ -142,7 +153,12 @@ def preflight(config: RunConfig) -> None:
 def build_backend(config: RunConfig) -> Backend:
     if config.backend == "replay":
         assert config.replay_path is not None
-        return ReplayBackend.from_file(config.replay_path)
+        try:
+            return ReplayBackend.from_file(config.replay_path)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"replay script {config.replay_path} is not UTF-8") from exc
+        except ValueError as exc:  # a bad record; the message names the file and line
+            raise ConfigError(str(exc)) from exc
     assert config.endpoint is not None and config.model is not None
     return WireBackend(endpoint=config.endpoint, model=config.model)
 
@@ -349,36 +365,35 @@ def score_run(traces_dir: str | Path, questions_path: str | Path, out_dir: str |
     return _write_tables(out, questions, results, config_echo)
 
 
-def _sweep_override(config: RunConfig, axis: str, value: str) -> RunConfig:
-    if axis == "steps":
-        return dataclasses.replace(config, steps=int(value))
-    if axis == "depth":
-        return dataclasses.replace(config, search_depth=int(value))
-    if axis == "width":
-        width = int(value)
-        return dataclasses.replace(config, branching=width, retain=width)
-    if axis == "evaluator":
-        return dataclasses.replace(config, evaluator=value)
-    raise ConfigError(f"sweep axis {axis!r} not in {sorted(SWEEP_AXES)}")
-
-
 def run_sweep(base: RunConfig, axis: str, values: list[str]) -> None:
     """Run one experiment per axis value under out_dir/<axis>_<value>.
 
-    Writes a long-format summary table at out_dir/sweep.table.
+    Writes a long-format summary table at out_dir/sweep.table. Values that
+    give the same search (a repeat, or an axis the base run does not read)
+    are rejected before anything is written.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis {axis!r} not in {sorted(SWEEP_AXES)}")
     if not values:
         raise ConfigError("sweep needs at least one value")
     configs = []
+    searches: dict[SearchConfig, str] = {}
     for value in values:
         try:
-            sub = _sweep_override(base, axis, value)
+            options = SWEEP_AXES[axis](value)
         except ValueError as exc:
             raise ConfigError(f"bad sweep value {value!r} for axis {axis}: {exc}") from exc
-        sub = dataclasses.replace(sub, out_dir=str(Path(base.out_dir) / f"{axis}_{value}"))
+        sub = dataclasses.replace(
+            base, out_dir=str(Path(base.out_dir) / f"{axis}_{value}"), **options
+        )
         preflight(sub)
+        search = sub.search_config()
+        if search in searches:
+            raise ConfigError(
+                f"sweep values {searches[search]!r} and {value!r} for axis {axis} "
+                f"run the same search ({base.strategy}/{base.interaction})"
+            )
+        searches[search] = value
         configs.append((value, sub))
 
     # No sweep axis changes the graph or the questions, so they are loaded

@@ -93,10 +93,12 @@ class ThoughtState:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Run parameters. ``cot`` pins k = t = 1; its depth limit is ``n``.
+    """Run parameters: every strategy stops after ``d_max`` rounds.
 
-    ``tot``/``got`` expand ``k`` children per frontier state, retain a beam
-    of ``t``, and stop at ``d_max``.
+    ``tot``/``got`` expand ``k`` children per frontier state and retain a
+    beam of ``t``. ``cot`` pins k = t = 1, so its one candidate per round
+    never reaches an evaluator, and the evaluator is pinned to ``select``.
+    Only ``explore`` runs read ``explore``; ``agent`` runs hold the default.
     """
 
     strategy: str
@@ -105,13 +107,9 @@ class SearchConfig:
     k: int = 3
     t: int = 3
     d_max: int = 3
-    n: int = 10
     score_votes: int = 1
     max_actions_per_step: int = 4
-    search_depth: int = 3
-    max_relations_per_entity: int = 3
-    max_neighbors_per_relation: int = 5
-    select_attributes: bool = False
+    explore: ExploreConfig = ExploreConfig()
 
     def __post_init__(self) -> None:
         if self.strategy not in VALID_STRATEGIES:
@@ -125,23 +123,12 @@ class SearchConfig:
         if self.strategy == "cot":
             object.__setattr__(self, "k", 1)
             object.__setattr__(self, "t", 1)
-        for name in (
-            "k", "t", "d_max", "n", "score_votes", "max_actions_per_step",
-            "search_depth", "max_relations_per_entity", "max_neighbors_per_relation",
-        ):
+            object.__setattr__(self, "evaluator", "select")
+        if self.interaction == "agent":
+            object.__setattr__(self, "explore", ExploreConfig())
+        for name in ("k", "t", "d_max", "score_votes", "max_actions_per_step"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-    def explore_config(self) -> ExploreConfig:
-        return ExploreConfig(
-            search_depth=self.search_depth,
-            max_relations_per_entity=self.max_relations_per_entity,
-            max_neighbors_per_relation=self.max_neighbors_per_relation,
-            select_attributes=self.select_attributes,
-        )
-
-    def depth_limit(self) -> int:
-        return self.n if self.strategy == "cot" else self.d_max
 
 
 @dataclass
@@ -296,7 +283,7 @@ def _expand_child_explore(
         question,
         anchors,
         exploration,
-        config.explore_config(),
+        config.explore,
         graph,
         backend,
         counters,
@@ -585,7 +572,7 @@ def run_search(
 ) -> SearchResult:
     """Run one full search for a question.
 
-    Rounds proceed to the strategy's depth limit; the search ends early as
+    Rounds proceed to the depth limit ``d_max``; the search ends early as
     soon as the retained frontier contains a finished state, answering with
     the best-scored (earliest-created on ties) finished state. An exhausted
     limit or an empty frontier ends the run with no answer.
@@ -608,7 +595,7 @@ def run_search(
 
     width = getattr(backend, "max_in_flight", 1)
     with ThreadPoolExecutor(width) if width > 1 else nullcontext() as pool:
-        for _ in range(config.depth_limit()):
+        for _ in range(config.d_max):
             tasks = []
             for sid in frontier:
                 for _ in range(config.k):

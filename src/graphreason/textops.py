@@ -1,8 +1,9 @@
-"""Shared text utilities: the frozen tokenizer used by scoring and retrieval."""
+"""Shared text utilities: the frozen tokenizer, and a finder for bytes that are not UTF-8."""
 
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 
@@ -16,3 +17,13 @@ def tokenize(text: str) -> list[str]:
     changing it would shift every reported score.
     """
     return _TOKEN_RE.findall(text.lower())
+
+
+def first_undecodable_line(path: str | Path) -> int:
+    """The number, from 1, of the line holding the first byte of ``path`` that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    raise ValueError(f"{path} decodes as UTF-8")

@@ -86,7 +86,7 @@ def test_acceptance_1_golden_traces():
     backend = ReplayBackend(golden_agent_entries(), strict=True)
     counters = CostCounters()
     result = run_search(
-        question, SearchConfig(strategy="cot", interaction="agent", n=10), graph, backend, counters
+        question, SearchConfig(strategy="cot", interaction="agent", d_max=10), graph, backend, counters
     )
     assert result.answer == "head, skin of body"
     assert result.termination == "finished"
@@ -127,7 +127,7 @@ def test_acceptance_1_golden_traces():
     counters = CostCounters()
     result = run_search(
         question,
-        SearchConfig(strategy="cot", interaction="explore", n=10),
+        SearchConfig(strategy="cot", interaction="explore", d_max=10),
         graph,
         backend,
         counters,
@@ -185,13 +185,13 @@ def test_acceptance_2_rouge_oracle():
 # --------------------------------------------------------------------------
 
 
-def expected_meters(strategy: str, k: int, t: int, depth_limit: int) -> tuple[int, int]:
+def expected_meters(strategy: str, k: int, t: int, d_max: int) -> tuple[int, int]:
     """Round-by-round expansion count: the beam caps what the bound inflates."""
     if strategy == "cot":
-        return depth_limit, 0
+        return d_max, 0
     generation = merges = 0
     retained = 1
-    for _ in range(depth_limit):
+    for _ in range(d_max):
         children = k * retained
         generation += children
         paired = children // 2 if strategy == "got" else 0
@@ -210,59 +210,49 @@ def test_acceptance_3_cost_grid():
         for interaction in ("agent", "explore"):
             for k in (1, 2, 3):
                 for t in (1, 2, 3):
-                    for d_max in (1, 2, 3):
-                        for n in (1, 5, 10):
-                            config = SearchConfig(
-                                strategy=strategy,
-                                interaction=interaction,
-                                k=k,
-                                t=t,
-                                d_max=d_max,
-                                n=n,
-                            )
-                            key = (
-                                strategy,
-                                interaction,
-                                config.k,
-                                config.t,
-                                config.d_max,
-                                config.depth_limit(),
-                            )
-                            if key in meters:
-                                continue  # cot pins k=t=1; identical cells rerun nothing
-                            counters = CostCounters()
-                            result = run_search(
-                                question, config, graph, permissive_backend(), counters
-                            )
-                            assert result.termination == "step_limit"
+                    for d_max in (1, 2, 3, 5, 10):
+                        config = SearchConfig(
+                            strategy=strategy, interaction=interaction, k=k, t=t, d_max=d_max
+                        )
+                        key = (strategy, interaction, config.k, config.t, config.d_max)
+                        if key in meters:
+                            continue  # cot pins k=t=1; identical cells rerun nothing
+                        if strategy != "cot" and d_max > 3:
+                            continue  # the chain alone is cheap enough to run deep
+                        counters = CostCounters()
+                        result = run_search(
+                            question, config, graph, permissive_backend(), counters
+                        )
+                        assert result.termination == "step_limit"
 
-                            bound = bound_for(config, n=n, d=config.search_depth)
-                            verdict = check(counters, bound)
-                            assert verdict.ok, verdict.violations
+                        bound = bound_for(config, n=d_max, d=config.explore.search_depth)
+                        verdict = check(counters, bound)
+                        assert verdict.ok, verdict.violations
 
-                            generation, merges = expected_meters(
-                                strategy, config.k, config.t, config.depth_limit()
-                            )
-                            assert counters.generation_calls() == generation
-                            assert counters.merge_attempts() == merges
-                            if strategy == "cot":
-                                assert generation == n == bound.generation_call_bound
-                            elif strategy == "tot":
-                                tight = t == 1 or d_max == 1 or (d_max == 2 and k >= t)
-                                if tight:
-                                    assert generation == bound.generation_call_bound
-                                else:
-                                    assert generation < bound.generation_call_bound
+                        generation, merges = expected_meters(
+                            strategy, config.k, config.t, config.d_max
+                        )
+                        assert counters.generation_calls() == generation
+                        assert counters.merge_attempts() == merges
+                        if strategy == "cot":
+                            assert generation == d_max == bound.generation_call_bound
+                        elif strategy == "tot":
+                            tight = t == 1 or d_max == 1 or (d_max == 2 and k >= t)
+                            if tight:
+                                assert generation == bound.generation_call_bound
                             else:
-                                assert generation <= bound.generation_call_bound
-                                assert merges <= bound.merge_attempt_bound
-                            meters[key] = (generation, merges)
+                                assert generation < bound.generation_call_bound
+                        else:
+                            assert generation <= bound.generation_call_bound
+                            assert merges <= bound.merge_attempt_bound
+                        meters[key] = (generation, merges)
 
     # Frozen reference cells.
-    assert meters[("tot", "agent", 3, 3, 2, 2)] == (12, 0)
-    assert meters[("got", "agent", 3, 3, 2, 2)] == (9, 4)
+    assert meters[("tot", "agent", 3, 3, 2)] == (12, 0)
+    assert meters[("got", "agent", 3, 3, 2)] == (9, 4)
+    assert meters[("cot", "agent", 1, 1, 10)] == (10, 0)
     frozen = bound_for(
-        SearchConfig(strategy="got", k=3, t=3, d_max=2), n=10, d=3
+        SearchConfig(strategy="got", k=3, t=3, d_max=2), n=2, d=3
     )
     assert frozen.generation_call_bound == 12
     assert frozen.merge_attempt_bound == 17
@@ -368,7 +358,6 @@ def test_acceptance_5_structure_invariants():
             k=rng.randrange(1, 4),
             t=rng.randrange(1, 4),
             d_max=rng.randrange(1, 4),
-            n=rng.randrange(1, 5),
         )
         trace = run_permissive(config, finish=rng.random() < 0.5)
         data = trace.as_dict()
@@ -382,7 +371,7 @@ def test_acceptance_5_structure_invariants():
         for finish in (False, True):
             for limit in (1, 2, 3):
                 chain = run_permissive(
-                    SearchConfig(strategy="cot", interaction=interaction, n=limit),
+                    SearchConfig(strategy="cot", interaction=interaction, d_max=limit),
                     finish=finish,
                 )
                 degenerate = run_permissive(
@@ -655,7 +644,7 @@ def test_acceptance_9_live_wire_smoke(tmp_path):
         out_dir=str(tmp_path / "out"),
         strategy="cot",
         interaction="agent",
-        steps=4,
+        max_depth=4,
         backend="wire",
         endpoint=LIVE_ENDPOINT,
         model=LIVE_MODEL,
@@ -664,7 +653,7 @@ def test_acceptance_9_live_wire_smoke(tmp_path):
     assert report.overall.count == 5
 
     search = config.search_config()
-    bound = bound_for(search, n=config.steps, d=config.search_depth)
+    bound = bound_for(search, n=search.d_max, d=search.explore.search_depth)
     for question in questions:
         data = json.loads(
             (tmp_path / "out" / "traces" / f"{question.qid}.trace").read_text()

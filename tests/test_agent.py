@@ -273,7 +273,7 @@ def test_cot_agent_search_stops_at_step_limit(graph):
     )
     counters = CostCounters()
     result = run_search(
-        krt39_question(), SearchConfig(strategy="cot", n=3), graph, backend, counters
+        krt39_question(), SearchConfig(strategy="cot", d_max=3), graph, backend, counters
     )
     assert result.answer is None
     assert result.termination == "step_limit"

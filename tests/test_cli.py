@@ -12,6 +12,7 @@ from helpers import (
     write_question_file,
     write_replay_script,
 )
+from graphreason import runner as runner_module
 from graphreason.cli import main
 from graphreason.evaluation import Question
 from graphreason.kg import load_graph
@@ -175,7 +176,7 @@ def test_a_malformed_question_file_is_a_one_line_error(runner, workspace, comman
     write_bad_questions(workspace)
     args = {
         "run": run_args(workspace, root / "bad"),
-        "sweep": sweep_args(workspace, root / "bad", "--axis", "steps", "--values", "2"),
+        "sweep": sweep_args(workspace, root / "bad", "--axis", "max-depth", "--values", "2"),
         "score": score_args(workspace, root / "out" / "traces", root / "bad"),
     }[command]
     result = runner.invoke(main, args)
@@ -190,11 +191,72 @@ def test_a_malformed_graph_file_is_a_one_line_error(runner, workspace, command):
     out = workspace["root"] / "bad"
     args = {
         "run": run_args(workspace, out),
-        "sweep": sweep_args(workspace, out, "--axis", "steps", "--values", "2"),
+        "sweep": sweep_args(workspace, out, "--axis", "max-depth", "--values", "2"),
     }[command]
     result = runner.invoke(main, args)
     assert_one_line_error(result, workspace["graph"], "not valid JSON")
     assert not out.exists()
+
+
+NOT_UTF8_FRAGMENTS = {"graph": "line 2: not UTF-8", "questions": ":2: not UTF-8"}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("name", sorted(NOT_UTF8_FRAGMENTS))
+def test_a_file_that_is_not_utf8_is_a_one_line_error(runner, workspace, name, command):
+    path = Path(workspace[name])
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1].replace(b"e", b"\xff", 1)
+    path.write_bytes(b"".join(lines))
+    out = workspace["root"] / "bad"
+    args = {
+        "run": run_args(workspace, out),
+        "sweep": sweep_args(workspace, out, "--axis", "max-depth", "--values", "1,2"),
+    }[command]
+    result = runner.invoke(main, args)
+    assert_one_line_error(result, workspace[name], NOT_UTF8_FRAGMENTS[name])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "script, fragment",
+    [
+        pytest.param(b"not json\n", ":1: bad replay record", id="not-json"),
+        pytest.param(b"\xff\xfe{}\n", "is not UTF-8", id="not-utf8"),
+    ],
+)
+def test_a_malformed_replay_script_is_a_one_line_error(
+    runner, workspace, command, script, fragment
+):
+    Path(workspace["script"]).write_bytes(script)
+    out = workspace["root"] / "bad"
+    args = {
+        "run": run_args(workspace, out),
+        "sweep": sweep_args(workspace, out, "--axis", "max-depth", "--values", "1,2"),
+    }[command]
+    result = runner.invoke(main, args)
+    assert_one_line_error(result, workspace["script"], fragment)
+    assert not out.exists()
+
+
+def test_a_run_echoes_the_configuration_it_ran(runner, workspace):
+    # cot pins k = t = 1 and the evaluator; agent runs hold the default
+    # explore caps. The echo records those, not the options given.
+    out = workspace["root"] / "echo"
+    result = runner.invoke(
+        main,
+        run_args(workspace, out, "--branching", "4", "--evaluator", "score", "--search-depth", "5"),
+    )
+    assert result.exit_code == 0, result.output
+    report = (out / "report.table").read_text(encoding="utf-8").splitlines()
+    assert report[1] == (
+        "# config: backend=replay d_max=3 evaluator=select interaction=agent judge=none "
+        "k=1 model=None search_depth=3 strategy=cot t=1"
+    )
+    trace = json.loads((out / "traces" / "q1.trace").read_text(encoding="utf-8"))
+    assert (trace["config"]["k"], trace["config"]["t"], trace["config"]["d_max"]) == (1, 1, 3)
+    assert "n" not in trace["config"]
 
 
 def test_run_writes_the_artifact_tree(runner, workspace):
@@ -387,13 +449,13 @@ def test_sweep_writes_per_value_runs_and_a_summary(runner, workspace):
             "--questions", workspace["questions"],
             "--out", str(out),
             "--replay", workspace["script"],
-            "--axis", "steps",
+            "--axis", "max-depth",
             "--values", "1, 2",
         ],
     )
     assert result.exit_code == 0, result.output
     for value in ("1", "2"):
-        sub = out / f"steps_{value}"
+        sub = out / f"max-depth_{value}"
         assert (sub / "results.lines").is_file()
         assert (sub / "report.table").is_file()
         assert len(list((sub / "traces").glob("*.trace"))) == 2
@@ -403,7 +465,7 @@ def test_sweep_writes_per_value_runs_and_a_summary(runner, workspace):
     assert lines[1] == "axis\tvalue\tmetric\tresult"
     body = [line.split("\t") for line in lines[2:]]
     assert len(body) == 8  # 2 values x 4 metrics
-    assert {row[0] for row in body} == {"steps"}
+    assert {row[0] for row in body} == {"max-depth"}
     assert {row[1] for row in body} == {"1", "2"}
     assert {row[2] for row in body} == {
         "rouge_mean",
@@ -425,7 +487,7 @@ def test_sweep_rejects_unknown_axis_and_empty_values(runner, workspace):
     unknown = runner.invoke(main, base + ["--axis", "verbosity", "--values", "1"])
     assert unknown.exit_code == 2  # rejected by the option parser
 
-    empty = runner.invoke(main, base + ["--axis", "steps", "--values", " , "])
+    empty = runner.invoke(main, base + ["--axis", "max-depth", "--values", " , "])
     assert empty.exit_code != 0
     assert "at least one value" in empty.output
     assert not out.exists()
@@ -435,8 +497,66 @@ def test_sweep_rejects_a_bad_depth_before_running_any_value(runner, workspace):
     out = workspace["root"] / "sweep_depth"
     result = runner.invoke(
         main,
-        sweep_args(workspace, out, "--interaction", "explore", "--axis", "depth", "--values", "2,0"),
+        sweep_args(
+            workspace, out, "--interaction", "explore", "--axis", "search-depth", "--values", "2,0"
+        ),
     )
     assert_one_line_error(result, "search_depth must be >= 1")
-    assert not (out / "depth_2").exists()
+    assert not (out / "search-depth_2").exists()
+    assert not out.exists()
+
+
+# Each axis with a base run that reads it, and two values that must differ.
+SWEEPS = {
+    "max-depth": ([], "1,2"),
+    "search-depth": (["--interaction", "explore"], "1,2"),
+    "width": (["--strategy", "tot"], "1,2"),
+    "evaluator": (["--strategy", "tot"], "select,score"),
+}
+
+
+def test_the_sweep_axes_are_the_ones_tested():
+    assert set(SWEEPS) == set(runner_module.SWEEP_AXES)
+
+
+@pytest.mark.parametrize("axis", sorted(SWEEPS))
+def test_each_sweep_axis_changes_the_run(runner, workspace, monkeypatch, axis):
+    # A script that never finishes, so every run goes to its depth limit.
+    write_replay_script(Path(workspace["script"]), permissive_entries())
+    searched = set()
+    run_search = runner_module.run_search
+
+    def recording(question, config, *args, **kwargs):
+        searched.add(config)
+        return run_search(question, config, *args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "run_search", recording)
+    extra, values = SWEEPS[axis]
+    out = workspace["root"] / "sweep"
+    result = runner.invoke(
+        main, sweep_args(workspace, out, *extra, "--axis", axis, "--values", values)
+    )
+    assert result.exit_code == 0, result.output
+    assert len(searched) == 2
+    results = {(out / f"{axis}_{value}" / "results.lines").read_bytes() for value in values.split(",")}
+    assert len(results) == 2
+
+
+# A sweep whose values would all run the same search.
+NO_OP_SWEEPS = {
+    "search-depth-on-agent": ([], "search-depth", "1,2"),
+    "width-on-cot": ([], "width", "1,2"),
+    "evaluator-on-cot": ([], "evaluator", "select,score"),
+    "repeated-value": (["--strategy", "tot"], "max-depth", "2,3,2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_OP_SWEEPS))
+def test_a_sweep_that_changes_nothing_is_a_one_line_error(runner, workspace, case):
+    extra, axis, values = NO_OP_SWEEPS[case]
+    out = workspace["root"] / "noop"
+    result = runner.invoke(
+        main, sweep_args(workspace, out, *extra, "--axis", axis, "--values", values)
+    )
+    assert_one_line_error(result, f"for axis {axis} run the same search")
     assert not out.exists()

@@ -177,6 +177,21 @@ def test_load_questions_names_the_duplicate(tmp_path):
         load_questions(path)
 
 
+def test_a_line_that_is_not_utf8_is_reported_by_number(tmp_path):
+    rows = [
+        f'{{"qid": "{qid}", "question": "x", "answer": "y", "difficulty": "easy"}}'
+        for qid in ("a", "b", "c")
+    ]
+    path = tmp_path / "bad.lines"
+    path.write_bytes(("\n".join(rows[:2]) + "\n").encode("utf-8") + rows[2].encode("utf-8").replace(b"x", b"\xff"))
+    with pytest.raises(QuestionLoadError) as err:
+        load_questions(path)
+    assert str(err.value) == f"{path}:3: not UTF-8 (invalid start byte)"
+    path.write_bytes(b"\xff\xfe" + rows[0].encode("utf-16-le"))
+    with pytest.raises(QuestionLoadError, match=r":1: not UTF-8"):
+        load_questions(path)
+
+
 def test_error_line_numbers_skip_blanks(tmp_path):
     path = write_lines(tmp_path / "gap.lines", ["", "", "broken"])
     with pytest.raises(QuestionLoadError, match=":3:"):

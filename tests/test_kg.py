@@ -23,7 +23,6 @@ from graphreason.kg import (
     SyntheticGraphSpec,
     Triple,
     UnknownNodeError,
-    all_triples,
     generate_synthetic_graph,
     graph_definition,
     load_graph,
@@ -198,6 +197,27 @@ def test_a_bom_at_the_start_of_the_file_is_not_json(tmp_path):
     with pytest.raises(GraphLoadError) as caught:
         load_graph(path)
     assert str(caught.value) == "line 1: not valid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            "\n".join(json.dumps(row) for row in GOOD_ROWS).encode("utf-8")
+            + b'\n{"id": "c", "type": "", "features": {"name": "\xff"}, "neighbors": {}}\n',
+            "line 3: not UTF-8 (invalid start byte)",
+        ),
+        (b"\xff\xfe" + GOOD.encode("utf-16-le"), "line 1: not UTF-8 (invalid start byte)"),
+        (GOOD.encode("utf-8") + b"\n\n" + b'"\xe2\x82', "line 3: not UTF-8 (unexpected end of data)"),
+    ],
+    ids=["bad-byte-on-line-3", "utf-16-bom", "truncated-at-end"],
+)
+def test_a_line_that_is_not_utf8_is_reported_by_number(tmp_path, data, message):
+    path = tmp_path / "g.lines"
+    path.write_bytes(data)
+    with pytest.raises(GraphLoadError) as caught:
+        load_graph(path)
+    assert str(caught.value) == message
 
 
 def test_whitespace_only_lines_are_skipped_but_counted(tmp_path):
@@ -553,13 +573,6 @@ def test_render_triple_quotes_head_only():
         tail_id="UBERON:0000033",
     )
     assert render_triple(triple) == '"KRT39" --> Anatomy-expresses-Gene --> head'
-
-
-def test_all_triples_enumerates_every_edge():
-    graph = krt39_graph()
-    triples = list(all_triples(graph))
-    assert len(triples) == graph.stats.edge_count
-    assert {t.tail_name for t in triples} == {"head", "skin of body"}
 
 
 def test_graph_definition_mentions_counts():

@@ -82,6 +82,15 @@ def inputs(tmp_path):
     return make_inputs(tmp_path)
 
 
+def test_steps_is_only_a_read_only_name_for_max_depth(inputs, tmp_path):
+    config = RunConfig(out_dir=str(tmp_path), max_depth=7, **inputs)
+    assert config.steps == 7
+    with pytest.raises(AttributeError):
+        config.steps = 2
+    with pytest.raises(TypeError):
+        RunConfig(out_dir=str(tmp_path), steps=7, **inputs)
+
+
 def test_concurrent_run_is_byte_identical_to_serial(inputs, tmp_path):
     """Worker threads share one graph, whose retrieval index is built lazily
     by whichever thread retrieves first."""
@@ -174,12 +183,12 @@ def test_a_sweep_loads_the_graph_once_and_runs_each_value_as_a_run_would(
     monkeypatch.setattr(kg, "load_graph", counted)
     base = RunConfig(out_dir=str(tmp_path / "sweep"), **inputs)
     values = ["1", "2", "3"]
-    run_sweep(base, "steps", values)
+    run_sweep(base, "max-depth", values)
     assert len(loads) == 1
     for value in values:
         alone = tmp_path / f"alone_{value}"
-        run_experiment(RunConfig(out_dir=str(alone), steps=int(value), **inputs))
-        swept = tables_and_traces(tmp_path / "sweep" / f"steps_{value}")
+        run_experiment(RunConfig(out_dir=str(alone), max_depth=int(value), **inputs))
+        swept = tables_and_traces(tmp_path / "sweep" / f"max-depth_{value}")
         assert len(swept) == len(TARGETS) + 2
         assert swept == tables_and_traces(alone)
 
@@ -201,7 +210,7 @@ def entry_point(name, inputs, out):
     """A run, or a two-value sweep, over the given inputs."""
     if name == "run_experiment":
         return lambda: run_experiment(RunConfig(out_dir=str(out / "run"), **inputs))
-    return lambda: run_sweep(RunConfig(out_dir=str(out / "sweep"), **inputs), "steps", ["2", "3"])
+    return lambda: run_sweep(RunConfig(out_dir=str(out / "sweep"), **inputs), "max-depth", ["2", "3"])
 
 
 ENTRY_POINTS = ["run_experiment", "run_sweep"]
@@ -295,11 +304,14 @@ def test_a_call_site_whose_calls_all_fail_costs_no_question(template, tmp_path, 
     monkeypatch.setattr(runner, "build_backend", lambda config: backend)
     # Attribute search is reachable through SearchConfig only.
     search_config = RunConfig.search_config
-    monkeypatch.setattr(
-        RunConfig,
-        "search_config",
-        lambda self: dataclasses.replace(search_config(self), select_attributes=True),
-    )
+
+    def with_attributes(self):
+        config = search_config(self)
+        return dataclasses.replace(
+            config, explore=dataclasses.replace(config.explore, select_attributes=True)
+        )
+
+    monkeypatch.setattr(RunConfig, "search_config", with_attributes)
     out = tmp_path / "out"
     report = run_experiment(
         RunConfig(

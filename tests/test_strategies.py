@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from graphreason.costs import CostCounters
-from graphreason.explore import AttributeHit, ExplorationState, render_attribute
+from graphreason.explore import AttributeHit, ExplorationState, ExploreConfig, render_attribute
 from graphreason.kg import Triple, generate_synthetic_graph
 from graphreason.llm import ReplayBackend, ReplayEntry, ReplayMismatchError, TransportError
 from graphreason.strategies import (
@@ -62,14 +62,22 @@ def test_config_rejects_unknown_choices():
     with pytest.raises(ValueError):
         SearchConfig(strategy="tot", k=0)
     with pytest.raises(ValueError):
-        SearchConfig(strategy="cot", n=0)
+        SearchConfig(strategy="cot", d_max=0)
+    with pytest.raises(ValueError, match="search_depth must be >= 1"):
+        SearchConfig(strategy="tot", interaction="explore", explore=ExploreConfig(search_depth=0))
 
 
 def test_cot_pins_width_to_one():
-    config = SearchConfig(strategy="cot", k=5, t=7, n=4)
-    assert (config.k, config.t) == (1, 1)
-    assert config.depth_limit() == 4
-    assert SearchConfig(strategy="tot", d_max=2).depth_limit() == 2
+    config = SearchConfig(strategy="cot", evaluator="score", k=5, t=7, d_max=4)
+    assert (config.k, config.t, config.evaluator, config.d_max) == (1, 1, "select", 4)
+    assert SearchConfig(strategy="tot", evaluator="score").evaluator == "score"
+
+
+def test_agent_runs_hold_the_default_explore_caps():
+    caps = ExploreConfig(search_depth=5, select_attributes=True)
+    assert SearchConfig(strategy="tot", explore=caps).explore == ExploreConfig()
+    assert SearchConfig(strategy="tot", interaction="explore", explore=caps).explore == caps
+    assert SearchConfig(strategy="tot", explore=caps) == SearchConfig(strategy="tot")
 
 
 # --- finish parsing -----------------------------------------------------------
@@ -156,7 +164,7 @@ def test_expand_child_explore_records_search_cost():
         graph,
         permissive_backend(),
         counters,
-        SearchConfig(strategy="cot", interaction="explore", search_depth=2),
+        SearchConfig(strategy="cot", interaction="explore", explore=ExploreConfig(search_depth=2)),
         child_id=1,
     )
     assert child.status == "active"
@@ -428,7 +436,7 @@ def run(strategy="cot", interaction="agent", finish=False, **overrides):
 
 
 def test_run_search_step_limit_without_finish():
-    result = run(strategy="cot", n=3)
+    result = run(strategy="cot", d_max=3)
     assert result.answer is None
     assert result.termination == "step_limit"
     assert result.counters.generation_calls() == 3
@@ -438,7 +446,7 @@ def test_run_search_step_limit_without_finish():
 
 
 def test_run_search_finish_short_circuits():
-    result = run(strategy="cot", finish=True, n=5)
+    result = run(strategy="cot", finish=True, d_max=5)
     assert result.answer == "alpha 2"
     assert result.termination == "finished"
     assert result.counters.generation_calls() == 1
@@ -478,8 +486,8 @@ def test_run_search_cot_equals_degenerate_tot():
     question = synthetic_question()
     graph = generate_synthetic_graph(11)
     results = {}
-    for strategy, depth_args in (("cot", {"n": 3}), ("tot", {"d_max": 3, "k": 1, "t": 1})):
-        config = SearchConfig(strategy=strategy, **depth_args)
+    for strategy, width_args in (("cot", {}), ("tot", {"k": 1, "t": 1})):
+        config = SearchConfig(strategy=strategy, d_max=3, **width_args)
         results[strategy] = run_search(question, config, graph, permissive_backend())
     cot = build_trace(question, {}, results["cot"]).as_dict()
     tot = build_trace(question, {}, results["tot"]).as_dict()
@@ -512,7 +520,7 @@ def test_got_explore_trace_writes_each_triple_once():
 
 @pytest.mark.parametrize("interaction", ["agent", "explore"])
 def test_run_search_raises_on_replay_mismatch(interaction):
-    config = SearchConfig(strategy="cot", interaction=interaction, n=3)
+    config = SearchConfig(strategy="cot", interaction=interaction, d_max=3)
     with pytest.raises(ReplayMismatchError):
         run_search(
             synthetic_question(),
@@ -590,7 +598,7 @@ CONCURRENCY_CONFIGS = {
     "got-explore-score": dict(
         strategy="got", interaction="explore", evaluator="score", score_votes=2
     ),
-    "cot-agent": dict(strategy="cot", interaction="agent", n=4),
+    "cot-agent": dict(strategy="cot", interaction="agent", d_max=4),
 }
 
 
@@ -679,10 +687,14 @@ def test_concurrent_siblings_leave_their_shared_parent_unchanged(interaction, fa
     # grounding at once must still leave the parent's evidence as it was.
     graph = generate_synthetic_graph(11)
     question = synthetic_question()
-    config = SearchConfig(strategy="tot", interaction=interaction, k=8, search_depth=1)
+    config = SearchConfig(
+        strategy="tot", interaction=interaction, k=8, explore=ExploreConfig(search_depth=1)
+    )
     chain = run_search(
         question,
-        SearchConfig(strategy="cot", interaction=interaction, n=2, search_depth=1),
+        SearchConfig(
+            strategy="cot", interaction=interaction, d_max=2, explore=ExploreConfig(search_depth=1)
+        ),
         graph,
         permissive_backend(),
     )

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import TEMPLATE_MATCHERS, permissive_backend, permissive_entries, synthetic_question
 from graphreason.costs import CostCounters
 from graphreason.evaluation import classify_error, rouge_l
+from graphreason.explore import ExploreConfig
 from graphreason.kg import generate_synthetic_graph
 from graphreason.llm import ReplayBackend, ReplayEntry
 from graphreason.strategies import SearchConfig, run_search
@@ -33,7 +34,6 @@ def run_trace(strategy="got", interaction="agent", finish=False, **overrides):
         k=2,
         t=2,
         d_max=2,
-        n=3,
         **overrides,
     )
     question = synthetic_question()
@@ -227,8 +227,8 @@ def test_judge_evidence_lines_are_the_prompt_renderings():
     # the very form the search prompts showed the model.
     question = synthetic_question()
     config = SearchConfig(
-        strategy="got", interaction="explore", k=2, t=2, d_max=2, search_depth=1,
-        select_attributes=True,
+        strategy="got", interaction="explore", k=2, t=2, d_max=2,
+        explore=ExploreConfig(search_depth=1, select_attributes=True),
     )
     backend = ReplayBackend(
         [ReplayEntry(TEMPLATE_MATCHERS["search_attributes"], "{{name, blurb}}")]
