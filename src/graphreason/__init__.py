@@ -56,13 +56,13 @@ from .llm import (
 from .prompts import PROMPT_TEMPLATES, PromptTemplate, load_examples, render
 from .runner import RunConfig, run_experiment, run_sweep, score_run
 from .strategies import (
-    ReasoningGraph,
     SearchConfig,
     SearchResult,
     ThoughtState,
     evaluate_score,
     evaluate_select,
     merge_pair,
+    merged_state,
     run_search,
     select_frontier,
 )
@@ -86,7 +86,6 @@ __all__ = [
     "PROMPT_TEMPLATES",
     "PromptTemplate",
     "Question",
-    "ReasoningGraph",
     "ReplayBackend",
     "RunConfig",
     "Scratchpad",
@@ -116,6 +115,7 @@ __all__ = [
     "load_questions",
     "load_trace",
     "merge_pair",
+    "merged_state",
     "neighbor_check",
     "node_degree",
     "node_feature",

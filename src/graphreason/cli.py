@@ -108,7 +108,7 @@ def validate_command(paths: tuple[str, ...]) -> None:
     for path in paths:
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             click.echo(f"{path}: unreadable ({exc})")
             failed = True
             continue

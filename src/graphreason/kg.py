@@ -329,39 +329,13 @@ def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
             )
 
 
-#: Score returned on an exact (case-folded) name match; it dominates every F1
-#: value.
-EXACT_MATCH_SCORE = 2.0
-
-
-class LexicalOverlapRetriever:
-    """Retrieval scoring: token-overlap F1 against the name feature.
-
-    The query and the node's ``name`` feature are tokenized with the frozen
-    tokenizer; the score is the F1 of the shared-token overlap. An exact
-    case-folded name match returns ``EXACT_MATCH_SCORE`` instead, which
-    dominates every F1 value.
-    """
-
-    def score(self, query: str, node: NodeRecord) -> float:
-        name = node.features.get(NAME_FEATURE)
-        if name is None:
-            return 0.0
-        if name.casefold() == query.casefold():
-            return EXACT_MATCH_SCORE
-        query_tokens = set(tokenize(query))
-        name_tokens = set(tokenize(name))
-        if not query_tokens or not name_tokens:
-            return 0.0
-        overlap = len(query_tokens & name_tokens)
-        if overlap == 0:
-            return 0.0
-        precision = overlap / len(query_tokens)
-        recall = overlap / len(name_tokens)
-        return 2.0 * precision * recall / (precision + recall)
-
-
-_LEXICAL = LexicalOverlapRetriever()
+def _overlap_f1(query_tokens: set[str], name: str) -> float:
+    """F1 of the tokens a query shares with a node name; they share one at least."""
+    name_tokens = set(tokenize(name))
+    overlap = len(query_tokens & name_tokens)
+    precision = overlap / len(query_tokens)
+    recall = overlap / len(name_tokens)
+    return 2.0 * precision * recall / (precision + recall)
 
 
 def retrieve_node(graph: KnowledgeGraph, query: str) -> str:
@@ -383,14 +357,15 @@ def retrieve_node(graph: KnowledgeGraph, query: str) -> str:
     if exact is not None:
         return exact
 
+    query_tokens = set(tokenize(query))
     candidates: set[int] = set()
-    for token in set(tokenize(query)):
+    for token in query_tokens:
         candidates.update(index.postings.get(token, ()))
     best_id: str | None = None
     best_score = 0.0
     for position in sorted(candidates):
         node = index.records[position]
-        score = _LEXICAL.score(query, node)
+        score = _overlap_f1(query_tokens, node.features[NAME_FEATURE])
         if score > best_score:
             best_id = node.id
             best_score = score

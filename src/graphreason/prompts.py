@@ -239,22 +239,17 @@ def get_template(name: str) -> PromptTemplate:
         ) from None
 
 
-def load_examples(template_name: str, domain: str, assets_root: Path | None = None) -> str:
+@functools.cache
+def load_examples(template_name: str, domain: str) -> str:
     """Return the few-shot example block for (template, domain).
 
     Missing assets render as an empty block rather than failing: the prompt
     still works zero-shot, and domains without curated examples degrade
-    gracefully. Each asset is read once per process, keyed on the resolved
-    assets root, the domain and the template, so an edit to an asset file
-    takes effect in the next process.
+    gracefully. Each asset is read once per process, keyed on the domain and
+    the template, so an edit to an asset file takes effect in the next
+    process.
     """
-    root = _ASSETS_ROOT if assets_root is None else assets_root.resolve()
-    return _read_examples(root, domain, template_name)
-
-
-@functools.cache
-def _read_examples(root: Path, domain: str, template_name: str) -> str:
-    path = root / domain / f"{template_name}.txt"
+    path = _ASSETS_ROOT / domain / f"{template_name}.txt"
     if not path.is_file():
         return ""
     return path.read_text(encoding="utf-8").rstrip("\n")

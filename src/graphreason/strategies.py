@@ -10,6 +10,12 @@ the merge strategy is the beam plus pairwise merges.
 Children are grounded either by one agent step against the graph or by one
 round of automatic exploration seeded from entities extracted out of the
 fresh thought.
+
+Model calls return parsed values only. ``expand_child`` builds every child
+and ``run_search`` every other state: the root, and each merged state, which
+``merged_state`` builds from the thought ``merge_pair`` returns. Beyond
+that, ``evaluate_score`` sets scores and ``select_frontier`` prunes; no
+other code changes a state.
 """
 
 from __future__ import annotations
@@ -132,16 +138,10 @@ class SearchConfig:
 
 
 @dataclass
-class ReasoningGraph:
-    states: dict[int, ThoughtState]
-    frontier: list[int]
-    answer: str | None
-
-
-@dataclass
 class SearchResult:
     answer: str | None
-    graph: ReasoningGraph
+    states: dict[int, ThoughtState]
+    frontier: list[int]
     counters: CostCounters
     termination: str
 
@@ -191,65 +191,31 @@ def parse_finish_answer(text: str) -> str:
     raise MalformedOutputError("unbalanced Finish[...] span")
 
 
-def _born_pruned(parent: ThoughtState, child_id: int) -> ThoughtState:
-    """The child whose generation call failed: pruned, carrying no evidence."""
-    logger.debug("child %d generation failed; born pruned", child_id)
-    return ThoughtState(
-        id=child_id,
-        depth=parent.depth + 1,
-        thought="(generation failed)",
-        evidence=Evidence(thought_log=list(parent.evidence.thought_log)),
-        parents=(parent.id,),
-        status=STATUS_PRUNED,
-    )
-
-
-def _expand_child_agent(
+def _ground_agent(
     parent: ThoughtState,
     question: Question,
     graph: kg.KnowledgeGraph,
     backend: Backend,
     counters: CostCounters,
     config: SearchConfig,
-    child_id: int,
-) -> ThoughtState:
+) -> tuple[str, Evidence]:
     pad = parent.evidence.scratchpad.clone() if parent.evidence.scratchpad else Scratchpad()
-    try:
-        answer = run_agent_step(
-            pad,
-            question,
-            graph,
-            backend,
-            counters,
-            max_actions_per_step=config.max_actions_per_step,
-        )
-    except TransportError:
-        return _born_pruned(parent, child_id)
+    answer = run_agent_step(
+        pad, question, graph, backend, counters, max_actions_per_step=config.max_actions_per_step
+    )
     thought = pad.steps[-1].thought if pad.steps else ""
-    evidence = Evidence(
-        thought_log=list(parent.evidence.thought_log) + [thought],
-        scratchpad=pad,
-        answer=answer,
-    )
-    return ThoughtState(
-        id=child_id,
-        depth=parent.depth + 1,
-        thought=thought,
-        evidence=evidence,
-        parents=(parent.id,),
-        status=STATUS_FINISHED if answer is not None else STATUS_ACTIVE,
-    )
+    thought_log = list(parent.evidence.thought_log) + [thought]
+    return thought, Evidence(thought_log=thought_log, scratchpad=pad, answer=answer)
 
 
-def _expand_child_explore(
+def _ground_explore(
     parent: ThoughtState,
     question: Question,
     graph: kg.KnowledgeGraph,
     backend: Backend,
     counters: CostCounters,
     config: SearchConfig,
-    child_id: int,
-) -> ThoughtState:
+) -> tuple[str, Evidence]:
     exploration = (
         parent.evidence.exploration.clone()
         if parent.evidence.exploration is not None
@@ -271,10 +237,7 @@ def _expand_child_explore(
         )
 
     request = thought_request(parent.evidence.thought_log, GENERATION_TAG)
-    try:
-        thought = complete(backend, request, counters).strip()
-    except TransportError:
-        return _born_pruned(parent, child_id)
+    thought = complete(backend, request, counters).strip()
     thought_log = list(parent.evidence.thought_log) + [thought]
     kg_before = counters.kg_total()
     surface_forms = extract_entities(thought, backend, counters, question.domain)
@@ -295,19 +258,7 @@ def _expand_child_explore(
     if exploration.sufficient:
         answer_request = thought_request(thought_log, "answer")
         answer = complete_with_reask(backend, answer_request, counters, parse_finish_answer, None)
-    evidence = Evidence(
-        thought_log=thought_log,
-        exploration=exploration,
-        answer=answer,
-    )
-    return ThoughtState(
-        id=child_id,
-        depth=parent.depth + 1,
-        thought=thought,
-        evidence=evidence,
-        parents=(parent.id,),
-        status=STATUS_FINISHED if answer is not None else STATUS_ACTIVE,
-    )
+    return thought, Evidence(thought_log=thought_log, exploration=exploration, answer=answer)
 
 
 def expand_child(
@@ -321,12 +272,29 @@ def expand_child(
 ) -> ThoughtState:
     """Generate and ground one child of ``parent``.
 
-    A transport failure during generation yields a child born pruned, so a
-    flaky call costs one candidate rather than the whole run.
+    Generation is the one call in either driver that is not made through
+    ``complete_with_reask``, so a ``TransportError`` can only come from it.
+    The child is then born pruned, carrying its parent's thought log and no
+    other evidence, so a flaky call costs one candidate rather than the run.
     """
-    if config.interaction == "agent":
-        return _expand_child_agent(parent, question, graph, backend, counters, config, child_id)
-    return _expand_child_explore(parent, question, graph, backend, counters, config, child_id)
+    ground = _ground_agent if config.interaction == "agent" else _ground_explore
+    try:
+        thought, evidence = ground(parent, question, graph, backend, counters, config)
+    except TransportError:
+        logger.debug("child %d generation failed; born pruned", child_id)
+        thought = "(generation failed)"
+        evidence = Evidence(thought_log=list(parent.evidence.thought_log))
+        status = STATUS_PRUNED
+    else:
+        status = STATUS_ACTIVE if evidence.answer is None else STATUS_FINISHED
+    return ThoughtState(
+        id=child_id,
+        depth=parent.depth + 1,
+        thought=thought,
+        evidence=evidence,
+        parents=(parent.id,),
+        status=status,
+    )
 
 
 def evaluate_select(
@@ -471,14 +439,12 @@ def merge_pair(
     question: Question,
     backend: Backend,
     counters: CostCounters,
-    merged_id: int,
-) -> ThoughtState | None:
-    """Try to merge two same-depth active states into one.
+) -> str | None:
+    """Ask for the thought that merges two same-depth active states.
 
-    On success both inputs become ``merged_away`` and the merged state
-    (deduplicated union of their evidence, parents ``(a, b)``, same depth)
-    is returned. An empty or failed merge completion aborts: ``None`` comes
-    back and the inputs stay active.
+    Returns the merged thought, or ``None`` when the merge completion comes
+    back empty or fails. Neither input is changed: ``run_search`` builds the
+    merged state from the thought with :func:`merged_state`.
     """
     if a.status != STATUS_ACTIVE or b.status != STATUS_ACTIVE:
         raise ValueError("merge_pair requires two active states")
@@ -505,8 +471,15 @@ def merge_pair(
     thought = complete_with_reask(backend, request, counters, parse, None)
     if thought is None:
         logger.debug("merge of %d and %d aborted", a.id, b.id)
-        return None
+    return thought
 
+
+def merged_state(a: ThoughtState, b: ThoughtState, thought: str, merged_id: int) -> ThoughtState:
+    """The state merging ``a`` and ``b`` under ``thought``.
+
+    It holds the deduplicated union of their evidence, has parents
+    ``(a, b)`` and their depth; both inputs become ``merged_away``.
+    """
     thought_log = list(a.evidence.thought_log)
     for entry in b.evidence.thought_log:
         if entry not in thought_log:
@@ -520,7 +493,9 @@ def merge_pair(
             b.evidence.exploration or ExplorationState(),
         )
 
-    merged = ThoughtState(
+    a.status = STATUS_MERGED_AWAY
+    b.status = STATUS_MERGED_AWAY
+    return ThoughtState(
         id=merged_id,
         depth=a.depth,
         thought=thought,
@@ -531,9 +506,6 @@ def merge_pair(
         ),
         parents=(a.id, b.id),
     )
-    a.status = STATUS_MERGED_AWAY
-    b.status = STATUS_MERGED_AWAY
-    return merged
 
 
 def _gather(
@@ -580,7 +552,9 @@ def run_search(
     A round's expansions, merges and score votes are independent model
     work. When the backend declares ``max_in_flight`` above 1 they run on
     that many threads, otherwise inline; results are collected in state-id
-    order either way, so the state graph does not depend on timing.
+    order either way, so the state graph does not depend on timing. Merged
+    states are built here, on the calling thread, in pair order once every
+    merge thought is back, so no worker changes a shared state.
     """
     if counters is None:
         counters = CostCounters()
@@ -612,18 +586,13 @@ def run_search(
             candidates = list(expansions)
             if config.strategy == "got":
                 actives = [c for c in expansions if c.status == STATUS_ACTIVE]
-                # Ids go to successful merges only, in pair order, once all
-                # are back; -1 holds the place until then.
-                pairs = [
-                    partial(merge_pair, a, b, question, backend, merged_id=-1)
-                    for a, b in zip(actives[0::2], actives[1::2])
-                ]
-                for merged in _gather(pool, pairs, counters):
-                    if merged is not None:
-                        merged.id = next_id
-                        states[next_id] = merged
+                pairs = list(zip(actives[0::2], actives[1::2]))
+                asks = [partial(merge_pair, a, b, question, backend) for a, b in pairs]
+                for (a, b), thought in zip(pairs, _gather(pool, asks, counters)):
+                    if thought is not None:
+                        states[next_id] = merged_state(a, b, thought, next_id)
+                        candidates.append(states[next_id])
                         next_id += 1
-                        candidates.append(merged)
             frontier = select_frontier(candidates, config, question, backend, counters, pool=pool)
             if not frontier:
                 break
@@ -639,7 +608,8 @@ def run_search(
 
     return SearchResult(
         answer=answer,
-        graph=ReasoningGraph(states=states, frontier=list(frontier), answer=answer),
+        states=states,
+        frontier=list(frontier),
         counters=counters,
         termination=termination,
     )

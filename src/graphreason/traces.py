@@ -167,9 +167,7 @@ def build_trace(
     result: SearchResult,
     eval_block: dict | None = None,
 ) -> TraceRecord:
-    states = [
-        _serialize_state(result.graph.states[sid]) for sid in sorted(result.graph.states)
-    ]
+    states = [_serialize_state(result.states[sid]) for sid in sorted(result.states)]
     return TraceRecord(
         qid=question.qid,
         question={
@@ -180,7 +178,7 @@ def build_trace(
         },
         config=dict(config),
         states=states,
-        frontier=list(result.graph.frontier),
+        frontier=list(result.frontier),
         answer=result.answer,
         termination=result.termination,
         counters=result.counters.as_dict(),

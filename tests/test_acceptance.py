@@ -92,7 +92,7 @@ def test_acceptance_1_golden_traces():
     assert result.termination == "finished"
     assert backend.remaining() == 0
 
-    final = result.graph.states[max(result.graph.states)]
+    final = result.states[max(result.states)]
     pad = final.evidence.scratchpad
     assert [s.index for s in pad.steps] == [1, 2, 3, 4]
     assert [s.thought for s in pad.steps] == [
@@ -135,7 +135,7 @@ def test_acceptance_1_golden_traces():
     assert result.answer == "head, skin of body"
     assert backend.remaining() == 0
 
-    final = result.graph.states[max(result.graph.states)]
+    final = result.states[max(result.states)]
     found = {(t.head_name, t.relation, t.tail_name) for t in final.evidence.exploration.found_triples}
     assert found == {
         ("KRT39", "Anatomy-expresses-Gene", "head"),

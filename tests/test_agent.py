@@ -277,6 +277,6 @@ def test_cot_agent_search_stops_at_step_limit(graph):
     )
     assert result.answer is None
     assert result.termination == "step_limit"
-    final = result.graph.states[result.graph.frontier[0]]
+    final = result.states[result.frontier[0]]
     assert len(final.evidence.scratchpad.steps) == 3
     assert counters.llm_calls_by_tag == {"thought": 3}

@@ -374,6 +374,20 @@ def test_validate_trace_reports_a_bad_file_and_checks_the_next(runner, workspace
     assert f"{good_path}: ok" in result.output
 
 
+def test_validate_trace_reports_a_file_that_is_not_utf8(runner, workspace):
+    out = workspace["root"] / "out_vu"
+    assert runner.invoke(main, run_args(workspace, out)).exit_code == 0
+    good_path = out / "traces" / "q1.trace"
+    bad_path = workspace["root"] / "utf16.trace"
+    bad_path.write_bytes(b"\xff\xfe")
+
+    result = runner.invoke(main, ["validate-trace", str(bad_path), str(good_path)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"{bad_path}: unreadable (" in result.output
+    assert f"{good_path}: ok" in result.output
+
+
 # ------------------------------------------------------------------ score
 
 

@@ -11,13 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphreason.kg import (
-    EXACT_MATCH_SCORE,
     EmptyGraphError,
     FeatureAbsentError,
     GraphLoadError,
     GraphStats,
     KnowledgeGraph,
-    LexicalOverlapRetriever,
     NodeRecord,
     NoMatchError,
     SyntheticGraphSpec,
@@ -536,12 +534,14 @@ def test_concurrent_first_retrievals_agree():
 
 
 def test_retriever_scores():
-    retriever = LexicalOverlapRetriever()
-    node = krt39_graph().nodes["UBERON:0002097"]
-    assert retriever.score("skin of body", node) == EXACT_MATCH_SCORE
-    partial = retriever.score("skin", node)
-    assert 0.0 < partial < 1.0
-    assert retriever.score("unrelated words", node) == 0.0
+    graph = graph_of(["cell skin", "red skin cell", "Skin Cell", "blood"])
+    # An exact match wins over an earlier name with the same tokens.
+    assert retrieve_node(graph, "skin cell") == "n2"
+    # A partial overlap picks the best F1: 0.8 for "red skin cell", 0.5 for
+    # the others sharing "skin".
+    assert retrieve_node(graph, "red skin") == "n1"
+    with pytest.raises(NoMatchError):
+        retrieve_node(graph, "unrelated words")
 
 
 def test_feature_errors_distinguish_absent_from_empty():

@@ -115,8 +115,8 @@ def score(backend, counters):
 
 def merge(backend, counters):
     a, b = states(2)
-    merged = merge_pair(a, b, QUESTION, backend, counters, merged_id=3)
-    return merged, a.status, b.status
+    thought = merge_pair(a, b, QUESTION, backend, counters)
+    return thought, a.status, b.status
 
 
 def classify(backend, counters):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from graphreason import prompts
 from graphreason.prompts import (
     MissingPlaceholderError,
     PROMPT_TEMPLATES,
@@ -152,17 +153,11 @@ def test_load_examples_missing_domain_falls_back_to_zero_shot():
     assert load_examples("agent_step", "no-such-domain") == ""
 
 
-def test_load_examples_honors_assets_root(tmp_path):
-    root = tmp_path / "custom"
-    root.mkdir(parents=True)
-    (root / "score_vote.txt").write_text("CUSTOM BLOCK\n", encoding="utf-8")
-    assert load_examples("score_vote", "custom", assets_root=tmp_path) == "CUSTOM BLOCK"
-
-
-def test_load_examples_reads_each_asset_once(tmp_path):
-    asset = tmp_path / "custom" / "score_vote.txt"
+def test_load_examples_reads_each_asset_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(prompts, "_ASSETS_ROOT", tmp_path)
+    asset = tmp_path / "read-once" / "score_vote.txt"
     asset.parent.mkdir(parents=True)
     asset.write_text("FIRST BLOCK\n", encoding="utf-8")
-    assert load_examples("score_vote", "custom", assets_root=tmp_path) == "FIRST BLOCK"
+    assert load_examples("score_vote", "read-once") == "FIRST BLOCK"
     asset.write_text("SECOND BLOCK\n", encoding="utf-8")
-    assert load_examples("score_vote", "custom", assets_root=tmp_path) == "FIRST BLOCK"
+    assert load_examples("score_vote", "read-once") == "FIRST BLOCK"

@@ -21,6 +21,7 @@ from graphreason.strategies import (
     evaluate_select,
     expand_child,
     merge_pair,
+    merged_state,
     parse_finish_answer,
     run_search,
     select_frontier,
@@ -136,22 +137,28 @@ def test_expand_child_agent_finish_sets_answer():
     assert child.evidence.answer == "alpha 2"
 
 
-def test_expand_child_transport_failure_is_born_pruned():
+@pytest.mark.parametrize("interaction", ["agent", "explore"])
+def test_expand_child_transport_failure_is_born_pruned(interaction):
     class DeadBackend:
         def raw_complete(self, request):
             raise TransportError("down")
 
+    parent = make_state(4)
     child = expand_child(
-        ThoughtState(id=0, depth=0, thought="q", evidence=Evidence(), parents=()),
+        parent,
         synthetic_question(),
         krt39_graph(),
         DeadBackend(),
         CostCounters(),
-        SearchConfig(strategy="cot"),
-        child_id=1,
+        SearchConfig(strategy="cot", interaction=interaction),
+        child_id=7,
     )
+    assert child.id == 7
+    assert child.depth == 2
+    assert child.parents == (4,)
     assert child.status == "pruned"
     assert child.thought == "(generation failed)"
+    assert child.evidence == Evidence(thought_log=["probe"])
 
 
 def test_expand_child_explore_records_search_cost():
@@ -367,15 +374,14 @@ def merge_backend(reply="Unified view of both chains."):
     return ReplayBackend([ReplayEntry(TEMPLATE_MATCHERS["got_merge"], reply)])
 
 
-def test_merge_pair_unions_evidence_and_marks_parents():
+def test_merged_state_unions_evidence_and_marks_parents():
     shared = Triple(head_name="a", relation="r", tail_name="b", head_id="1", tail_id="2")
     only_b = Triple(head_name="b", relation="r", tail_name="c", head_id="2", tail_id="3")
     a = make_state(5)
     a.evidence.exploration = ExplorationState(found_triples=[shared])
     b = make_state(6, thought="other")
     b.evidence.exploration = ExplorationState(found_triples=[shared, only_b])
-    merged = merge_pair(a, b, synthetic_question(), merge_backend(), CostCounters(), merged_id=9)
-    assert merged is not None
+    merged = merged_state(a, b, "Unified view of both chains.", 9)
     assert merged.id == 9
     assert merged.depth == a.depth
     assert merged.parents == (5, 6)
@@ -386,11 +392,19 @@ def test_merge_pair_unions_evidence_and_marks_parents():
     assert b.status == "merged_away"
 
 
+def test_merge_pair_returns_the_thought_and_leaves_both_inputs_active():
+    a, b = make_state(1), make_state(2, thought="other")
+    before = copy.deepcopy((a, b))
+    thought = merge_pair(a, b, synthetic_question(), merge_backend(), CostCounters())
+    assert thought == "Unified view of both chains."
+    assert (a, b) == before
+    assert a.status == b.status == "active"
+
+
 def test_merge_pair_aborts_on_empty_merge_thought():
     counters = CostCounters()
     a, b = make_state(1), make_state(2)
-    merged = merge_pair(a, b, synthetic_question(), merge_backend("   "), counters, merged_id=3)
-    assert merged is None
+    assert merge_pair(a, b, synthetic_question(), merge_backend("   "), counters) is None
     assert a.status == "active"
     assert b.status == "active"
     assert counters.llm_calls_by_tag == {"merge": 1, "merge:reask": 1}
@@ -399,9 +413,7 @@ def test_merge_pair_aborts_on_empty_merge_thought():
 def test_merge_pair_raises_on_replay_mismatch():
     a, b = make_state(1), make_state(2)
     with pytest.raises(ReplayMismatchError):
-        merge_pair(
-            a, b, synthetic_question(), ReplayBackend([], strict=True), CostCounters(), merged_id=3
-        )
+        merge_pair(a, b, synthetic_question(), ReplayBackend([], strict=True), CostCounters())
 
 
 def test_merge_pair_requires_same_depth_active_states():
@@ -412,7 +424,6 @@ def test_merge_pair_requires_same_depth_active_states():
             synthetic_question(),
             merge_backend(),
             CostCounters(),
-            merged_id=3,
         )
     with pytest.raises(ValueError):
         merge_pair(
@@ -421,7 +432,6 @@ def test_merge_pair_requires_same_depth_active_states():
             synthetic_question(),
             merge_backend(),
             CostCounters(),
-            merged_id=3,
         )
 
 
@@ -440,7 +450,7 @@ def test_run_search_step_limit_without_finish():
     assert result.answer is None
     assert result.termination == "step_limit"
     assert result.counters.generation_calls() == 3
-    states = result.graph.states
+    states = result.states
     assert sorted(states) == [0, 1, 2, 3]
     assert [states[i].depth for i in range(4)] == [0, 1, 2, 3]
 
@@ -450,18 +460,18 @@ def test_run_search_finish_short_circuits():
     assert result.answer == "alpha 2"
     assert result.termination == "finished"
     assert result.counters.generation_calls() == 1
-    assert result.graph.states[1].status == "finished"
-    assert result.graph.frontier == [1]
+    assert result.states[1].status == "finished"
+    assert result.frontier == [1]
 
 
 def test_run_search_tot_beam_stays_within_t():
     result = run(strategy="tot", k=3, t=2, d_max=3)
     assert result.termination == "step_limit"
-    for state in result.graph.states.values():
+    for state in result.states.values():
         assert state.status in {"active", "pruned"}
-    assert len(result.graph.frontier) <= 2
+    assert len(result.frontier) <= 2
     depth_counts = {}
-    for state in result.graph.states.values():
+    for state in result.states.values():
         depth_counts[state.depth] = depth_counts.get(state.depth, 0) + 1
     assert depth_counts[1] == 3  # k children of the root
     assert depth_counts[2] == 6  # k per retained state
@@ -470,7 +480,7 @@ def test_run_search_tot_beam_stays_within_t():
 
 def test_run_search_got_merges_adjacent_actives():
     result = run(strategy="got", k=3, t=3, d_max=2)
-    states = result.graph.states
+    states = result.states
     merged = [s for s in states.values() if len(s.parents) == 2]
     assert merged, "expected at least one merged state"
     for state in merged:
@@ -498,7 +508,7 @@ def test_run_search_explore_interaction_round_trip():
     result = run(strategy="tot", interaction="explore", k=2, t=2, d_max=2, finish=True)
     assert result.termination == "finished"
     assert result.answer == "alpha 2"
-    assert result.graph.states[1].evidence.exploration is not None
+    assert result.states[1].evidence.exploration is not None
 
 
 def test_got_explore_trace_writes_each_triple_once():
@@ -511,7 +521,7 @@ def test_got_explore_trace_writes_each_triple_once():
         assert set(exploration) == {"seen_entities", "sufficient"}
         if len(state["parents"]) == 2:
             merged += 1
-            a, b = (result.graph.states[p].evidence.exploration for p in state["parents"])
+            a, b = (result.states[p].evidence.exploration for p in state["parents"])
             union = ExplorationState.merge(a, b)
             assert [Triple(**t) for t in state["evidence"]["triples"]] == union.found_triples
             assert union.found_triples
@@ -634,7 +644,7 @@ def failing_outcome(fail):
     serial = search_outcome(config, JitteryReplay(permissive_entries(), width=1, fail=fail))
     parallel = search_outcome(config, JitteryReplay(permissive_entries(), width=4, fail=fail))
     assert parallel[:2] == serial[:2]
-    return parallel[2].graph.states
+    return parallel[2].states
 
 
 def test_concurrent_transport_failure_prunes_only_its_children():
@@ -698,7 +708,7 @@ def test_concurrent_siblings_leave_their_shared_parent_unchanged(interaction, fa
         graph,
         permissive_backend(),
     )
-    parent = chain.graph.states[chain.graph.frontier[0]]
+    parent = chain.states[chain.frontier[0]]
     before = copy.deepcopy(parent.evidence)
     backend = JitteryReplay(permissive_entries(), width=4)
     with ThreadPoolExecutor(backend.max_in_flight) as pool:

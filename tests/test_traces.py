@@ -236,8 +236,8 @@ def test_judge_evidence_lines_are_the_prompt_renderings():
     )
     result = run_search(question, config, generate_synthetic_graph(11), backend)
     expected: list[str] = []
-    for sid in sorted(result.graph.states):
-        explored = result.graph.states[sid].evidence.exploration
+    for sid in sorted(result.states):
+        explored = result.states[sid].evidence.exploration
         if explored is None:
             continue
         rendered = explored.rendered_triples().splitlines()
