@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import kg
 from .costs import GENERATION_TAG, CostCounters
@@ -95,6 +95,16 @@ class Scratchpad:
 
     def clone(self) -> "Scratchpad":
         return Scratchpad(steps=list(self.steps))
+
+    @classmethod
+    def merge(cls, a: "Scratchpad", b: "Scratchpad") -> "Scratchpad":
+        """a's steps then b's, each ``(thought, raw_action)`` once, renumbered from 1."""
+        steps: dict[tuple[str, str], AgentStep] = {}
+        for step in a.steps + b.steps:
+            key = (step.thought, step.raw_action)
+            if key not in steps:
+                steps[key] = replace(step, index=len(steps) + 1)
+        return cls(steps=list(steps.values()))
 
 
 _ACTION_MARKER_RE = re.compile(r"\bAction(?:\s+\d+)?\s*:")

@@ -46,6 +46,11 @@ class QuestionLoadError(ValueError):
     """A question file is malformed."""
 
 
+def _is_path_component(name: str) -> bool:
+    """Can ``name`` stand alone in a path, naming one entry of one directory?"""
+    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+
+
 @dataclass(frozen=True)
 class Question:
     qid: str
@@ -58,8 +63,13 @@ class Question:
         if not self.qid:
             raise ValueError("qid must be nonempty")
         # The qid names the question's trace file.
-        if self.qid in (".", "..") or any(c in self.qid for c in "/\\\0"):
+        if not _is_path_component(self.qid):
             raise ValueError(f"qid {self.qid!r} cannot be a file name")
+        # The domain names the folder its few-shot examples are read from.
+        if not _is_path_component(self.domain):
+            raise ValueError(
+                f"question {self.qid}: domain {self.domain!r} cannot be a folder name"
+            )
         if not self.text:
             raise ValueError(f"question {self.qid}: text must be nonempty")
         if self.difficulty not in VALID_DIFFICULTIES:
@@ -74,8 +84,8 @@ def load_questions(path: str | Path) -> list[Question]:
 
     Each line holds ``qid``, ``question``, ``answer``, ``difficulty`` and an
     optional ``domain``, all strings; anything else is rejected, as are
-    duplicate qids, qids that cannot be a file name, and bytes that are not
-    UTF-8.
+    duplicate qids, qids that cannot be a file name, domains that cannot be
+    a folder name, and bytes that are not UTF-8.
     """
     questions: list[Question] = []
     seen: set[str] = set()

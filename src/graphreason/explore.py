@@ -4,7 +4,9 @@ Starting from anchor nodes, each round expands every not-yet-visited
 entity: the model selects which relations to follow and which tail
 entities to keep, the kept edges are harvested as triples, and newly seen
 tails join the queue one hop deeper. After each round a stop check asks
-whether the collected evidence already answers the question.
+whether the collected evidence already answers the question. The state
+keys each triple by ``(head_id, relation, tail_id)`` and each attribute
+hit by ``(entity_id, key)``, so an entry found twice is stored once.
 
 Every model-driven selection has a deterministic fallback (a first-N
 prefix, or "keep nothing") so a run never dies on a malformed reply; with
@@ -61,13 +63,15 @@ class ExploreConfig:
 class ExplorationState:
     """Everything a search has seen: entities, harvested triples, attributes.
 
-    The entries are frozen values, so a clone copies only the containers and
+    Triples are keyed by ``(head_id, relation, tail_id)`` and attribute hits
+    by ``(entity_id, key)``, so each is stored once, in discovery order. The
+    entries are frozen values, so a clone copies only the containers and
     shares the entries with the state it came from.
     """
 
     seen_entities: dict[str, SeenEntity] = field(default_factory=dict)
-    found_triples: list[kg.Triple] = field(default_factory=list)
-    relevant_attributes: list[AttributeHit] = field(default_factory=list)
+    found_triples: dict[tuple[str, str, str], kg.Triple] = field(default_factory=dict)
+    relevant_attributes: dict[tuple[str, str], AttributeHit] = field(default_factory=dict)
     sufficient: bool = False
 
     def add_anchors(self, node_ids: list[str]) -> None:
@@ -78,14 +82,14 @@ class ExplorationState:
     def clone(self) -> "ExplorationState":
         return ExplorationState(
             seen_entities=dict(self.seen_entities),
-            found_triples=list(self.found_triples),
-            relevant_attributes=list(self.relevant_attributes),
+            found_triples=dict(self.found_triples),
+            relevant_attributes=dict(self.relevant_attributes),
             sufficient=self.sufficient,
         )
 
     @classmethod
     def merge(cls, a: "ExplorationState", b: "ExplorationState") -> "ExplorationState":
-        """Deduplicated union of two states, a's discoveries first."""
+        """Union of two states: a's entries first and kept on a shared key."""
         merged = a.clone()
         for eid, meta in b.seen_entities.items():
             mine = merged.seen_entities.get(eid)
@@ -95,25 +99,18 @@ class ExplorationState:
                     min(mine.depth_discovered, meta.depth_discovered),
                 )
             merged.seen_entities[eid] = meta
-        keys = {(t.head_id, t.relation, t.tail_id) for t in merged.found_triples}
-        for triple in b.found_triples:
-            key = (triple.head_id, triple.relation, triple.tail_id)
-            if key not in keys:
-                merged.found_triples.append(triple)
-                keys.add(key)
-        attr_keys = {(hit.entity_id, hit.key) for hit in merged.relevant_attributes}
-        for hit in b.relevant_attributes:
-            if (hit.entity_id, hit.key) not in attr_keys:
-                merged.relevant_attributes.append(hit)
-                attr_keys.add((hit.entity_id, hit.key))
+        for key, triple in b.found_triples.items():
+            merged.found_triples.setdefault(key, triple)
+        for key, hit in b.relevant_attributes.items():
+            merged.relevant_attributes.setdefault(key, hit)
         merged.sufficient = a.sufficient or b.sufficient
         return merged
 
     def rendered_triples(self) -> str:
-        return "\n".join(kg.render_triple(t) for t in self.found_triples)
+        return "\n".join(kg.render_triple(t) for t in self.found_triples.values())
 
     def rendered_attributes(self) -> str:
-        return "\n".join(render_attribute(hit) for hit in self.relevant_attributes)
+        return "\n".join(render_attribute(hit) for hit in self.relevant_attributes.values())
 
 
 def extract_entities(
@@ -305,13 +302,11 @@ def explore(
 
     Mutates and returns ``state``. Each round expands every unvisited seen
     entity (one node fetch plus one neighbor scan per selected relation),
-    harvests the kept edges as deduplicated triples, then runs the stop
+    harvests the kept edges into the state's keyed triples, then runs the stop
     check once; a Yes marks the state sufficient and ends the search. With
     no unvisited entities the round does nothing and no model call is made.
     """
     state.add_anchors(anchors)
-    triple_keys = {(t.head_id, t.relation, t.tail_id) for t in state.found_triples}
-    attr_keys = {(h.entity_id, h.key) for h in state.relevant_attributes}
     for _ in range(config.search_depth):
         frontier = [eid for eid, meta in state.seen_entities.items() if not meta.visited]
         if not frontier:
@@ -324,9 +319,7 @@ def explore(
             head_name = node.features.get(kg.NAME_FEATURE, entity_id)
             if config.select_attributes and node.features:
                 for hit in search_attributes(question, entity_id, backend, counters, graph):
-                    if (hit.entity_id, hit.key) not in attr_keys:
-                        state.relevant_attributes.append(hit)
-                        attr_keys.add((hit.entity_id, hit.key))
+                    state.relevant_attributes.setdefault((hit.entity_id, hit.key), hit)
             relations = [rel for rel, tails in node.out_edges.items() if tails]
             if not relations:
                 continue
@@ -341,18 +334,15 @@ def explore(
                 )
                 for tail_id in selected_tails:
                     key = (entity_id, relation, tail_id)
-                    if key not in triple_keys:
+                    if key not in state.found_triples:
                         tail_node = graph.nodes[tail_id]
-                        state.found_triples.append(
-                            kg.Triple(
-                                head_name=head_name,
-                                relation=relation,
-                                tail_name=tail_node.features.get(kg.NAME_FEATURE, tail_id),
-                                head_id=entity_id,
-                                tail_id=tail_id,
-                            )
+                        state.found_triples[key] = kg.Triple(
+                            head_name=head_name,
+                            relation=relation,
+                            tail_name=tail_node.features.get(kg.NAME_FEATURE, tail_id),
+                            head_id=entity_id,
+                            tail_id=tail_id,
                         )
-                        triple_keys.add(key)
                     if tail_id not in state.seen_entities:
                         state.seen_entities[tail_id] = SeenEntity(
                             visited=False,

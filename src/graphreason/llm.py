@@ -29,6 +29,7 @@ import requests
 
 from . import prompts
 from .costs import REASK_SUFFIX, CostCounters
+from .prompts import DecodingParams
 
 logger = logging.getLogger(__name__)
 
@@ -62,19 +63,6 @@ class MalformedOutputError(Exception):
 
 
 @dataclass(frozen=True)
-class DecodingParams:
-    temperature: float = 0.0
-    max_tokens: int = 256
-    stop: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        if self.max_tokens <= 0:
-            raise ValueError(f"max_tokens must be positive, got {self.max_tokens}")
-
-
-@dataclass(frozen=True)
 class CompletionRequest:
     prompt: str
     decoding: DecodingParams
@@ -85,26 +73,6 @@ class Backend(Protocol):
     def raw_complete(self, request: CompletionRequest) -> str: ...
 
 
-# Thought generation samples; everything mechanical decodes greedily.
-_THOUGHT_DECODING = DecodingParams(temperature=0.7, max_tokens=512)
-_CONTROL_DECODING = DecodingParams(temperature=0.0, max_tokens=256)
-
-DEFAULT_DECODING: dict[str, DecodingParams] = {
-    "agent_step": DecodingParams(temperature=0.7, max_tokens=512, stop=("\nObservation",)),
-    "search_thought": _THOUGHT_DECODING,
-    "got_merge": _THOUGHT_DECODING,
-    "search_end": _CONTROL_DECODING,
-    "entity_extraction": _CONTROL_DECODING,
-    "prune_relations": _CONTROL_DECODING,
-    "prune_entities": _CONTROL_DECODING,
-    "search_attributes": _CONTROL_DECODING,
-    "selection_vote": _CONTROL_DECODING,
-    "score_vote": _CONTROL_DECODING,
-    "judge_correctness": _CONTROL_DECODING,
-    "judge_error_class": _CONTROL_DECODING,
-}
-
-
 def request_for(
     template_name: str,
     variables: dict[str, str],
@@ -112,7 +80,8 @@ def request_for(
     tag: str,
     domain: str,
 ) -> CompletionRequest:
-    """Render a registry template into a tagged completion request.
+    """Render a registry template into a tagged completion request, decoded
+    as the template's row says.
 
     A template with an ``{examples}`` slot gets the few-shot block of
     ``domain`` from :func:`prompts.load_examples`; callers never pass one.
@@ -121,7 +90,7 @@ def request_for(
     if "examples" in template.required_placeholders:
         variables = {**variables, "examples": prompts.load_examples(template_name, domain)}
     prompt = prompts.render(template, variables)
-    return CompletionRequest(prompt=prompt, decoding=DEFAULT_DECODING[template_name], tag=tag)
+    return CompletionRequest(prompt=prompt, decoding=template.decoding, tag=tag)
 
 
 def reask_request(request: CompletionRequest, reminder: str = FORMAT_REMINDER) -> CompletionRequest:

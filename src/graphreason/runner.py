@@ -86,7 +86,6 @@ class RunConfig:
     judge: str = "none"
     concurrency: int = 1
     max_actions_per_step: int = 4
-    score_votes: int = 1
 
     @property
     def steps(self) -> int:
@@ -103,7 +102,6 @@ class RunConfig:
             t=self.retain,
             d_max=self.max_depth,
             max_actions_per_step=self.max_actions_per_step,
-            score_votes=self.score_votes,
             explore=ExploreConfig(search_depth=self.search_depth),
         )
 

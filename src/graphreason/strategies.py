@@ -24,12 +24,12 @@ import logging
 import re
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, TypeVar
 
 from . import kg
-from .agent import AgentStep, Scratchpad, run_agent_step
+from .agent import Scratchpad, run_agent_step
 from .costs import GENERATION_TAG, MERGE_TAG, CostCounters
 from .evaluation import Question
 from .explore import (
@@ -113,7 +113,6 @@ class SearchConfig:
     k: int = 3
     t: int = 3
     d_max: int = 3
-    score_votes: int = 1
     max_actions_per_step: int = 4
     explore: ExploreConfig = ExploreConfig()
 
@@ -132,7 +131,7 @@ class SearchConfig:
             object.__setattr__(self, "evaluator", "select")
         if self.interaction == "agent":
             object.__setattr__(self, "explore", ExploreConfig())
-        for name in ("k", "t", "d_max", "score_votes", "max_actions_per_step"):
+        for name in ("k", "t", "d_max", "max_actions_per_step"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -150,12 +149,11 @@ def describe_candidate(state: ThoughtState) -> str:
     """Compact single-candidate rendering for evaluator prompts."""
     parts = [state.thought]
     explored = state.evidence.exploration or ExplorationState()
-    if explored.found_triples:
-        parts.append("Triples: " + "; ".join(kg.render_triple(t) for t in explored.found_triples))
-    if explored.relevant_attributes:
-        parts.append(
-            "Attributes: " + "; ".join(render_attribute(h) for h in explored.relevant_attributes)
-        )
+    triples, hits = explored.found_triples.values(), explored.relevant_attributes.values()
+    if triples:
+        parts.append("Triples: " + "; ".join(kg.render_triple(t) for t in triples))
+    if hits:
+        parts.append("Attributes: " + "; ".join(render_attribute(h) for h in hits))
     if state.evidence.scratchpad is not None and state.evidence.scratchpad.steps:
         last = state.evidence.scratchpad.steps[-1]
         if last.observations:
@@ -167,8 +165,9 @@ def describe_chain(state: ThoughtState) -> str:
     """Whole-chain rendering (thought log plus triples) for scoring/merging."""
     lines = list(state.evidence.thought_log) or [state.thought]
     explored = state.evidence.exploration or ExplorationState()
-    if explored.found_triples:
-        lines.append("Triples: " + "; ".join(kg.render_triple(t) for t in explored.found_triples))
+    triples = explored.found_triples.values()
+    if triples:
+        lines.append("Triples: " + "; ".join(kg.render_triple(t) for t in triples))
     return "\n".join(lines)
 
 
@@ -351,14 +350,12 @@ def evaluate_score(
     backend: Backend,
     counters: CostCounters,
     *,
-    votes: int = 1,
     pool: Executor | None = None,
 ) -> list[ThoughtState]:
-    """Score each candidate (mean of ``votes`` samples, clamped to [0, 1])
-    and keep the top ``t``; ties break toward earlier creation. Every
-    candidate keeps its score for later answer ranking. With ``t`` or fewer
-    candidates no call is made. The votes are independent and run on
-    ``pool`` when one is given.
+    """Score each candidate with one vote, clamped to [0, 1], and keep the
+    top ``t``; ties break toward earlier creation. Every candidate keeps its
+    score for later answer ranking. With ``t`` or fewer candidates no call
+    is made. The votes are independent and run on ``pool`` when one is given.
     """
     if len(candidates) <= t:
         return list(candidates)
@@ -374,12 +371,9 @@ def evaluate_score(
             tag="score",
             domain=question.domain,
         )
-        tasks += [
-            partial(complete_with_reask, backend, request, parse=clamped, fallback=0.0)
-        ] * votes
-    values = _gather(pool, tasks, counters)
-    for i, candidate in enumerate(candidates):
-        candidate.score = sum(values[i * votes : (i + 1) * votes]) / votes
+        tasks.append(partial(complete_with_reask, backend, request, parse=clamped, fallback=0.0))
+    for candidate, score in zip(candidates, _gather(pool, tasks, counters)):
+        candidate.score = score
     ranked = sorted(candidates, key=lambda c: (-(c.score or 0.0), c.id))
     return ranked[:t]
 
@@ -406,31 +400,12 @@ def select_frontier(
     elif config.evaluator == "select":
         retained = evaluate_select(eligible, config.t, question, backend, counters)
     else:
-        retained = evaluate_score(
-            eligible, config.t, question, backend, counters, votes=config.score_votes, pool=pool
-        )
+        retained = evaluate_score(eligible, config.t, question, backend, counters, pool=pool)
     retained_ids = {c.id for c in retained}
     for candidate in eligible:
         if candidate.id not in retained_ids:
             candidate.status = STATUS_PRUNED
     return sorted(retained_ids)
-
-
-def _merge_scratchpads(a: Scratchpad | None, b: Scratchpad | None) -> Scratchpad | None:
-    if a is None and b is None:
-        return None
-    steps: list[AgentStep] = []
-    seen: set[tuple[str, str]] = set()
-    for pad in (a, b):
-        if pad is None:
-            continue
-        for step in pad.steps:
-            key = (step.thought, step.raw_action)
-            if key in seen:
-                continue
-            seen.add(key)
-            steps.append(replace(step, index=len(steps) + 1))
-    return Scratchpad(steps=steps)
 
 
 def merge_pair(
@@ -474,37 +449,41 @@ def merge_pair(
     return thought
 
 
+def _union(
+    merge: Callable[[T, T], T], x: T | None, y: T | None, empty: Callable[[], T]
+) -> T | None:
+    """``merge(x, y)`` with a missing side read as ``empty()``; None if both are missing."""
+    if x is None and y is None:
+        return None
+    return merge(x if x is not None else empty(), y if y is not None else empty())
+
+
 def merged_state(a: ThoughtState, b: ThoughtState, thought: str, merged_id: int) -> ThoughtState:
     """The state merging ``a`` and ``b`` under ``thought``.
 
-    It holds the deduplicated union of their evidence, has parents
-    ``(a, b)`` and their depth; both inputs become ``merged_away``.
+    Its thought log is a's, then b's entries not already in it, then
+    ``thought``; its scratchpad and exploration are the unions that
+    :meth:`Scratchpad.merge` and :meth:`ExplorationState.merge` build. It
+    has parents ``(a, b)`` and their depth; both inputs become
+    ``merged_away``.
     """
-    thought_log = list(a.evidence.thought_log)
-    for entry in b.evidence.thought_log:
+    ea, eb = a.evidence, b.evidence
+    thought_log = list(ea.thought_log)
+    for entry in eb.thought_log:
         if entry not in thought_log:
             thought_log.append(entry)
     thought_log.append(thought)
-
-    exploration: ExplorationState | None = None
-    if a.evidence.exploration is not None or b.evidence.exploration is not None:
-        exploration = ExplorationState.merge(
-            a.evidence.exploration or ExplorationState(),
-            b.evidence.exploration or ExplorationState(),
-        )
-
+    evidence = Evidence(
+        thought_log=thought_log,
+        scratchpad=_union(Scratchpad.merge, ea.scratchpad, eb.scratchpad, Scratchpad),
+        exploration=_union(
+            ExplorationState.merge, ea.exploration, eb.exploration, ExplorationState
+        ),
+    )
     a.status = STATUS_MERGED_AWAY
     b.status = STATUS_MERGED_AWAY
     return ThoughtState(
-        id=merged_id,
-        depth=a.depth,
-        thought=thought,
-        evidence=Evidence(
-            thought_log=thought_log,
-            scratchpad=_merge_scratchpads(a.evidence.scratchpad, b.evidence.scratchpad),
-            exploration=exploration,
-        ),
-        parents=(a.id, b.id),
+        id=merged_id, depth=a.depth, thought=thought, evidence=evidence, parents=(a.id, b.id)
     )
 
 

@@ -84,7 +84,7 @@ def _serialize_state(state: ThoughtState) -> dict:
                     "tail_id": t.tail_id,
                     "tail_name": t.tail_name,
                 }
-                for t in explored.found_triples
+                for t in explored.found_triples.values()
             ],
             "attributes": [
                 {
@@ -93,7 +93,7 @@ def _serialize_state(state: ThoughtState) -> dict:
                     "key": h.key,
                     "value": h.value,
                 }
-                for h in explored.relevant_attributes
+                for h in explored.relevant_attributes.values()
             ],
             "thought_log": list(evidence.thought_log),
             "answer": evidence.answer,

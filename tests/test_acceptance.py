@@ -136,7 +136,8 @@ def test_acceptance_1_golden_traces():
     assert backend.remaining() == 0
 
     final = result.states[max(result.states)]
-    found = {(t.head_name, t.relation, t.tail_name) for t in final.evidence.exploration.found_triples}
+    triples = final.evidence.exploration.found_triples.values()
+    found = {(t.head_name, t.relation, t.tail_name) for t in triples}
     assert found == {
         ("KRT39", "Anatomy-expresses-Gene", "head"),
         ("KRT39", "Anatomy-expresses-Gene", "skin of body"),
@@ -301,7 +302,7 @@ def test_acceptance_4_exploration_oracle():
                 CostCounters(),
             )
             oracle_triples, oracle_entities = closure_oracle(graph, anchors, depth)
-            found = {(t.head_id, t.relation, t.tail_id) for t in state.found_triples}
+            found = {(t.head_id, t.relation, t.tail_id) for t in state.found_triples.values()}
             assert found == oracle_triples, (instance, depth)
             assert set(state.seen_entities) == oracle_entities, (instance, depth)
     announce(4, "exploration oracle equivalence")

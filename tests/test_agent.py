@@ -1,6 +1,6 @@
 """Action parsing, execution, and the step loop of the graph agent."""
 
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -265,6 +265,26 @@ def test_scratchpad_clone_is_independent(graph):
     assert copy.steps[0] is pad.steps[0]  # shared, not copied
     assert len(pad.steps) == 1
     assert pad.render() == before
+
+
+def test_scratchpad_merge_keeps_each_step_once_and_renumbers():
+    look = AgentStep(1, "find it.", "RetrieveNode[KRT39]", (), ("The ID of the node is 390792.",))
+    count = AgentStep(2, "count.", "NodeDegree[390792, r]", (), ("3",))
+    again = AgentStep(3, "find it.", "RetrieveNode[KRT39]", (), ())
+    other = AgentStep(1, "other.", "NodeFeature[390792, name]", (), ("KRT39",))
+    a = Scratchpad(steps=[look, count, again])  # a repeat within one input
+    b = Scratchpad(steps=[other, look])  # and one across the two
+    before = (list(a.steps), list(b.steps))
+    merged = Scratchpad.merge(a, b)
+    assert [(s.index, s.thought) for s in merged.steps] == [
+        (1, "find it."),
+        (2, "count."),
+        (3, "other."),
+    ]
+    assert merged.steps[0] == look
+    assert merged.steps[2] == replace(other, index=3)
+    assert (a.steps, b.steps) == before
+    assert Scratchpad.merge(Scratchpad(), b).steps == [other, replace(look, index=2)]
 
 
 def test_cot_agent_search_stops_at_step_limit(graph):

@@ -184,6 +184,17 @@ def test_a_malformed_question_file_is_a_one_line_error(runner, workspace, comman
     assert not (root / "bad").exists()
 
 
+def test_a_domain_outside_the_examples_is_a_one_line_error(runner, workspace):
+    path = Path(workspace["questions"])
+    path.write_text(
+        path.read_text(encoding="utf-8").replace('"synthetic"', '"../../x"'), encoding="utf-8"
+    )
+    out = workspace["root"] / "bad"
+    result = runner.invoke(main, run_args(workspace, out))
+    assert_one_line_error(result, workspace["questions"], "domain '../../x' cannot be")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_a_malformed_graph_file_is_a_one_line_error(runner, workspace, command):
     graph = Path(workspace["graph"])

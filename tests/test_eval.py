@@ -1,5 +1,6 @@
 """Question bank, overlap scoring, judging, and aggregation."""
 
+import json
 import random
 
 import pytest
@@ -161,6 +162,13 @@ def test_load_questions_round_trip(tmp_path):
         ('{"qid": "a", "question": "x", "answer": null, "difficulty": "easy"}', "answer must be a string, got null"),
         ('{"qid": "a", "question": ["x"], "answer": "y", "difficulty": "easy"}', 'question must be a string, got ["x"]'),
         ('{"qid": "a", "question": "x", "answer": "y", "difficulty": "easy", "domain": 1}', "domain must be a string, got 1"),
+        *(
+            (
+                f'{{"qid": "a", "question": "x", "answer": "y", "difficulty": "easy", "domain": {json.dumps(domain)}}}',
+                f"question a: domain {domain!r} cannot be a folder name",
+            )
+            for domain in ("/etc", "../x", "a/b", "a\\b", ".", "..", "")
+        ),
     ],
 )
 def test_load_questions_rejects_bad_lines(tmp_path, line, fragment):

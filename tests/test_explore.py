@@ -4,6 +4,8 @@ import copy
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphreason.costs import CostCounters
 from graphreason.evaluation import Question
@@ -256,11 +258,11 @@ def test_explore_dedupes_triples_across_rounds():
     state = ExplorationState()
     backend = permissive_backend()
     explore(krt39_question(), ["390792"], state, wide_open(), graph, backend, CostCounters())
-    first = list(state.found_triples)
+    first = list(state.found_triples.values())
     # Re-exploring from the same anchor adds nothing: everything is visited.
     explore(krt39_question(), ["390792"], state, wide_open(), graph, backend, CostCounters())
-    assert state.found_triples == first
-    keys = [(t.head_id, t.relation, t.tail_id) for t in state.found_triples]
+    assert list(state.found_triples.values()) == first
+    keys = [(t.head_id, t.relation, t.tail_id) for t in state.found_triples.values()]
     assert len(keys) == len(set(keys))
 
 
@@ -296,7 +298,7 @@ def test_explore_attribute_selection_is_opt_in():
     state = ExplorationState()
     explore(krt39_question(), ["390792"], state, config, graph, backend, counters)
     assert counters.llm_calls_by_tag["attributes"] == 1
-    assert state.relevant_attributes == [
+    assert list(state.relevant_attributes.values()) == [
         AttributeHit(entity_id="390792", entity_name="KRT39", key="name", value="KRT39")
     ]
 
@@ -319,7 +321,8 @@ def test_explore_depth_one_stops_at_first_ring():
     visited = {eid for eid, meta in state.seen_entities.items() if meta.visited}
     assert visited == {"n0000"}
     oracle_triples, oracle_entities = closure_oracle(graph, ["n0000"], 1)
-    assert {(t.head_id, t.relation, t.tail_id) for t in state.found_triples} == oracle_triples
+    found = {(t.head_id, t.relation, t.tail_id) for t in state.found_triples.values()}
+    assert found == oracle_triples
     assert set(state.seen_entities) == oracle_entities
 
 
@@ -334,6 +337,39 @@ def test_state_merge_unions_and_dedupes():
     assert merged.sufficient
     assert merged.found_triples == a.found_triples
     assert set(merged.seen_entities) == set(a.seen_entities)
+
+
+_IDS = st.sampled_from("xyz")
+
+
+@st.composite
+def exploration_states(draw, tag):
+    """A state over a three-node alphabet, so two drawn states share keys;
+    ``tag`` makes every entry's names tell which state it came from."""
+    triple_keys = draw(st.lists(st.tuples(_IDS, st.sampled_from("rs"), _IDS), max_size=8))
+    attr_keys = draw(st.lists(st.tuples(_IDS, st.sampled_from(["name", "size"])), max_size=4))
+    seen = draw(st.dictionaries(_IDS, st.builds(SeenEntity, st.booleans(), st.integers(0, 2))))
+    return ExplorationState(
+        seen_entities=seen,
+        found_triples={
+            k: Triple(f"{tag}{k[0]}", k[1], f"{tag}{k[2]}", k[0], k[2]) for k in triple_keys
+        },
+        relevant_attributes={k: AttributeHit(k[0], f"{tag}{k[0]}", k[1], tag) for k in attr_keys},
+        sufficient=draw(st.booleans()),
+    )
+
+
+@settings(deadline=None)
+@given(exploration_states("a"), exploration_states("b"))
+def test_state_merge_keeps_a_first_and_adds_only_b_new_keys(a, b):
+    before = copy.deepcopy((a, b))
+    merged = ExplorationState.merge(a, b)
+    for name in ("found_triples", "relevant_attributes"):
+        mine, theirs, union = getattr(a, name), getattr(b, name), getattr(merged, name)
+        assert list(union) == list(mine) + [k for k in theirs if k not in mine]
+        for key, entry in union.items():
+            assert entry is (mine[key] if key in mine else theirs[key])
+    assert (a, b) == before
 
 
 def test_state_merge_keeps_the_visited_flag_and_the_shallower_depth():
@@ -356,8 +392,8 @@ def test_state_clone_is_independent():
     clone = state.clone()
     clone.seen_entities["x"] = SeenEntity(visited=True, depth_discovered=0)
     clone.add_anchors(["y"])
-    clone.found_triples.append(Triple("x", "rel", "y", "x", "y"))
-    clone.relevant_attributes.append(AttributeHit("x", "x", "name", "x"))
+    clone.found_triples[("x", "rel", "y")] = Triple("x", "rel", "y", "x", "y")
+    clone.relevant_attributes[("x", "name")] = AttributeHit("x", "x", "name", "x")
     clone.sufficient = True
     assert state == ExplorationState(
         seen_entities={"x": SeenEntity(visited=False, depth_discovered=0)}
@@ -378,7 +414,8 @@ def test_exploring_a_clone_leaves_the_original_unchanged():
     # The second round visits the tails the first one discovered.
     explore(krt39_question(), [], clone, config, graph, permissive_backend(), CostCounters())
     assert clone.seen_entities["UBERON:0000033"].visited
-    assert clone.found_triples[0] is state.found_triples[0]  # shared, not copied
+    first = next(iter(state.found_triples))
+    assert clone.found_triples[first] is state.found_triples[first]  # shared, not copied
     assert state == before
 
 

@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphreason.costs import CostCounters
+from graphreason.prompts import get_template
 from graphreason.llm import (
-    DEFAULT_DECODING,
     FORMAT_REMINDER,
     MAX_TRANSPORT_RETRIES,
     TOKEN_ENV_VAR,
@@ -73,12 +73,19 @@ def test_decoding_params_validate():
 
 
 def test_default_decoding_covers_every_template():
-    from graphreason.prompts import TEMPLATE_NAMES
+    import graphreason
+    from graphreason import prompts
 
-    assert set(DEFAULT_DECODING) == set(TEMPLATE_NAMES)
-    assert DEFAULT_DECODING["agent_step"].stop == ("\nObservation",)
-    assert DEFAULT_DECODING["agent_step"].temperature == 0.7
-    assert DEFAULT_DECODING["prune_relations"].temperature == 0.0
+    assert DecodingParams is prompts.DecodingParams is graphreason.DecodingParams
+    sampled = DecodingParams(temperature=0.7, max_tokens=512)
+    expected = {name: DecodingParams() for name in prompts.PROMPT_TEMPLATES}
+    expected.update(
+        agent_step=DecodingParams(temperature=0.7, max_tokens=512, stop=("\nObservation",)),
+        search_thought=sampled,
+        got_merge=sampled,
+    )
+    assert DecodingParams() == DecodingParams(temperature=0.0, max_tokens=256, stop=())
+    assert {n: t.decoding for n, t in prompts.PROMPT_TEMPLATES.items()} == expected
 
 
 def test_request_for_renders_and_tags():
@@ -88,6 +95,7 @@ def test_request_for_renders_and_tags():
     assert "probe text" in request.prompt
     assert request.tag == "extract"
     assert request.decoding.temperature == 0.0
+    assert request.decoding is get_template("entity_extraction").decoding
 
 
 # --- replay backend ---------------------------------------------------------

@@ -8,7 +8,6 @@ from graphreason import prompts
 from graphreason.prompts import (
     MissingPlaceholderError,
     PROMPT_TEMPLATES,
-    TEMPLATE_NAMES,
     PromptTemplate,
     get_template,
     load_examples,
@@ -32,7 +31,6 @@ EXPECTED_NAMES = {
 
 
 def test_registry_is_frozen_to_the_known_set():
-    assert set(TEMPLATE_NAMES) == EXPECTED_NAMES
     assert set(PROMPT_TEMPLATES) == EXPECTED_NAMES
 
 

@@ -237,7 +237,9 @@ def test_evaluate_select_malformed_fills_in_creation_order():
 def test_select_vote_prompt_renders_attribute_hits_as_explore_does():
     hit = AttributeHit(entity_id="n0001", entity_name="alpha 1", key="colour", value="teal")
     candidates = [make_state(i) for i in range(1, 4)]
-    candidates[1].evidence.exploration = ExplorationState(relevant_attributes=[hit])
+    candidates[1].evidence.exploration = ExplorationState(
+        relevant_attributes={(hit.entity_id, hit.key): hit}
+    )
 
     class Recording:
         def __init__(self):
@@ -280,7 +282,7 @@ def test_evaluate_score_ties_break_toward_earlier_creation():
     assert [c.id for c in kept] == [1, 2]
 
 
-def test_evaluate_score_votes_average_and_malformed_votes_zero():
+def test_evaluate_score_malformed_vote_scores_zero_after_one_reask():
     candidates = [make_state(i, thought=f"CAND-{i} probe") for i in range(1, 3)]
     counters = CostCounters()
     backend = ReplayBackend(
@@ -289,14 +291,12 @@ def test_evaluate_score_votes_average_and_malformed_votes_zero():
             ReplayEntry("CAND-2", "no score given"),
         ]
     )
-    kept = evaluate_score(
-        candidates, 1, synthetic_question(), backend, counters, votes=2
-    )
+    kept = evaluate_score(candidates, 1, synthetic_question(), backend, counters)
     assert [c.id for c in kept] == [1]
     assert candidates[0].score == pytest.approx(0.8)
     assert candidates[1].score == 0.0
-    assert counters.llm_calls_by_tag["score"] == 4
-    assert counters.llm_calls_by_tag["score:reask"] == 2
+    assert counters.llm_calls_by_tag["score"] == 2
+    assert counters.llm_calls_by_tag["score:reask"] == 1
 
 
 def test_evaluate_score_is_input_order_invariant():
@@ -378,15 +378,17 @@ def test_merged_state_unions_evidence_and_marks_parents():
     shared = Triple(head_name="a", relation="r", tail_name="b", head_id="1", tail_id="2")
     only_b = Triple(head_name="b", relation="r", tail_name="c", head_id="2", tail_id="3")
     a = make_state(5)
-    a.evidence.exploration = ExplorationState(found_triples=[shared])
+    a.evidence.exploration = ExplorationState(found_triples={("1", "r", "2"): shared})
     b = make_state(6, thought="other")
-    b.evidence.exploration = ExplorationState(found_triples=[shared, only_b])
+    b.evidence.exploration = ExplorationState(
+        found_triples={("1", "r", "2"): shared, ("2", "r", "3"): only_b}
+    )
     merged = merged_state(a, b, "Unified view of both chains.", 9)
     assert merged.id == 9
     assert merged.depth == a.depth
     assert merged.parents == (5, 6)
     assert merged.status == "active"
-    assert merged.evidence.exploration.found_triples == [shared, only_b]
+    assert list(merged.evidence.exploration.found_triples.values()) == [shared, only_b]
     assert merged.evidence.thought_log == ["probe", "other", "Unified view of both chains."]
     assert a.status == "merged_away"
     assert b.status == "merged_away"
@@ -523,7 +525,8 @@ def test_got_explore_trace_writes_each_triple_once():
             merged += 1
             a, b = (result.states[p].evidence.exploration for p in state["parents"])
             union = ExplorationState.merge(a, b)
-            assert [Triple(**t) for t in state["evidence"]["triples"]] == union.found_triples
+            triples = [Triple(**t) for t in state["evidence"]["triples"]]
+            assert triples == list(union.found_triples.values())
             assert union.found_triples
     assert merged
 
@@ -605,9 +608,7 @@ def search_outcome(config, backend):
 
 CONCURRENCY_CONFIGS = {
     "tot-agent-select": dict(strategy="tot", interaction="agent", evaluator="select"),
-    "got-explore-score": dict(
-        strategy="got", interaction="explore", evaluator="score", score_votes=2
-    ),
+    "got-explore-score": dict(strategy="got", interaction="explore", evaluator="score"),
     "cot-agent": dict(strategy="cot", interaction="agent", d_max=4),
 }
 
