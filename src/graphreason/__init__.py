@@ -22,6 +22,7 @@ from .explore import (
     AttributeHit,
     ExplorationState,
     ExploreConfig,
+    ExploreMemo,
     end_check,
     explore,
     extract_entities,
@@ -81,6 +82,7 @@ __all__ = [
     "EvalResult",
     "ExplorationState",
     "ExploreConfig",
+    "ExploreMemo",
     "KnowledgeGraph",
     "NodeRecord",
     "PROMPT_TEMPLATES",

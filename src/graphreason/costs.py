@@ -32,6 +32,11 @@ KG_UNIT_EXPLORE = "explore_searches"
 class CostCounters:
     """Thread-safe meters for one run: model calls by tag, graph ops by kind.
 
+    ``memo_hits_by_tag`` counts, by the tag its call would carry, each
+    explore prune or attribute ask that a search's memo answered
+    (:class:`~graphreason.explore.ExploreMemo`). A hit is not a model call:
+    it is in neither ``llm_calls_by_tag`` nor ``llm_total``.
+
     ``explore_search_cost_max`` records the most graph operations any single
     automatic graph search consumed, operationalizing the per-search cost unit
     that the exploration bound is expressed in.
@@ -40,6 +45,7 @@ class CostCounters:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.llm_calls_by_tag: dict[str, int] = {}
+        self.memo_hits_by_tag: dict[str, int] = {}
         self.kg_ops_by_kind: dict[str, int] = {}
         self.transport_retries = 0
         self.explore_searches = 0
@@ -48,6 +54,10 @@ class CostCounters:
     def record_llm_call(self, tag: str) -> None:
         with self._lock:
             self.llm_calls_by_tag[tag] = self.llm_calls_by_tag.get(tag, 0) + 1
+
+    def record_memo_hit(self, tag: str) -> None:
+        with self._lock:
+            self.memo_hits_by_tag[tag] = self.memo_hits_by_tag.get(tag, 0) + 1
 
     def record_kg_op(self, kind: str) -> None:
         with self._lock:
@@ -67,6 +77,8 @@ class CostCounters:
         with self._lock:
             for tag, count in other.llm_calls_by_tag.items():
                 self.llm_calls_by_tag[tag] = self.llm_calls_by_tag.get(tag, 0) + count
+            for tag, count in other.memo_hits_by_tag.items():
+                self.memo_hits_by_tag[tag] = self.memo_hits_by_tag.get(tag, 0) + count
             for kind, count in other.kg_ops_by_kind.items():
                 self.kg_ops_by_kind[kind] = self.kg_ops_by_kind.get(kind, 0) + count
             self.transport_retries += other.transport_retries
@@ -92,6 +104,7 @@ class CostCounters:
         return {
             "llm_calls_by_tag": dict(sorted(self.llm_calls_by_tag.items())),
             "llm_total": self.llm_total(),
+            "memo_hits_by_tag": dict(sorted(self.memo_hits_by_tag.items())),
             "kg_ops_by_kind": dict(sorted(self.kg_ops_by_kind.items())),
             "kg_total": self.kg_total(),
             "transport_retries": self.transport_retries,

@@ -23,6 +23,7 @@ from .llm import (
     parse_yes_no,
     request_for,
 )
+from .prompts import _is_path_component
 from .textops import first_undecodable_line, tokenize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,11 +45,6 @@ _QUESTION_FIELDS = frozenset({"qid", "question", "answer", "difficulty", "domain
 
 class QuestionLoadError(ValueError):
     """A question file is malformed."""
-
-
-def _is_path_component(name: str) -> bool:
-    """Can ``name`` stand alone in a path, naming one entry of one directory?"""
-    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
 
 
 @dataclass(frozen=True)

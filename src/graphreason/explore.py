@@ -8,6 +8,12 @@ whether the collected evidence already answers the question. The state
 keys each triple by ``(head_id, relation, tail_id)`` and each attribute
 hit by ``(entity_id, key)``, so an entry found twice is stored once.
 
+The relation prune, the tail prune and the attribute selection see only
+the question, one entity and what the graph holds about it, never a
+thought or a state, and decode greedily. A search therefore asks each of
+them once per entity (or entity and relation): an :class:`ExploreMemo`
+keyed on graph ids answers every later ask in that search.
+
 Every model-driven selection has a deterministic fallback (a first-N
 prefix, or "keep nothing") so a run never dies on a malformed reply; with
 permissive replies and the caps effectively disabled, exploration reduces
@@ -17,7 +23,10 @@ to the plain d-hop closure of the anchors.
 from __future__ import annotations
 
 import logging
+import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import kg
 from .costs import CostCounters
@@ -111,6 +120,56 @@ class ExplorationState:
 
     def rendered_attributes(self) -> str:
         return "\n".join(render_attribute(hit) for hit in self.relevant_attributes.values())
+
+
+class ExploreMemo:
+    """The results of one search's stateless explore calls, keyed on graph ids.
+
+    Keys are ``("prune_relations", entity_id)``, ``("prune_entities",
+    head_id, relation)`` and ``("attributes", entity_id)``; the first item is
+    the tag of the call the key stands for. Within one search the question,
+    its domain, the graph and the caps are fixed, so the ids fix the prompt,
+    and the stored value is the call site's final result, fallback included.
+    A memo must therefore never outlive its search.
+
+    The first ask of a key computes it; an ask while that is running waits
+    on the same in-flight future, so each key is computed once whatever the
+    thread timing. Every other ask is metered as a hit, not as a call.
+    """
+
+    def __init__(self) -> None:
+        self._done: dict[tuple[str, ...], tuple] = {}
+        self._running: dict[tuple[str, ...], Future] = {}
+        self._lock = threading.Lock()
+
+    def get(
+        self,
+        key: tuple[str, ...],
+        counters: CostCounters,
+        compute: Callable[..., list],
+        *args: object,
+    ) -> tuple:
+        """``compute(*args)`` as a tuple, computed once per key."""
+        try:
+            result = self._done[key]
+        except KeyError:
+            with self._lock:
+                future = self._running.get(key)
+                owner = future is None
+                if owner:
+                    future = self._running[key] = Future()
+            if owner:
+                try:
+                    result = tuple(compute(*args))
+                except BaseException as exc:
+                    future.set_exception(exc)
+                    raise
+                self._done[key] = result
+                future.set_result(result)
+                return result
+            result = future.result()
+        counters.record_memo_hit(key[0])
+        return result
 
 
 def extract_entities(
@@ -297,6 +356,7 @@ def explore(
     counters: CostCounters,
     *,
     thoughts: str = "",
+    memo: ExploreMemo | None = None,
 ) -> ExplorationState:
     """Run up to ``search_depth`` pruned expansion rounds from the anchors.
 
@@ -305,7 +365,14 @@ def explore(
     harvests the kept edges into the state's keyed triples, then runs the stop
     check once; a Yes marks the state sufficient and ends the search. With
     no unvisited entities the round does nothing and no model call is made.
+
+    The relation and tail prunes and the attribute selection go through
+    ``memo``, which the search shares among all its states, so an entity
+    another state already pruned costs no call here; without one the call
+    makes its own. The stop check sees the state and is asked every round.
     """
+    if memo is None:
+        memo = ExploreMemo()
     state.add_anchors(anchors)
     for _ in range(config.search_depth):
         frontier = [eid for eid, meta in state.seen_entities.items() if not meta.visited]
@@ -318,19 +385,26 @@ def explore(
             node = graph.nodes[entity_id]
             head_name = node.features.get(kg.NAME_FEATURE, entity_id)
             if config.select_attributes and node.features:
-                for hit in search_attributes(question, entity_id, backend, counters, graph):
+                hits = memo.get(
+                    ("attributes", entity_id), counters,
+                    search_attributes, question, entity_id, backend, counters, graph,
+                )
+                for hit in hits:
                     state.relevant_attributes.setdefault((hit.entity_id, hit.key), hit)
             relations = [rel for rel, tails in node.out_edges.items() if tails]
             if not relations:
                 continue
-            selected_relations = prune_relations(
-                question, entity_id, relations, graph, backend, counters, config
+            selected_relations = memo.get(
+                ("prune_relations", entity_id), counters,
+                prune_relations, question, entity_id, relations, graph, backend, counters, config,
             )
             for relation in selected_relations:
                 counters.record_kg_op("neighbor_check")
                 tails = node.out_edges[relation]
-                selected_tails = prune_entities(
-                    question, entity_id, relation, tails, graph, backend, counters, config
+                selected_tails = memo.get(
+                    ("prune_entities", entity_id, relation), counters,
+                    prune_entities, question, entity_id, relation, tails, graph, backend,
+                    counters, config,
                 )
                 for tail_id in selected_tails:
                     key = (entity_id, relation, tail_id)

@@ -85,6 +85,7 @@ def request_for(
 
     A template with an ``{examples}`` slot gets the few-shot block of
     ``domain`` from :func:`prompts.load_examples`; callers never pass one.
+    That raises ``ValueError`` for a domain that is not one folder name.
     """
     template = prompts.get_template(template_name)
     if "examples" in template.required_placeholders:

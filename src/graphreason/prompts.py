@@ -264,6 +264,11 @@ def get_template(name: str) -> PromptTemplate:
         ) from None
 
 
+def _is_path_component(name: str) -> bool:
+    """Can ``name`` stand alone in a path, naming one entry of one directory?"""
+    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+
+
 @functools.cache
 def load_examples(template_name: str, domain: str) -> str:
     """Return the few-shot example block for (template, domain).
@@ -273,7 +278,13 @@ def load_examples(template_name: str, domain: str) -> str:
     gracefully. Each asset is read once per process, keyed on the domain and
     the template, so an edit to an asset file takes effect in the next
     process.
+
+    Raises:
+        ValueError: ``domain`` is not one folder name, so it could reach a
+            file outside ``assets/examples/``.
     """
+    if not _is_path_component(domain):
+        raise ValueError(f"domain {domain!r} cannot be a folder name")
     path = _ASSETS_ROOT / domain / f"{template_name}.txt"
     if not path.is_file():
         return ""

@@ -35,6 +35,7 @@ from .evaluation import Question
 from .explore import (
     ExplorationState,
     ExploreConfig,
+    ExploreMemo,
     explore,
     extract_entities,
     render_attribute,
@@ -214,6 +215,7 @@ def _ground_explore(
     backend: Backend,
     counters: CostCounters,
     config: SearchConfig,
+    memo: ExploreMemo | None,
 ) -> tuple[str, Evidence]:
     exploration = (
         parent.evidence.exploration.clone()
@@ -250,6 +252,7 @@ def _ground_explore(
         backend,
         counters,
         thoughts="\n".join(thought_log),
+        memo=memo,
     )
     counters.record_explore_search(counters.kg_total() - kg_before)
 
@@ -268,15 +271,23 @@ def expand_child(
     counters: CostCounters,
     config: SearchConfig,
     child_id: int,
+    memo: ExploreMemo | None = None,
 ) -> ThoughtState:
     """Generate and ground one child of ``parent``.
+
+    An explore child prunes through ``memo``, its search's memo of the
+    stateless explore calls (see :func:`explore`); without one its
+    exploration makes its own.
 
     Generation is the one call in either driver that is not made through
     ``complete_with_reask``, so a ``TransportError`` can only come from it.
     The child is then born pruned, carrying its parent's thought log and no
     other evidence, so a flaky call costs one candidate rather than the run.
     """
-    ground = _ground_agent if config.interaction == "agent" else _ground_explore
+    if config.interaction == "agent":
+        ground = _ground_agent
+    else:
+        ground = partial(_ground_explore, memo=memo)
     try:
         thought, evidence = ground(parent, question, graph, backend, counters, config)
     except TransportError:
@@ -533,10 +544,13 @@ def run_search(
     that many threads, otherwise inline; results are collected in state-id
     order either way, so the state graph does not depend on timing. Merged
     states are built here, on the calling thread, in pair order once every
-    merge thought is back, so no worker changes a shared state.
+    merge thought is back, so no worker changes a shared state. Explore
+    children share one :class:`ExploreMemo`, made here and dropped when the
+    search returns, so no question reuses another's prune results.
     """
     if counters is None:
         counters = CostCounters()
+    memo = ExploreMemo()
     root = ThoughtState(
         id=0, depth=0, thought=question.text, evidence=Evidence(), parents=()
     )
@@ -555,7 +569,7 @@ def run_search(
                     tasks.append(
                         partial(
                             expand_child, states[sid], question, graph, backend,
-                            config=config, child_id=next_id,
+                            config=config, child_id=next_id, memo=memo,
                         )
                     )
                     next_id += 1

@@ -373,7 +373,7 @@ def validate_trace(data: object) -> list[str]:
             bad("step-limit runs must classify as 'reached_limit'")
 
     counters = typed(data, "counters", dict)
-    for group in ("llm_calls_by_tag", "kg_ops_by_kind"):
+    for group in ("llm_calls_by_tag", "memo_hits_by_tag", "kg_ops_by_kind"):
         for key, value in typed(counters, group, dict, "counters.").items():
             if not isinstance(value, int) or value < 0:
                 bad(f"counters.{group}[{key!r}] must be a nonnegative integer")

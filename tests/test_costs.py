@@ -80,11 +80,13 @@ def test_as_dict_shape():
     counters.record_kg_op("node_fetch")
     counters.record_transport_retry()
     counters.record_explore_search(5)
+    counters.record_memo_hit("prune_relations")
 
     snapshot = counters.as_dict()
     assert snapshot == {
         "llm_calls_by_tag": {"answer": 1, "thought": 1},
         "llm_total": 2,
+        "memo_hits_by_tag": {"prune_relations": 1},
         "kg_ops_by_kind": {"node_fetch": 1},
         "kg_total": 1,
         "transport_retries": 1,

@@ -1,10 +1,13 @@
 """Template registry and rendering."""
 
+import os
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from graphreason import prompts
+from graphreason.llm import request_for
 from graphreason.prompts import (
     MissingPlaceholderError,
     PROMPT_TEMPLATES,
@@ -149,6 +152,15 @@ def test_load_examples_reads_packaged_assets():
 
 def test_load_examples_missing_domain_falls_back_to_zero_shot():
     assert load_examples("agent_step", "no-such-domain") == ""
+
+
+def test_load_examples_refuses_a_domain_outside_the_assets(tmp_path):
+    (tmp_path / "agent_step.txt").write_text("PLANTED\n", encoding="utf-8")
+    relative = os.path.relpath(tmp_path, prompts._ASSETS_ROOT)
+    with pytest.raises(ValueError, match="cannot be a folder name"):
+        load_examples("agent_step", relative)
+    with pytest.raises(ValueError, match="cannot be a folder name"):
+        request_for("agent_step", {}, tag="thought", domain=relative)
 
 
 def test_load_examples_reads_each_asset_once(tmp_path, monkeypatch):

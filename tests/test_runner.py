@@ -4,6 +4,7 @@ a run leaves on disk, and runs whose calls at one site always fail."""
 import dataclasses
 import gc
 import json
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +126,54 @@ def test_a_run_that_aborts_keeps_the_traces_it_finished(tmp_path):
     assert validate_trace(data) == []
     assert data["answer"] == f"beta {first}"
     assert not (out / "results.lines").exists()
+
+
+def explore_run(tmp_path, questions) -> Path:
+    """A got/explore run of ``questions`` on the permissive script; every
+    question anchors on the same entity."""
+    graph_path = tmp_path / "graph.kg"
+    save_graph(generate_synthetic_graph(11), graph_path)
+    out = tmp_path / "out"
+    run_experiment(
+        RunConfig(
+            kg_path=str(graph_path),
+            questions_path=str(write_question_file(tmp_path / "q.lines", questions)),
+            out_dir=str(out),
+            replay_path=str(write_replay_script(tmp_path / "s.replay", permissive_entries())),
+            strategy="got",
+            interaction="explore",
+            evaluator="score",
+            max_depth=2,
+            search_depth=1,
+        )
+    )
+    return out
+
+
+def test_each_question_pays_for_its_own_prunes(tmp_path):
+    """The prune memo belongs to one search: a second question that reaches
+    the same entities asks about them again."""
+    out = explore_run(tmp_path, [synthetic_question("q1"), synthetic_question("q2")])
+    first, second = (load_trace(out / "traces" / f"{q}.trace").counters for q in ("q1", "q2"))
+    assert first == second
+    assert first["llm_calls_by_tag"]["prune_relations"] > 0
+    assert first["memo_hits_by_tag"]["prune_relations"] > 0
+
+
+def test_traces_without_memo_hits_still_validate_and_score(tmp_path):
+    """Traces written before the prune memo have no
+    ``counters.memo_hits_by_tag``. They validate and rescore to the same
+    tables, since a hit is not a model call."""
+    out = explore_run(tmp_path, [synthetic_question("q1")])
+    old = tmp_path / "old"
+    old.mkdir()
+    data = json.loads((out / "traces" / "q1.trace").read_text(encoding="utf-8"))
+    assert data["counters"].pop("memo_hits_by_tag")
+    assert validate_trace(data) == []
+    (old / "q1.trace").write_text(json.dumps(data), encoding="utf-8")
+    score_run(old, str(tmp_path / "q.lines"), tmp_path / "rescore")
+    expected = (out / "results.lines").read_bytes()
+    assert (tmp_path / "rescore" / "results.lines").read_bytes() == expected
 
 
 def test_traces_in_the_indented_layout_still_load_and_score(inputs, tmp_path):

@@ -1,14 +1,17 @@
 """Search strategies: expansion, evaluation, merging, and the run loop."""
 
 import copy
+import json
 import random
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from graphreason import strategies
 from graphreason.costs import CostCounters
 from graphreason.explore import AttributeHit, ExplorationState, ExploreConfig, render_attribute
 from graphreason.kg import Triple, generate_synthetic_graph
@@ -551,14 +554,15 @@ MERGE_THOUGHT = "Merging the two candidate chains."
 class JitteryReplay(ReplayBackend):
     """Non-strict replay that declares ``width`` calls in flight and sleeps a
     seeded random time per call, so completions arrive out of order. It
-    records the most calls it saw in flight at once, and raises
-    TransportError for every request ``fail`` picks."""
+    records every request it was sent and the most calls it saw in flight
+    at once, and raises TransportError for every request ``fail`` picks."""
 
     def __init__(self, entries, *, width=4, delay_s=0.002, seed=0, fail=None):
         super().__init__(entries)
         self.max_in_flight = width
         self.delay_s = delay_s
         self.fail = fail
+        self.requests = []
         self.in_flight = 0
         self.peak = 0
         self._rng = random.Random(seed)
@@ -567,6 +571,7 @@ class JitteryReplay(ReplayBackend):
     def raw_complete(self, request):
         with self._meter:
             delay = self._rng.uniform(0, self.delay_s)
+            self.requests.append(request)
             self.in_flight += 1
             self.peak = max(self.peak, self.in_flight)
         try:
@@ -610,7 +615,21 @@ CONCURRENCY_CONFIGS = {
     "tot-agent-select": dict(strategy="tot", interaction="agent", evaluator="select"),
     "got-explore-score": dict(strategy="got", interaction="explore", evaluator="score"),
     "cot-agent": dict(strategy="cot", interaction="agent", d_max=4),
+    # Every child anchors on one entity, so k siblings generated at once
+    # reach its prunes together.
+    "got-explore-siblings": dict(
+        strategy="got", interaction="explore", evaluator="score", k=4, d_max=2,
+        explore=ExploreConfig(search_depth=1),
+    ),
 }
+
+PRUNE_TAGS = ("prune_relations", "prune_entities")
+
+
+def backend_calls_per_prune_key(backend):
+    """A prune prompt holds one entity (and relation) of one question, so
+    each distinct prompt stands for one memo key."""
+    return Counter(r.prompt for r in backend.requests if r.tag in PRUNE_TAGS)
 
 
 @pytest.mark.parametrize("name", sorted(CONCURRENCY_CONFIGS))
@@ -618,16 +637,51 @@ def test_concurrency_never_changes_results(name, fast_switching):
     config = SearchConfig(**CONCURRENCY_CONFIGS[name])
     serial = search_outcome(config, JitteryReplay(concurrency_entries(), width=1))
     for seed in range(3):
-        backend = JitteryReplay(concurrency_entries(), width=4, seed=seed)
+        backend = JitteryReplay(concurrency_entries(), width=4, seed=seed, delay_s=0.005)
         parallel = search_outcome(config, backend)
         assert parallel[0] == serial[0]
         assert parallel[1] == serial[1]
+        if config.interaction == "explore":
+            # Asks that overlap share the one in flight.
+            assert set(backend_calls_per_prune_key(backend).values()) == {1}
+    if config.interaction == "explore":
+        assert serial[1]["memo_hits_by_tag"]["prune_relations"]
     if name != "cot-agent":
         assert backend.peak > 1
     if name == "got-explore-score":
         counters = serial[1]
         assert counters["llm_calls_by_tag"]["merge"] and counters["llm_calls_by_tag"]["score"]
         assert counters["explore_search_cost_max"] < counters["kg_total"]
+
+
+def test_a_search_asks_each_prune_key_once(monkeypatch):
+    """Prune and attribute calls equal distinct keys, and every other ask is
+    a hit: the same search with no memo shared among its states makes one
+    call per ask and reaches the same states."""
+    config = SearchConfig(
+        strategy="got", interaction="explore", evaluator="score", d_max=2,
+        explore=ExploreConfig(select_attributes=True),
+    )
+    entries = [
+        ReplayEntry(TEMPLATE_MATCHERS["search_attributes"], "keep everything please"),
+        *permissive_entries(),
+    ]
+    shared = JitteryReplay(entries, width=1, delay_s=0)
+    trace, counters, _ = search_outcome(config, shared)
+    monkeypatch.setattr(strategies, "ExploreMemo", lambda: None)
+    unshared = JitteryReplay(entries, width=1, delay_s=0)
+    unshared_trace, unshared_counters, _ = search_outcome(config, unshared)
+
+    assert json.loads(trace)["states"] == json.loads(unshared_trace)["states"]
+    assert unshared_counters["memo_hits_by_tag"] == {}
+    for tag in PRUNE_TAGS + ("attributes",):
+        distinct = len({r.prompt for r in unshared.requests if r.tag == tag})
+        asks = unshared_counters["llm_calls_by_tag"][tag]
+        assert counters["llm_calls_by_tag"][tag] == distinct < asks
+        assert counters["memo_hits_by_tag"][tag] == asks - distinct
+        # The reply never parses, so each call draws one re-ask.
+        assert counters["llm_calls_by_tag"][tag + ":reask"] == distinct
+    assert set(backend_calls_per_prune_key(shared).values()) == {1}
 
 
 def test_concurrent_round_overlaps_calls_up_to_the_limit():

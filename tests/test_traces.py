@@ -486,6 +486,11 @@ def test_validator_rejects_negative_counters():
 
     expect(tampered(mutate), "nonnegative integer")
 
+    def mutate(d):
+        d["counters"]["memo_hits_by_tag"] = {"prune_entities": -2}
+
+    expect(tampered(mutate), "counters.memo_hits_by_tag['prune_entities'] must be a nonnegative")
+
 
 def test_validator_reports_multiple_violations_at_once():
     def mutate(d):
@@ -535,6 +540,7 @@ WRONG_TYPES = [
     ("counters", [], "counters must be an object, got a list"),
     ("counters", "0", "counters must be an object, got a string"),
     ("counters.llm_calls_by_tag", [1], "counters.llm_calls_by_tag must be an object"),
+    ("counters.memo_hits_by_tag", [1], "counters.memo_hits_by_tag must be an object"),
     ("eval", None, "eval must be an object, got null"),
     ("eval", [], "eval must be an object, got a list"),
     ("eval", "1.0", "eval must be an object, got a string"),
