@@ -20,6 +20,7 @@ import gc
 import json
 import logging
 import time
+import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -140,12 +141,26 @@ def preflight(config: RunConfig) -> None:
     else:
         if not config.endpoint or not config.model:
             raise ConfigError("wire backend requires both an endpoint and a model")
+        if not _is_absolute_http_url(config.endpoint):
+            raise ConfigError(
+                f"wire endpoint {config.endpoint!r} is not an absolute http:// or "
+                "https:// URL with a host"
+            )
     if config.concurrency < 1:
         raise ConfigError(f"concurrency must be >= 1, got {config.concurrency}")
     try:
         config.search_config()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _is_absolute_http_url(url: str) -> bool:
+    try:
+        parts = urllib.parse.urlsplit(url)
+        parts.port  # raises ValueError for a port that is not a number in range
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
 def build_backend(config: RunConfig) -> Backend:

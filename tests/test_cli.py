@@ -158,6 +158,25 @@ def test_run_rejects_an_explore_depth_that_explore_rejects(runner, workspace, tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "endpoint",
+    ["localhost:8000/v1/chat/completions", "/v1/chat/completions", "ftp://host/v1", "http:///v1"],
+)
+def test_a_wire_endpoint_that_is_not_an_http_url_is_a_one_line_error(
+    runner, workspace, tmp_path, command, endpoint
+):
+    out = tmp_path / "never"
+    wire = ("--backend", "wire", "--endpoint", endpoint, "--model", "m")
+    args = {
+        "run": run_args(workspace, out, *wire),
+        "sweep": sweep_args(workspace, out, *wire, "--axis", "max-depth", "--values", "2"),
+    }[command]
+    result = runner.invoke(main, args)
+    assert_one_line_error(result, repr(endpoint), "is not an absolute http:// or https:// URL")
+    assert not out.exists()
+
+
 def write_bad_questions(ws):
     """The question file, with one line naming its text ``text``."""
     path = Path(ws["questions"])

@@ -2,7 +2,8 @@
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given
@@ -222,20 +223,32 @@ def test_reask_skipped_when_first_reply_parses():
 
 
 class _StubHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keeps a connection open unless the client closes it
     requests_seen = []
+    connections = 0
     response_body = None
     status = 200
+    statuses = []  # consumed, one per request, before ``status`` applies
+    delay_s = 0.0
+    reply = "json"  # or "not-json", "hang-up", "cut-body"
+
+    def setup(self):
+        type(self).connections += 1
+        super().setup()
 
     def do_POST(self):
+        stub = type(self)
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
-        type(self).requests_seen.append(
-            {"payload": payload, "auth": self.headers.get("Authorization")}
-        )
-        body = json.dumps(type(self).response_body).encode()
-        self.send_response(type(self).status)
+        stub.requests_seen.append({"payload": payload, "auth": self.headers.get("Authorization")})
+        time.sleep(stub.delay_s)
+        if stub.reply == "hang-up":
+            self.close_connection = True
+            return
+        body = b"not json" if stub.reply == "not-json" else json.dumps(stub.response_body).encode()
+        self.send_response(stub.statuses.pop(0) if stub.statuses else stub.status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Content-Length", str(len(body) + (100 if stub.reply == "cut-body" else 0)))
         self.end_headers()
         self.wfile.write(body)
 
@@ -245,17 +258,32 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture()
 def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     _StubHandler.requests_seen = []
+    _StubHandler.connections = 0
     _StubHandler.status = 200
+    _StubHandler.statuses = []
+    _StubHandler.delay_s = 0.0
+    _StubHandler.reply = "json"
     _StubHandler.response_body = {
         "choices": [{"message": {"content": "wire reply"}}]
     }
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture()
+def proxy_env(monkeypatch):
+    """An environment whose only proxy settings are the ones a test sets."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch
 
 
 def test_wire_backend_payload_and_auth(stub_server, monkeypatch):
@@ -304,6 +332,61 @@ def test_wire_backend_connection_refused_is_transport_error():
     backend = WireBackend(endpoint="http://127.0.0.1:9", model="m-1", timeout_s=0.5)
     with pytest.raises(TransportError):
         backend.raw_complete(_request())
+
+
+def test_wire_backend_non_json_body_is_transport_error(stub_server):
+    _StubHandler.reply = "not-json"
+    backend = WireBackend(endpoint=stub_server, model="m-1")
+    with pytest.raises(TransportError, match="not JSON"):
+        backend.raw_complete(_request())
+
+
+def test_wire_backend_timeout_is_transport_error(stub_server):
+    _StubHandler.delay_s = 0.5
+    backend = WireBackend(endpoint=stub_server, model="m-1", timeout_s=0.2)
+    with pytest.raises(TransportError) as raised:
+        backend.raw_complete(_request())
+    assert isinstance(raised.value.__cause__, TimeoutError)
+
+
+@pytest.mark.parametrize("reply", ["hang-up", "cut-body"])
+def test_wire_backend_dropped_connection_is_transport_error(stub_server, reply):
+    _StubHandler.reply = reply
+    backend = WireBackend(endpoint=stub_server, model="m-1", timeout_s=5)
+    with pytest.raises(TransportError):
+        backend.raw_complete(_request())
+
+
+def test_wire_backend_503_is_retried_by_complete(stub_server):
+    _StubHandler.statuses = [503]
+    counters = CostCounters()
+    backend = WireBackend(endpoint=stub_server, model="m-1")
+    assert complete(backend, _request(), counters) == "wire reply"
+    assert counters.llm_total() == 1
+    assert counters.transport_retries == 1
+    assert len(_StubHandler.requests_seen) == 2
+
+
+def test_wire_backend_opens_one_connection_per_call(stub_server):
+    backend = WireBackend(endpoint=stub_server, model="m-1")
+    backend.raw_complete(_request())
+    backend.raw_complete(_request())
+    assert _StubHandler.connections == 2
+
+
+def test_wire_backend_honours_no_proxy(stub_server, proxy_env):
+    proxy_env.setenv("HTTP_PROXY", "http://127.0.0.1:9")
+    proxy_env.setenv("NO_PROXY", "127.0.0.1")
+    backend = WireBackend(endpoint=stub_server, model="m-1", timeout_s=5)
+    assert backend.raw_complete(_request()) == "wire reply"
+
+
+def test_wire_backend_sends_through_the_proxy(stub_server, proxy_env):
+    proxy_env.setenv("HTTP_PROXY", "http://127.0.0.1:9")
+    backend = WireBackend(endpoint=stub_server, model="m-1", timeout_s=5)
+    with pytest.raises(TransportError):
+        backend.raw_complete(_request())
+    assert _StubHandler.requests_seen == []
 
 
 # --- parsers ----------------------------------------------------------------
