@@ -16,9 +16,11 @@ import re
 from dataclasses import dataclass, field, replace
 
 from . import kg
-from .costs import GENERATION_TAG, CostCounters
+from .costs import DEFAULT_MAX_ACTIONS_PER_STEP, GENERATION_TAG, CostCounters
 from .evaluation import Question
-from .llm import Backend, MalformedOutputError, complete, reask_request, request_for
+from .llm import (
+    Backend, MalformedOutputError, closing_bracket, complete, reask_request, request_for
+)
 
 logger = logging.getLogger(__name__)
 
@@ -38,8 +40,6 @@ _ARITY = {
 _SPELLING_ALIASES = {"NeighbourCheck": ACTION_NEIGHBORS}
 
 _KNOWN_NAMES = frozenset(_ARITY) | {ACTION_FINISH} | frozenset(_SPELLING_ALIASES)
-
-DEFAULT_MAX_ACTIONS_PER_STEP = 4
 
 ACTION_REMINDER = (
     "\nReminder: reply with a Thought followed by a line of the form "
@@ -113,21 +113,20 @@ _THOUGHT_PREFIX_RE = re.compile(r"^Thought(?:\s+\d+)?\s*:\s*")
 
 
 def _split_top_level(content: str) -> list[str]:
-    """Split on commas outside nested brackets; arguments are trimmed."""
+    """Split on commas outside nested brackets; arguments are trimmed.
+
+    ``content`` is the inside of a balanced span, so every ``[`` in it closes.
+    """
     parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for char in content:
-        if char == "[":
-            depth += 1
-        elif char == "]":
-            depth -= 1
-        if char == "," and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(char)
-    parts.append("".join(current).strip())
+    start = i = 0
+    while i < len(content):
+        if content[i] == "[":
+            i = closing_bracket(content, i)
+        elif content[i] == ",":
+            parts.append(content[start:i].strip())
+            start = i + 1
+        i += 1
+    parts.append(content[start:].strip())
     return parts
 
 
@@ -149,16 +148,7 @@ def _scan_spans(text: str):
         if cursor >= len(text) or text[cursor] != "[" or not name[0].isupper():
             pos = match.end()
             continue
-        depth = 0
-        end = None
-        for i in range(cursor, len(text)):
-            if text[i] == "[":
-                depth += 1
-            elif text[i] == "]":
-                depth -= 1
-                if depth == 0:
-                    end = i
-                    break
+        end = closing_bracket(text, cursor)
         if end is None:
             raise MalformedActionError(f"unbalanced brackets in action text: {text[pos:pos+80]!r}")
         yield name, text[cursor + 1 : end]

@@ -37,8 +37,14 @@ def main() -> None:
     """Knowledge-graph grounded stepwise reasoning runner."""
 
 
-def _choice(name: str, values, default: str):
-    return click.option(name, type=click.Choice(sorted(values)), default=default, show_default=True)
+def _defaulted(name: str, kind, help: str | None = None):
+    """An option showing its default: ``RunConfig``'s field of the same name."""
+    default = getattr(RunConfig, name[2:].replace("-", "_"))
+    return click.option(name, type=kind, default=default, show_default=True, help=help)
+
+
+def _choice(name: str, values):
+    return _defaulted(name, click.Choice(sorted(values)))
 
 
 def _run_options(command):
@@ -46,20 +52,18 @@ def _run_options(command):
         click.option("--kg", "kg_path", required=True, help="Knowledge graph file."),
         click.option("--questions", "questions_path", required=True, help="Question file."),
         click.option("--out", "out_dir", required=True, help="Output directory."),
-        _choice("--strategy", VALID_STRATEGIES, "cot"),
-        _choice("--interaction", VALID_INTERACTIONS, "agent"),
-        _choice("--evaluator", VALID_EVALUATORS, "select"),
-        click.option("--branching", type=int, default=3, show_default=True, help="Children per state."),
-        click.option("--retain", type=int, default=3, show_default=True, help="Beam width."),
-        click.option("--max-depth", type=int, default=3, show_default=True, help="Depth limit."),
-        click.option(
-            "--search-depth", type=int, default=3, show_default=True, help="Graph search depth."
-        ),
-        _choice("--backend", VALID_BACKENDS, "replay"),
-        click.option("--endpoint", default=None, help="Wire backend URL."),
-        click.option("--model", default=None, help="Wire backend model name."),
-        click.option("--replay", "replay_path", default=None, help="Replay script file."),
-        _choice("--judge", VALID_JUDGES, "none"),
+        _choice("--strategy", VALID_STRATEGIES),
+        _choice("--interaction", VALID_INTERACTIONS),
+        _choice("--evaluator", VALID_EVALUATORS),
+        _defaulted("--branching", int, "Children per state."),
+        _defaulted("--retain", int, "Beam width."),
+        _defaulted("--max-depth", int, "Depth limit."),
+        _defaulted("--search-depth", int, "Graph search depth."),
+        _choice("--backend", VALID_BACKENDS),
+        click.option("--endpoint", help="Wire backend URL."),
+        click.option("--model", help="Wire backend model name."),
+        click.option("--replay", "replay_path", help="Replay script file."),
+        _choice("--judge", VALID_JUDGES),
     ]
     for option in reversed(options):
         command = option(command)

@@ -25,6 +25,9 @@ MERGE_TAG = "merge"
 #: reply.
 REASK_SUFFIX = ":reask"
 
+#: Graph actions one agent step may execute; later ones are observed as skipped.
+DEFAULT_MAX_ACTIONS_PER_STEP = 4
+
 KG_UNIT_OPS = "ops"
 KG_UNIT_EXPLORE = "explore_searches"
 
@@ -141,7 +144,9 @@ def _merge_bound(k: int, t: int, depth: int) -> int:
     return sum((k * t**i) // 2 for i in range(1, depth + 1))
 
 
-def bound_for(cfg, n: int, d: int, *, max_actions_per_step: int = 4) -> CostBound:
+def bound_for(
+    cfg, n: int, d: int, *, max_actions_per_step: int = DEFAULT_MAX_ACTIONS_PER_STEP
+) -> CostBound:
     """Evaluate the closed-form cost bounds for a search configuration.
 
     Generation-call bounds: ``n`` for chains; ``k * (t**D - 1) / (t - 1)``

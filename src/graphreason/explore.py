@@ -31,7 +31,9 @@ from typing import Callable
 from . import kg
 from .costs import CostCounters
 from .evaluation import Question
-from .llm import Backend, complete_with_reask, parse_bracketed_answer, request_for
+from .llm import (
+    Backend, complete_with_reask, parse_bracketed_answer, parse_bracketed_list, request_for
+)
 
 logger = logging.getLogger(__name__)
 
@@ -180,12 +182,7 @@ def extract_entities(
 ) -> list[str]:
     """Pull entity surface forms out of free text; malformed replies yield []."""
     request = request_for("entity_extraction", {"text": text}, tag="extract", domain=domain)
-
-    def parse(reply: str) -> list[str]:
-        span = parse_bracketed_answer(reply)
-        return [part.strip() for part in span.split(",") if part.strip()]
-
-    return complete_with_reask(backend, request, counters, parse, [])
+    return complete_with_reask(backend, request, counters, parse_bracketed_list, [])
 
 
 def resolve_anchors(
@@ -233,12 +230,8 @@ def prune_relations(
         tag="prune_relations",
         domain=question.domain,
     )
-
-    def parse(reply: str) -> set[str]:
-        span = parse_bracketed_answer(reply)
-        return {part.strip().casefold() for part in span.split(",") if part.strip()}
-
-    answered = complete_with_reask(backend, request, counters, parse, set())
+    replied = complete_with_reask(backend, request, counters, parse_bracketed_list, [])
+    answered = {name.casefold() for name in replied}
     selected = [rel for rel in relations if rel.casefold() in answered] or relations
     return selected[: config.max_relations_per_entity]
 
@@ -260,26 +253,23 @@ def prune_entities(
     """
     if not tail_ids:
         raise ValueError(f"prune_entities needs a nonempty tail list for {head_id}")
+    names = [kg.node_name(graph, tid) for tid in tail_ids]
     request = request_for(
         "prune_entities",
         {
             "question": question.text,
             "head_entity": kg.node_name(graph, head_id),
             "relation": relation,
-            "tail_entities": ", ".join(kg.node_name(graph, tid) for tid in tail_ids),
+            "tail_entities": ", ".join(names),
         },
         tag="prune_entities",
         domain=question.domain,
     )
-
-    def parse(reply: str) -> set[str]:
-        span = parse_bracketed_answer(reply)
-        return {part.strip() for part in span.split(",") if part.strip()}
-
-    answered = complete_with_reask(backend, request, counters, parse, None)
-    if answered is None:
+    replied = complete_with_reask(backend, request, counters, parse_bracketed_list, None)
+    if replied is None:
         return tail_ids[: config.max_neighbors_per_relation]
-    selected = [tid for tid in tail_ids if kg.node_name(graph, tid) in answered]
+    answered = set(replied)
+    selected = [tid for tid, name in zip(tail_ids, names) if name in answered]
     return selected[: config.max_neighbors_per_relation]
 
 
@@ -306,10 +296,9 @@ def search_attributes(
     )
 
     def parse(reply: str) -> list[str]:
-        span = parse_bracketed_answer(reply)
-        if span.casefold() == "none":
+        if parse_bracketed_answer(reply).casefold() == "none":
             return []
-        return [part.strip() for part in span.split(",") if part.strip()]
+        return parse_bracketed_list(reply)
 
     answered = set(complete_with_reask(backend, request, counters, parse, []))
     return [

@@ -310,6 +310,26 @@ def parse_bracketed_answer(text: str) -> str:
     return last.strip()
 
 
+def parse_bracketed_list(text: str) -> list[str]:
+    """The comma-separated items of :func:`parse_bracketed_answer`, trimmed,
+    empty items dropped."""
+    return [item for item in map(str.strip, parse_bracketed_answer(text).split(",")) if item]
+
+
+def closing_bracket(text: str, start: int) -> int | None:
+    """Index of the ``]`` that closes the ``[`` at ``text[start]``, counting
+    nested pairs; None when the span never closes."""
+    depth = 0
+    for i in range(start, len(text)):
+        if text[i] == "[":
+            depth += 1
+        elif text[i] == "]":
+            depth -= 1
+            if depth == 0:
+                return i
+    return None
+
+
 def parse_yes_no(text: str) -> bool:
     """Strict Yes/No reading of the bracketed span."""
     token = parse_bracketed_answer(text).casefold()

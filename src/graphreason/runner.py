@@ -74,19 +74,19 @@ class RunConfig:
     questions_path: str
     out_dir: str
     strategy: str = "cot"
-    interaction: str = "agent"
-    evaluator: str = "select"
-    branching: int = 3
-    retain: int = 3
-    max_depth: int = 3
-    search_depth: int = 3
+    interaction: str = SearchConfig.interaction
+    evaluator: str = SearchConfig.evaluator
+    branching: int = SearchConfig.k
+    retain: int = SearchConfig.t
+    max_depth: int = SearchConfig.d_max
+    search_depth: int = ExploreConfig.search_depth
     backend: str = "replay"
     endpoint: str | None = None
     model: str | None = None
     replay_path: str | None = None
     judge: str = "none"
     concurrency: int = 1
-    max_actions_per_step: int = 4
+    max_actions_per_step: int = SearchConfig.max_actions_per_step
 
     @property
     def steps(self) -> int:

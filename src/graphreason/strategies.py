@@ -30,7 +30,7 @@ from typing import Callable, TypeVar
 
 from . import kg
 from .agent import Scratchpad, run_agent_step
-from .costs import GENERATION_TAG, MERGE_TAG, CostCounters
+from .costs import DEFAULT_MAX_ACTIONS_PER_STEP, GENERATION_TAG, MERGE_TAG, CostCounters
 from .evaluation import Question
 from .explore import (
     ExplorationState,
@@ -46,6 +46,7 @@ from .llm import (
     CompletionRequest,
     MalformedOutputError,
     TransportError,
+    closing_bracket,
     complete,
     complete_with_reask,
     parse_bracketed_answer,
@@ -114,7 +115,7 @@ class SearchConfig:
     k: int = 3
     t: int = 3
     d_max: int = 3
-    max_actions_per_step: int = 4
+    max_actions_per_step: int = DEFAULT_MAX_ACTIONS_PER_STEP
     explore: ExploreConfig = ExploreConfig()
 
     def __post_init__(self) -> None:
@@ -180,15 +181,10 @@ def parse_finish_answer(text: str) -> str:
     match = _FINISH_RE.search(text)
     if match is None:
         raise MalformedOutputError(f"no Finish[...] span in: {text[:120]!r}")
-    depth = 0
-    for i in range(match.end() - 1, len(text)):
-        if text[i] == "[":
-            depth += 1
-        elif text[i] == "]":
-            depth -= 1
-            if depth == 0:
-                return text[match.end() : i].strip()
-    raise MalformedOutputError("unbalanced Finish[...] span")
+    end = closing_bracket(text, match.end() - 1)
+    if end is None:
+        raise MalformedOutputError("unbalanced Finish[...] span")
+    return text[match.end() : end].strip()
 
 
 def _ground_agent(
@@ -338,20 +334,9 @@ def evaluate_select(
         return numbers
 
     picks = complete_with_reask(backend, request, counters, parse, [])
-    retained: list[ThoughtState] = []
-    seen: set[int] = set()
-    for pick in picks:
-        if 1 <= pick <= len(candidates) and pick not in seen:
-            seen.add(pick)
-            retained.append(candidates[pick - 1])
-        if len(retained) == t:
-            return retained
-    for i, candidate in enumerate(candidates, 1):
-        if i not in seen:
-            retained.append(candidate)
-        if len(retained) == t:
-            break
-    return retained
+    in_range = [pick - 1 for pick in picks if 1 <= pick <= len(candidates)]
+    order = dict.fromkeys(in_range + list(range(len(candidates))))
+    return [candidates[i] for i in list(order)[:t]]
 
 
 def evaluate_score(
@@ -506,20 +491,13 @@ def _gather(
     Each task is called as ``task(counters=meters)`` with meters of its own,
     folded into ``counters`` in task order once all are done, so a task's
     meters (an explore search's cost among them) never hold another task's
-    work. Without a pool the tasks run inline, in order; with one, the first
-    failure in task order propagates and tasks not yet started are cancelled.
+    work. Without a pool the tasks run inline, in order; with one they run
+    through ``pool.map``, so the first failure in task order propagates and
+    tasks not yet started are cancelled.
     """
     meters = [CostCounters() for _ in tasks]
-    if pool is None:
-        results = [task(counters=m) for task, m in zip(tasks, meters)]
-    else:
-        futures = [pool.submit(task, counters=m) for task, m in zip(tasks, meters)]
-        try:
-            results = [future.result() for future in futures]
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
+    mapper = map if pool is None else pool.map
+    results = list(mapper(lambda task, m: task(counters=m), tasks, meters))
     for m in meters:
         counters.add(m)
     return results

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import kg
@@ -36,16 +36,15 @@ SWEEP_SCHEMA = "sweep/v1"
 
 
 def _serialize_scratchpad(pad: Scratchpad | None) -> list[dict] | None:
+    """Each step's fields, its tuples written as lists so a loaded trace
+    equals the one built in memory."""
     if pad is None:
         return None
     return [
         {
-            "index": step.index,
-            "thought": step.thought,
-            "raw_action": step.raw_action,
+            **vars(step),
             "actions": [{"kind": a.kind, "args": list(a.args)} for a in step.actions],
             "observations": list(step.observations),
-            "malformed": step.malformed,
         }
         for step in pad.steps
     ]
@@ -58,14 +57,16 @@ def _serialize_exploration(exploration: ExplorationState | None) -> dict | None:
         return None
     return {
         "seen_entities": {
-            eid: {"visited": meta.visited, "depth_discovered": meta.depth_discovered}
-            for eid, meta in exploration.seen_entities.items()
+            eid: vars(meta).copy() for eid, meta in exploration.seen_entities.items()
         },
         "sufficient": exploration.sufficient,
     }
 
 
 def _serialize_state(state: ThoughtState) -> dict:
+    """A state's fields; triple, attribute and seen-entity rows hold exactly
+    the fields of their records, which ``TraceRecord.evidence_strings``
+    reads back."""
     evidence = state.evidence
     explored = evidence.exploration or ExplorationState()
     return {
@@ -76,25 +77,8 @@ def _serialize_state(state: ThoughtState) -> dict:
         "status": state.status,
         "score": state.score,
         "evidence": {
-            "triples": [
-                {
-                    "head_id": t.head_id,
-                    "head_name": t.head_name,
-                    "relation": t.relation,
-                    "tail_id": t.tail_id,
-                    "tail_name": t.tail_name,
-                }
-                for t in explored.found_triples.values()
-            ],
-            "attributes": [
-                {
-                    "entity_id": h.entity_id,
-                    "entity_name": h.entity_name,
-                    "key": h.key,
-                    "value": h.value,
-                }
-                for h in explored.relevant_attributes.values()
-            ],
+            "triples": [vars(t).copy() for t in explored.found_triples.values()],
+            "attributes": [vars(h).copy() for h in explored.relevant_attributes.values()],
             "thought_log": list(evidence.thought_log),
             "answer": evidence.answer,
             "scratchpad": _serialize_scratchpad(evidence.scratchpad),
@@ -146,19 +130,7 @@ class TraceRecord:
         return strings
 
     def as_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "qid": self.qid,
-            "question": self.question,
-            "config": self.config,
-            "states": self.states,
-            "frontier": self.frontier,
-            "answer": self.answer,
-            "termination": self.termination,
-            "counters": self.counters,
-            "eval": self.eval,
-            "timestamps": self.timestamps,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def build_trace(

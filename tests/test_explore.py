@@ -162,12 +162,13 @@ def test_prune_entities_malformed_keeps_prefix():
     assert selected == ["UBERON:0000033"]
 
 
-def test_search_attributes_exact_key_match():
+@pytest.mark.parametrize("reply", ["{{name}}", "{{name, none}}"])
+def test_search_attributes_exact_key_match(reply):
     graph = krt39_graph()
     hits = search_attributes(
         krt39_question(),
         "UBERON:0000033",
-        backend_of(search_attributes="{{name}}"),
+        backend_of(search_attributes=reply),
         CostCounters(),
         graph,
     )

@@ -25,7 +25,9 @@ from graphreason.llm import (
     WireBackend,
     complete,
     complete_with_reask,
+    closing_bracket,
     parse_bracketed_answer,
+    parse_bracketed_list,
     parse_last_number,
     parse_yes_no,
     request_for,
@@ -410,6 +412,35 @@ def test_parse_bracketed_answer(text, expected):
 def test_parse_bracketed_answer_rejects_bare_text():
     with pytest.raises(MalformedOutputError):
         parse_bracketed_answer("nothing here")
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("{{a, , b }}", ["a", "b"]),
+        ("{{x, y}} then [z]", ["z"]),
+        ("[ , ]", []),
+    ],
+)
+def test_parse_bracketed_list(text, expected):
+    assert parse_bracketed_list(text) == expected
+
+
+def test_parse_bracketed_list_rejects_bare_text():
+    with pytest.raises(MalformedOutputError):
+        parse_bracketed_list("a, b")
+
+
+@pytest.mark.parametrize(
+    "text, start, expected",
+    [
+        ("[a [b] c] d", 0, 8),
+        ("[unclosed [b]", 0, None),
+        ("Finish[x] Finish[y]", 16, 18),
+    ],
+)
+def test_closing_bracket(text, start, expected):
+    assert closing_bracket(text, start) == expected
 
 
 @pytest.mark.parametrize(

@@ -8,8 +8,11 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphreason import strategies
 from graphreason.costs import CostCounters
@@ -235,6 +238,20 @@ def test_evaluate_select_malformed_fills_in_creation_order():
     )
     assert [c.id for c in kept] == [1, 2]
     assert counters.llm_calls_by_tag == {"select": 1, "select:reask": 1}
+
+
+@given(picks=st.lists(st.integers(0, 7), min_size=1, max_size=6), t=st.integers(1, 4))
+def test_evaluate_select_keeps_in_range_picks_then_creation_order(picks, t):
+    candidates = [make_state(i) for i in range(1, 6)]
+    reply = "{{" + ", ".join(map(str, picks)) + "}}"
+    kept = evaluate_select(
+        candidates, t, synthetic_question(), selection_backend(reply), CostCounters()
+    )
+    expected: list[int] = []
+    for choice in picks + [1, 2, 3, 4, 5]:
+        if 1 <= choice <= 5 and choice not in expected:
+            expected.append(choice)
+    assert [c.id for c in kept] == expected[:t]
 
 
 def test_select_vote_prompt_renders_attribute_hits_as_explore_does():
@@ -781,3 +798,24 @@ def test_concurrent_siblings_leave_their_shared_parent_unchanged(interaction, fa
     grown = [(c.evidence.scratchpad, c.evidence.exploration) for c in children]
     assert grown == [grown[0]] * config.k
     assert grown[0] != (before.scratchpad, before.exploration)
+
+
+def test_concurrent_round_failure_cancels_tasks_not_yet_started():
+    # One worker: task 0 fails while at most one later task has been taken
+    # up; every other task must be cancelled rather than run once the
+    # failure has propagated.
+    started = []
+    release = threading.Event()
+
+    def task(index, counters):
+        if index == 0:
+            raise RuntimeError("task 0 failed")
+        started.append(index)
+        release.wait(timeout=5)
+        return index
+
+    with ThreadPoolExecutor(1) as pool:
+        with pytest.raises(RuntimeError, match="task 0 failed"):
+            strategies._gather(pool, [partial(task, i) for i in range(6)], CostCounters())
+        release.set()
+    assert len(started) <= 1
