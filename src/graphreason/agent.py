@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import kg
-from .costs import DEFAULT_MAX_ACTIONS_PER_STEP, GENERATION_TAG, CostCounters
+from .costs import GENERATION_TAG, MAX_ACTIONS_PER_STEP, CostCounters
 from .evaluation import Question
 from .llm import (
     Backend, MalformedOutputError, closing_bracket, complete, reask_request, request_for
@@ -61,10 +61,10 @@ class AgentAction:
 class AgentStep:
     """One executed step: thought, actions as parsed and as written, feedback.
 
-    Frozen, so a child's scratchpad shares its ancestors' steps.
+    Frozen, so a child's scratchpad shares its ancestors' steps. Its number
+    is its position in the scratchpad, counted from 1.
     """
 
-    index: int
     thought: str
     raw_action: str
     actions: tuple[AgentAction, ...]
@@ -76,19 +76,16 @@ class AgentStep:
 class Scratchpad:
     steps: list[AgentStep] = field(default_factory=list)
 
-    def next_index(self) -> int:
-        return len(self.steps) + 1
-
     def render(self, next_index: int | None = None) -> str:
         lines: list[str] = []
-        for step in self.steps:
-            lines.append(f"Thought {step.index}: {step.thought}")
+        for index, step in enumerate(self.steps, 1):
+            lines.append(f"Thought {index}: {step.thought}")
             if step.malformed:
-                lines.append(f"Action {step.index}: (malformed output; no operation executed)")
+                lines.append(f"Action {index}: (malformed output; no operation executed)")
                 continue
-            lines.append(f"Action {step.index}: {step.raw_action}")
+            lines.append(f"Action {index}: {step.raw_action}")
             for obs in step.observations:
-                lines.append(f"Observation {step.index}: {obs}")
+                lines.append(f"Observation {index}: {obs}")
         if next_index is not None:
             lines.append(f"Thought {next_index}:")
         return "\n".join(lines)
@@ -98,12 +95,10 @@ class Scratchpad:
 
     @classmethod
     def merge(cls, a: "Scratchpad", b: "Scratchpad") -> "Scratchpad":
-        """a's steps then b's, each ``(thought, raw_action)`` once, renumbered from 1."""
+        """a's steps then b's, each ``(thought, raw_action)`` once; the steps are shared."""
         steps: dict[tuple[str, str], AgentStep] = {}
         for step in a.steps + b.steps:
-            key = (step.thought, step.raw_action)
-            if key not in steps:
-                steps[key] = replace(step, index=len(steps) + 1)
+            steps.setdefault((step.thought, step.raw_action), step)
         return cls(steps=list(steps.values()))
 
 
@@ -245,17 +240,16 @@ def run_agent_step(
     graph: kg.KnowledgeGraph,
     backend: Backend,
     counters: CostCounters,
-    *,
-    max_actions_per_step: int = DEFAULT_MAX_ACTIONS_PER_STEP,
 ) -> str | None:
     """Run one thought/action/observation step, appending it to ``scratchpad``.
 
     Returns the Finish payload (possibly ``""``) when the step issued
-    Finish, else None to keep going. A reply that stays malformed after one
-    re-ask is recorded as a no-op step that still counts toward the step
-    limit.
+    Finish, else None to keep going. At most ``MAX_ACTIONS_PER_STEP`` graph
+    actions run; later ones are observed as skipped. A reply that stays
+    malformed after one re-ask is recorded as a no-op step that still counts
+    toward the step limit.
     """
-    index = scratchpad.next_index()
+    index = len(scratchpad.steps) + 1
     request = request_for(
         "agent_step",
         {
@@ -267,46 +261,36 @@ def run_agent_step(
         domain=question.domain,
     )
     reply = complete(backend, request, counters)
+    malformed = False
     try:
         thought, raw_action, actions = _parse_step_reply(reply)
     except MalformedActionError:
-        # Not complete_with_reask: the no-op step below records the second reply.
+        # Not complete_with_reask: the no-op step records the second reply.
         reply = complete(backend, reask_request(request, ACTION_REMINDER), counters)
         try:
             thought, raw_action, actions = _parse_step_reply(reply)
         except MalformedActionError:
             logger.debug("step %d stayed malformed after re-ask", index)
-            scratchpad.steps.append(
-                AgentStep(
-                    index=index,
-                    thought=reply.strip(),
-                    raw_action="",
-                    actions=(),
-                    observations=(),
-                    malformed=True,
-                )
-            )
-            return None
+            thought, raw_action, actions, malformed = reply.strip(), "", [], True
 
+    # Until the cap, each executed action adds exactly one observation.
     observations: list[str] = []
     finish_answer: str | None = None
-    executed = 0
     for action in actions:
         if action.kind == ACTION_FINISH:
             finish_answer = action.args[0] if action.args else ""
             break
-        if executed >= max_actions_per_step:
+        if len(observations) >= MAX_ACTIONS_PER_STEP:
             observations.append(f"Action limit reached; {action.kind} was not executed.")
             continue
         observations.append(execute_action(graph, action, counters))
-        executed += 1
     scratchpad.steps.append(
         AgentStep(
-            index=index,
             thought=thought,
             raw_action=raw_action,
             actions=tuple(actions),
             observations=tuple(observations),
+            malformed=malformed,
         )
     )
     return finish_answer

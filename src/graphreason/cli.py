@@ -18,6 +18,7 @@ import click
 
 from . import kg
 from .evaluation import QuestionLoadError
+from .llm import ReplayMismatchError
 from .runner import (
     SWEEP_AXES,
     VALID_BACKENDS,
@@ -71,12 +72,14 @@ def _run_options(command):
 
 
 @contextmanager
-def _one_line_errors(kg_path: str | None = None):
-    """Report a bad configuration or input file as a click error, not a traceback."""
+def _one_line_errors(kg_path: str | None = None, replay_path: str | None = None):
+    """Report bad input or a replay script that misses a prompt as one line."""
     try:
         yield
     except kg.GraphLoadError as exc:
         raise click.ClickException(f"{kg_path}: {exc}") from exc
+    except ReplayMismatchError as exc:
+        raise click.ClickException(f"{replay_path}: {exc}") from exc
     except (ConfigError, QuestionLoadError) as exc:
         raise click.ClickException(str(exc)) from exc
 
@@ -86,7 +89,7 @@ def _one_line_errors(kg_path: str | None = None):
 def run_command(**kwargs) -> None:
     """Run one experiment and write traces, results, and a report."""
     config = RunConfig(**kwargs)
-    with _one_line_errors(config.kg_path):
+    with _one_line_errors(config.kg_path, config.replay_path):
         report = run_experiment(config)
     click.echo(f"ran {report.overall.count} questions; artifacts in {config.out_dir}")
 
@@ -99,7 +102,7 @@ def sweep_command(axis: str, values: str, **kwargs) -> None:
     """Run one experiment per axis value and write a sweep summary table."""
     config = RunConfig(**kwargs)
     value_list = [v.strip() for v in values.split(",") if v.strip()]
-    with _one_line_errors(config.kg_path):
+    with _one_line_errors(config.kg_path, config.replay_path):
         run_sweep(config, axis, value_list)
     click.echo(f"swept {axis} over {value_list}; artifacts in {config.out_dir}")
 

@@ -11,6 +11,7 @@ tight).
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass
 
 #: Tag under which thought-generation completions are metered. Evaluator
@@ -26,7 +27,7 @@ MERGE_TAG = "merge"
 REASK_SUFFIX = ":reask"
 
 #: Graph actions one agent step may execute; later ones are observed as skipped.
-DEFAULT_MAX_ACTIONS_PER_STEP = 4
+MAX_ACTIONS_PER_STEP = 4
 
 KG_UNIT_OPS = "ops"
 KG_UNIT_EXPLORE = "explore_searches"
@@ -47,24 +48,24 @@ class CostCounters:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.llm_calls_by_tag: dict[str, int] = {}
-        self.memo_hits_by_tag: dict[str, int] = {}
-        self.kg_ops_by_kind: dict[str, int] = {}
+        self.llm_calls_by_tag: Counter[str] = Counter()
+        self.memo_hits_by_tag: Counter[str] = Counter()
+        self.kg_ops_by_kind: Counter[str] = Counter()
         self.transport_retries = 0
         self.explore_searches = 0
         self.explore_search_cost_max = 0
 
     def record_llm_call(self, tag: str) -> None:
         with self._lock:
-            self.llm_calls_by_tag[tag] = self.llm_calls_by_tag.get(tag, 0) + 1
+            self.llm_calls_by_tag[tag] += 1
 
     def record_memo_hit(self, tag: str) -> None:
         with self._lock:
-            self.memo_hits_by_tag[tag] = self.memo_hits_by_tag.get(tag, 0) + 1
+            self.memo_hits_by_tag[tag] += 1
 
     def record_kg_op(self, kind: str) -> None:
         with self._lock:
-            self.kg_ops_by_kind[kind] = self.kg_ops_by_kind.get(kind, 0) + 1
+            self.kg_ops_by_kind[kind] += 1
 
     def record_transport_retry(self) -> None:
         with self._lock:
@@ -76,14 +77,11 @@ class CostCounters:
             self.explore_search_cost_max = max(self.explore_search_cost_max, cost)
 
     def add(self, other: CostCounters) -> None:
-        """Fold another set of meters (one task's) into these."""
+        """Fold another set of meters (one explore search's) into these."""
         with self._lock:
-            for tag, count in other.llm_calls_by_tag.items():
-                self.llm_calls_by_tag[tag] = self.llm_calls_by_tag.get(tag, 0) + count
-            for tag, count in other.memo_hits_by_tag.items():
-                self.memo_hits_by_tag[tag] = self.memo_hits_by_tag.get(tag, 0) + count
-            for kind, count in other.kg_ops_by_kind.items():
-                self.kg_ops_by_kind[kind] = self.kg_ops_by_kind.get(kind, 0) + count
+            self.llm_calls_by_tag.update(other.llm_calls_by_tag)
+            self.memo_hits_by_tag.update(other.memo_hits_by_tag)
+            self.kg_ops_by_kind.update(other.kg_ops_by_kind)
             self.transport_retries += other.transport_retries
             self.explore_searches += other.explore_searches
             self.explore_search_cost_max = max(
@@ -145,7 +143,7 @@ def _merge_bound(k: int, t: int, depth: int) -> int:
 
 
 def bound_for(
-    cfg, n: int, d: int, *, max_actions_per_step: int = DEFAULT_MAX_ACTIONS_PER_STEP
+    cfg, n: int, d: int, *, max_actions_per_step: int = MAX_ACTIONS_PER_STEP
 ) -> CostBound:
     """Evaluate the closed-form cost bounds for a search configuration.
 

@@ -136,9 +136,16 @@ class ReplayBackend:
                     continue
                 try:
                     record = json.loads(line)
-                    entries.append(ReplayEntry(match=record["match"], response=record["response"]))
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                except json.JSONDecodeError as exc:
                     raise ValueError(f"{path}:{lineno}: bad replay record: {exc}") from exc
+                match record:  # other keys are allowed
+                    case {"match": str(pattern), "response": str(response)}:
+                        entries.append(ReplayEntry(match=pattern, response=response))
+                    case _:
+                        raise ValueError(
+                            f"{path}:{lineno}: bad replay record: want an object whose "
+                            "'match' and 'response' are strings"
+                        )
         return cls(entries)
 
     def raw_complete(self, request: CompletionRequest) -> str:

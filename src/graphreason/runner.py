@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import kg
-from .costs import CostCounters
+from .costs import MAX_ACTIONS_PER_STEP, CostCounters
 from .evaluation import (
     AggregateReport,
     EvalResult,
@@ -86,13 +86,16 @@ class RunConfig:
     replay_path: str | None = None
     judge: str = "none"
     concurrency: int = 1
-    max_actions_per_step: int = SearchConfig.max_actions_per_step
 
+    # steps and max_actions_per_step are read only by bench/run.py, which
+    # passes them to costs.bound_for; remove with the next benchmark change.
     @property
     def steps(self) -> int:
-        # Read only by bench/run.py, which passes it to costs.bound_for as
-        # the chain limit; remove with the next benchmark change.
         return self.max_depth
+
+    @property
+    def max_actions_per_step(self) -> int:
+        return MAX_ACTIONS_PER_STEP
 
     def search_config(self) -> SearchConfig:
         return SearchConfig(
@@ -102,7 +105,6 @@ class RunConfig:
             k=self.branching,
             t=self.retain,
             d_max=self.max_depth,
-            max_actions_per_step=self.max_actions_per_step,
             explore=ExploreConfig(search_depth=self.search_depth),
         )
 
@@ -152,6 +154,16 @@ def preflight(config: RunConfig) -> None:
         config.search_config()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_out_dir(config.out_dir)
+
+
+def _check_out_dir(out_dir: str | Path) -> None:
+    """Raise ``ConfigError`` when the nearest existing path at or above
+    ``out_dir`` is not a directory, so the directory could not be made."""
+    out = Path(out_dir)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"cannot make output directory {out}: {existing} is not a directory")
 
 
 def _is_absolute_http_url(url: str) -> bool:
@@ -355,8 +367,10 @@ def score_run(traces_dir: str | Path, questions_path: str | Path, out_dir: str |
     Deterministic scores are recomputed; judge verdicts and error classes
     are echoed from the traces (re-judging would need a backend). A trace
     that does not load, or whose eval block no result row can hold, raises
-    ``ConfigError`` naming its file.
+    ``ConfigError`` naming its file, and so does an output path that cannot
+    be a directory, before anything is read.
     """
+    _check_out_dir(out_dir)
     questions = load_questions(questions_path)
     traces_dir = Path(traces_dir)
     results: list[EvalResult] = []

@@ -30,7 +30,7 @@ from typing import Callable, TypeVar
 
 from . import kg
 from .agent import Scratchpad, run_agent_step
-from .costs import DEFAULT_MAX_ACTIONS_PER_STEP, GENERATION_TAG, MERGE_TAG, CostCounters
+from .costs import GENERATION_TAG, MERGE_TAG, CostCounters
 from .evaluation import Question
 from .explore import (
     ExplorationState,
@@ -115,7 +115,6 @@ class SearchConfig:
     k: int = 3
     t: int = 3
     d_max: int = 3
-    max_actions_per_step: int = DEFAULT_MAX_ACTIONS_PER_STEP
     explore: ExploreConfig = ExploreConfig()
 
     def __post_init__(self) -> None:
@@ -133,7 +132,7 @@ class SearchConfig:
             object.__setattr__(self, "evaluator", "select")
         if self.interaction == "agent":
             object.__setattr__(self, "explore", ExploreConfig())
-        for name in ("k", "t", "d_max", "max_actions_per_step"):
+        for name in ("k", "t", "d_max"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -193,12 +192,9 @@ def _ground_agent(
     graph: kg.KnowledgeGraph,
     backend: Backend,
     counters: CostCounters,
-    config: SearchConfig,
 ) -> tuple[str, Evidence]:
     pad = parent.evidence.scratchpad.clone() if parent.evidence.scratchpad else Scratchpad()
-    answer = run_agent_step(
-        pad, question, graph, backend, counters, max_actions_per_step=config.max_actions_per_step
-    )
+    answer = run_agent_step(pad, question, graph, backend, counters)
     thought = pad.steps[-1].thought if pad.steps else ""
     thought_log = list(parent.evidence.thought_log) + [thought]
     return thought, Evidence(thought_log=thought_log, scratchpad=pad, answer=answer)
@@ -236,9 +232,10 @@ def _ground_explore(
     request = thought_request(parent.evidence.thought_log, GENERATION_TAG)
     thought = complete(backend, request, counters).strip()
     thought_log = list(parent.evidence.thought_log) + [thought]
-    kg_before = counters.kg_total()
     surface_forms = extract_entities(thought, backend, counters, question.domain)
-    anchors = resolve_anchors(graph, surface_forms, counters)
+    # The search meters itself, so its graph cost holds no other task's work.
+    search = CostCounters()
+    anchors = resolve_anchors(graph, surface_forms, search)
     explore(
         question,
         anchors,
@@ -246,11 +243,12 @@ def _ground_explore(
         config.explore,
         graph,
         backend,
-        counters,
+        search,
         thoughts="\n".join(thought_log),
         memo=memo,
     )
-    counters.record_explore_search(counters.kg_total() - kg_before)
+    counters.add(search)
+    counters.record_explore_search(search.kg_total())
 
     answer: str | None = None
     if exploration.sufficient:
@@ -283,9 +281,9 @@ def expand_child(
     if config.interaction == "agent":
         ground = _ground_agent
     else:
-        ground = partial(_ground_explore, memo=memo)
+        ground = partial(_ground_explore, config=config, memo=memo)
     try:
-        thought, evidence = ground(parent, question, graph, backend, counters, config)
+        thought, evidence = ground(parent, question, graph, backend, counters)
     except TransportError:
         logger.debug("child %d generation failed; born pruned", child_id)
         thought = "(generation failed)"
@@ -367,8 +365,10 @@ def evaluate_score(
             tag="score",
             domain=question.domain,
         )
-        tasks.append(partial(complete_with_reask, backend, request, parse=clamped, fallback=0.0))
-    for candidate, score in zip(candidates, _gather(pool, tasks, counters)):
+        tasks.append(
+            partial(complete_with_reask, backend, request, counters, parse=clamped, fallback=0.0)
+        )
+    for candidate, score in zip(candidates, _gather(pool, tasks)):
         candidate.score = score
     ranked = sorted(candidates, key=lambda c: (-(c.score or 0.0), c.id))
     return ranked[:t]
@@ -483,24 +483,16 @@ def merged_state(a: ThoughtState, b: ThoughtState, thought: str, merged_id: int)
     )
 
 
-def _gather(
-    pool: Executor | None, tasks: list[Callable[..., T]], counters: CostCounters
-) -> list[T]:
-    """Run independent tasks and return their results in task order.
+def _gather(pool: Executor | None, tasks: list[Callable[[], T]]) -> list[T]:
+    """Run independent zero-argument tasks and return their results in task order.
 
-    Each task is called as ``task(counters=meters)`` with meters of its own,
-    folded into ``counters`` in task order once all are done, so a task's
-    meters (an explore search's cost among them) never hold another task's
-    work. Without a pool the tasks run inline, in order; with one they run
-    through ``pool.map``, so the first failure in task order propagates and
-    tasks not yet started are cancelled.
+    Without a pool the tasks run inline, in order; with one they run through
+    ``pool.map``, so the first failure in task order propagates and tasks not
+    yet started are cancelled. Tasks meter into the question's one locked
+    meter, whose tallies are sums, so counts do not depend on thread order.
     """
-    meters = [CostCounters() for _ in tasks]
     mapper = map if pool is None else pool.map
-    results = list(mapper(lambda task, m: task(counters=m), tasks, meters))
-    for m in meters:
-        counters.add(m)
-    return results
+    return list(mapper(lambda task: task(), tasks))
 
 
 def run_search(
@@ -546,20 +538,20 @@ def run_search(
                 for _ in range(config.k):
                     tasks.append(
                         partial(
-                            expand_child, states[sid], question, graph, backend,
+                            expand_child, states[sid], question, graph, backend, counters,
                             config=config, child_id=next_id, memo=memo,
                         )
                     )
                     next_id += 1
-            expansions = _gather(pool, tasks, counters)
+            expansions = _gather(pool, tasks)
             for child in expansions:
                 states[child.id] = child
             candidates = list(expansions)
             if config.strategy == "got":
                 actives = [c for c in expansions if c.status == STATUS_ACTIVE]
                 pairs = list(zip(actives[0::2], actives[1::2]))
-                asks = [partial(merge_pair, a, b, question, backend) for a, b in pairs]
-                for (a, b), thought in zip(pairs, _gather(pool, asks, counters)):
+                asks = [partial(merge_pair, a, b, question, backend, counters) for a, b in pairs]
+                for (a, b), thought in zip(pairs, _gather(pool, asks)):
                     if thought is not None:
                         states[next_id] = merged_state(a, b, thought, next_id)
                         candidates.append(states[next_id])

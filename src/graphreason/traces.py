@@ -36,17 +36,18 @@ SWEEP_SCHEMA = "sweep/v1"
 
 
 def _serialize_scratchpad(pad: Scratchpad | None) -> list[dict] | None:
-    """Each step's fields, its tuples written as lists so a loaded trace
-    equals the one built in memory."""
+    """Each step's fields and its position from 1 as ``index``, its tuples
+    written as lists so a loaded trace equals the one built in memory."""
     if pad is None:
         return None
     return [
         {
             **vars(step),
+            "index": index,
             "actions": [{"kind": a.kind, "args": list(a.args)} for a in step.actions],
             "observations": list(step.observations),
         }
-        for step in pad.steps
+        for index, step in enumerate(pad.steps, 1)
     ]
 
 

@@ -94,7 +94,8 @@ def test_acceptance_1_golden_traces():
 
     final = result.states[max(result.states)]
     pad = final.evidence.scratchpad
-    assert [s.index for s in pad.steps] == [1, 2, 3, 4]
+    rows = build_trace(question, {}, result).states[final.id]["evidence"]["scratchpad"]
+    assert [row["index"] for row in rows] == [1, 2, 3, 4]
     assert [s.thought for s in pad.steps] == [
         "The question is related to a gene node (KRT39). "
         "We need to find this node in the graph.",

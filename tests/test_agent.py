@@ -1,6 +1,6 @@
 """Action parsing, execution, and the step loop of the graph agent."""
 
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -14,7 +14,7 @@ from graphreason.agent import (
     parse_actions,
     run_agent_step,
 )
-from graphreason.costs import CostCounters
+from graphreason.costs import MAX_ACTIONS_PER_STEP, CostCounters
 from graphreason.llm import ReplayBackend, ReplayEntry
 from graphreason.strategies import SearchConfig, run_search
 
@@ -208,15 +208,15 @@ def test_step_malformed_twice_becomes_noop(graph):
 def test_step_caps_actions_per_step(graph):
     pad = Scratchpad()
     counters = CostCounters()
+    assert MAX_ACTIONS_PER_STEP == 4
     reply = "Thought: scan.\nAction 1: " + ", ".join(
-        ["NodeDegree[390792, Anatomy-expresses-Gene]"] * 3
+        ["NodeDegree[390792, Anatomy-expresses-Gene]"] * 5
     )
-    run_agent_step(
-        pad, krt39_question(), graph, step_backend(reply), counters, max_actions_per_step=2
-    )
+    run_agent_step(pad, krt39_question(), graph, step_backend(reply), counters)
     observations = pad.steps[0].observations
-    assert observations[2] == "Action limit reached; NodeDegree was not executed."
-    assert counters.kg_total() == 2
+    assert observations[4] == "Action limit reached; NodeDegree was not executed."
+    assert "limit" not in observations[3]
+    assert counters.kg_total() == 4
 
 
 def test_scratchpad_render_includes_step_numbers_and_cue(graph):
@@ -238,7 +238,7 @@ def test_scratchpad_render_includes_step_numbers_and_cue(graph):
 
 
 def test_steps_are_frozen():
-    step = AgentStep(1, "find it.", "RetrieveNode[KRT39]", (), ())
+    step = AgentStep("find it.", "RetrieveNode[KRT39]", (), ())
     with pytest.raises(FrozenInstanceError):
         step.observations = ("tampered",)
 
@@ -261,30 +261,31 @@ def test_scratchpad_clone_is_independent(graph):
         step_backend("Thought 2: count.\nAction 2: NodeDegree[390792, Anatomy-expresses-Gene]"),
         CostCounters(),
     )
-    assert [s.index for s in copy.steps] == [1, 2]
+    assert [s.thought for s in copy.steps] == ["find it.", "count."]
+    assert copy.render().splitlines()[3] == "Thought 2: count."
     assert copy.steps[0] is pad.steps[0]  # shared, not copied
     assert len(pad.steps) == 1
     assert pad.render() == before
 
 
 def test_scratchpad_merge_keeps_each_step_once_and_renumbers():
-    look = AgentStep(1, "find it.", "RetrieveNode[KRT39]", (), ("The ID of the node is 390792.",))
-    count = AgentStep(2, "count.", "NodeDegree[390792, r]", (), ("3",))
-    again = AgentStep(3, "find it.", "RetrieveNode[KRT39]", (), ())
-    other = AgentStep(1, "other.", "NodeFeature[390792, name]", (), ("KRT39",))
+    look = AgentStep("find it.", "RetrieveNode[KRT39]", (), ("The ID of the node is 390792.",))
+    count = AgentStep("count.", "NodeDegree[390792, r]", (), ("3",))
+    again = AgentStep("find it.", "RetrieveNode[KRT39]", (), ())
+    other = AgentStep("other.", "NodeFeature[390792, name]", (), ("KRT39",))
     a = Scratchpad(steps=[look, count, again])  # a repeat within one input
     b = Scratchpad(steps=[other, look])  # and one across the two
     before = (list(a.steps), list(b.steps))
     merged = Scratchpad.merge(a, b)
-    assert [(s.index, s.thought) for s in merged.steps] == [
-        (1, "find it."),
-        (2, "count."),
-        (3, "other."),
+    assert [s.thought for s in merged.steps] == ["find it.", "count.", "other."]
+    # The merged steps are the inputs' own frozen steps, numbered by position.
+    assert all(m is s for m, s in zip(merged.steps, [look, count, other]))
+    assert merged.render().splitlines()[-2:] == [
+        "Action 3: NodeFeature[390792, name]",
+        "Observation 3: KRT39",
     ]
-    assert merged.steps[0] == look
-    assert merged.steps[2] == replace(other, index=3)
     assert (a.steps, b.steps) == before
-    assert Scratchpad.merge(Scratchpad(), b).steps == [other, replace(look, index=2)]
+    assert Scratchpad.merge(Scratchpad(), b).steps == [other, look]
 
 
 def test_cot_agent_search_stops_at_step_limit(graph):

@@ -254,6 +254,11 @@ def test_a_file_that_is_not_utf8_is_a_one_line_error(runner, workspace, name, co
     [
         pytest.param(b"not json\n", ":1: bad replay record", id="not-json"),
         pytest.param(b"\xff\xfe{}\n", "is not UTF-8", id="not-utf8"),
+        pytest.param(b'{"match": 1, "response": "x"}\n', ":1: bad replay record", id="match-int"),
+        pytest.param(
+            b'{"match": "Generate", "response": 5}\n', ":1: bad replay record", id="response-int"
+        ),
+        pytest.param(b"[1, 2]\n", ":1: bad replay record", id="not-an-object"),
     ],
 )
 def test_a_malformed_replay_script_is_a_one_line_error(
@@ -268,6 +273,40 @@ def test_a_malformed_replay_script_is_a_one_line_error(
     result = runner.invoke(main, args)
     assert_one_line_error(result, workspace["script"], fragment)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_replay_script_with_no_entry_for_a_prompt_is_a_one_line_error(
+    runner, workspace, command
+):
+    Path(workspace["script"]).write_text("", encoding="utf-8")
+    out = workspace["root"] / "unmatched"
+    args = {
+        "run": run_args(workspace, out),
+        "sweep": sweep_args(workspace, out, "--axis", "max-depth", "--values", "1,2"),
+    }[command]
+    result = runner.invoke(main, args)
+    assert_one_line_error(result, f"{workspace['script']}: no replay entry matches")
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["run", "sweep", "score"])
+def test_an_output_path_at_or_under_a_file_is_a_one_line_error(
+    runner, workspace, command, below
+):
+    root = workspace["root"]
+    assert runner.invoke(main, run_args(workspace, root / "done")).exit_code == 0
+    blocker = root / "blocker"
+    blocker.write_text("a file\n", encoding="utf-8")
+    out = blocker / below if below else blocker
+    args = {
+        "run": run_args(workspace, out),
+        "sweep": sweep_args(workspace, out, "--axis", "max-depth", "--values", "1,2"),
+        "score": score_args(workspace, root / "done" / "traces", out),
+    }[command]
+    result = runner.invoke(main, args)
+    assert_one_line_error(result, f"{blocker} is not a directory")
+    assert blocker.read_text(encoding="utf-8") == "a file\n"
 
 
 def test_a_run_echoes_the_configuration_it_ran(runner, workspace):

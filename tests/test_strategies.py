@@ -807,7 +807,7 @@ def test_concurrent_round_failure_cancels_tasks_not_yet_started():
     started = []
     release = threading.Event()
 
-    def task(index, counters):
+    def task(index):
         if index == 0:
             raise RuntimeError("task 0 failed")
         started.append(index)
@@ -816,6 +816,6 @@ def test_concurrent_round_failure_cancels_tasks_not_yet_started():
 
     with ThreadPoolExecutor(1) as pool:
         with pytest.raises(RuntimeError, match="task 0 failed"):
-            strategies._gather(pool, [partial(task, i) for i in range(6)], CostCounters())
+            strategies._gather(pool, [partial(task, i) for i in range(6)])
         release.set()
     assert len(started) <= 1
