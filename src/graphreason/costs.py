@@ -123,9 +123,6 @@ class CostBound:
     multiplies it by the run's observed per-search cost unit.
     """
 
-    strategy: str
-    interaction: str
-    params: dict
     generation_call_bound: int
     merge_attempt_bound: int
     kg_op_bound: int
@@ -160,8 +157,10 @@ def bound_for(
     Deeper runs stay strictly under the bound.
 
     ``cfg`` needs ``strategy``, ``interaction``, ``k``, ``t``, and ``d_max``
-    attributes; ``n`` is the chain's step bound and ``d`` the graph search
-    depth. All arithmetic is exact integer arithmetic.
+    attributes; ``n`` is the chain's step bound. ``d`` is read by nothing:
+    ``bench/run.py`` still passes it, so it goes with the next benchmark
+    change, which makes the signature ``bound_for(cfg)`` (ROADMAP item 1.6).
+    All arithmetic is exact integer arithmetic.
     """
     strategy = cfg.strategy
     interaction = cfg.interaction
@@ -187,9 +186,6 @@ def bound_for(
         raise ValueError(f"unknown interaction: {interaction!r}")
 
     return CostBound(
-        strategy=strategy,
-        interaction=interaction,
-        params={"n": n, "k": cfg.k, "t": cfg.t, "d_max": cfg.d_max, "d": d},
         generation_call_bound=generation,
         merge_attempt_bound=merge,
         kg_op_bound=kg_bound,

@@ -229,7 +229,7 @@ def classify_error(
     backend for it the class stays absent. A malformed judge reply (after
     the one re-ask) falls back to ``wrong_step``.
     """
-    if trace.judge_correct is True:
+    if trace.eval.get("judge_correct") is True:
         return ERROR_CORRECT
     if trace.termination == "step_limit":
         return ERROR_REACHED_LIMIT

@@ -10,7 +10,8 @@ the output directory:
 
 Under the replay backend the whole pipeline is deterministic: running the
 same configuration twice produces byte-identical artifacts, and ``score``
-rebuilds the two tables exactly from the traces alone.
+rebuilds the two tables exactly from the traces alone. No artifact holds a
+wall clock, so a wire run that gets the same replies writes the same bytes.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ import dataclasses
 import gc
 import json
 import logging
-import time
 import urllib.parse
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -85,7 +84,6 @@ class RunConfig:
     model: str | None = None
     replay_path: str | None = None
     judge: str = "none"
-    concurrency: int = 1
 
     # steps and max_actions_per_step are read only by bench/run.py, which
     # passes them to costs.bound_for; remove with the next benchmark change.
@@ -148,8 +146,6 @@ def preflight(config: RunConfig) -> None:
                 f"wire endpoint {config.endpoint!r} is not an absolute http:// or "
                 "https:// URL with a host"
             )
-    if config.concurrency < 1:
-        raise ConfigError(f"concurrency must be >= 1, got {config.concurrency}")
     try:
         config.search_config()
     except ValueError as exc:
@@ -215,7 +211,6 @@ def _run_single(
 ) -> EvalResult:
     """Run, evaluate and write one question's trace; the states stay on disk."""
     counters = CostCounters()
-    started = time.perf_counter()
     result = run_search(question, config.search_config(), graph, backend, counters)
 
     judged: bool | None = None
@@ -226,11 +221,6 @@ def _run_single(
         trace, question, backend if config.judge == "llm" else None, counters
     )
     trace.counters = counters.as_dict()  # judge calls landed after the first snapshot
-    if config.backend == "wire":
-        trace.timestamps = {
-            "started": round(started, 3),
-            "finished": round(time.perf_counter(), 3),
-        }
     # The row's ROUGE-L goes into the trace, so it is worked out once per run.
     outcome = _outcome(question, trace)
     trace.eval["rouge_l"] = outcome.rouge_l
@@ -338,15 +328,7 @@ def _run_loaded(
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
 
-    def run_one(question: Question) -> EvalResult:
-        return _run_single(question, config, graph, backend, traces_dir)
-
-    if config.concurrency == 1:
-        results = [run_one(q) for q in questions]
-    else:
-        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-            results = list(pool.map(run_one, questions))
-
+    results = [_run_single(q, config, graph, backend, traces_dir) for q in questions]
     report = _write_tables(out_dir, questions, results, config.echo())
     logger.info("wrote %d traces to %s", len(results), out_dir)
     return report
@@ -366,7 +348,8 @@ def score_run(traces_dir: str | Path, questions_path: str | Path, out_dir: str |
 
     Deterministic scores are recomputed; judge verdicts and error classes
     are echoed from the traces (re-judging would need a backend). A trace
-    that does not load, or whose eval block no result row can hold, raises
+    that does not load, holds another question's run, has a config that is
+    not an object, or has an eval block no result row can hold, raises
     ``ConfigError`` naming its file, and so does an output path that cannot
     be a directory, before anything is read.
     """
@@ -381,6 +364,10 @@ def score_run(traces_dir: str | Path, questions_path: str | Path, out_dir: str |
             raise ConfigError(f"no trace for question {question.qid!r} at {path}")
         try:
             trace = load_trace(path)
+            if trace.qid != question.qid:
+                raise ValueError(f"it holds question {trace.qid!r}, not {question.qid!r}")
+            if not isinstance(trace.config, dict):
+                raise ValueError("its config is not an object")
             result = _outcome(question, trace)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ConfigError(f"cannot score trace {path}: {exc}") from exc

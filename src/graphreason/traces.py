@@ -101,12 +101,7 @@ class TraceRecord:
     termination: str
     counters: dict
     eval: dict = field(default_factory=dict)
-    timestamps: dict = field(default_factory=lambda: {"started": None, "finished": None})
     schema: str = TRACE_SCHEMA
-
-    @property
-    def judge_correct(self) -> bool | None:
-        return self.eval.get("judge_correct")
 
     def evidence_strings(self) -> list[str]:
         """All observation and triple strings, deduplicated in order."""
@@ -193,7 +188,6 @@ def trace_from_dict(data: dict) -> TraceRecord:
         termination=data["termination"],
         counters=data["counters"],
         eval=data.get("eval", {}),
-        timestamps=data.get("timestamps", {"started": None, "finished": None}),
         schema=data.get("schema", ""),
     )
 

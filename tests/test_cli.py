@@ -505,6 +505,9 @@ def test_score_names_the_missing_trace(runner, workspace, tmp_path):
         pytest.param(
             lambda text: text.replace('"eval": {', '"eval": [], "was": {'), id="eval-not-an-object"
         ),
+        pytest.param(
+            lambda text: text.replace('"qid": "q2"', '"qid": "q1"'), id="another-questions-run"
+        ),
     ],
 )
 def test_score_names_a_trace_it_cannot_score(runner, workspace, damage):

@@ -121,7 +121,6 @@ def test_chain_bound_is_the_step_limit():
     bound = bound_for(cfg("cot"), n=7, d=2)
     assert bound.generation_call_bound == 7
     assert bound.merge_attempt_bound == 0
-    assert bound.params["n"] == 7
 
 
 def test_tree_bound_with_unit_beam_is_linear():

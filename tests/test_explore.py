@@ -1,6 +1,8 @@
 """Model-pruned breadth-first exploration."""
 
 import copy
+import threading
+import time
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -13,6 +15,7 @@ from graphreason.explore import (
     AttributeHit,
     ExplorationState,
     ExploreConfig,
+    ExploreMemo,
     SeenEntity,
     end_check,
     explore,
@@ -425,3 +428,42 @@ def test_explore_config_validates():
         ExploreConfig(search_depth=0)
     with pytest.raises(ValueError):
         ExploreConfig(max_neighbors_per_relation=0)
+
+
+def test_a_failed_memo_computation_reaches_every_ask_waiting_on_it():
+    """Two asks of one key: the first computes and fails, the second waits on
+    the same future and gets the same error. The threads are daemons joined
+    with a timeout, so a memo that never settles the future fails the test
+    instead of hanging it."""
+    memo = ExploreMemo()
+    counters = CostCounters()
+    computing, release = threading.Event(), threading.Event()
+    calls = []
+    raised = {}
+
+    def compute():
+        calls.append(1)
+        computing.set()
+        release.wait(5)
+        raise RuntimeError("prune failed")
+
+    def ask(name):
+        try:
+            memo.get(("prune_relations", "n0001"), counters, compute)
+        except RuntimeError as exc:
+            raised[name] = exc
+
+    first = threading.Thread(target=ask, args=("first",), daemon=True)
+    second = threading.Thread(target=ask, args=("second",), daemon=True)
+    first.start()
+    assert computing.wait(5)
+    second.start()
+    time.sleep(0.05)  # let the second ask reach the in-flight future
+    release.set()
+    for thread in (first, second):
+        thread.join(5)
+        assert not thread.is_alive()
+    assert calls == [1]
+    assert raised.keys() == {"first", "second"}
+    assert raised["second"] is raised["first"]
+    assert counters.memo_hits_by_tag == {}

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import synthetic_question, write_question_file
 from graphreason.costs import CostCounters
+from graphreason.kg import generate_synthetic_graph, save_graph
 from graphreason.prompts import get_template
 from graphreason.llm import (
     FORMAT_REMINDER,
@@ -32,6 +34,8 @@ from graphreason.llm import (
     parse_yes_no,
     request_for,
 )
+from graphreason.runner import RunConfig, run_experiment
+from graphreason.traces import load_trace
 
 
 def _request(prompt="hello world", tag="thought"):
@@ -389,6 +393,43 @@ def test_wire_backend_sends_through_the_proxy(stub_server, proxy_env):
     with pytest.raises(TransportError):
         backend.raw_complete(_request())
     assert _StubHandler.requests_seen == []
+
+
+def test_a_wire_run_that_gets_the_same_replies_is_byte_identical(stub_server, proxy_env, tmp_path):
+    """No trace holds a wall clock, so two wire runs served the same replies
+    write the same bytes."""
+    _StubHandler.response_body = {
+        "choices": [{"message": {"content": "Thought 1: Done.\nAction 1: Finish[alpha 2]"}}]
+    }
+    graph_path = tmp_path / "graph.kg"
+    save_graph(generate_synthetic_graph(11), graph_path)
+    questions = write_question_file(
+        tmp_path / "q.lines", [synthetic_question("q1"), synthetic_question("q2")]
+    )
+    runs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        run_experiment(
+            RunConfig(
+                kg_path=str(graph_path),
+                questions_path=str(questions),
+                out_dir=str(out),
+                backend="wire",
+                endpoint=stub_server,
+                model="m-1",
+            )
+        )
+        runs.append(
+            {
+                path.relative_to(out).as_posix(): path.read_bytes()
+                for path in sorted(out.rglob("*"))
+                if path.name == "results.lines" or path.suffix == ".trace"
+            }
+        )
+    assert sorted(runs[0]) == ["results.lines", "traces/q1.trace", "traces/q2.trace"]
+    assert runs[1] == runs[0]
+    assert len(_StubHandler.requests_seen) == 4
+    assert load_trace(tmp_path / "first" / "traces" / "q1.trace").answer == "alpha 2"
 
 
 # --- parsers ----------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Experiment orchestration: pre-flight checks, concurrent runs, the traces
-a run leaves on disk, and runs whose calls at one site always fail."""
+"""Experiment orchestration: pre-flight checks, the traces a run leaves on
+disk, rescoring them, and runs whose calls at one site always fail."""
 
 import dataclasses
 import gc
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -92,29 +93,10 @@ def test_steps_is_only_a_read_only_name_for_max_depth(inputs, tmp_path):
         RunConfig(out_dir=str(tmp_path), steps=7, **inputs)
 
 
-def test_concurrent_run_is_byte_identical_to_serial(inputs, tmp_path):
-    """Worker threads share one graph, whose retrieval index is built lazily
-    by whichever thread retrieves first."""
-    outputs = {}
-    for concurrency in (1, 2):
-        out = tmp_path / f"c{concurrency}"
-        run_experiment(RunConfig(out_dir=str(out), concurrency=concurrency, **inputs))
-        outputs[concurrency] = {
-            path.relative_to(out).as_posix(): path.read_bytes()
-            for path in sorted(out.rglob("*"))
-            if path.name == "results.lines" or path.suffix == ".trace"
-        }
-    assert len(outputs[1]) == len(TARGETS) + 1
-    assert outputs[2] == outputs[1]
-    for n in TARGETS:
-        trace = outputs[1][f"traces/q{n}.trace"]
-        assert f"The ID of the node is n{n:04d}.".encode() in trace
-        assert f"The ID of the node is n{n + 1:04d}.".encode() in trace
-
-
 def test_a_run_that_aborts_keeps_the_traces_it_finished(tmp_path):
     """The script answers the first question only, so the second aborts the
-    run; the first question's trace is already on disk, whole."""
+    run; the first question's trace is already on disk, whole, with the
+    nodes its missed and its exact query retrieved."""
     first, second = TARGETS[:2]
     inputs = make_inputs(tmp_path, targets=(first, second), scripted=(first,))
     out = tmp_path / "out"
@@ -122,9 +104,12 @@ def test_a_run_that_aborts_keeps_the_traces_it_finished(tmp_path):
         run_experiment(RunConfig(out_dir=str(out), **inputs))
     traces_dir = out / "traces"
     assert sorted(p.name for p in traces_dir.iterdir()) == [f"q{first}.trace"]
-    data = json.loads((traces_dir / f"q{first}.trace").read_text(encoding="utf-8"))
+    text = (traces_dir / f"q{first}.trace").read_text(encoding="utf-8")
+    data = json.loads(text)
     assert validate_trace(data) == []
     assert data["answer"] == f"beta {first}"
+    assert f"The ID of the node is n{first:04d}." in text
+    assert f"The ID of the node is n{first + 1:04d}." in text
     assert not (out / "results.lines").exists()
 
 
@@ -176,20 +161,34 @@ def test_traces_without_memo_hits_still_validate_and_score(tmp_path):
     assert (tmp_path / "rescore" / "results.lines").read_bytes() == expected
 
 
-def test_traces_in_the_indented_layout_still_load_and_score(inputs, tmp_path):
-    """Traces were once written with ``indent=2``; the same content in that
-    layout loads, validates and rescores to the same tables."""
+@pytest.mark.parametrize(
+    "layout",
+    [
+        pytest.param(lambda data: json.dumps(data, sort_keys=True, indent=2), id="indented"),
+        pytest.param(
+            lambda data: json.dumps(
+                {**data, "timestamps": {"finished": None, "started": None}}, sort_keys=True
+            ),
+            id="timestamps",
+        ),
+    ],
+)
+def test_traces_in_an_older_layout_still_load_and_score(inputs, tmp_path, layout):
+    """Traces were once written with ``indent=2``, and with a ``timestamps``
+    block (null under replay) that the loader now leaves unread. The same
+    content in either layout loads, validates and rescores to the same
+    tables."""
     out = tmp_path / "out"
     run_experiment(RunConfig(out_dir=str(out), **inputs))
     old = tmp_path / "old"
     old.mkdir()
     for path in sorted((out / "traces").glob("*.trace")):
         record = load_trace(path)
-        indented = json.dumps(record.as_dict(), sort_keys=True, indent=2) + "\n"
-        (old / path.name).write_text(indented, encoding="utf-8")
+        text = layout(record.as_dict()) + "\n"
+        (old / path.name).write_text(text, encoding="utf-8")
         reloaded = load_trace(old / path.name)
         assert reloaded.as_dict() == record.as_dict()
-        assert validate_trace(json.loads(indented)) == []
+        assert validate_trace(json.loads(text)) == []
     score_run(old, inputs["questions_path"], tmp_path / "rescore")
     expected = (out / "results.lines").read_bytes()
     assert (tmp_path / "rescore" / "results.lines").read_bytes() == expected
@@ -205,6 +204,41 @@ def test_score_names_a_trace_whose_error_class_is_unknown(inputs, tmp_path):
     with pytest.raises(runner.ConfigError, match="gave_up") as raised:
         score_run(out / "traces", inputs["questions_path"], tmp_path / "rescore")
     assert str(path) in str(raised.value)
+    assert not (tmp_path / "rescore").exists()
+
+
+NOT_AN_OBJECT = "its config is not an object"
+
+
+def with_config(config):
+    return lambda data, other: {**data, "config": config}
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        pytest.param(
+            lambda data, other: other,
+            f"it holds question 'q{TARGETS[1]}', not 'q{TARGETS[0]}'",
+            id="swapped-qid",
+        ),
+        pytest.param(with_config(None), NOT_AN_OBJECT, id="config-null"),
+        pytest.param(with_config(["a"]), NOT_AN_OBJECT, id="config-list"),
+        pytest.param(with_config("x"), NOT_AN_OBJECT, id="config-string"),
+    ],
+)
+def test_score_names_a_trace_that_is_not_its_questions_run(inputs, tmp_path, damage, message):
+    """The first question's trace file is damaged: it holds the second
+    question's run, as after the two files are swapped, or a config that is
+    not an object. The first trace's config is the one the report echoes."""
+    out = tmp_path / "out"
+    run_experiment(RunConfig(out_dir=str(out), **inputs))
+    path, other = (out / "traces" / f"q{n}.trace" for n in TARGETS[:2])
+    data, other_data = (json.loads(p.read_text(encoding="utf-8")) for p in (path, other))
+    path.write_text(json.dumps(damage(data, other_data)), encoding="utf-8")
+    expected = re.escape(f"cannot score trace {path}: {message}")
+    with pytest.raises(runner.ConfigError, match=expected):
+        score_run(out / "traces", inputs["questions_path"], tmp_path / "rescore")
     assert not (tmp_path / "rescore").exists()
 
 

@@ -120,7 +120,6 @@ def minimal_trace_dict():
             "explore_search_cost_max": 0,
         },
         "eval": {"rouge_l": 1.0},
-        "timestamps": {"started": None, "finished": None},
     }
 
 
@@ -161,15 +160,8 @@ def test_write_leaves_no_partial_trace_when_the_rename_fails(tmp_path, got_trace
 def test_trace_from_dict_fills_optional_blocks():
     data = minimal_trace_dict()
     del data["eval"]
-    del data["timestamps"]
     record = trace_from_dict(data)
     assert record.eval == {}
-    assert record.timestamps == {"started": None, "finished": None}
-    assert record.judge_correct is None
-
-
-def test_timestamps_stay_null_for_offline_runs(got_trace):
-    assert got_trace.timestamps == {"started": None, "finished": None}
 
 
 def test_built_trace_lists_states_by_ascending_id(got_trace):
