@@ -141,12 +141,17 @@ def score_command(traces_dir: str, questions_path: str, out_dir: str) -> None:
     click.echo(f"scored {report.overall.count} questions; tables in {out_dir}")
 
 
+_SPEC = kg.SyntheticGraphSpec  # its fields' defaults are gen-graph's
+
+
 @main.command("gen-graph")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--nodes", type=int, default=10, show_default=True)
-@click.option("--edges-per-node", type=int, default=2, show_default=True)
-@click.option("--node-types", default="alpha,beta", show_default=True, help="Comma-separated.")
-@click.option("--relations", default="linked-to,derived-from", show_default=True)
+@click.option("--nodes", type=int, default=_SPEC.node_count, show_default=True)
+@click.option("--edges-per-node", type=int, default=_SPEC.edges_per_node, show_default=True)
+@click.option(
+    "--node-types", default=",".join(_SPEC.node_types), show_default=True, help="Comma-separated."
+)
+@click.option("--relations", default=",".join(_SPEC.relations), show_default=True)
 @click.option("--out", "out_path", required=True, help="Graph file to write.")
 def gen_graph_command(
     seed: int,

@@ -31,6 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 VALID_DIFFICULTIES = frozenset({"easy", "medium", "hard"})
 
+TERMINATION_FINISHED = "finished"
+TERMINATION_STEP_LIMIT = "step_limit"
+
 ERROR_REACHED_LIMIT = "reached_limit"
 ERROR_FOUND_NOT_RETURNED = "found_not_returned"
 ERROR_WRONG_STEP = "wrong_step"
@@ -180,6 +183,8 @@ class EvalResult:
     def __post_init__(self) -> None:
         if (self.answer is None) != (self.rouge_l is None):
             raise ValueError(f"{self.qid}: rouge_l must be present iff an answer is")
+        if not isinstance(self.judge_correct, (bool, type(None))):
+            raise ValueError(f"{self.qid}: judge verdict {self.judge_correct!r} is not a boolean")
         if self.error_class is not None and self.error_class not in ERROR_CLASSES:
             raise ValueError(f"{self.qid}: unknown error class {self.error_class!r}")
         if self.error_class == ERROR_CORRECT and self.judge_correct is not True:
@@ -231,7 +236,7 @@ def classify_error(
     """
     if trace.eval.get("judge_correct") is True:
         return ERROR_CORRECT
-    if trace.termination == "step_limit":
+    if trace.termination == TERMINATION_STEP_LIMIT:
         return ERROR_REACHED_LIMIT
     if backend is None:
         return None

@@ -32,6 +32,7 @@ from typing import Callable, Protocol, TypeVar
 from . import prompts
 from .costs import REASK_SUFFIX, CostCounters
 from .prompts import DecodingParams
+from .textops import first_undecodable_line
 
 logger = logging.getLogger(__name__)
 
@@ -130,22 +131,26 @@ class ReplayBackend:
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayBackend":
         entries = []
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad replay record: {exc}") from exc
-                match record:  # other keys are allowed
-                    case {"match": str(pattern), "response": str(response)}:
-                        entries.append(ReplayEntry(match=pattern, response=response))
-                    case _:
-                        raise ValueError(
-                            f"{path}:{lineno}: bad replay record: want an object whose "
-                            "'match' and 'response' are strings"
-                        )
+        try:
+            with open(path, encoding="utf-8") as handle:
+                for lineno, line in enumerate(handle, start=1):
+                    if not line.strip():
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise ValueError(f"{path}:{lineno}: bad replay record: {exc}") from exc
+                    match record:  # other keys are allowed
+                        case {"match": str(pattern), "response": str(response)}:
+                            entries.append(ReplayEntry(match=pattern, response=response))
+                        case _:
+                            raise ValueError(
+                                f"{path}:{lineno}: bad replay record: want an object whose "
+                                "'match' and 'response' are strings"
+                            )
+        except UnicodeDecodeError as exc:
+            line = first_undecodable_line(path)
+            raise ValueError(f"{path}:{line}: not UTF-8 ({exc.reason})") from exc
         return cls(entries)
 
     def raw_complete(self, request: CompletionRequest) -> str:

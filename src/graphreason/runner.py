@@ -176,9 +176,7 @@ def build_backend(config: RunConfig) -> Backend:
         assert config.replay_path is not None
         try:
             return ReplayBackend.from_file(config.replay_path)
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"replay script {config.replay_path} is not UTF-8") from exc
-        except ValueError as exc:  # a bad record; the message names the file and line
+        except ValueError as exc:  # the message names the file and line
             raise ConfigError(str(exc)) from exc
     assert config.endpoint is not None and config.model is not None
     return WireBackend(endpoint=config.endpoint, model=config.model)
@@ -349,9 +347,9 @@ def score_run(traces_dir: str | Path, questions_path: str | Path, out_dir: str |
     Deterministic scores are recomputed; judge verdicts and error classes
     are echoed from the traces (re-judging would need a backend). A trace
     that does not load, holds another question's run, has a config that is
-    not an object, or has an eval block no result row can hold, raises
-    ``ConfigError`` naming its file, and so does an output path that cannot
-    be a directory, before anything is read.
+    not an object or differs from the first trace's, or has an eval block no
+    result row can hold, raises ``ConfigError`` naming its file, and so does
+    an output path that cannot be a directory, before anything is read.
     """
     _check_out_dir(out_dir)
     questions = load_questions(questions_path)
@@ -368,6 +366,9 @@ def score_run(traces_dir: str | Path, questions_path: str | Path, out_dir: str |
                 raise ValueError(f"it holds question {trace.qid!r}, not {question.qid!r}")
             if not isinstance(trace.config, dict):
                 raise ValueError("its config is not an object")
+            if results and trace.config != config_echo:
+                first = traces_dir / f"{questions[0].qid}.trace"
+                raise ValueError(f"its config differs from that of {first}")
             result = _outcome(question, trace)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ConfigError(f"cannot score trace {path}: {exc}") from exc

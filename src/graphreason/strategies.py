@@ -31,7 +31,7 @@ from typing import Callable, TypeVar
 from . import kg
 from .agent import Scratchpad, run_agent_step
 from .costs import GENERATION_TAG, MERGE_TAG, CostCounters
-from .evaluation import Question
+from .evaluation import TERMINATION_FINISHED, TERMINATION_STEP_LIMIT, Question
 from .explore import (
     ExplorationState,
     ExploreConfig,
@@ -68,9 +68,6 @@ STATUS_FINISHED = "finished"
 STATUS_MERGED_AWAY = "merged_away"
 
 VALID_STATUSES = frozenset({STATUS_ACTIVE, STATUS_PRUNED, STATUS_FINISHED, STATUS_MERGED_AWAY})
-
-TERMINATION_FINISHED = "finished"
-TERMINATION_STEP_LIMIT = "step_limit"
 
 
 @dataclass

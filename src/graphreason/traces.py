@@ -17,13 +17,18 @@ from pathlib import Path
 
 from . import kg
 from .agent import Scratchpad
-from .evaluation import ERROR_CLASSES, ERROR_CORRECT, ERROR_REACHED_LIMIT, Question
+from .evaluation import (
+    ERROR_CLASSES,
+    ERROR_CORRECT,
+    ERROR_REACHED_LIMIT,
+    TERMINATION_FINISHED,
+    TERMINATION_STEP_LIMIT,
+    Question,
+)
 from .explore import AttributeHit, ExplorationState, render_attribute
 from .strategies import (
     STATUS_ACTIVE,
     STATUS_FINISHED,
-    TERMINATION_FINISHED,
-    TERMINATION_STEP_LIMIT,
     SearchResult,
     ThoughtState,
     VALID_STATUSES,
@@ -330,6 +335,8 @@ def validate_trace(data: object) -> list[str]:
     rouge = eval_block.get("rouge_l")
     if (rouge is not None) != (answer is not None):
         bad("eval.rouge_l must be present exactly when an answer is")
+    if not isinstance(eval_block.get("judge_correct"), (bool, type(None))):
+        bad("eval.judge_correct must be true, false or null")
     error_class = eval_block.get("error_class")
     if error_class is not None:
         if not isinstance(error_class, str) or error_class not in ERROR_CLASSES:
@@ -346,18 +353,3 @@ def validate_trace(data: object) -> list[str]:
                 bad(f"counters.{group}[{key!r}] must be a nonnegative integer")
 
     return violations
-
-
-__all__ = [
-    "TRACE_SCHEMA",
-    "RESULTS_SCHEMA",
-    "REPORT_SCHEMA",
-    "SWEEP_SCHEMA",
-    "TraceRecord",
-    "build_trace",
-    "serialize_trace",
-    "write_trace",
-    "load_trace",
-    "trace_from_dict",
-    "validate_trace",
-]

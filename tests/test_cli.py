@@ -253,7 +253,12 @@ def test_a_file_that_is_not_utf8_is_a_one_line_error(runner, workspace, name, co
     "script, fragment",
     [
         pytest.param(b"not json\n", ":1: bad replay record", id="not-json"),
-        pytest.param(b"\xff\xfe{}\n", "is not UTF-8", id="not-utf8"),
+        pytest.param(b"\xff\xfe{}\n", ":1: not UTF-8 (invalid start byte)", id="not-utf8"),
+        pytest.param(
+            b'{"match": "a", "response": "b"}\n\xff\n',
+            ":2: not UTF-8 (invalid start byte)",
+            id="not-utf8-on-line-2",
+        ),
         pytest.param(b'{"match": 1, "response": "x"}\n', ":1: bad replay record", id="match-int"),
         pytest.param(
             b'{"match": "Generate", "response": 5}\n', ":1: bad replay record", id="response-int"
@@ -507,6 +512,10 @@ def test_score_names_the_missing_trace(runner, workspace, tmp_path):
         ),
         pytest.param(
             lambda text: text.replace('"qid": "q2"', '"qid": "q1"'), id="another-questions-run"
+        ),
+        pytest.param(
+            lambda text: text.replace('"judge_correct": null', '"judge_correct": {"x": 1}'),
+            id="judge-verdict-not-a-boolean",
         ),
     ],
 )

@@ -242,6 +242,15 @@ def test_eval_result_correct_needs_a_true_judge():
     )
 
 
+@pytest.mark.parametrize("verdict", [1, 0, "yes", {"x": 1}, []], ids=repr)
+def test_eval_result_rejects_a_judge_verdict_that_is_not_a_boolean(verdict):
+    with pytest.raises(ValueError, match="is not a boolean"):
+        EvalResult(
+            qid="q", answer="x", termination="finished", rouge_l=1.0,
+            judge_correct=verdict, error_class=None, llm_calls=0, kg_ops=0,
+        )
+
+
 def test_every_error_class_is_constructible():
     for cls in sorted(ERROR_CLASSES - {"correct"}):
         EvalResult(

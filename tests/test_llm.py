@@ -80,10 +80,9 @@ def test_decoding_params_validate():
 
 
 def test_default_decoding_covers_every_template():
-    import graphreason
     from graphreason import prompts
 
-    assert DecodingParams is prompts.DecodingParams is graphreason.DecodingParams
+    assert DecodingParams is prompts.DecodingParams
     sampled = DecodingParams(temperature=0.7, max_tokens=512)
     expected = {name: DecodingParams() for name in prompts.PROMPT_TEMPLATES}
     expected.update(

@@ -1,10 +1,12 @@
 """Experiment orchestration: pre-flight checks, the traces a run leaves on
 disk, rescoring them, and runs whose calls at one site always fail."""
 
+import copy
 import dataclasses
 import gc
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -240,6 +242,79 @@ def test_score_names_a_trace_that_is_not_its_questions_run(inputs, tmp_path, dam
     with pytest.raises(runner.ConfigError, match=expected):
         score_run(out / "traces", inputs["questions_path"], tmp_path / "rescore")
     assert not (tmp_path / "rescore").exists()
+
+
+def test_score_names_a_trace_from_another_run(tmp_path):
+    """q1's trace comes from a cot/agent run and q2's from a got/explore run
+    of the same questions; one report cannot echo both configs."""
+    explore_out = explore_run(tmp_path, [synthetic_question("q1"), synthetic_question("q2")])
+    questions = tmp_path / "q.lines"
+    agent_out = tmp_path / "agent"
+    run_experiment(
+        RunConfig(
+            kg_path=str(tmp_path / "graph.kg"),
+            questions_path=str(questions),
+            out_dir=str(agent_out),
+            replay_path=str(tmp_path / "s.replay"),
+        )
+    )
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    shutil.copy(agent_out / "traces" / "q1.trace", mixed)
+    shutil.copy(explore_out / "traces" / "q2.trace", mixed)
+    expected = re.escape(
+        f"cannot score trace {mixed / 'q2.trace'}: "
+        f"its config differs from that of {mixed / 'q1.trace'}"
+    )
+    with pytest.raises(runner.ConfigError, match=expected):
+        score_run(mixed, questions, tmp_path / "rescore")
+    assert not (tmp_path / "rescore").exists()
+
+
+@pytest.fixture(scope="module")
+def judged_run(tmp_path_factory):
+    """A cot/agent run of one question with the model judge on; its trace
+    holds an answer, a true verdict and the class ``correct``."""
+    root = tmp_path_factory.mktemp("judged")
+    graph_path = root / "graph.kg"
+    save_graph(generate_synthetic_graph(11), graph_path)
+    questions = write_question_file(root / "q.lines", [synthetic_question("q1")])
+    script = write_replay_script(root / "s.replay", permissive_entries(agent_finish=True))
+    out = root / "out"
+    run_experiment(
+        RunConfig(
+            kg_path=str(graph_path),
+            questions_path=str(questions),
+            out_dir=str(out),
+            replay_path=str(script),
+            judge="llm",
+        )
+    )
+    data = json.loads((out / "traces" / "q1.trace").read_text(encoding="utf-8"))
+    assert data["eval"]["judge_correct"] is True
+    assert data["eval"]["error_class"] == "correct"
+    return data, questions
+
+
+@pytest.mark.parametrize(
+    "error_class", [None, "wrong_step", "correct", "gave_up", 3, ["wrong_step"]], ids=json.dumps
+)
+@pytest.mark.parametrize("verdict", [True, False, None, 1, 0, "yes", {}, []], ids=json.dumps)
+def test_validate_trace_and_score_agree_on_eval_blocks(judged_run, tmp_path, verdict, error_class):
+    """A trace whose eval block validates clean scores, and one that does
+    not fails to score only with a ``ConfigError`` naming its file."""
+    data, questions = judged_run
+    data = copy.deepcopy(data)
+    data["eval"].update(judge_correct=verdict, error_class=error_class)
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    path = traces / "q1.trace"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    try:
+        score_run(traces, questions, tmp_path / "rescore")
+    except runner.ConfigError as exc:
+        assert validate_trace(data) != [], exc
+        assert str(path) in str(exc)
 
 
 # ------------------------------------------------- set-up shared and frozen

@@ -537,6 +537,8 @@ WRONG_TYPES = [
     ("eval", [], "eval must be an object, got a list"),
     ("eval", "1.0", "eval must be an object, got a string"),
     ("eval.error_class", ["wrong_step"], "unknown error class"),
+    ("eval.judge_correct", {}, "eval.judge_correct must be true, false or null"),
+    ("eval.judge_correct", 1, "eval.judge_correct must be true, false or null"),
     ("frontier", None, "frontier must be a list, got null"),
     ("frontier", [[1]], "does not list state ids"),
 ]
