@@ -1,11 +1,15 @@
 """Run artifacts: trace records, their serialization, and validation.
 
-A trace is the full account of one question's run — every thought state
-with its evidence, the final frontier, the answer, the cost meters, and
-the evaluation block — written as one line of canonical JSON (sorted keys,
-no indent) so replay runs are byte-identical. The validator re-checks the
-structural invariants on the raw dict, so hand-edited or truncated artifacts
-are caught.
+A trace accounts for one question's run — every thought state with the
+evidence its own step added, the final frontier, the answer, the cost
+meters, and the evaluation block — written as one line of canonical JSON
+(sorted keys, no indent) so replay runs are byte-identical. Each state
+writes deltas: only the triples, attributes, agent steps and seen entities
+that none of its parents holds. A state's whole evidence is its parents'
+evidence joined by the union rules of :meth:`ExplorationState.merge` and
+:meth:`Scratchpad.merge`, plus its own rows. The validator re-checks the
+structural invariants on the raw dict, so hand-edited or truncated
+artifacts are caught.
 """
 
 from __future__ import annotations
@@ -13,7 +17,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, fields
+from functools import reduce
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import kg
 from .agent import Scratchpad
@@ -34,17 +42,33 @@ from .strategies import (
     VALID_STATUSES,
 )
 
-TRACE_SCHEMA = "trace/v2"
+TRACE_SCHEMA = "trace/v3"
+# Each state wrote its cumulative evidence and thought log; such traces
+# still load, validate and score.
+TRACE_SCHEMA_V2 = "trace/v2"
 RESULTS_SCHEMA = "results/v1"
 REPORT_SCHEMA = "report/v1"
 SWEEP_SCHEMA = "sweep/v1"
 
+T = TypeVar("T")
 
-def _serialize_scratchpad(pad: Scratchpad | None) -> list[dict] | None:
-    """Each step's fields and its position from 1 as ``index``, its tuples
-    written as lists so a loaded trace equals the one built in memory."""
+
+def _joined(parts: list[T | None], merge: Callable[[T, T], T], empty: Callable[[], T]) -> T:
+    """What a state inherits: its parents' evidence joined by ``merge``, a
+    missing part read as ``empty()``. A lone parent's evidence is itself."""
+    present = [part if part is not None else empty() for part in parts]
+    return reduce(merge, present) if present else empty()
+
+
+def _serialize_steps(
+    pad: Scratchpad | None, parents: list[Scratchpad | None]
+) -> list[dict] | None:
+    """The steps ``pad`` adds after its parents' joined scratchpad, each with
+    its position in ``pad`` from 1 as ``index`` and its tuples written as
+    lists, so a loaded trace equals the one built in memory."""
     if pad is None:
         return None
+    first = len(_joined(parents, Scratchpad.merge, Scratchpad).steps)
     return [
         {
             **vars(step),
@@ -52,29 +76,45 @@ def _serialize_scratchpad(pad: Scratchpad | None) -> list[dict] | None:
             "actions": [{"kind": a.kind, "args": list(a.args)} for a in step.actions],
             "observations": list(step.observations),
         }
-        for index, step in enumerate(pad.steps, 1)
+        for index, step in enumerate(pad.steps[first:], first + 1)
     ]
 
 
-def _serialize_exploration(exploration: ExplorationState | None) -> dict | None:
-    """What an exploration has seen; its triples and attributes are written
-    once, as the state's ``evidence.triples``/``evidence.attributes``."""
+def _new_rows(records: dict, inherited: dict) -> list[dict]:
+    """The fields of each record whose key ``inherited`` lacks, in order."""
+    return [vars(record).copy() for key, record in records.items() if key not in inherited]
+
+
+def _serialize_exploration(
+    exploration: ExplorationState | None, inherited: ExplorationState
+) -> dict | None:
+    """Whether an exploration found enough, and a ``[entity_id,
+    depth_discovered, visited]`` row per seen entity that is new or differs
+    from ``inherited``; its triples and attributes are the state's
+    ``evidence.triples``/``evidence.attributes``."""
     if exploration is None:
         return None
+    seen = inherited.seen_entities
     return {
-        "seen_entities": {
-            eid: vars(meta).copy() for eid, meta in exploration.seen_entities.items()
-        },
+        "seen_entities": [
+            [eid, meta.depth_discovered, meta.visited]
+            for eid, meta in exploration.seen_entities.items()
+            if eid not in seen or seen[eid] != meta
+        ],
         "sufficient": exploration.sufficient,
     }
 
 
-def _serialize_state(state: ThoughtState) -> dict:
-    """A state's fields; triple, attribute and seen-entity rows hold exactly
-    the fields of their records, which ``TraceRecord.evidence_strings``
-    reads back."""
+def _serialize_state(state: ThoughtState, parents: list[ThoughtState]) -> dict:
+    """A state's fields and the evidence it added over ``parents``, so a
+    merged state adds none. Triple and attribute rows hold exactly the
+    fields of their records, which ``TraceRecord.evidence_strings`` reads
+    back."""
     evidence = state.evidence
     explored = evidence.exploration or ExplorationState()
+    inherited = _joined(
+        [p.evidence.exploration for p in parents], ExplorationState.merge, ExplorationState
+    )
     return {
         "id": state.id,
         "depth": state.depth,
@@ -83,12 +123,13 @@ def _serialize_state(state: ThoughtState) -> dict:
         "status": state.status,
         "score": state.score,
         "evidence": {
-            "triples": [vars(t).copy() for t in explored.found_triples.values()],
-            "attributes": [vars(h).copy() for h in explored.relevant_attributes.values()],
-            "thought_log": list(evidence.thought_log),
+            "triples": _new_rows(explored.found_triples, inherited.found_triples),
+            "attributes": _new_rows(explored.relevant_attributes, inherited.relevant_attributes),
             "answer": evidence.answer,
-            "scratchpad": _serialize_scratchpad(evidence.scratchpad),
-            "exploration": _serialize_exploration(evidence.exploration),
+            "scratchpad": _serialize_steps(
+                evidence.scratchpad, [p.evidence.scratchpad for p in parents]
+            ),
+            "exploration": _serialize_exploration(evidence.exploration, inherited),
         },
     }
 
@@ -140,7 +181,11 @@ def build_trace(
     result: SearchResult,
     eval_block: dict | None = None,
 ) -> TraceRecord:
-    states = [_serialize_state(result.states[sid]) for sid in sorted(result.states)]
+    by_id = result.states
+    states = [
+        _serialize_state(by_id[sid], [by_id[pid] for pid in by_id[sid].parents])
+        for sid in sorted(by_id)
+    ]
     return TraceRecord(
         qid=question.qid,
         question={
@@ -205,6 +250,65 @@ def _json_type(value: object) -> str:
     return _JSON_NAMES.get(type(value), type(value).__name__)
 
 
+_TRIPLE_FIELDS = frozenset(f.name for f in fields(kg.Triple))
+_HIT_FIELDS = frozenset(f.name for f in fields(AttributeHit))
+_SEEN_ROW = (str, int, bool)  # [entity_id, depth_discovered, visited]
+_TRIPLE_KEY = itemgetter("head_id", "relation", "tail_id")
+
+# The row checks below see every row of a trace, so they loop in map and
+# set rather than in Python code: they run inside every readback.
+
+
+def _check_records(
+    rows: list, names: frozenset[str], what: str, where: str, bad: Callable[[str], None]
+) -> bool:
+    """Whether every row is an object holding exactly ``names``, all
+    strings, as ``evidence_strings`` reads it back; if not, report it."""
+    try:
+        if (
+            set(map(type, rows)) <= {dict}
+            and set(map(len, rows)) <= {len(names)}
+            and set(map(type, chain.from_iterable(map(itemgetter(*names), rows)))) <= {str}
+        ):
+            return True
+    except KeyError:  # a row of the right size with another key
+        pass
+    bad(f"{where}every {what} must be an object of the string fields {', '.join(sorted(names))}")
+    return False
+
+
+def _check_seen_rows(rows: list, where: str, bad: Callable[[str], None]) -> None:
+    """Report unless every row is a list of a string, an integer and a boolean."""
+    if not (
+        set(map(type, rows)) <= {list}
+        and set(map(len, rows)) <= {len(_SEEN_ROW)}
+        and all(set(map(type, column)) <= {kind} for column, kind in zip(zip(*rows), _SEEN_ROW))
+    ):
+        bad(f"{where}every seen entity must be an [entity_id, depth_discovered, visited] "
+            "row of a string, an integer and a boolean")
+
+
+def _check_steps(pad: object, cumulative: bool, where: str, bad: Callable[[str], None]) -> None:
+    """A scratchpad is null or a list of step objects whose observations are
+    lists of strings. Its indices count up by one: from 1 where each state
+    wrote its whole scratchpad, else from the first new step's position."""
+    if not pad:
+        return
+    if not (isinstance(pad, list) and all(isinstance(step, dict) for step in pad)):
+        bad(f"{where}scratchpad must be a list of step objects")
+        return
+    for step in pad:
+        observations = step.get("observations", [])
+        if not (isinstance(observations, list) and all(type(o) is str for o in observations)):
+            bad(f"{where}step {step.get('index')!r}: observations must be a list of strings")
+    indices = [step.get("index") for step in pad]
+    first = 1 if cumulative else indices[0]
+    if type(first) is not int or first < 1:
+        bad(f"{where}scratchpad indices {indices} must start at a positive integer")
+    elif indices != list(range(first, first + len(pad))):
+        bad(f"{where}scratchpad indices {indices} are not contiguous from {first}")
+
+
 def validate_trace(data: object) -> list[str]:
     """Check a raw trace against the structural invariants.
 
@@ -227,8 +331,10 @@ def validate_trace(data: object) -> list[str]:
     if not isinstance(data, dict):
         bad(f"a trace must be an object, got {_json_type(data)}")
         return violations
-    if data.get("schema") != TRACE_SCHEMA:
-        bad(f"schema is {data.get('schema')!r}, expected {TRACE_SCHEMA!r}")
+    schema = data.get("schema")
+    if schema not in (TRACE_SCHEMA, TRACE_SCHEMA_V2):
+        bad(f"schema is {schema!r}, expected {TRACE_SCHEMA!r} or {TRACE_SCHEMA_V2!r}")
+    cumulative = schema == TRACE_SCHEMA_V2
     states = data.get("states")
     if not isinstance(states, list) or not states:
         bad("states must be a nonempty list")
@@ -261,20 +367,18 @@ def validate_trace(data: object) -> list[str]:
         where = f"state {sid}: "
         evidence = typed(state, "evidence", dict, where)
         triples = typed(evidence, "triples", list, where + "evidence.")
-        try:
-            keys = {(t.get("head_id"), t.get("relation"), t.get("tail_id")) for t in triples}
-        except (AttributeError, TypeError):  # a triple that is no object, or a list id
-            bad(f"state {sid}: every triple must be an object with scalar ids")
-        else:
-            if len(keys) != len(triples):
-                bad(f"state {sid}: duplicate triples in evidence")
-        pad = evidence.get("scratchpad")
-        if pad and not (isinstance(pad, list) and all(isinstance(step, dict) for step in pad)):
-            bad(f"state {sid}: scratchpad must be a list of step objects")
-        elif pad:
-            indices = [step.get("index") for step in pad]
-            if indices != list(range(1, len(pad) + 1)):
-                bad(f"state {sid}: scratchpad indices {indices} are not contiguous from 1")
+        if _check_records(triples, _TRIPLE_FIELDS, "triple", where, bad):
+            if len(set(map(_TRIPLE_KEY, triples))) < len(triples):
+                bad(f"{where}duplicate triples in evidence")
+        attributes = typed(evidence, "attributes", list, where + "evidence.")
+        _check_records(attributes, _HIT_FIELDS, "attribute", where, bad)
+        _check_steps(evidence.get("scratchpad"), cumulative, where, bad)
+        exploration = evidence.get("exploration")
+        if exploration is not None and not isinstance(exploration, dict):
+            bad(f"{where}exploration must be an object or null, got {_json_type(exploration)}")
+        elif exploration is not None and not cumulative:
+            seen = typed(exploration, "seen_entities", list, where + "exploration.")
+            _check_seen_rows(seen, where, bad)
         if state is root:
             continue
 

@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from functools import reduce
 from pathlib import Path
 
+from graphreason.agent import AgentAction, AgentStep, Scratchpad
 from graphreason.evaluation import Question
-from graphreason.kg import GraphStats, KnowledgeGraph, NodeRecord
+from graphreason.explore import AttributeHit, ExplorationState, SeenEntity
+from graphreason.kg import GraphStats, KnowledgeGraph, NodeRecord, Triple
 from graphreason.llm import ReplayBackend, ReplayEntry
+from graphreason.strategies import Evidence, SearchResult
 
 # One phrase per template, lifted from each template's instruction text.
 # Every rendered prompt contains exactly its own template's phrase, so a
@@ -239,3 +243,96 @@ def closure_oracle(
                     queue.append(tail)
     entities = {node_id for node_id, d in dist.items() if d <= depth}
     return triples, entities
+
+
+def _joined(parts, merge, empty):
+    present = [part if part is not None else empty() for part in parts]
+    return reduce(merge, present).clone() if present else empty()
+
+
+def _step(row: dict) -> AgentStep:
+    return AgentStep(
+        thought=row["thought"],
+        raw_action=row["raw_action"],
+        actions=tuple(AgentAction(a["kind"], tuple(a["args"])) for a in row["actions"]),
+        observations=tuple(row["observations"]),
+        malformed=row["malformed"],
+    )
+
+
+def rebuild_evidence(data: dict) -> dict[int, Evidence]:
+    """Each state's whole evidence, rebuilt from a trace/v3 dict's rows.
+
+    A state holds its parents' evidence joined by the union rules of
+    ``ExplorationState.merge`` and ``Scratchpad.merge``, then its own rows;
+    a null ``exploration`` or ``scratchpad`` means it holds none. Its thought
+    log is its parents' logs joined as ``merged_state`` joins them, then its
+    thought; a non-root state holding neither was born pruned and keeps its
+    parent's log.
+    """
+    built: dict[int, Evidence] = {}
+    for state in data["states"]:
+        rows = state["evidence"]
+        parents = [built[pid] for pid in state["parents"]]
+        exploration = pad = None
+        if rows["exploration"] is not None:
+            exploration = _joined(
+                [p.exploration for p in parents], ExplorationState.merge, ExplorationState
+            )
+            for eid, depth, visited in rows["exploration"]["seen_entities"]:
+                exploration.seen_entities[eid] = SeenEntity(visited, depth)
+            for row in rows["triples"]:
+                exploration.found_triples[row["head_id"], row["relation"], row["tail_id"]] = (
+                    Triple(**row)
+                )
+            for row in rows["attributes"]:
+                exploration.relevant_attributes[row["entity_id"], row["key"]] = AttributeHit(**row)
+            exploration.sufficient = rows["exploration"]["sufficient"]
+        if rows["scratchpad"] is not None:
+            pad = _joined([p.scratchpad for p in parents], Scratchpad.merge, Scratchpad)
+            for row in rows["scratchpad"]:
+                assert row["index"] == len(pad.steps) + 1, (state["id"], row["index"])
+                pad.steps.append(_step(row))
+        thought_log = list(parents[0].thought_log) if parents else []
+        for entry in (entry for parent in parents[1:] for entry in parent.thought_log):
+            if entry not in thought_log:
+                thought_log.append(entry)
+        if parents and (exploration is not None or pad is not None):
+            thought_log.append(state["thought"])
+        built[state["id"]] = Evidence(
+            thought_log=thought_log, scratchpad=pad, exploration=exploration,
+            answer=rows["answer"],
+        )
+    return built
+
+
+def _fact_keys(evidence: dict) -> list:
+    keys = [("triple", t["head_id"], t["relation"], t["tail_id"]) for t in evidence["triples"]]
+    return keys + [("attribute", h["entity_id"], h["key"]) for h in evidence["attributes"]]
+
+
+def assert_writes_deltas(data: dict, result: SearchResult) -> None:
+    """A trace/v3 dict holds each state's additions only, and they rebuild
+    every in-memory state's evidence.
+
+    No state writes a triple or attribute row that an ancestor holds, and
+    each step row extends its parents' joined scratchpad (checked by the
+    rebuild: ``Scratchpad.merge`` keeps one step per thought and action, so
+    a step an ancestor repeated may be dropped and added again later). A
+    merged state writes no rows at all.
+    """
+    by_id = {state["id"]: state for state in data["states"]}
+    ancestors: dict[int, set[int]] = {}
+    for state in data["states"]:
+        sid, parents = state["id"], state["parents"]
+        ancestors[sid] = set(parents).union(*(ancestors[pid] for pid in parents))
+        own = _fact_keys(state["evidence"])
+        assert len(set(own)) == len(own), sid
+        inherited = {key for aid in ancestors[sid] for key in _fact_keys(by_id[aid]["evidence"])}
+        assert not inherited.intersection(own), (sid, inherited.intersection(own))
+        if len(parents) == 2:
+            evidence = state["evidence"]
+            exploration = evidence["exploration"] or {"seen_entities": []}
+            assert own == [] and not evidence["scratchpad"], sid
+            assert exploration["seen_entities"] == [], sid
+    assert rebuild_evidence(data) == {sid: s.evidence for sid, s in result.states.items()}

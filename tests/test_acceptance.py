@@ -94,8 +94,14 @@ def test_acceptance_1_golden_traces():
 
     final = result.states[max(result.states)]
     pad = final.evidence.scratchpad
-    rows = build_trace(question, {}, result).states[final.id]["evidence"]["scratchpad"]
-    assert [row["index"] for row in rows] == [1, 2, 3, 4]
+    # Each state of the chain writes only the step it added, numbered by
+    # its position in the whole scratchpad.
+    rows = build_trace(question, {}, result).states
+    lineage = [final.id]
+    while result.states[lineage[-1]].parents != (0,):
+        lineage.append(result.states[lineage[-1]].parents[0])
+    indices = [[row["index"] for row in rows[sid]["evidence"]["scratchpad"]] for sid in lineage]
+    assert indices[::-1] == [[1], [2], [3], [4]]
     assert [s.thought for s in pad.steps] == [
         "The question is related to a gene node (KRT39). "
         "We need to find this node in the graph.",

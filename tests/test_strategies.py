@@ -37,6 +37,7 @@ from graphreason.traces import build_trace, serialize_trace
 
 from helpers import (
     TEMPLATE_MATCHERS,
+    assert_writes_deltas,
     krt39_graph,
     permissive_backend,
     permissive_entries,
@@ -533,22 +534,19 @@ def test_run_search_explore_interaction_round_trip():
     assert result.states[1].evidence.exploration is not None
 
 
-def test_got_explore_trace_writes_each_triple_once():
-    result = run(strategy="got", interaction="explore", k=3, t=3, d_max=2)
+@pytest.mark.parametrize("interaction", ["agent", "explore"])
+def test_got_trace_writes_each_state_only_what_it_added(interaction):
+    result = run(strategy="got", interaction=interaction, k=3, t=3, d_max=2)
     data = build_trace(synthetic_question(), {}, result).as_dict()
-    assert data["schema"] == "trace/v2"
-    merged = 0
-    for state in data["states"][1:]:
-        exploration = state["evidence"]["exploration"]
-        assert set(exploration) == {"seen_entities", "sufficient"}
-        if len(state["parents"]) == 2:
-            merged += 1
-            a, b = (result.states[p].evidence.exploration for p in state["parents"])
-            union = ExplorationState.merge(a, b)
-            triples = [Triple(**t) for t in state["evidence"]["triples"]]
-            assert triples == list(union.found_triples.values())
-            assert union.found_triples
+    assert data["schema"] == "trace/v3"
+    merged = [state for state in data["states"] if len(state["parents"]) == 2]
     assert merged
+    if interaction == "explore":
+        assert all(set(s["evidence"]["exploration"]) == {"seen_entities", "sufficient"}
+                   for s in data["states"][1:])
+        a, b = (result.states[p].evidence.exploration for p in merged[0]["parents"])
+        assert ExplorationState.merge(a, b).found_triples
+    assert_writes_deltas(data, result)
 
 
 @pytest.mark.parametrize("interaction", ["agent", "explore"])

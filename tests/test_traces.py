@@ -3,17 +3,28 @@
 import copy
 import json
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import TEMPLATE_MATCHERS, permissive_backend, permissive_entries, synthetic_question
+from helpers import (
+    TEMPLATE_MATCHERS,
+    assert_writes_deltas,
+    permissive_backend,
+    permissive_entries,
+    rebuild_evidence,
+    synthetic_question,
+    write_replay_script,
+)
+from graphreason import kg
 from graphreason.costs import CostCounters
-from graphreason.evaluation import classify_error, rouge_l
-from graphreason.explore import ExploreConfig
-from graphreason.kg import generate_synthetic_graph
-from graphreason.llm import ReplayBackend, ReplayEntry
+from graphreason.evaluation import classify_error, load_questions, rouge_l
+from graphreason.explore import ExplorationState, ExploreConfig, render_attribute
+from graphreason.kg import generate_synthetic_graph, save_graph
+from graphreason.llm import ReplayBackend, ReplayEntry, TransportError
+from graphreason.runner import RunConfig, _outcome, run_experiment, score_run
 from graphreason.strategies import SearchConfig, run_search
 from graphreason.traces import (
     TRACE_SCHEMA,
@@ -26,6 +37,7 @@ from graphreason.traces import (
     write_trace,
 )
 
+DATA = Path(__file__).parent / "data"
 
 def run_trace(strategy="got", interaction="agent", finish=False, **overrides):
     config = SearchConfig(
@@ -84,7 +96,6 @@ def minimal_trace_dict():
                 "evidence": {
                     "triples": [],
                     "attributes": [],
-                    "thought_log": [],
                     "answer": None,
                     "scratchpad": None,
                     "exploration": None,
@@ -100,7 +111,6 @@ def minimal_trace_dict():
                 "evidence": {
                     "triples": [],
                     "attributes": [],
-                    "thought_log": ["The answer is clear."],
                     "answer": "alpha 2",
                     "scratchpad": None,
                     "exploration": None,
@@ -132,7 +142,7 @@ def test_serialized_form_is_canonical(got_trace):
     data = json.loads(text)
     assert text == json.dumps(data, sort_keys=True) + "\n"
     assert "\n" not in text[:-1]
-    assert data["schema"] == "trace/v2"
+    assert data["schema"] == "trace/v3"
 
 
 def test_write_then_load_round_trips(tmp_path, got_trace):
@@ -214,19 +224,25 @@ def test_evidence_strings_from_a_real_agent_run(got_trace):
     assert any("neighbors" in s for s in strings)
 
 
-def test_judge_evidence_lines_are_the_prompt_renderings():
-    # The error judge reads a got/explore run's triples and attributes in
-    # the very form the search prompts showed the model.
-    question = synthetic_question()
+def explore_with_attributes(finish=True):
+    """A got/explore run that keeps attribute hits: it answers at depth 1,
+    or without ``finish`` explores on and merges."""
     config = SearchConfig(
         strategy="got", interaction="explore", k=2, t=2, d_max=2,
         explore=ExploreConfig(search_depth=1, select_attributes=True),
     )
     backend = ReplayBackend(
         [ReplayEntry(TEMPLATE_MATCHERS["search_attributes"], "{{name, blurb}}")]
-        + permissive_entries(explore_finish=True)
+        + permissive_entries(explore_finish=finish)
     )
-    result = run_search(question, config, generate_synthetic_graph(11), backend)
+    return run_search(synthetic_question(), config, generate_synthetic_graph(11), backend)
+
+
+def test_judge_evidence_lines_are_the_prompt_renderings():
+    # The error judge reads a got/explore run's triples and attributes in
+    # the very form the search prompts showed the model.
+    question = synthetic_question()
+    result = explore_with_attributes()
     expected: list[str] = []
     for sid in sorted(result.states):
         explored = result.states[sid].evidence.exploration
@@ -250,6 +266,140 @@ def test_judge_evidence_lines_are_the_prompt_renderings():
     (prompt,) = prompts
     block = prompt.split("Evidence collected during the run:\n")[1]
     assert block.split("\nDecide which failure mode applies")[0].split("\n") == expected
+
+
+class SecondGenerationFails(ReplayBackend):
+    """Replay whose second generation call fails on every transport attempt,
+    so that child is born pruned and the run goes on."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.generations = 0
+
+    def raw_complete(self, request):
+        phrases = (TEMPLATE_MATCHERS["search_thought"], TEMPLATE_MATCHERS["agent_step"])
+        if any(phrase in request.prompt for phrase in phrases):
+            self.generations += 1
+            if 2 <= self.generations <= 4:  # the second call and both its retries
+                raise TransportError("injected")
+        return super().raw_complete(request)
+
+
+def cumulative_evidence_strings(result):
+    """What ``evidence_strings`` returned when every state wrote its whole
+    evidence: each state's observations, triples and attributes, in state-id
+    order, deduplicated."""
+    strings: list[str] = []
+    for sid in sorted(result.states):
+        evidence = result.states[sid].evidence
+        explored = evidence.exploration or ExplorationState()
+        steps = evidence.scratchpad.steps if evidence.scratchpad else []
+        texts = [obs for step in steps for obs in step.observations]
+        texts += [kg.render_triple(t) for t in explored.found_triples.values()]
+        texts += [render_attribute(h) for h in explored.relevant_attributes.values()]
+        for text in texts:
+            if text and text not in strings:
+                strings.append(text)
+    return strings
+
+
+def born_pruned_run(interaction):
+    config = SearchConfig(strategy="got", interaction=interaction, k=3, t=3, d_max=2)
+    backend = SecondGenerationFails(permissive_entries())
+    result = run_search(synthetic_question(), config, generate_synthetic_graph(11), backend)
+    assert result.states[2].thought == "(generation failed)"
+    return result
+
+
+JUDGED_RUNS = {
+    "got-explore": lambda: explore_with_attributes(finish=False),
+    "got-agent": lambda: run_search(
+        synthetic_question(),
+        SearchConfig(strategy="got", interaction="agent", k=3, t=3, d_max=3),
+        generate_synthetic_graph(11),
+        permissive_backend(),
+    ),
+    "born-pruned-explore": lambda: born_pruned_run("explore"),
+    "born-pruned-agent": lambda: born_pruned_run("agent"),
+}
+
+
+@pytest.mark.parametrize("name", JUDGED_RUNS)
+def test_delta_rows_give_the_judge_the_cumulative_evidence(name):
+    """The judge's evidence block is unchanged by writing deltas: the rows
+    pushed in state-id order dedupe to what whole-evidence states gave."""
+    result = JUDGED_RUNS[name]()
+    if name.startswith("got"):
+        assert any(len(state.parents) == 2 for state in result.states.values())
+    data = build_trace(synthetic_question(), {"strategy": "got"}, result).as_dict()
+    reference = cumulative_evidence_strings(result)
+    assert reference
+    assert trace_from_dict(data).evidence_strings() == reference
+    assert_writes_deltas(data, result)
+
+
+# The CI got/explore replay (its run was written as trace/v2 into DATA).
+V2_RUN_REPLAY = [
+    ReplayEntry("Generate the next thought for the merged chain",
+                "Both chains point the same way; keep exploring."),
+    ReplayEntry("Generate a score", "Score: 0.5"),
+    ReplayEntry("Select the tail entity", "keep everything please"),
+    ReplayEntry("select only the relevant relations", "keep everything please"),
+    ReplayEntry("extract the relevant entities", "{{beta 1}}"),
+    ReplayEntry("whether it's sufficient", "{{No}}"),
+    ReplayEntry("Next Thought:", "Look at the entries linked to beta 1."),
+]
+
+
+def test_a_v2_trace_loads_validates_and_scores_as_its_v3_rewrite(tmp_path):
+    questions = tmp_path / "questions.lines"
+    questions.write_text(
+        '{"qid": "q1", "question": "Which entries are linked to beta 1?", '
+        '"answer": "alpha 2", "difficulty": "easy"}\n',
+        encoding="utf-8",
+    )
+    graph_path = tmp_path / "graph.kg"
+    save_graph(generate_synthetic_graph(11), graph_path)
+    run_experiment(RunConfig(
+        kg_path=str(graph_path), questions_path=str(questions), out_dir=str(tmp_path / "v3"),
+        replay_path=str(write_replay_script(tmp_path / "explore.replay", V2_RUN_REPLAY)),
+        strategy="got", interaction="explore", evaluator="score", max_depth=2, search_depth=1,
+    ))
+    v2_path = DATA / "got_explore_v2.trace"
+    v2, v3 = load_trace(v2_path), load_trace(tmp_path / "v3" / "traces" / "q1.trace")
+    assert (v2.schema, v3.schema) == ("trace/v2", "trace/v3")
+    assert validate_trace(json.loads(v2_path.read_text(encoding="utf-8"))) == []
+
+    (question,) = load_questions(questions)
+    assert _outcome(question, v2) == _outcome(question, v3)
+    assert v2.evidence_strings() == v3.evidence_strings()
+    old = tmp_path / "v2"
+    old.mkdir()
+    (old / "q1.trace").write_bytes(v2_path.read_bytes())
+    score_run(old, questions, tmp_path / "rescore")
+    lines = (tmp_path / "v3" / "results.lines").read_bytes()
+    assert (tmp_path / "rescore" / "results.lines").read_bytes() == lines
+
+    # Everything but the evidence is written alike, and the v3 rows rebuild
+    # each state's v2 evidence.
+    def without(record, *names):
+        return {k: v for k, v in record.items() if k not in names}
+
+    assert without(v2.as_dict(), "schema", "states") == without(v3.as_dict(), "schema", "states")
+    rebuilt = rebuild_evidence(v3.as_dict())
+    for old_state, new_state in zip(v2.states, v3.states, strict=True):
+        assert without(old_state, "evidence") == without(new_state, "evidence")
+        rows, whole = old_state["evidence"], rebuilt[new_state["id"]]
+        explored = whole.exploration or ExplorationState()
+        assert rows["thought_log"] == whole.thought_log
+        assert rows["triples"] == [vars(t) for t in explored.found_triples.values()]
+        assert rows["attributes"] == [vars(h) for h in explored.relevant_attributes.values()]
+        if rows["exploration"] is not None:
+            assert rows["exploration"] == {
+                "seen_entities": {e: vars(m) for e, m in explored.seen_entities.items()},
+                "sufficient": explored.sufficient,
+            }
+    assert len(serialize_trace(v3)) < 0.6 * len(serialize_trace(v2))
 
 
 # ------------------------------------------------------------- validation
@@ -504,6 +654,69 @@ def test_tampering_a_real_trace_is_caught(got_trace):
         pytest.fail("expected a merged state in a got trace")
     assert validate_trace(data) == []
     assert validate_trace(broken) != []
+
+
+@pytest.fixture(scope="module")
+def real_traces(got_trace):
+    result = explore_with_attributes(finish=False)
+    return {
+        "v3-explore": build_trace(synthetic_question(), {"strategy": "got"}, result).as_dict(),
+        "v3-agent": got_trace.as_dict(),
+        "v2-explore": json.loads((DATA / "got_explore_v2.trace").read_text(encoding="utf-8")),
+    }
+
+
+def _pop_tail_name(rows):
+    del rows[0]["tail_name"]
+
+
+# (trace, evidence field, change to the first state's nonempty rows, fragment)
+ROW_MUTATIONS = {
+    "triple-without-tail_name": (
+        "v3-explore", "triples", _pop_tail_name, "every triple must be an object of the string"
+    ),
+    "triple-with-numeric-head_name": (
+        "v3-explore", "triples", lambda rows: rows[0].update(head_name=7),
+        "every triple must be an object of the string",
+    ),
+    "v2-triple-without-tail_name": (
+        "v2-explore", "triples", _pop_tail_name, "every triple must be an object of the string"
+    ),
+    "v2-triple-with-numeric-head_name": (
+        "v2-explore", "triples", lambda rows: rows[0].update(head_name=7),
+        "every triple must be an object of the string",
+    ),
+    "attribute-of-other-fields": (
+        "v3-explore", "attributes", lambda rows: rows.append({"x": 1}),
+        "every attribute must be an object of the string",
+    ),
+    "observations-as-a-string": (
+        "v3-agent", "scratchpad",
+        lambda rows: rows[0].update(observations="The number of neighbors is 0."),
+        "observations must be a list of strings",
+    ),
+    "scratchpad-from-index-0": (
+        "v3-agent", "scratchpad",
+        lambda rows: [row.update(index=row["index"] - 1) for row in rows],
+        "must start at a positive integer",
+    ),
+    "seen-row-with-a-string-depth": (
+        "v3-explore", "exploration",
+        lambda exploration: exploration["seen_entities"][0].__setitem__(1, "0"),
+        "every seen entity must be an [entity_id, depth_discovered, visited] row",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ROW_MUTATIONS)
+def test_validator_checks_row_shapes(real_traces, name):
+    """Rows ``evidence_strings`` could not read back, or would read as
+    something else, are violations."""
+    source, key, mutate, fragment = ROW_MUTATIONS[name]
+    data = copy.deepcopy(real_traces[source])
+    assert validate_trace(data) == []
+    mutate(next(s["evidence"][key] for s in data["states"] if s["evidence"][key]))
+    expect(validate_trace(data), fragment)
 
 
 # (dotted path into the minimal trace, JSON value put there, expected fragment)
