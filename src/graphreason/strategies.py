@@ -383,14 +383,11 @@ def select_frontier(
     """Retain up to ``t`` candidates and prune the rest.
 
     Only active and finished candidates compete; states already pruned or
-    merged away are out. Returns retained ids in creation order.
+    merged away are out. Returns retained ids in creation order; ``t`` or
+    fewer eligible candidates are all retained, with no evaluator call.
     """
     eligible = [c for c in candidates if c.status in (STATUS_ACTIVE, STATUS_FINISHED)]
-    if not eligible:
-        return []
-    if len(eligible) <= config.t:
-        retained = eligible
-    elif config.evaluator == "select":
+    if config.evaluator == "select":
         retained = evaluate_select(eligible, config.t, question, backend, counters)
     else:
         retained = evaluate_score(eligible, config.t, question, backend, counters, pool=pool)
@@ -442,21 +439,14 @@ def merge_pair(
     return thought
 
 
-def _union(
-    merge: Callable[[T, T], T], x: T | None, y: T | None, empty: Callable[[], T]
-) -> T | None:
-    """``merge(x, y)`` with a missing side read as ``empty()``; None if both are missing."""
-    if x is None and y is None:
-        return None
-    return merge(x if x is not None else empty(), y if y is not None else empty())
-
-
 def merged_state(a: ThoughtState, b: ThoughtState, thought: str, merged_id: int) -> ThoughtState:
     """The state merging ``a`` and ``b`` under ``thought``.
 
     Its thought log is a's, then b's entries not already in it, then
     ``thought``; its scratchpad and exploration are the unions that
-    :meth:`Scratchpad.merge` and :meth:`ExplorationState.merge` build. It
+    :meth:`Scratchpad.merge` and :meth:`ExplorationState.merge` build. Both
+    inputs are active children of one round, so they share an interaction:
+    both hold a scratchpad or neither does, and so for an exploration. It
     has parents ``(a, b)`` and their depth; both inputs become
     ``merged_away``.
     """
@@ -468,9 +458,13 @@ def merged_state(a: ThoughtState, b: ThoughtState, thought: str, merged_id: int)
     thought_log.append(thought)
     evidence = Evidence(
         thought_log=thought_log,
-        scratchpad=_union(Scratchpad.merge, ea.scratchpad, eb.scratchpad, Scratchpad),
-        exploration=_union(
-            ExplorationState.merge, ea.exploration, eb.exploration, ExplorationState
+        scratchpad=(
+            Scratchpad.merge(ea.scratchpad, eb.scratchpad) if ea.scratchpad is not None else None
+        ),
+        exploration=(
+            ExplorationState.merge(ea.exploration, eb.exploration)
+            if ea.exploration is not None
+            else None
         ),
     )
     a.status = STATUS_MERGED_AWAY

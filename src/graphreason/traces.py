@@ -4,12 +4,13 @@ A trace accounts for one question's run — every thought state with the
 evidence its own step added, the final frontier, the answer, the cost
 meters, and the evaluation block — written as one line of canonical JSON
 (sorted keys, no indent) so replay runs are byte-identical. Each state
-writes deltas: only the triples, attributes, agent steps and seen entities
-that none of its parents holds. A state's whole evidence is its parents'
-evidence joined by the union rules of :meth:`ExplorationState.merge` and
-:meth:`Scratchpad.merge`, plus its own rows. The validator re-checks the
-structural invariants on the raw dict, so hand-edited or truncated
-artifacts are caught.
+writes deltas: a state with one parent writes only the triples, attributes,
+agent steps and seen entities its parent lacks. The root holds no evidence,
+and a merged state's is exactly its parents' union, so neither writes a row.
+A state's whole evidence is thus its parents' evidence joined by the union
+rules of :meth:`ExplorationState.merge` and :meth:`Scratchpad.merge`, plus
+its own rows. The validator re-checks the structural invariants on the raw
+dict, so hand-edited or truncated artifacts are caught.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, fields
-from functools import reduce
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable
 
 from . import kg
 from .agent import Scratchpad
@@ -50,25 +50,15 @@ RESULTS_SCHEMA = "results/v1"
 REPORT_SCHEMA = "report/v1"
 SWEEP_SCHEMA = "sweep/v1"
 
-T = TypeVar("T")
-
-
-def _joined(parts: list[T | None], merge: Callable[[T, T], T], empty: Callable[[], T]) -> T:
-    """What a state inherits: its parents' evidence joined by ``merge``, a
-    missing part read as ``empty()``. A lone parent's evidence is itself."""
-    present = [part if part is not None else empty() for part in parts]
-    return reduce(merge, present) if present else empty()
-
-
 def _serialize_steps(
-    pad: Scratchpad | None, parents: list[Scratchpad | None]
+    pad: Scratchpad | None, inherited_pad: Scratchpad | None
 ) -> list[dict] | None:
-    """The steps ``pad`` adds after its parents' joined scratchpad, each with
-    its position in ``pad`` from 1 as ``index`` and its tuples written as
-    lists, so a loaded trace equals the one built in memory."""
+    """The steps ``pad`` holds past ``inherited_pad``'s, each with its
+    position in ``pad`` from 1 as ``index`` and its tuples written as lists,
+    so a loaded trace equals the one built in memory."""
     if pad is None:
         return None
-    first = len(_joined(parents, Scratchpad.merge, Scratchpad).steps)
+    first = len(inherited_pad.steps) if inherited_pad is not None else 0
     return [
         {
             **vars(step),
@@ -105,16 +95,15 @@ def _serialize_exploration(
     }
 
 
-def _serialize_state(state: ThoughtState, parents: list[ThoughtState]) -> dict:
-    """A state's fields and the evidence it added over ``parents``, so a
-    merged state adds none. Triple and attribute rows hold exactly the
+def _serialize_state(state: ThoughtState, base: ThoughtState) -> dict:
+    """A state's fields and the evidence it holds beyond ``base``'s: its
+    parent's for a state with one parent, else its own, so the root and a
+    merged state write no rows. Triple and attribute rows hold exactly the
     fields of their records, which ``TraceRecord.evidence_strings`` reads
     back."""
     evidence = state.evidence
     explored = evidence.exploration or ExplorationState()
-    inherited = _joined(
-        [p.evidence.exploration for p in parents], ExplorationState.merge, ExplorationState
-    )
+    inherited = base.evidence.exploration or ExplorationState()
     return {
         "id": state.id,
         "depth": state.depth,
@@ -126,9 +115,7 @@ def _serialize_state(state: ThoughtState, parents: list[ThoughtState]) -> dict:
             "triples": _new_rows(explored.found_triples, inherited.found_triples),
             "attributes": _new_rows(explored.relevant_attributes, inherited.relevant_attributes),
             "answer": evidence.answer,
-            "scratchpad": _serialize_steps(
-                evidence.scratchpad, [p.evidence.scratchpad for p in parents]
-            ),
+            "scratchpad": _serialize_steps(evidence.scratchpad, base.evidence.scratchpad),
             "exploration": _serialize_exploration(evidence.exploration, inherited),
         },
     }
@@ -182,9 +169,11 @@ def build_trace(
     eval_block: dict | None = None,
 ) -> TraceRecord:
     by_id = result.states
+    # A merged state's evidence is its parents' union, so, like the root,
+    # it is read against itself and adds nothing.
     states = [
-        _serialize_state(by_id[sid], [by_id[pid] for pid in by_id[sid].parents])
-        for sid in sorted(by_id)
+        _serialize_state(s, by_id[s.parents[0]] if len(s.parents) == 1 else s)
+        for _, s in sorted(by_id.items())
     ]
     return TraceRecord(
         qid=question.qid,
@@ -348,10 +337,10 @@ def validate_trace(data: object) -> list[str]:
             bad(f"state at position {position} must be an object, got {_json_type(state)}")
             return violations
         sid = state.get("id")
-        if not isinstance(sid, int) or sid <= previous_id:
+        if type(sid) is not int or sid <= previous_id:
             bad(f"state ids must be strictly increasing, got {sid!r} after {previous_id}")
             return violations
-        if not isinstance(state.get("depth"), int):
+        if type(state.get("depth")) is not int:
             bad(f"state {sid}: depth must be an integer, got {state.get('depth')!r}")
             return violations
         previous_id = sid
@@ -374,6 +363,7 @@ def validate_trace(data: object) -> list[str]:
         _check_records(attributes, _HIT_FIELDS, "attribute", where, bad)
         _check_steps(evidence.get("scratchpad"), cumulative, where, bad)
         exploration = evidence.get("exploration")
+        seen: list = []
         if exploration is not None and not isinstance(exploration, dict):
             bad(f"{where}exploration must be an object or null, got {_json_type(exploration)}")
         elif exploration is not None and not cumulative:
@@ -389,9 +379,14 @@ def validate_trace(data: object) -> list[str]:
         if not parents:
             bad(f"state {sid}: non-root state has no parents")
             continue
-        if not all(isinstance(pid, int) for pid in parents):
+        if not all(type(pid) is int for pid in parents):
             bad(f"state {sid}: parents {parents!r} are not all state ids")
             continue
+        if len(parents) == 2 and not cumulative and (
+            triples or attributes or evidence.get("scratchpad") or seen
+        ):
+            bad(f"state {sid}: a merged state holds exactly its parents' evidence, "
+                "so it writes no triple, attribute, step or seen row")
         if len(parents) > max_parents:
             bad(f"state {sid}: {len(parents)} parents exceeds {max_parents} for {strategy}")
         if len(set(parents)) != len(parents):
@@ -411,7 +406,7 @@ def validate_trace(data: object) -> list[str]:
                 bad(f"state {sid}: merged state must share its parents' depth")
 
     frontier = typed(data, "frontier", list)
-    if not all(isinstance(sid, int) for sid in frontier):
+    if not all(type(sid) is int for sid in frontier):
         bad(f"frontier {frontier!r} does not list state ids")
         frontier = []
     frontier_depths = set()
@@ -453,7 +448,7 @@ def validate_trace(data: object) -> list[str]:
     counters = typed(data, "counters", dict)
     for group in ("llm_calls_by_tag", "memo_hits_by_tag", "kg_ops_by_kind"):
         for key, value in typed(counters, group, dict, "counters.").items():
-            if not isinstance(value, int) or value < 0:
+            if type(value) is not int or value < 0:
                 bad(f"counters.{group}[{key!r}] must be a nonnegative integer")
 
     return violations

@@ -19,6 +19,7 @@ from helpers import (
     write_replay_script,
 )
 from graphreason import kg
+from graphreason.agent import Scratchpad
 from graphreason.costs import CostCounters
 from graphreason.evaluation import classify_error, load_questions, rouge_l
 from graphreason.explore import ExplorationState, ExploreConfig, render_attribute
@@ -335,6 +336,23 @@ def test_delta_rows_give_the_judge_the_cumulative_evidence(name):
     reference = cumulative_evidence_strings(result)
     assert reference
     assert trace_from_dict(data).evidence_strings() == reference
+    assert_writes_deltas(data, result)
+
+
+@pytest.mark.parametrize("name", ["got-explore", "got-agent"])
+def test_build_trace_makes_no_merge(name, monkeypatch):
+    """A merged state's evidence is built once, by ``merged_state``: the
+    writer reads each state against its one parent and never merges."""
+    result = JUDGED_RUNS[name]()
+    assert any(len(state.parents) == 2 for state in result.states.values())
+
+    def refuse(*args):
+        raise AssertionError("build_trace merged evidence")
+
+    monkeypatch.setattr(ExplorationState, "merge", refuse)
+    monkeypatch.setattr(Scratchpad, "merge", refuse)
+    data = build_trace(synthetic_question(), {"strategy": "got"}, result).as_dict()
+    monkeypatch.undo()
     assert_writes_deltas(data, result)
 
 
@@ -719,7 +737,34 @@ def test_validator_checks_row_shapes(real_traces, name):
     expect(validate_trace(data), fragment)
 
 
-# (dotted path into the minimal trace, JSON value put there, expected fragment)
+# (trace, the rows of one kind in a state's evidence)
+MERGED_ROWS = {
+    "triple": ("v3-explore", lambda evidence: evidence["triples"]),
+    "attribute": ("v3-explore", lambda evidence: evidence["attributes"]),
+    "seen": ("v3-explore", lambda evidence: evidence["exploration"]["seen_entities"]),
+    "step": ("v3-agent", lambda evidence: evidence["scratchpad"]),
+}
+
+
+@pytest.mark.parametrize("name", MERGED_ROWS)
+def test_validator_reports_rows_in_a_v3_merged_state(real_traces, name):
+    """A merged state's evidence is exactly its parents' union, so a v3
+    merged state holding another state's row is one violation naming it."""
+    source, rows = MERGED_ROWS[name]
+    data = copy.deepcopy(real_traces[source])
+    states = data["states"]
+    merged = next(s for s in states if len(s["parents"]) == 2)
+    assert validate_trace(data) == [] and rows(merged["evidence"]) == []
+    donor = next(s for s in states[1:] if rows(s["evidence"]))
+    rows(merged["evidence"]).append(rows(donor["evidence"])[0])
+    assert validate_trace(data) == [
+        f"state {merged['id']}: a merged state holds exactly its parents' evidence, "
+        "so it writes no triple, attribute, step or seen row"
+    ]
+
+
+# (dotted path into the minimal trace, or into a file under DATA named before a
+# colon, JSON value put there, expected fragment)
 WRONG_TYPES = [
     ("states.1", None, "position 1 must be an object, got null"),
     ("states.1", [1], "position 1 must be an object, got a list"),
@@ -754,6 +799,14 @@ WRONG_TYPES = [
     ("eval.judge_correct", 1, "eval.judge_correct must be true, false or null"),
     ("frontier", None, "frontier must be a list, got null"),
     ("frontier", [[1]], "does not list state ids"),
+    # A JSON boolean is not an integer.
+    ("frontier", [True], "does not list state ids"),
+    ("got_explore_v2.trace:states.0.id", False, "got False after -1"),
+    ("got_explore_v2.trace:states.1.depth", True, "state 1: depth must be an integer, got True"),
+    ("got_explore_v2.trace:states.4.parents", [True, 2], "are not all state ids"),
+    ("got_explore_v2.trace:states.1.id", True, "got True after 0"),
+    ("got_explore_v2.trace:counters.llm_calls_by_tag.merge", True,
+     "counters.llm_calls_by_tag['merge'] must be a nonnegative integer"),
 ]
 
 
@@ -763,14 +816,17 @@ WRONG_TYPES = [
     ids=[f"{path}={json.dumps(value)}" for path, value, _ in WRONG_TYPES],
 )
 def test_validator_reports_wrong_json_types(path, value, fragment):
+    source, _, path = path.rpartition(":")
+    if source:
+        document = json.loads((DATA / source).read_text(encoding="utf-8"))
+    else:
+        document = minimal_trace_dict()
     *parents, last = [int(key) if key.isdigit() else key for key in path.split(".")]
-
-    def mutate(data):
-        for key in parents:
-            data = data[key]
-        data[last] = value
-
-    expect(tampered(mutate), fragment)
+    holder = document
+    for key in parents:
+        holder = holder[key]
+    holder[last] = value
+    expect(validate_trace(document), fragment)
 
 
 @pytest.mark.parametrize("document", [[], ["trace"], "trace", 3, None, True])
