@@ -12,7 +12,8 @@ The relation prune, the tail prune and the attribute selection see only
 the question, one entity and what the graph holds about it, never a
 thought or a state, and decode greedily. A search therefore asks each of
 them once per entity (or entity and relation): an :class:`ExploreMemo`
-keyed on graph ids answers every later ask in that search.
+keyed on graph ids answers every later ask in that search. The tail prune
+returns its kept edges as triples, so a search builds each one once.
 
 Every model-driven selection has a deterministic fallback (a first-N
 prefix, or "keep nothing") so a run never dies on a malformed reply; with
@@ -131,7 +132,8 @@ class ExploreMemo:
     head_id, relation)`` and ``("attributes", entity_id)``; the first item is
     the tag of the call the key stands for. Within one search the question,
     its domain, the graph and the caps are fixed, so the ids fix the prompt,
-    and the stored value is the call site's final result, fallback included.
+    and the stored value is the call site's final result, fallback included,
+    never anything that depends on the asking state.
     A memo must therefore never outlive its search.
 
     The first ask of a key computes it; an ask while that is running waits
@@ -245,20 +247,21 @@ def prune_entities(
     backend: Backend,
     counters: CostCounters,
     config: ExploreConfig,
-) -> list[str]:
-    """Model-select tail entities; answered names resolve only within the
-    candidate set (exact name match), so the model cannot steer the search
-    to arbitrary nodes. Malformed replies keep the first
-    ``max_neighbors_per_relation`` tails.
+) -> list[kg.Triple]:
+    """Model-select tail entities and return the kept edges as triples;
+    answered names resolve only within the candidate set (exact name match),
+    so the model cannot steer the search to arbitrary nodes. Malformed
+    replies keep the first ``max_neighbors_per_relation`` tails.
     """
     if not tail_ids:
         raise ValueError(f"prune_entities needs a nonempty tail list for {head_id}")
+    head_name = kg.node_name(graph, head_id)
     names = [kg.node_name(graph, tid) for tid in tail_ids]
     request = request_for(
         "prune_entities",
         {
             "question": question.text,
-            "head_entity": kg.node_name(graph, head_id),
+            "head_entity": head_name,
             "relation": relation,
             "tail_entities": ", ".join(names),
         },
@@ -266,11 +269,13 @@ def prune_entities(
         domain=question.domain,
     )
     replied = complete_with_reask(backend, request, counters, parse_bracketed_list, None)
-    if replied is None:
-        return tail_ids[: config.max_neighbors_per_relation]
-    answered = set(replied)
-    selected = [tid for tid, name in zip(tail_ids, names) if name in answered]
-    return selected[: config.max_neighbors_per_relation]
+    answered = set(names if replied is None else replied)
+    kept = [
+        kg.Triple(head_name, relation, name, head_id, tail_id)
+        for tail_id, name in zip(tail_ids, names)
+        if name in answered
+    ]
+    return kept[: config.max_neighbors_per_relation]
 
 
 def search_attributes(
@@ -286,7 +291,7 @@ def search_attributes(
     yield no hits.
     """
     node = graph.nodes[entity_id]
-    name = node.features.get(kg.NAME_FEATURE, entity_id)
+    name = kg.node_name(graph, entity_id)
     rendered = "; ".join(f"{key}: {value}" for key, value in node.features.items())
     request = request_for(
         "search_attributes",
@@ -351,14 +356,16 @@ def explore(
 
     Mutates and returns ``state``. Each round expands every unvisited seen
     entity (one node fetch plus one neighbor scan per selected relation),
-    harvests the kept edges into the state's keyed triples, then runs the stop
-    check once; a Yes marks the state sufficient and ends the search. With
-    no unvisited entities the round does nothing and no model call is made.
+    files the triples :func:`prune_entities` kept, each new tail one hop
+    deeper than the entity, then runs the stop check once; a Yes marks the
+    state sufficient and ends the search. With no unvisited entities the
+    round does nothing and no model call is made.
 
     The relation and tail prunes and the attribute selection go through
     ``memo``, which the search shares among all its states, so an entity
-    another state already pruned costs no call here; without one the call
-    makes its own. The stop check sees the state and is asked every round.
+    another state already pruned costs no call and builds no triple here;
+    without one the call makes its own. The stop check sees the state and is
+    asked every round.
     """
     if memo is None:
         memo = ExploreMemo()
@@ -372,7 +379,6 @@ def explore(
             state.seen_entities[entity_id] = SeenEntity(True, meta.depth_discovered)
             counters.record_kg_op("node_fetch")
             node = graph.nodes[entity_id]
-            head_name = node.features.get(kg.NAME_FEATURE, entity_id)
             if config.select_attributes and node.features:
                 hits = memo.get(
                     ("attributes", entity_id), counters,
@@ -387,30 +393,18 @@ def explore(
                 ("prune_relations", entity_id), counters,
                 prune_relations, question, entity_id, relations, graph, backend, counters, config,
             )
+            # Frozen, so every tail this entity discovers shares it.
+            discovered = SeenEntity(False, meta.depth_discovered + 1)
             for relation in selected_relations:
                 counters.record_kg_op("neighbor_check")
-                tails = node.out_edges[relation]
-                selected_tails = memo.get(
+                kept = memo.get(
                     ("prune_entities", entity_id, relation), counters,
-                    prune_entities, question, entity_id, relation, tails, graph, backend,
-                    counters, config,
+                    prune_entities, question, entity_id, relation, node.out_edges[relation],
+                    graph, backend, counters, config,
                 )
-                for tail_id in selected_tails:
-                    key = (entity_id, relation, tail_id)
-                    if key not in state.found_triples:
-                        tail_node = graph.nodes[tail_id]
-                        state.found_triples[key] = kg.Triple(
-                            head_name=head_name,
-                            relation=relation,
-                            tail_name=tail_node.features.get(kg.NAME_FEATURE, tail_id),
-                            head_id=entity_id,
-                            tail_id=tail_id,
-                        )
-                    if tail_id not in state.seen_entities:
-                        state.seen_entities[tail_id] = SeenEntity(
-                            visited=False,
-                            depth_discovered=meta.depth_discovered + 1,
-                        )
+                for triple in kept:
+                    state.found_triples.setdefault((entity_id, relation, triple.tail_id), triple)
+                    state.seen_entities.setdefault(triple.tail_id, discovered)
         state.sufficient = end_check(question, state, backend, counters, thoughts=thoughts)
         if state.sufficient:
             break

@@ -369,7 +369,11 @@ def validate_trace(data: object) -> list[str]:
         elif exploration is not None and not cumulative:
             seen = typed(exploration, "seen_entities", list, where + "exploration.")
             _check_seen_rows(seen, where, bad)
+        holds_rows = triples or attributes or evidence.get("scratchpad") or seen
         if state is root:
+            if holds_rows:
+                bad(f"{where}the root holds no evidence, "
+                    "so it writes no triple, attribute, step or seen row")
             continue
 
         parents = typed(state, "parents", list, where)
@@ -382,9 +386,7 @@ def validate_trace(data: object) -> list[str]:
         if not all(type(pid) is int for pid in parents):
             bad(f"state {sid}: parents {parents!r} are not all state ids")
             continue
-        if len(parents) == 2 and not cumulative and (
-            triples or attributes or evidence.get("scratchpad") or seen
-        ):
+        if len(parents) == 2 and not cumulative and holds_rows:
             bad(f"state {sid}: a merged state holds exactly its parents' evidence, "
                 "so it writes no triple, attribute, step or seen row")
         if len(parents) > max_parents:

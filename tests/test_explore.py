@@ -25,7 +25,7 @@ from graphreason.explore import (
     resolve_anchors,
     search_attributes,
 )
-from graphreason.kg import Triple, generate_synthetic_graph
+from graphreason.kg import Triple, generate_synthetic_graph, node_name
 from graphreason.llm import ReplayBackend, ReplayEntry
 
 from helpers import (
@@ -120,6 +120,14 @@ def test_prune_relations_falls_back_when_nothing_recognized():
     assert selected == ["r-one", "r-two"]
 
 
+def edges(graph, head_id, relation, tail_ids):
+    """The triples for these tails, named as the graph names their ends."""
+    return [
+        Triple(node_name(graph, head_id), relation, node_name(graph, tail_id), head_id, tail_id)
+        for tail_id in tail_ids
+    ]
+
+
 def test_prune_entities_resolves_names_within_candidates_only():
     graph = krt39_graph()
     selected = prune_entities(
@@ -132,7 +140,7 @@ def test_prune_entities_resolves_names_within_candidates_only():
         CostCounters(),
         ExploreConfig(),
     )
-    assert selected == ["UBERON:0002097"]
+    assert selected == edges(graph, "390792", "Anatomy-expresses-Gene", ["UBERON:0002097"])
 
 
 def test_prune_entities_empty_selection_stays_empty():
@@ -162,7 +170,7 @@ def test_prune_entities_malformed_keeps_prefix():
         CostCounters(),
         ExploreConfig(max_neighbors_per_relation=1),
     )
-    assert selected == ["UBERON:0000033"]
+    assert selected == edges(graph, "390792", "Anatomy-expresses-Gene", ["UBERON:0000033"])
 
 
 @pytest.mark.parametrize("reply", ["{{name}}", "{{name, none}}"])
@@ -421,6 +429,30 @@ def test_exploring_a_clone_leaves_the_original_unchanged():
     first = next(iter(state.found_triples))
     assert clone.found_triples[first] is state.found_triples[first]  # shared, not copied
     assert state == before
+
+
+def test_a_shared_memo_leaves_each_state_its_own_depths():
+    """One entity at depth 0 in one state and at depth 1 in another: the
+    second expansion reuses the first one's kept triples from the memo, but
+    its tails are discovered one hop below its own depth."""
+    graph = krt39_graph()
+    config = ExploreConfig(
+        search_depth=1, max_relations_per_entity=10**9, max_neighbors_per_relation=10**9
+    )
+    memo = ExploreMemo()
+    shallow = ExplorationState()
+    deep = ExplorationState(seen_entities={"390792": SeenEntity(False, 1)})
+    explore(krt39_question(), ["390792"], shallow, config, graph, permissive_backend(),
+            CostCounters(), memo=memo)
+    counters = CostCounters()
+    explore(krt39_question(), [], deep, config, graph, permissive_backend(), counters,
+            memo=memo)
+    assert counters.memo_hits_by_tag["prune_entities"]
+    tails = {t.tail_id for t in shallow.found_triples.values()} - {"390792"}
+    assert tails and deep.found_triples == shallow.found_triples
+    for tail_id in tails:
+        assert shallow.seen_entities[tail_id] == SeenEntity(False, 1)
+        assert deep.seen_entities[tail_id] == SeenEntity(False, 2)
 
 
 def test_explore_config_validates():

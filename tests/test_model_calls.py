@@ -168,7 +168,9 @@ FALLBACKS = [
         id="prune-relations",
     ),
     pytest.param(
-        lambda b, c: prune_entities(QUESTION, HEAD, RELATION, TAILS, GRAPH, b, c, CAPS),
+        lambda b, c: [
+            t.tail_id for t in prune_entities(QUESTION, HEAD, RELATION, TAILS, GRAPH, b, c, CAPS)
+        ],
         TAILS[:1],
         reasked("prune_entities"),
         id="prune-entities",

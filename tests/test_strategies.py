@@ -699,6 +699,22 @@ def test_a_search_asks_each_prune_key_once(monkeypatch):
     assert set(backend_calls_per_prune_key(shared).values()) == {1}
 
 
+@pytest.mark.parametrize("width", [pytest.param(1, id="inline"), pytest.param(4, id="concurrent")])
+def test_a_search_builds_each_kept_edge_once(width, fast_switching):
+    """The tail prune's memoized triples are the records states file, so
+    every state holding a triple key holds the one object built for it."""
+    config = SearchConfig(**CONCURRENCY_CONFIGS["got-explore-score"])
+    _, _, result = search_outcome(config, JitteryReplay(concurrency_entries(), width=width))
+    held = {}
+    for state in result.states.values():
+        if state.evidence.exploration is not None:
+            for key, triple in state.evidence.exploration.found_triples.items():
+                held.setdefault(key, []).append(triple)
+    assert held and all(len(triples) > 1 for triples in held.values())
+    for triples in held.values():
+        assert all(triple is triples[0] for triple in triples)
+
+
 def test_concurrent_round_overlaps_calls_up_to_the_limit():
     config = SearchConfig(strategy="tot", interaction="agent", k=3, t=3, d_max=2)
     backend = JitteryReplay(permissive_entries(), width=4, delay_s=0.005)

@@ -746,20 +746,28 @@ MERGED_ROWS = {
 }
 
 
+@pytest.mark.parametrize("target", ["root", "merged"])
 @pytest.mark.parametrize("name", MERGED_ROWS)
-def test_validator_reports_rows_in_a_v3_merged_state(real_traces, name):
-    """A merged state's evidence is exactly its parents' union, so a v3
-    merged state holding another state's row is one violation naming it."""
+def test_validator_reports_rows_in_a_v3_merged_state(real_traces, name, target):
+    """The root holds no evidence and a merged state's is exactly its
+    parents' union, so a v3 root or merged state holding another state's row
+    is one violation naming it."""
     source, rows = MERGED_ROWS[name]
     data = copy.deepcopy(real_traces[source])
     states = data["states"]
     merged = next(s for s in states if len(s["parents"]) == 2)
-    assert validate_trace(data) == [] and rows(merged["evidence"]) == []
+    state = merged
+    if target == "root":
+        # The root writes null where a merged state writes empty rows.
+        state = states[0]
+        state["evidence"] = copy.deepcopy(merged["evidence"])
+    assert validate_trace(data) == [] and rows(state["evidence"]) == []
     donor = next(s for s in states[1:] if rows(s["evidence"]))
-    rows(merged["evidence"]).append(rows(donor["evidence"])[0])
+    rows(state["evidence"]).append(rows(donor["evidence"])[0])
+    holds = ("the root holds no evidence, so it" if target == "root" else
+             "a merged state holds exactly its parents' evidence, so it")
     assert validate_trace(data) == [
-        f"state {merged['id']}: a merged state holds exactly its parents' evidence, "
-        "so it writes no triple, attribute, step or seen row"
+        f"state {state['id']}: {holds} writes no triple, attribute, step or seen row"
     ]
 
 
