@@ -12,6 +12,7 @@ from __future__ import annotations
 import gc
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -79,12 +80,15 @@ class NameIndex:
 
     ``exact`` maps a case-folded name to the first node id in load order that
     carries it; ``postings`` maps a token to the ascending load positions of
-    the nodes whose name contains it; ``records`` lists the nodes in load
-    order, so a position resolves to its node.
+    the nodes whose name contains it; ``token_counts`` holds, per load
+    position, the number of distinct tokens in that node's name (0 when it
+    has none), so a lookup scores a candidate from counts alone; ``records``
+    lists the nodes in load order, so a position resolves to its node.
     """
 
     exact: dict[str, str]
     postings: dict[str, list[int]]
+    token_counts: list[int]
     records: tuple[NodeRecord, ...]
 
 
@@ -106,6 +110,7 @@ class KnowledgeGraph:
         exact: dict[str, str] = {}
         postings: dict[str, list[int]] = {}
         records = tuple(self.nodes.values())
+        token_counts = [0] * len(records)
         for position, node in enumerate(records):
             name = node.features.get(NAME_FEATURE)
             if name is None:
@@ -114,9 +119,13 @@ class KnowledgeGraph:
             # Key on the name itself when folding leaves it unchanged, so the
             # common all-lowercase name costs no second string.
             exact.setdefault(name if folded == name else folded, node.id)
-            for token in set(tokenize(name)):
+            tokens = set(tokenize(name))
+            token_counts[position] = len(tokens)
+            for token in tokens:
                 postings.setdefault(token, []).append(position)
-        return NameIndex(exact=exact, postings=postings, records=records)
+        return NameIndex(
+            exact=exact, postings=postings, token_counts=token_counts, records=records
+        )
 
     @cached_property
     def definition(self) -> str:
@@ -329,22 +338,16 @@ def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
             )
 
 
-def _overlap_f1(query_tokens: set[str], name: str) -> float:
-    """F1 of the tokens a query shares with a node name; they share one at least."""
-    name_tokens = set(tokenize(name))
-    overlap = len(query_tokens & name_tokens)
-    precision = overlap / len(query_tokens)
-    recall = overlap / len(name_tokens)
-    return 2.0 * precision * recall / (precision + recall)
-
-
 def retrieve_node(graph: KnowledgeGraph, query: str) -> str:
     """Return the id of the best node for ``query``.
 
     The first node in load order whose name equals the query case-folded
     wins outright. Otherwise only nodes sharing a token with the query can
-    score above zero, so just those are scored, in load order; the highest
-    token-overlap F1 wins and ties break toward the node loaded earlier.
+    score above zero, so just those are scored: each one's overlap is counted
+    from the query tokens' postings, and its token-overlap F1 is computed
+    from that count and the index's token counts, so only the query is
+    tokenized. The highest F1 wins and ties break toward the node loaded
+    earlier.
 
     Raises:
         EmptyGraphError: the graph has no nodes.
@@ -358,20 +361,25 @@ def retrieve_node(graph: KnowledgeGraph, query: str) -> str:
         return exact
 
     query_tokens = set(tokenize(query))
-    candidates: set[int] = set()
+    overlaps: Counter[int] = Counter()
     for token in query_tokens:
-        candidates.update(index.postings.get(token, ()))
-    best_id: str | None = None
+        overlaps.update(index.postings.get(token, ()))
+    query_size = len(query_tokens)
+    token_counts = index.token_counts
+    best_position: int | None = None
     best_score = 0.0
-    for position in sorted(candidates):
-        node = index.records[position]
-        score = _overlap_f1(query_tokens, node.features[NAME_FEATURE])
+    # The F1 stays this float expression: an exact ratio, or the equal
+    # 2o/(|q| + |n|), splits some ties the other way.
+    for position, overlap in sorted(overlaps.items()):
+        precision = overlap / query_size
+        recall = overlap / token_counts[position]
+        score = 2.0 * precision * recall / (precision + recall)
         if score > best_score:
-            best_id = node.id
+            best_position = position
             best_score = score
-    if best_id is None:
+    if best_position is None:
         raise NoMatchError(f"no node matches query {query!r}")
-    return best_id
+    return index.records[best_position].id
 
 
 def _require_node(graph: KnowledgeGraph, node_id: str) -> NodeRecord:

@@ -13,8 +13,8 @@ def tokenize(text: str) -> list[str]:
 
     Empty pieces are dropped, so ``tokenize("head, skin of body")`` yields
     ``["head", "skin", "of", "body"]``. This tokenizer is frozen: both the
-    answer-overlap metric and the default lexical retriever rely on it, and
-    changing it would shift every reported score.
+    answer-overlap metric and ``kg.retrieve_node``'s name index rely on it,
+    and changing it would shift every reported score and retrieval.
     """
     return _TOKEN_RE.findall(text.lower())
 

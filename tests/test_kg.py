@@ -32,6 +32,7 @@ from graphreason.kg import (
     retrieve_node,
     save_graph,
 )
+from graphreason.textops import tokenize
 
 from helpers import krt39_graph
 
@@ -487,6 +488,53 @@ def test_retrieve_matches_a_full_scan(names, queries):
                 retrieve_node(graph, query)
         else:
             assert retrieve_node(graph, query) == f"n{expected}"
+
+
+def test_retrieve_ties_follow_the_float_f1():
+    """Each pair ties exactly as rationals, and the float F1 puts the later
+    node ahead, so exact arithmetic or the simplified 2o/(|q|+|n|) would
+    pick the earlier one."""
+    # 0.6666666666666665 for n0, 0.6666666666666666 for n1.
+    assert retrieve_node(graph_of(["a b c x y", "a b c d p q r s"]), "a b c d") == "n1"
+    assert retrieve_node(graph_of(["a v p q r s t", "a"]), "a v w x y") == "n1"
+
+
+# Up to 8 words from 9, so names and queries of 1 to 8 distinct tokens meet,
+# which the ties above need and names_st cannot reach.
+LONG_WORDS = ["a", "b", "c", "d", "p", "q", "r", "s", "V"]
+long_names_st = st.lists(st.sampled_from(LONG_WORDS), min_size=1, max_size=8).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    names=st.lists(st.none() | long_names_st, min_size=1, max_size=10),
+    queries=st.lists(long_names_st, min_size=1, max_size=6),
+)
+@example(names=["a b c x y", "a b c d p q r s"], queries=["a b c d"])
+@example(names=["a v p q r s t", "a"], queries=["a v w x y"])
+def test_retrieve_over_longer_names_matches_a_full_scan(names, queries):
+    graph = graph_of(names)
+    for query in queries:
+        expected = scan_oracle(names, query)
+        if expected is None:
+            with pytest.raises(NoMatchError):
+                retrieve_node(graph, query)
+        else:
+            assert retrieve_node(graph, query) == f"n{expected}"
+
+
+def test_a_lookup_tokenizes_only_its_query(monkeypatch):
+    graph = graph_of([f"alpha {word} {i}" for i in range(50) for word in ("beta", "gamma")])
+    graph.name_index  # built before counting
+    calls = []
+
+    def counting_tokenize(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr("graphreason.kg.tokenize", counting_tokenize)
+    assert retrieve_node(graph, "alpha gamma zz") == "n1"
+    assert calls == ["alpha gamma zz"]
 
 
 def test_index_and_definition_are_built_once():
