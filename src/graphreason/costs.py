@@ -37,9 +37,12 @@ class CostCounters:
     """Thread-safe meters for one run: model calls by tag, graph ops by kind.
 
     ``memo_hits_by_tag`` counts, by the tag its call would carry, each
-    explore prune or attribute ask that a search's memo answered
-    (:class:`~graphreason.explore.ExploreMemo`). A hit is not a model call:
-    it is in neither ``llm_calls_by_tag`` nor ``llm_total``.
+    explore prune or attribute ask that a search's memo answered. The memo
+    (:class:`~graphreason.explore.ExploreMemo`) keys whole expansions by
+    entity, so an entity expanded again counts one hit per ask its first
+    walk made, and its node fetch and neighbor checks as graph ops, all in
+    one :meth:`record_repeat`. A hit is not a model call: it is in neither
+    ``llm_calls_by_tag`` nor ``llm_total``.
 
     ``explore_search_cost_max`` records the most graph operations any single
     automatic graph search consumed, operationalizing the per-search cost unit
@@ -59,13 +62,16 @@ class CostCounters:
         with self._lock:
             self.llm_calls_by_tag[tag] += 1
 
-    def record_memo_hit(self, tag: str) -> None:
-        with self._lock:
-            self.memo_hits_by_tag[tag] += 1
-
     def record_kg_op(self, kind: str) -> None:
         with self._lock:
             self.kg_ops_by_kind[kind] += 1
+
+    def record_repeat(self, kg_ops: dict[str, int], memo_hits: dict[str, int]) -> None:
+        """Meter, in one update, the graph ops and memo hits of a memoised
+        expansion that was asked again."""
+        with self._lock:
+            self.kg_ops_by_kind.update(kg_ops)
+            self.memo_hits_by_tag.update(memo_hits)
 
     def record_transport_retry(self) -> None:
         with self._lock:

@@ -10,10 +10,13 @@ hit by ``(entity_id, key)``, so an entry found twice is stored once.
 
 The relation prune, the tail prune and the attribute selection see only
 the question, one entity and what the graph holds about it, never a
-thought or a state, and decode greedily. A search therefore asks each of
-them once per entity (or entity and relation): an :class:`ExploreMemo`
-keyed on graph ids answers every later ask in that search. The tail prune
-returns its kept edges as triples, so a search builds each one once.
+thought or a state, and decode greedily; the graph never changes. Expanding
+an entity therefore finds the same attributes and edges in every state of
+one search, so an :class:`ExploreMemo` keyed on entity ids walks each
+entity once per search and every later expansion only files what that walk
+kept. A state that reaches an entity while another is walking it waits for
+the whole walk. The tail prune returns its kept edges as triples, so a
+search builds each one once.
 
 Every model-driven selection has a deterministic fallback (a first-N
 prefix, or "keep nothing") so a run never dies on a malformed reply; with
@@ -27,7 +30,6 @@ import logging
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable
 
 from . import kg
 from .costs import CostCounters
@@ -125,55 +127,74 @@ class ExplorationState:
         return "\n".join(render_attribute(hit) for hit in self.relevant_attributes.values())
 
 
+@dataclass(frozen=True)
+class Expansion:
+    """One entity's walk in one search: what it kept and the asks it made.
+
+    ``rows`` are the kept edges as ``((head_id, relation, tail_id), triple)``
+    in the order the walk filed them. ``kg_ops`` and ``memo_hits`` are what a
+    later expansion of the entity meters in place of the walk: its node
+    fetch and neighbor checks, and one hit per prune or attribute ask. It
+    holds nothing that depends on the expanding state.
+    """
+
+    hits: tuple[AttributeHit, ...]
+    rows: tuple[tuple[tuple[str, str, str], kg.Triple], ...]
+    kg_ops: dict[str, int]
+    memo_hits: dict[str, int]
+
+
 class ExploreMemo:
-    """The results of one search's stateless explore calls, keyed on graph ids.
+    """One search's entity expansions, keyed on entity id.
 
-    Keys are ``("prune_relations", entity_id)``, ``("prune_entities",
-    head_id, relation)`` and ``("attributes", entity_id)``; the first item is
-    the tag of the call the key stands for. Within one search the question,
-    its domain, the graph and the caps are fixed, so the ids fix the prompt,
-    and the stored value is the call site's final result, fallback included,
-    never anything that depends on the asking state.
-    A memo must therefore never outlive its search.
+    An expansion sees only the question, the entity and what the graph holds
+    about it. Within one search the question, its domain, the graph and the
+    caps are fixed, so an entity's id fixes every prompt its walk sends and
+    every fallback it takes. A memo must therefore never outlive its search.
 
-    The first ask of a key computes it; an ask while that is running waits
-    on the same in-flight future, so each key is computed once whatever the
-    thread timing. Every other ask is metered as a hit, not as a call.
+    The first expansion of an entity walks it (:func:`_expand`); one that
+    starts while that walk runs waits on the same in-flight future, so each
+    entity is walked once whatever the thread timing. Such a wait lasts the
+    whole walk, every prune of the entity, not one call. Every later
+    expansion is metered, in one update, as the node fetch, neighbor checks
+    and prune and attribute hits the walk would have made, never as a call.
     """
 
     def __init__(self) -> None:
-        self._done: dict[tuple[str, ...], tuple] = {}
-        self._running: dict[tuple[str, ...], Future] = {}
+        self._done: dict[str, Expansion] = {}
+        self._running: dict[str, Future] = {}
         self._lock = threading.Lock()
 
-    def get(
+    def expand(
         self,
-        key: tuple[str, ...],
+        question: Question,
+        entity_id: str,
+        graph: kg.KnowledgeGraph,
+        backend: Backend,
         counters: CostCounters,
-        compute: Callable[..., list],
-        *args: object,
-    ) -> tuple:
-        """``compute(*args)`` as a tuple, computed once per key."""
+        config: ExploreConfig,
+    ) -> Expansion:
+        """The entity's :class:`Expansion`, walked once per memo."""
         try:
-            result = self._done[key]
+            found = self._done[entity_id]
         except KeyError:
             with self._lock:
-                future = self._running.get(key)
+                future = self._running.get(entity_id)
                 owner = future is None
                 if owner:
-                    future = self._running[key] = Future()
+                    future = self._running[entity_id] = Future()
             if owner:
                 try:
-                    result = tuple(compute(*args))
+                    found = _expand(question, entity_id, graph, backend, counters, config)
                 except BaseException as exc:
                     future.set_exception(exc)
                     raise
-                self._done[key] = result
-                future.set_result(result)
-                return result
-            result = future.result()
-        counters.record_memo_hit(key[0])
-        return result
+                self._done[entity_id] = found
+                future.set_result(found)
+                return found
+            found = future.result()
+        counters.record_repeat(found.kg_ops, found.memo_hits)
+        return found
 
 
 def extract_entities(
@@ -313,6 +334,43 @@ def search_attributes(
     ]
 
 
+def _expand(
+    question: Question,
+    entity_id: str,
+    graph: kg.KnowledgeGraph,
+    backend: Backend,
+    counters: CostCounters,
+    config: ExploreConfig,
+) -> Expansion:
+    """Walk one entity: fetch its node, select its attributes when asked,
+    prune its relations, then check and prune each selected relation's tails.
+    """
+    counters.record_kg_op("node_fetch")
+    node = graph.nodes[entity_id]
+    kg_ops = {"node_fetch": 1}
+    memo_hits: dict[str, int] = {}
+    hits: tuple[AttributeHit, ...] = ()
+    if config.select_attributes and node.features:
+        hits = tuple(search_attributes(question, entity_id, backend, counters, graph))
+        memo_hits["attributes"] = 1
+    rows = []
+    relations = [rel for rel, tails in node.out_edges.items() if tails]
+    if relations:
+        selected = prune_relations(
+            question, entity_id, relations, graph, backend, counters, config
+        )
+        for relation in selected:
+            counters.record_kg_op("neighbor_check")
+            kept = prune_entities(
+                question, entity_id, relation, node.out_edges[relation],
+                graph, backend, counters, config,
+            )
+            rows.extend(((entity_id, relation, t.tail_id), t) for t in kept)
+        memo_hits["prune_relations"] = 1
+        kg_ops["neighbor_check"] = memo_hits["prune_entities"] = len(selected)
+    return Expansion(hits, tuple(rows), kg_ops, memo_hits)
+
+
 def end_check(
     question: Question,
     state: ExplorationState,
@@ -356,16 +414,17 @@ def explore(
 
     Mutates and returns ``state``. Each round expands every unvisited seen
     entity (one node fetch plus one neighbor scan per selected relation),
-    files the triples :func:`prune_entities` kept, each new tail one hop
-    deeper than the entity, then runs the stop check once; a Yes marks the
-    state sufficient and ends the search. With no unvisited entities the
-    round does nothing and no model call is made.
+    files the attributes and triples its walk kept, each new tail one hop
+    deeper than the entity is in this state, then runs the stop check once;
+    a Yes marks the state sufficient and ends the search. With no unvisited
+    entities the round does nothing and no model call is made.
 
-    The relation and tail prunes and the attribute selection go through
-    ``memo``, which the search shares among all its states, so an entity
-    another state already pruned costs no call and builds no triple here;
-    without one the call makes its own. The stop check sees the state and is
-    asked every round.
+    Each entity is expanded through ``memo``, which the search shares among
+    all its states and which keys expansions by entity id: an entity another
+    state already walked costs no call, no prune and no triple here, only the
+    filing of what that walk kept; one that another thread is walking waits
+    for the whole walk. Without a memo the call makes its own. The stop check
+    sees the state and is asked every round.
     """
     if memo is None:
         memo = ExploreMemo()
@@ -377,34 +436,14 @@ def explore(
         for entity_id in frontier:
             meta = state.seen_entities[entity_id]
             state.seen_entities[entity_id] = SeenEntity(True, meta.depth_discovered)
-            counters.record_kg_op("node_fetch")
-            node = graph.nodes[entity_id]
-            if config.select_attributes and node.features:
-                hits = memo.get(
-                    ("attributes", entity_id), counters,
-                    search_attributes, question, entity_id, backend, counters, graph,
-                )
-                for hit in hits:
-                    state.relevant_attributes.setdefault((hit.entity_id, hit.key), hit)
-            relations = [rel for rel, tails in node.out_edges.items() if tails]
-            if not relations:
-                continue
-            selected_relations = memo.get(
-                ("prune_relations", entity_id), counters,
-                prune_relations, question, entity_id, relations, graph, backend, counters, config,
-            )
+            found = memo.expand(question, entity_id, graph, backend, counters, config)
+            for hit in found.hits:
+                state.relevant_attributes.setdefault((hit.entity_id, hit.key), hit)
             # Frozen, so every tail this entity discovers shares it.
             discovered = SeenEntity(False, meta.depth_discovered + 1)
-            for relation in selected_relations:
-                counters.record_kg_op("neighbor_check")
-                kept = memo.get(
-                    ("prune_entities", entity_id, relation), counters,
-                    prune_entities, question, entity_id, relation, node.out_edges[relation],
-                    graph, backend, counters, config,
-                )
-                for triple in kept:
-                    state.found_triples.setdefault((entity_id, relation, triple.tail_id), triple)
-                    state.seen_entities.setdefault(triple.tail_id, discovered)
+            for key, triple in found.rows:
+                state.found_triples.setdefault(key, triple)
+                state.seen_entities.setdefault(triple.tail_id, discovered)
         state.sufficient = end_check(question, state, backend, counters, thoughts=thoughts)
         if state.sufficient:
             break

@@ -266,9 +266,10 @@ def expand_child(
 ) -> ThoughtState:
     """Generate and ground one child of ``parent``.
 
-    An explore child prunes through ``memo``, its search's memo of the
-    stateless explore calls (see :func:`explore`); without one its
-    exploration makes its own.
+    An explore child expands entities through ``memo``, its search's memo
+    of entity expansions keyed by entity id (see :func:`explore`), and waits
+    for the whole walk of an entity another child is expanding; without one
+    its exploration makes its own.
 
     Generation is the one call in either driver that is not made through
     ``complete_with_reask``, so a ``TransportError`` can only come from it.
@@ -507,7 +508,9 @@ def run_search(
     states are built here, on the calling thread, in pair order once every
     merge thought is back, so no worker changes a shared state. Explore
     children share one :class:`ExploreMemo`, made here and dropped when the
-    search returns, so no question reuses another's prune results.
+    search returns: it walks each entity once per search, a child reaching
+    an entity another child is walking waits for that whole walk, and no
+    question reuses another's expansions.
     """
     if counters is None:
         counters = CostCounters()

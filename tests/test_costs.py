@@ -80,7 +80,7 @@ def test_as_dict_shape():
     counters.record_kg_op("node_fetch")
     counters.record_transport_retry()
     counters.record_explore_search(5)
-    counters.record_memo_hit("prune_relations")
+    counters.record_repeat({}, {"prune_relations": 1})
 
     snapshot = counters.as_dict()
     assert snapshot == {

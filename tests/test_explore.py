@@ -25,7 +25,9 @@ from graphreason.explore import (
     resolve_anchors,
     search_attributes,
 )
-from graphreason.kg import Triple, generate_synthetic_graph, node_name
+from graphreason.kg import (
+    GraphStats, KnowledgeGraph, NodeRecord, Triple, generate_synthetic_graph, node_name
+)
 from graphreason.llm import ReplayBackend, ReplayEntry
 
 from helpers import (
@@ -455,6 +457,41 @@ def test_a_shared_memo_leaves_each_state_its_own_depths():
         assert deep.seen_entities[tail_id] == SeenEntity(False, 2)
 
 
+@pytest.mark.parametrize(
+    "features, walk_calls, hits",
+    [
+        pytest.param({"name": "head"}, {"attributes": 1}, {"attributes": 1}, id="features"),
+        pytest.param({}, {}, {}, id="bare"),
+    ],
+)
+def test_a_repeated_leaf_expansion_meters_only_the_asks_its_walk_made(
+    features, walk_calls, hits
+):
+    """A node with no out-edges asks no relation prune, and one with no
+    features no attribute selection, even with ``select_attributes`` on. A
+    second expansion of it in the same search meters its node fetch and a
+    hit for each ask the walk made, and nothing else."""
+    graph = KnowledgeGraph(
+        nodes={"leaf": NodeRecord("leaf", "anatomy", features, {})},
+        stats=GraphStats(node_count=1, edge_count=0, relation_types=frozenset()),
+    )
+    config = ExploreConfig(search_depth=1, select_attributes=True)
+    backend = backend_of(search_attributes="{{name}}", search_end="[No] more")
+    memo = ExploreMemo()
+    walked, repeated = CostCounters(), CostCounters()
+    first = explore(krt39_question(), ["leaf"], ExplorationState(), config, graph, backend,
+                    walked, memo=memo)
+    second = explore(krt39_question(), ["leaf"], ExplorationState(), config, graph, backend,
+                     repeated, memo=memo)
+    assert walked.llm_calls_by_tag == {**walk_calls, "end_check": 1}
+    assert walked.kg_ops_by_kind == repeated.kg_ops_by_kind == {"node_fetch": 1}
+    assert repeated.llm_calls_by_tag == {"end_check": 1}
+    assert walked.memo_hits_by_tag == {}
+    assert repeated.memo_hits_by_tag == hits
+    assert second == first
+    assert len(first.relevant_attributes) == len(features)
+
+
 def test_explore_config_validates():
     with pytest.raises(ValueError):
         ExploreConfig(search_depth=0)
@@ -462,26 +499,31 @@ def test_explore_config_validates():
         ExploreConfig(max_neighbors_per_relation=0)
 
 
-def test_a_failed_memo_computation_reaches_every_ask_waiting_on_it():
-    """Two asks of one key: the first computes and fails, the second waits on
-    the same future and gets the same error. The threads are daemons joined
-    with a timeout, so a memo that never settles the future fails the test
-    instead of hanging it."""
+def test_a_failed_memo_computation_reaches_every_ask_waiting_on_it(monkeypatch):
+    """Two expansions of one entity: the first walks it and fails in its
+    relation prune, the second waits on the same future and gets the same
+    error. The threads are daemons joined with a timeout, so a memo that
+    never settles the future fails the test instead of hanging it."""
     memo = ExploreMemo()
     counters = CostCounters()
     computing, release = threading.Event(), threading.Event()
     calls = []
     raised = {}
 
-    def compute():
+    def compute(*args):
         calls.append(1)
         computing.set()
         release.wait(5)
         raise RuntimeError("prune failed")
 
+    monkeypatch.setattr("graphreason.explore.prune_relations", compute)
+    graph = krt39_graph()
+
     def ask(name):
         try:
-            memo.get(("prune_relations", "n0001"), counters, compute)
+            memo.expand(
+                krt39_question(), "390792", graph, permissive_backend(), counters, wide_open()
+            )
         except RuntimeError as exc:
             raised[name] = exc
 
@@ -499,3 +541,4 @@ def test_a_failed_memo_computation_reaches_every_ask_waiting_on_it():
     assert raised.keys() == {"first", "second"}
     assert raised["second"] is raised["first"]
     assert counters.memo_hits_by_tag == {}
+    assert counters.kg_ops_by_kind == {"node_fetch": 1}

@@ -672,7 +672,7 @@ def test_concurrency_never_changes_results(name, fast_switching):
 def test_a_search_asks_each_prune_key_once(monkeypatch):
     """Prune and attribute calls equal distinct keys, and every other ask is
     a hit: the same search with no memo shared among its states makes one
-    call per ask and reaches the same states."""
+    call per ask, the same graph ops and the same states."""
     config = SearchConfig(
         strategy="got", interaction="explore", evaluator="score", d_max=2,
         explore=ExploreConfig(select_attributes=True),
@@ -689,6 +689,8 @@ def test_a_search_asks_each_prune_key_once(monkeypatch):
 
     assert json.loads(trace)["states"] == json.loads(unshared_trace)["states"]
     assert unshared_counters["memo_hits_by_tag"] == {}
+    # A repeated expansion meters the node fetch and neighbor checks its walk made.
+    assert counters["kg_ops_by_kind"] == unshared_counters["kg_ops_by_kind"]
     for tag in PRUNE_TAGS + ("attributes",):
         distinct = len({r.prompt for r in unshared.requests if r.tag == tag})
         asks = unshared_counters["llm_calls_by_tag"][tag]
