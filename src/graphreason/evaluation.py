@@ -116,7 +116,7 @@ def load_questions(path: str | Path) -> list[Question]:
                         text=record["question"],
                         gold_answer=record["answer"],
                         difficulty=record["difficulty"],
-                        domain=record.get("domain", "synthetic"),
+                        domain=record.get("domain", Question.domain),
                     )
                 except ValueError as exc:
                     raise QuestionLoadError(f"{path}:{lineno}: {exc}") from exc

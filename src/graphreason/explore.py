@@ -18,10 +18,15 @@ kept. A state that reaches an entity while another is walking it waits for
 the whole walk. The tail prune returns its kept edges as triples, so a
 search builds each one once.
 
+The relation prune keeps at most ``MAX_RELATIONS_PER_ENTITY`` (3) relations
+and the tail prune at most ``MAX_NEIGHBORS_PER_RELATION`` (5) tails; the
+attribute selection runs only under ``SELECT_ATTRIBUTES`` (``False``). These
+are constants: only the search depth varies between runs.
+
 Every model-driven selection has a deterministic fallback (a first-N
 prefix, or "keep nothing") so a run never dies on a malformed reply; with
-permissive replies and the caps effectively disabled, exploration reduces
-to the plain d-hop closure of the anchors.
+permissive replies on a graph whose nodes stay under both caps,
+exploration reduces to the plain d-hop closure of the anchors.
 """
 
 from __future__ import annotations
@@ -39,6 +44,10 @@ from .llm import (
 )
 
 logger = logging.getLogger(__name__)
+
+MAX_RELATIONS_PER_ENTITY = 3
+MAX_NEIGHBORS_PER_RELATION = 5
+SELECT_ATTRIBUTES = False
 
 
 @dataclass(frozen=True)
@@ -58,19 +67,6 @@ class AttributeHit:
 def render_attribute(hit: AttributeHit) -> str:
     """Display form used in prompts and judge evidence."""
     return f"{hit.entity_name}.{hit.key}: {hit.value}"
-
-
-@dataclass(frozen=True)
-class ExploreConfig:
-    search_depth: int = 3
-    max_relations_per_entity: int = 3
-    max_neighbors_per_relation: int = 5
-    select_attributes: bool = False
-
-    def __post_init__(self) -> None:
-        for name in ("search_depth", "max_relations_per_entity", "max_neighbors_per_relation"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -148,9 +144,11 @@ class ExploreMemo:
     """One search's entity expansions, keyed on entity id.
 
     An expansion sees only the question, the entity and what the graph holds
-    about it. Within one search the question, its domain, the graph and the
-    caps are fixed, so an entity's id fixes every prompt its walk sends and
-    every fallback it takes. A memo must therefore never outlive its search.
+    about it. Within one search the question, its domain and the graph are
+    fixed, and so are the constants ``MAX_RELATIONS_PER_ENTITY`` (3),
+    ``MAX_NEIGHBORS_PER_RELATION`` (5) and ``SELECT_ATTRIBUTES`` (``False``),
+    so an entity's id fixes every prompt its walk sends and every fallback it
+    takes. A memo must therefore never outlive its search.
 
     The first expansion of an entity walks it (:func:`_expand`); one that
     starts while that walk runs waits on the same in-flight future, so each
@@ -172,7 +170,6 @@ class ExploreMemo:
         graph: kg.KnowledgeGraph,
         backend: Backend,
         counters: CostCounters,
-        config: ExploreConfig,
     ) -> Expansion:
         """The entity's :class:`Expansion`, walked once per memo."""
         try:
@@ -185,7 +182,7 @@ class ExploreMemo:
                     future = self._running[entity_id] = Future()
             if owner:
                 try:
-                    found = _expand(question, entity_id, graph, backend, counters, config)
+                    found = _expand(question, entity_id, graph, backend, counters)
                 except BaseException as exc:
                     future.set_exception(exc)
                     raise
@@ -234,12 +231,12 @@ def prune_relations(
     graph: kg.KnowledgeGraph,
     backend: Backend,
     counters: CostCounters,
-    config: ExploreConfig,
 ) -> list[str]:
-    """Model-select relations worth following, order-preserving and capped.
+    """Model-select relations worth following, order-preserving and capped
+    at ``MAX_RELATIONS_PER_ENTITY`` (3).
 
     Malformed replies — or replies naming nothing we recognize — fall back
-    to the first ``max_relations_per_entity`` relations.
+    to the first three relations.
     """
     if not relations:
         raise ValueError(f"prune_relations needs a nonempty relation list for {entity_id}")
@@ -256,7 +253,7 @@ def prune_relations(
     replied = complete_with_reask(backend, request, counters, parse_bracketed_list, [])
     answered = {name.casefold() for name in replied}
     selected = [rel for rel in relations if rel.casefold() in answered] or relations
-    return selected[: config.max_relations_per_entity]
+    return selected[:MAX_RELATIONS_PER_ENTITY]
 
 
 def prune_entities(
@@ -267,12 +264,12 @@ def prune_entities(
     graph: kg.KnowledgeGraph,
     backend: Backend,
     counters: CostCounters,
-    config: ExploreConfig,
 ) -> list[kg.Triple]:
     """Model-select tail entities and return the kept edges as triples;
     answered names resolve only within the candidate set (exact name match),
-    so the model cannot steer the search to arbitrary nodes. Malformed
-    replies keep the first ``max_neighbors_per_relation`` tails.
+    so the model cannot steer the search to arbitrary nodes. At most
+    ``MAX_NEIGHBORS_PER_RELATION`` (5) are kept, and malformed replies keep
+    the first five tails.
     """
     if not tail_ids:
         raise ValueError(f"prune_entities needs a nonempty tail list for {head_id}")
@@ -296,7 +293,7 @@ def prune_entities(
         for tail_id, name in zip(tail_ids, names)
         if name in answered
     ]
-    return kept[: config.max_neighbors_per_relation]
+    return kept[:MAX_NEIGHBORS_PER_RELATION]
 
 
 def search_attributes(
@@ -340,30 +337,27 @@ def _expand(
     graph: kg.KnowledgeGraph,
     backend: Backend,
     counters: CostCounters,
-    config: ExploreConfig,
 ) -> Expansion:
-    """Walk one entity: fetch its node, select its attributes when asked,
-    prune its relations, then check and prune each selected relation's tails.
+    """Walk one entity: fetch its node, select its attributes under
+    ``SELECT_ATTRIBUTES``, prune its relations, then check and prune each
+    selected relation's tails.
     """
     counters.record_kg_op("node_fetch")
     node = graph.nodes[entity_id]
     kg_ops = {"node_fetch": 1}
     memo_hits: dict[str, int] = {}
     hits: tuple[AttributeHit, ...] = ()
-    if config.select_attributes and node.features:
+    if SELECT_ATTRIBUTES and node.features:
         hits = tuple(search_attributes(question, entity_id, backend, counters, graph))
         memo_hits["attributes"] = 1
     rows = []
     relations = [rel for rel, tails in node.out_edges.items() if tails]
     if relations:
-        selected = prune_relations(
-            question, entity_id, relations, graph, backend, counters, config
-        )
+        selected = prune_relations(question, entity_id, relations, graph, backend, counters)
         for relation in selected:
             counters.record_kg_op("neighbor_check")
             kept = prune_entities(
-                question, entity_id, relation, node.out_edges[relation],
-                graph, backend, counters, config,
+                question, entity_id, relation, node.out_edges[relation], graph, backend, counters
             )
             rows.extend(((entity_id, relation, t.tail_id), t) for t in kept)
         memo_hits["prune_relations"] = 1
@@ -402,7 +396,7 @@ def explore(
     question: Question,
     anchors: list[str],
     state: ExplorationState,
-    config: ExploreConfig,
+    search_depth: int,
     graph: kg.KnowledgeGraph,
     backend: Backend,
     counters: CostCounters,
@@ -429,14 +423,14 @@ def explore(
     if memo is None:
         memo = ExploreMemo()
     state.add_anchors(anchors)
-    for _ in range(config.search_depth):
+    for _ in range(search_depth):
         frontier = [eid for eid, meta in state.seen_entities.items() if not meta.visited]
         if not frontier:
             break
         for entity_id in frontier:
             meta = state.seen_entities[entity_id]
             state.seen_entities[entity_id] = SeenEntity(True, meta.depth_discovered)
-            found = memo.expand(question, entity_id, graph, backend, counters, config)
+            found = memo.expand(question, entity_id, graph, backend, counters)
             for hit in found.hits:
                 state.relevant_attributes.setdefault((hit.entity_id, hit.key), hit)
             # Frozen, so every tail this entity discovers shares it.

@@ -37,7 +37,6 @@ from .evaluation import (
     load_questions,
     rouge_l,
 )
-from .explore import ExploreConfig
 from .llm import Backend, ReplayBackend, WireBackend
 from .strategies import SearchConfig, run_search
 from .traces import (
@@ -78,7 +77,7 @@ class RunConfig:
     branching: int = SearchConfig.k
     retain: int = SearchConfig.t
     max_depth: int = SearchConfig.d_max
-    search_depth: int = ExploreConfig.search_depth
+    search_depth: int = SearchConfig.search_depth
     backend: str = "replay"
     endpoint: str | None = None
     model: str | None = None
@@ -103,7 +102,7 @@ class RunConfig:
             k=self.branching,
             t=self.retain,
             d_max=self.max_depth,
-            explore=ExploreConfig(search_depth=self.search_depth),
+            search_depth=self.search_depth,
         )
 
     def echo(self) -> dict:
@@ -116,7 +115,7 @@ class RunConfig:
             "k": search.k,
             "t": search.t,
             "d_max": search.d_max,
-            "search_depth": search.explore.search_depth,
+            "search_depth": search.search_depth,
             "backend": self.backend,
             "model": self.model if self.backend == "wire" else None,
             "judge": self.judge,

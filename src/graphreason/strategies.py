@@ -34,7 +34,6 @@ from .costs import GENERATION_TAG, MERGE_TAG, CostCounters
 from .evaluation import TERMINATION_FINISHED, TERMINATION_STEP_LIMIT, Question
 from .explore import (
     ExplorationState,
-    ExploreConfig,
     ExploreMemo,
     explore,
     extract_entities,
@@ -103,7 +102,10 @@ class SearchConfig:
     ``tot``/``got`` expand ``k`` children per frontier state and retain a
     beam of ``t``. ``cot`` pins k = t = 1, so its one candidate per round
     never reaches an evaluator, and the evaluator is pinned to ``select``.
-    Only ``explore`` runs read ``explore``; ``agent`` runs hold the default.
+    Only ``explore`` runs read ``search_depth``; ``agent`` runs hold the
+    default. The explore caps are the constants ``MAX_RELATIONS_PER_ENTITY``
+    (3) and ``MAX_NEIGHBORS_PER_RELATION`` (5) of :mod:`.explore`. A value
+    below 1 is rejected before any pin, even where ``cot`` or ``agent`` pins it.
     """
 
     strategy: str
@@ -112,7 +114,7 @@ class SearchConfig:
     k: int = 3
     t: int = 3
     d_max: int = 3
-    explore: ExploreConfig = ExploreConfig()
+    search_depth: int = 3
 
     def __post_init__(self) -> None:
         if self.strategy not in VALID_STRATEGIES:
@@ -123,15 +125,15 @@ class SearchConfig:
             )
         if self.evaluator not in VALID_EVALUATORS:
             raise ValueError(f"evaluator {self.evaluator!r} not in {sorted(VALID_EVALUATORS)}")
+        for name in ("k", "t", "d_max", "search_depth"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.strategy == "cot":
             object.__setattr__(self, "k", 1)
             object.__setattr__(self, "t", 1)
             object.__setattr__(self, "evaluator", "select")
         if self.interaction == "agent":
-            object.__setattr__(self, "explore", ExploreConfig())
-        for name in ("k", "t", "d_max"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            object.__setattr__(self, "search_depth", SearchConfig.search_depth)
 
 
 @dataclass
@@ -237,7 +239,7 @@ def _ground_explore(
         question,
         anchors,
         exploration,
-        config.explore,
+        config.search_depth,
         graph,
         backend,
         search,

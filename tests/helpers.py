@@ -14,7 +14,13 @@ from pathlib import Path
 
 from graphreason.agent import AgentAction, AgentStep, Scratchpad
 from graphreason.evaluation import Question
-from graphreason.explore import AttributeHit, ExplorationState, SeenEntity
+from graphreason.explore import (
+    MAX_NEIGHBORS_PER_RELATION,
+    MAX_RELATIONS_PER_ENTITY,
+    AttributeHit,
+    ExplorationState,
+    SeenEntity,
+)
 from graphreason.kg import GraphStats, KnowledgeGraph, NodeRecord, Triple
 from graphreason.llm import ReplayBackend, ReplayEntry
 from graphreason.strategies import Evidence, SearchResult
@@ -61,6 +67,41 @@ def krt39_graph() -> KnowledgeGraph:
         stats=GraphStats(
             node_count=3, edge_count=2, relation_types=frozenset({"Anatomy-expresses-Gene"})
         ),
+    )
+
+
+def fan_graph(width: int) -> KnowledgeGraph:
+    """KRT39 with one relation reaching ``width`` anatomy leaves."""
+    tails = [f"UBERON:{i:07d}" for i in range(width)]
+    records = [
+        NodeRecord(
+            id="390792",
+            node_type="gene",
+            features={"name": "KRT39"},
+            out_edges={"Anatomy-expresses-Gene": tails},
+        ),
+        *(
+            NodeRecord(id=tail, node_type="anatomy", features={"name": f"tissue {i}"}, out_edges={})
+            for i, tail in enumerate(tails)
+        ),
+    ]
+    return KnowledgeGraph(
+        nodes={r.id: r for r in records},
+        stats=GraphStats(
+            node_count=width + 1,
+            edge_count=width,
+            relation_types=frozenset({"Anatomy-expresses-Gene"}),
+        ),
+    )
+
+
+def under_caps(graph: KnowledgeGraph) -> bool:
+    """No node has more relations, or one relation more tails, than an
+    expansion keeps, so a prune that keeps everything is never capped."""
+    return all(
+        len(node.out_edges) <= MAX_RELATIONS_PER_ENTITY
+        and all(len(tails) <= MAX_NEIGHBORS_PER_RELATION for tails in node.out_edges.values())
+        for node in graph.nodes.values()
     )
 
 

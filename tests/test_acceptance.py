@@ -25,13 +25,14 @@ from helpers import (
     permissive_backend,
     permissive_entries,
     synthetic_question,
+    under_caps,
     write_question_file,
     write_replay_script,
 )
 from graphreason.cli import main as cli_main
 from graphreason.costs import CostCounters, bound_for, check
 from graphreason.evaluation import Question, classify_error, rouge_l
-from graphreason.explore import ExploreConfig, ExplorationState, explore
+from graphreason.explore import ExplorationState, explore
 from graphreason.kg import SyntheticGraphSpec, generate_synthetic_graph
 from graphreason.llm import ReplayBackend, ReplayEntry
 from graphreason.strategies import (
@@ -233,7 +234,7 @@ def test_acceptance_3_cost_grid():
                         )
                         assert result.termination == "step_limit"
 
-                        bound = bound_for(config, n=d_max, d=config.explore.search_depth)
+                        bound = bound_for(config, n=d_max, d=config.search_depth)
                         verdict = check(counters, bound)
                         assert verdict.ok, verdict.violations
 
@@ -292,6 +293,9 @@ def test_acceptance_4_exploration_oracle():
             edges_per_node=rng.randrange(1, 4),
         )
         graph = generate_synthetic_graph(rng.randrange(10**6), spec)
+        # Under the caps a prune that keeps everything keeps every edge, so
+        # the oracle is the plain closure.
+        assert under_caps(graph), instance
         anchors = rng.sample(sorted(graph.nodes), k=min(2, len(graph.nodes)))
         for depth in (1, 2, 3):
             state = ExplorationState()
@@ -299,11 +303,7 @@ def test_acceptance_4_exploration_oracle():
                 synthetic_question(),
                 anchors,
                 state,
-                ExploreConfig(
-                    search_depth=depth,
-                    max_relations_per_entity=10**9,
-                    max_neighbors_per_relation=10**9,
-                ),
+                depth,
                 graph,
                 keep_all_backend,
                 CostCounters(),
@@ -661,7 +661,7 @@ def test_acceptance_9_live_wire_smoke(tmp_path):
     assert report.overall.count == 5
 
     search = config.search_config()
-    bound = bound_for(search, n=search.d_max, d=search.explore.search_depth)
+    bound = bound_for(search, n=search.d_max, d=search.search_depth)
     for question in questions:
         data = json.loads(
             (tmp_path / "out" / "traces" / f"{question.qid}.trace").read_text()

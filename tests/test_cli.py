@@ -158,6 +158,30 @@ def test_run_rejects_an_explore_depth_that_explore_rejects(runner, workspace, tm
     assert not out.exists()
 
 
+# cot pins k = t = 1 and agent pins search_depth, each after the check, so a
+# value below 1 is an error even where the run would not read it.
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        pytest.param("run", ["--branching", "0"], "k must be >= 1", id="cot-branching"),
+        pytest.param("run", ["--retain", "0"], "t must be >= 1", id="cot-retain"),
+        pytest.param(
+            "sweep", ["--axis", "width", "--values", "0"], "k must be >= 1", id="cot-width"
+        ),
+        pytest.param(
+            "run", ["--search-depth", "0"], "search_depth must be >= 1", id="agent-search-depth"
+        ),
+    ],
+)
+def test_a_value_below_one_is_a_one_line_error_even_where_pinned(
+    runner, workspace, tmp_path, command, extra, message
+):
+    out = tmp_path / "never"
+    result = runner.invoke(main, [command, *run_args(workspace, out, *extra)[1:]])
+    assert_one_line_error(result, message)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize(
     "endpoint",

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphreason import explore as explore_module
 from graphreason.costs import CostCounters
 from graphreason.evaluation import Question
 from graphreason.explore import (
     AttributeHit,
     ExplorationState,
-    ExploreConfig,
     ExploreMemo,
     SeenEntity,
     end_check,
@@ -33,9 +33,11 @@ from graphreason.llm import ReplayBackend, ReplayEntry
 from helpers import (
     TEMPLATE_MATCHERS,
     closure_oracle,
+    fan_graph,
     krt39_graph,
     krt39_question,
     permissive_backend,
+    under_caps,
 )
 
 
@@ -43,12 +45,6 @@ def backend_of(**responses):
     """Map template name -> canned response, matched on instruction text."""
     return ReplayBackend(
         [ReplayEntry(TEMPLATE_MATCHERS[name], text) for name, text in responses.items()]
-    )
-
-
-def wide_open() -> ExploreConfig:
-    return ExploreConfig(
-        search_depth=3, max_relations_per_entity=10**9, max_neighbors_per_relation=10**9
     )
 
 
@@ -78,34 +74,33 @@ def test_resolve_anchors_skips_misses_and_dedupes():
     assert counters.kg_ops_by_kind == {"retrieve_node": 3}
 
 
+FOUR_RELATIONS = ["r-one", "r-two", "r-three", "r-four"]
+
+
 def test_prune_relations_keeps_named_order_and_cap():
     graph = krt39_graph()
-    config = ExploreConfig(max_relations_per_entity=1)
     selected = prune_relations(
         krt39_question(),
         "390792",
-        ["r-one", "r-two", "r-three"],
+        [*FOUR_RELATIONS, "r-five"],
         graph,
-        backend_of(prune_relations="{{R-THREE, r-one}}"),
+        backend_of(prune_relations="{{R-FIVE, r-four, r-three, r-one}}"),
         CostCounters(),
-        config,
     )
-    assert selected == ["r-one"]  # order preserved, then capped
+    assert selected == ["r-one", "r-three", "r-four"]  # order preserved, then capped at 3
 
 
 def test_prune_relations_falls_back_on_malformed():
     graph = krt39_graph()
-    config = ExploreConfig(max_relations_per_entity=2)
     selected = prune_relations(
         krt39_question(),
         "390792",
-        ["r-one", "r-two", "r-three"],
+        FOUR_RELATIONS,
         graph,
         backend_of(prune_relations="nothing usable"),
         CostCounters(),
-        config,
     )
-    assert selected == ["r-one", "r-two"]
+    assert selected == ["r-one", "r-two", "r-three"]
 
 
 def test_prune_relations_falls_back_when_nothing_recognized():
@@ -117,7 +112,6 @@ def test_prune_relations_falls_back_when_nothing_recognized():
         graph,
         backend_of(prune_relations="{{made-up-relation}}"),
         CostCounters(),
-        ExploreConfig(),
     )
     assert selected == ["r-one", "r-two"]
 
@@ -140,7 +134,6 @@ def test_prune_entities_resolves_names_within_candidates_only():
         graph,
         backend_of(prune_entities="{{skin of body, something else}}"),
         CostCounters(),
-        ExploreConfig(),
     )
     assert selected == edges(graph, "390792", "Anatomy-expresses-Gene", ["UBERON:0002097"])
 
@@ -155,24 +148,23 @@ def test_prune_entities_empty_selection_stays_empty():
         graph,
         backend_of(prune_entities="{{unrelated name}}"),
         CostCounters(),
-        ExploreConfig(),
     )
     assert selected == []
 
 
 def test_prune_entities_malformed_keeps_prefix():
-    graph = krt39_graph()
+    graph = fan_graph(6)
+    tails = graph.nodes["390792"].out_edges["Anatomy-expresses-Gene"]
     selected = prune_entities(
         krt39_question(),
         "390792",
         "Anatomy-expresses-Gene",
-        ["UBERON:0000033", "UBERON:0002097"],
+        tails,
         graph,
         backend_of(prune_entities="who knows"),
         CostCounters(),
-        ExploreConfig(max_neighbors_per_relation=1),
     )
-    assert selected == edges(graph, "390792", "Anatomy-expresses-Gene", ["UBERON:0000033"])
+    assert selected == edges(graph, "390792", "Anatomy-expresses-Gene", tails[:5])
 
 
 @pytest.mark.parametrize("reply", ["{{name}}", "{{name, none}}"])
@@ -224,7 +216,7 @@ def test_explore_marks_visited_and_tracks_depths():
         krt39_question(),
         ["390792"],
         state,
-        wide_open(),
+        3,
         graph,
         permissive_backend(),
         CostCounters(),
@@ -244,7 +236,7 @@ def test_explore_stops_when_sufficient():
         krt39_question(),
         ["390792"],
         state,
-        wide_open(),
+        3,
         graph,
         permissive_backend(explore_finish=True),
         counters,
@@ -261,7 +253,7 @@ def test_explore_with_no_unvisited_entities_is_free():
     state.seen_entities["390792"] = SeenEntity(visited=True, depth_discovered=0)
     counters = CostCounters()
     explore(
-        krt39_question(), [], state, wide_open(), graph, permissive_backend(), counters
+        krt39_question(), [], state, 3, graph, permissive_backend(), counters
     )
     assert counters.llm_total() == 0
     assert counters.kg_total() == 0
@@ -271,23 +263,23 @@ def test_explore_dedupes_triples_across_rounds():
     graph = krt39_graph()
     state = ExplorationState()
     backend = permissive_backend()
-    explore(krt39_question(), ["390792"], state, wide_open(), graph, backend, CostCounters())
+    explore(krt39_question(), ["390792"], state, 3, graph, backend, CostCounters())
     first = list(state.found_triples.values())
     # Re-exploring from the same anchor adds nothing: everything is visited.
-    explore(krt39_question(), ["390792"], state, wide_open(), graph, backend, CostCounters())
+    explore(krt39_question(), ["390792"], state, 3, graph, backend, CostCounters())
     assert list(state.found_triples.values()) == first
     keys = [(t.head_id, t.relation, t.tail_id) for t in state.found_triples.values()]
     assert len(keys) == len(set(keys))
 
 
-def test_explore_attribute_selection_is_opt_in():
+def test_explore_attribute_selection_is_opt_in(monkeypatch):
     graph = krt39_graph()
     counters = CostCounters()
     explore(
         krt39_question(),
         ["390792"],
         ExplorationState(),
-        wide_open(),
+        3,
         graph,
         permissive_backend(),
         counters,
@@ -295,12 +287,7 @@ def test_explore_attribute_selection_is_opt_in():
     assert "attributes" not in counters.llm_calls_by_tag
 
     counters = CostCounters()
-    config = ExploreConfig(
-        search_depth=1,
-        max_relations_per_entity=10**9,
-        max_neighbors_per_relation=10**9,
-        select_attributes=True,
-    )
+    monkeypatch.setattr(explore_module, "SELECT_ATTRIBUTES", True)
     backend = ReplayBackend(
         [
             ReplayEntry(TEMPLATE_MATCHERS["search_attributes"], "{{name}}"),
@@ -310,7 +297,7 @@ def test_explore_attribute_selection_is_opt_in():
         ]
     )
     state = ExplorationState()
-    explore(krt39_question(), ["390792"], state, config, graph, backend, counters)
+    explore(krt39_question(), ["390792"], state, 1, graph, backend, counters)
     assert counters.llm_calls_by_tag["attributes"] == 1
     assert list(state.relevant_attributes.values()) == [
         AttributeHit(entity_id="390792", entity_name="KRT39", key="name", value="KRT39")
@@ -319,15 +306,13 @@ def test_explore_attribute_selection_is_opt_in():
 
 def test_explore_depth_one_stops_at_first_ring():
     graph = generate_synthetic_graph(11)
-    config = ExploreConfig(
-        search_depth=1, max_relations_per_entity=10**9, max_neighbors_per_relation=10**9
-    )
+    assert under_caps(graph)  # so the closure is the whole first ring
     state = ExplorationState()
     explore(
         Question(qid="x", text="probe?", gold_answer="y", difficulty="easy"),
         ["n0000"],
         state,
-        config,
+        1,
         graph,
         permissive_backend(),
         CostCounters(),
@@ -344,8 +329,8 @@ def test_state_merge_unions_and_dedupes():
     graph = krt39_graph()
     a = ExplorationState()
     b = ExplorationState()
-    explore(krt39_question(), ["390792"], a, wide_open(), graph, permissive_backend(), CostCounters())
-    explore(krt39_question(), ["390792"], b, wide_open(), graph, permissive_backend(), CostCounters())
+    explore(krt39_question(), ["390792"], a, 3, graph, permissive_backend(), CostCounters())
+    explore(krt39_question(), ["390792"], b, 3, graph, permissive_backend(), CostCounters())
     b.sufficient = True
     merged = ExplorationState.merge(a, b)
     assert merged.sufficient
@@ -416,17 +401,14 @@ def test_state_clone_is_independent():
 
 def test_exploring_a_clone_leaves_the_original_unchanged():
     graph = krt39_graph()
-    config = ExploreConfig(
-        search_depth=1, max_relations_per_entity=10**9, max_neighbors_per_relation=10**9
-    )
     state = explore(
-        krt39_question(), ["390792"], ExplorationState(), config, graph,
+        krt39_question(), ["390792"], ExplorationState(), 1, graph,
         permissive_backend(), CostCounters(),
     )
     before = copy.deepcopy(state)
     clone = state.clone()
     # The second round visits the tails the first one discovered.
-    explore(krt39_question(), [], clone, config, graph, permissive_backend(), CostCounters())
+    explore(krt39_question(), [], clone, 1, graph, permissive_backend(), CostCounters())
     assert clone.seen_entities["UBERON:0000033"].visited
     first = next(iter(state.found_triples))
     assert clone.found_triples[first] is state.found_triples[first]  # shared, not copied
@@ -438,16 +420,13 @@ def test_a_shared_memo_leaves_each_state_its_own_depths():
     second expansion reuses the first one's kept triples from the memo, but
     its tails are discovered one hop below its own depth."""
     graph = krt39_graph()
-    config = ExploreConfig(
-        search_depth=1, max_relations_per_entity=10**9, max_neighbors_per_relation=10**9
-    )
     memo = ExploreMemo()
     shallow = ExplorationState()
     deep = ExplorationState(seen_entities={"390792": SeenEntity(False, 1)})
-    explore(krt39_question(), ["390792"], shallow, config, graph, permissive_backend(),
+    explore(krt39_question(), ["390792"], shallow, 1, graph, permissive_backend(),
             CostCounters(), memo=memo)
     counters = CostCounters()
-    explore(krt39_question(), [], deep, config, graph, permissive_backend(), counters,
+    explore(krt39_question(), [], deep, 1, graph, permissive_backend(), counters,
             memo=memo)
     assert counters.memo_hits_by_tag["prune_entities"]
     tails = {t.tail_id for t in shallow.found_triples.values()} - {"390792"}
@@ -465,23 +444,23 @@ def test_a_shared_memo_leaves_each_state_its_own_depths():
     ],
 )
 def test_a_repeated_leaf_expansion_meters_only_the_asks_its_walk_made(
-    features, walk_calls, hits
+    features, walk_calls, hits, monkeypatch
 ):
     """A node with no out-edges asks no relation prune, and one with no
-    features no attribute selection, even with ``select_attributes`` on. A
+    features no attribute selection, even with ``SELECT_ATTRIBUTES`` on. A
     second expansion of it in the same search meters its node fetch and a
     hit for each ask the walk made, and nothing else."""
     graph = KnowledgeGraph(
         nodes={"leaf": NodeRecord("leaf", "anatomy", features, {})},
         stats=GraphStats(node_count=1, edge_count=0, relation_types=frozenset()),
     )
-    config = ExploreConfig(search_depth=1, select_attributes=True)
+    monkeypatch.setattr(explore_module, "SELECT_ATTRIBUTES", True)
     backend = backend_of(search_attributes="{{name}}", search_end="[No] more")
     memo = ExploreMemo()
     walked, repeated = CostCounters(), CostCounters()
-    first = explore(krt39_question(), ["leaf"], ExplorationState(), config, graph, backend,
+    first = explore(krt39_question(), ["leaf"], ExplorationState(), 1, graph, backend,
                     walked, memo=memo)
-    second = explore(krt39_question(), ["leaf"], ExplorationState(), config, graph, backend,
+    second = explore(krt39_question(), ["leaf"], ExplorationState(), 1, graph, backend,
                      repeated, memo=memo)
     assert walked.llm_calls_by_tag == {**walk_calls, "end_check": 1}
     assert walked.kg_ops_by_kind == repeated.kg_ops_by_kind == {"node_fetch": 1}
@@ -490,13 +469,6 @@ def test_a_repeated_leaf_expansion_meters_only_the_asks_its_walk_made(
     assert repeated.memo_hits_by_tag == hits
     assert second == first
     assert len(first.relevant_attributes) == len(features)
-
-
-def test_explore_config_validates():
-    with pytest.raises(ValueError):
-        ExploreConfig(search_depth=0)
-    with pytest.raises(ValueError):
-        ExploreConfig(max_neighbors_per_relation=0)
 
 
 def test_a_failed_memo_computation_reaches_every_ask_waiting_on_it(monkeypatch):
@@ -521,9 +493,7 @@ def test_a_failed_memo_computation_reaches_every_ask_waiting_on_it(monkeypatch):
 
     def ask(name):
         try:
-            memo.expand(
-                krt39_question(), "390792", graph, permissive_backend(), counters, wide_open()
-            )
+            memo.expand(krt39_question(), "390792", graph, permissive_backend(), counters)
         except RuntimeError as exc:
             raised[name] = exc
 

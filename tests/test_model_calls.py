@@ -3,13 +3,12 @@ for a reply that never parses and for a transport failure."""
 
 import pytest
 
-from helpers import krt39_graph, krt39_question
+from helpers import fan_graph, krt39_graph, krt39_question
 from graphreason.agent import Scratchpad, run_agent_step
 from graphreason.costs import CostCounters
 from graphreason.evaluation import ERROR_WRONG_STEP, classify_error, judge_correct
 from graphreason.explore import (
     ExplorationState,
-    ExploreConfig,
     end_check,
     extract_entities,
     prune_entities,
@@ -69,8 +68,10 @@ GRAPH = krt39_graph()
 QUESTION = krt39_question()
 HEAD = "390792"
 RELATION = "Anatomy-expresses-Gene"
-TAILS = ["UBERON:0000033", "UBERON:0002097"]
-CAPS = ExploreConfig(max_relations_per_entity=1, max_neighbors_per_relation=1)
+# One more relation and tail than an expansion keeps, so each fallback is capped.
+RELATIONS = [RELATION, "r-two", "r-three", "r-four"]
+FAN = fan_graph(6)
+TAILS = FAN.nodes[HEAD].out_edges[RELATION]
 
 
 class Unparseable:
@@ -162,16 +163,16 @@ FALLBACKS = [
         id="extract-entities",
     ),
     pytest.param(
-        lambda b, c: prune_relations(QUESTION, HEAD, [RELATION, "other"], GRAPH, b, c, CAPS),
-        [RELATION],
+        lambda b, c: prune_relations(QUESTION, HEAD, RELATIONS, GRAPH, b, c),
+        RELATIONS[:3],
         reasked("prune_relations"),
         id="prune-relations",
     ),
     pytest.param(
         lambda b, c: [
-            t.tail_id for t in prune_entities(QUESTION, HEAD, RELATION, TAILS, GRAPH, b, c, CAPS)
+            t.tail_id for t in prune_entities(QUESTION, HEAD, RELATION, TAILS, FAN, b, c)
         ],
-        TAILS[:1],
+        TAILS[:5],
         reasked("prune_entities"),
         id="prune-entities",
     ),

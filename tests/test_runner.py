@@ -2,7 +2,6 @@
 disk, rescoring them, and runs whose calls at one site always fail."""
 
 import copy
-import dataclasses
 import gc
 import json
 import re
@@ -18,7 +17,7 @@ from helpers import (
     write_question_file,
     write_replay_script,
 )
-from graphreason import kg, runner
+from graphreason import explore, kg, runner
 from graphreason.evaluation import Question
 from graphreason.kg import SyntheticGraphSpec, generate_synthetic_graph, save_graph
 from graphreason.llm import (
@@ -460,16 +459,8 @@ def test_a_call_site_whose_calls_all_fail_costs_no_question(template, tmp_path, 
         template,
     )
     monkeypatch.setattr(runner, "build_backend", lambda config: backend)
-    # Attribute search is reachable through SearchConfig only.
-    search_config = RunConfig.search_config
-
-    def with_attributes(self):
-        config = search_config(self)
-        return dataclasses.replace(
-            config, explore=dataclasses.replace(config.explore, select_attributes=True)
-        )
-
-    monkeypatch.setattr(RunConfig, "search_config", with_attributes)
+    # No run option selects attributes; the constant turns the path on.
+    monkeypatch.setattr(explore, "SELECT_ATTRIBUTES", True)
     out = tmp_path / "out"
     report = run_experiment(
         RunConfig(

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from graphreason import explore as explore_module
 from graphreason import strategies
 from graphreason.costs import CostCounters
-from graphreason.explore import AttributeHit, ExplorationState, ExploreConfig, render_attribute
+from graphreason.explore import AttributeHit, ExplorationState, render_attribute
 from graphreason.kg import Triple, generate_synthetic_graph
 from graphreason.llm import ReplayBackend, ReplayEntry, ReplayMismatchError, TransportError
 from graphreason.strategies import (
@@ -72,7 +73,14 @@ def test_config_rejects_unknown_choices():
     with pytest.raises(ValueError):
         SearchConfig(strategy="cot", d_max=0)
     with pytest.raises(ValueError, match="search_depth must be >= 1"):
-        SearchConfig(strategy="tot", interaction="explore", explore=ExploreConfig(search_depth=0))
+        SearchConfig(strategy="tot", interaction="explore", search_depth=0)
+    # Checked before the pins: cot pins k and t, agent pins search_depth.
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        SearchConfig(strategy="cot", k=0)
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        SearchConfig(strategy="cot", t=-3)
+    with pytest.raises(ValueError, match="search_depth must be >= 1"):
+        SearchConfig(strategy="tot", search_depth=0)
 
 
 def test_cot_pins_width_to_one():
@@ -81,11 +89,10 @@ def test_cot_pins_width_to_one():
     assert SearchConfig(strategy="tot", evaluator="score").evaluator == "score"
 
 
-def test_agent_runs_hold_the_default_explore_caps():
-    caps = ExploreConfig(search_depth=5, select_attributes=True)
-    assert SearchConfig(strategy="tot", explore=caps).explore == ExploreConfig()
-    assert SearchConfig(strategy="tot", interaction="explore", explore=caps).explore == caps
-    assert SearchConfig(strategy="tot", explore=caps) == SearchConfig(strategy="tot")
+def test_agent_runs_hold_the_default_search_depth():
+    assert SearchConfig(strategy="tot", search_depth=5).search_depth == 3
+    assert SearchConfig(strategy="tot", interaction="explore", search_depth=5).search_depth == 5
+    assert SearchConfig(strategy="tot", search_depth=5) == SearchConfig(strategy="tot")
 
 
 # --- finish parsing -----------------------------------------------------------
@@ -178,7 +185,7 @@ def test_expand_child_explore_records_search_cost():
         graph,
         permissive_backend(),
         counters,
-        SearchConfig(strategy="cot", interaction="explore", explore=ExploreConfig(search_depth=2)),
+        SearchConfig(strategy="cot", interaction="explore", search_depth=2),
         child_id=1,
     )
     assert child.status == "active"
@@ -633,8 +640,7 @@ CONCURRENCY_CONFIGS = {
     # Every child anchors on one entity, so k siblings generated at once
     # reach its prunes together.
     "got-explore-siblings": dict(
-        strategy="got", interaction="explore", evaluator="score", k=4, d_max=2,
-        explore=ExploreConfig(search_depth=1),
+        strategy="got", interaction="explore", evaluator="score", k=4, d_max=2, search_depth=1,
     ),
 }
 
@@ -673,10 +679,8 @@ def test_a_search_asks_each_prune_key_once(monkeypatch):
     """Prune and attribute calls equal distinct keys, and every other ask is
     a hit: the same search with no memo shared among its states makes one
     call per ask, the same graph ops and the same states."""
-    config = SearchConfig(
-        strategy="got", interaction="explore", evaluator="score", d_max=2,
-        explore=ExploreConfig(select_attributes=True),
-    )
+    monkeypatch.setattr(explore_module, "SELECT_ATTRIBUTES", True)
+    config = SearchConfig(strategy="got", interaction="explore", evaluator="score", d_max=2)
     entries = [
         ReplayEntry(TEMPLATE_MATCHERS["search_attributes"], "keep everything please"),
         *permissive_entries(),
@@ -785,14 +789,10 @@ def test_concurrent_siblings_leave_their_shared_parent_unchanged(interaction, fa
     # grounding at once must still leave the parent's evidence as it was.
     graph = generate_synthetic_graph(11)
     question = synthetic_question()
-    config = SearchConfig(
-        strategy="tot", interaction=interaction, k=8, explore=ExploreConfig(search_depth=1)
-    )
+    config = SearchConfig(strategy="tot", interaction=interaction, k=8, search_depth=1)
     chain = run_search(
         question,
-        SearchConfig(
-            strategy="cot", interaction=interaction, d_max=2, explore=ExploreConfig(search_depth=1)
-        ),
+        SearchConfig(strategy="cot", interaction=interaction, d_max=2, search_depth=1),
         graph,
         permissive_backend(),
     )

@@ -18,11 +18,11 @@ from helpers import (
     synthetic_question,
     write_replay_script,
 )
-from graphreason import kg
+from graphreason import explore, kg
 from graphreason.agent import Scratchpad
 from graphreason.costs import CostCounters
 from graphreason.evaluation import classify_error, load_questions, rouge_l
-from graphreason.explore import ExplorationState, ExploreConfig, render_attribute
+from graphreason.explore import ExplorationState, render_attribute
 from graphreason.kg import generate_synthetic_graph, save_graph
 from graphreason.llm import ReplayBackend, ReplayEntry, TransportError
 from graphreason.runner import RunConfig, _outcome, run_experiment, score_run
@@ -228,15 +228,14 @@ def test_evidence_strings_from_a_real_agent_run(got_trace):
 def explore_with_attributes(finish=True):
     """A got/explore run that keeps attribute hits: it answers at depth 1,
     or without ``finish`` explores on and merges."""
-    config = SearchConfig(
-        strategy="got", interaction="explore", k=2, t=2, d_max=2,
-        explore=ExploreConfig(search_depth=1, select_attributes=True),
-    )
+    config = SearchConfig(strategy="got", interaction="explore", k=2, t=2, d_max=2, search_depth=1)
     backend = ReplayBackend(
         [ReplayEntry(TEMPLATE_MATCHERS["search_attributes"], "{{name, blurb}}")]
         + permissive_entries(explore_finish=finish)
     )
-    return run_search(synthetic_question(), config, generate_synthetic_graph(11), backend)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(explore, "SELECT_ATTRIBUTES", True)
+        return run_search(synthetic_question(), config, generate_synthetic_graph(11), backend)
 
 
 def test_judge_evidence_lines_are_the_prompt_renderings():
