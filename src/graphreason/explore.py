@@ -31,10 +31,13 @@ exploration reduces to the plain d-hop closure of the anchors.
 
 from __future__ import annotations
 
+import functools
 import logging
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import is_not
 
 from . import kg
 from .costs import CostCounters
@@ -54,6 +57,25 @@ SELECT_ATTRIBUTES = False
 class SeenEntity:
     visited: bool
     depth_discovered: int
+
+
+@functools.cache
+def seen_entity(visited: bool, depth_discovered: int) -> SeenEntity:
+    """The one shared :class:`SeenEntity` for these values.
+
+    Exploration and merges take their entries from here, so two states that
+    agree on an entity hold the same object, and a merge finds where they
+    disagree by identity alone. The cache holds two entries per depth.
+    """
+    return SeenEntity(visited, depth_discovered)
+
+
+def _union(first: dict, second: dict) -> dict:
+    """``first``'s entries, then ``second``'s new keys, in order; on a shared
+    key ``first``'s value is kept."""
+    union = first | second
+    union.update(first)
+    return union
 
 
 @dataclass(frozen=True)
@@ -87,7 +109,7 @@ class ExplorationState:
     def add_anchors(self, node_ids: list[str]) -> None:
         for node_id in node_ids:
             if node_id not in self.seen_entities:
-                self.seen_entities[node_id] = SeenEntity(visited=False, depth_discovered=0)
+                self.seen_entities[node_id] = seen_entity(False, 0)
 
     def clone(self) -> "ExplorationState":
         return ExplorationState(
@@ -99,22 +121,27 @@ class ExplorationState:
 
     @classmethod
     def merge(cls, a: "ExplorationState", b: "ExplorationState") -> "ExplorationState":
-        """Union of two states: a's entries first and kept on a shared key."""
-        merged = a.clone()
-        for eid, meta in b.seen_entities.items():
-            mine = merged.seen_entities.get(eid)
-            if mine is not None and mine is not meta:
-                meta = SeenEntity(
-                    mine.visited or meta.visited,
-                    min(mine.depth_discovered, meta.depth_discovered),
+        """Union of two states: a's entries first and kept on a shared key,
+        except that an entity both hold is visited if either visited it and
+        sits at the shallower depth."""
+        mine, theirs = a.seen_entities, b.seen_entities
+        seen = mine | theirs
+        # Only b's entries that a lacks or holds as another object reach this
+        # loop; with entries from ``seen_entity`` that is where they differ.
+        for eid in compress(theirs, map(is_not, map(mine.get, theirs), theirs.values())):
+            held = mine.get(eid)
+            if held is not None:
+                meta = theirs[eid]
+                seen[eid] = seen_entity(
+                    held.visited or meta.visited,
+                    min(held.depth_discovered, meta.depth_discovered),
                 )
-            merged.seen_entities[eid] = meta
-        for key, triple in b.found_triples.items():
-            merged.found_triples.setdefault(key, triple)
-        for key, hit in b.relevant_attributes.items():
-            merged.relevant_attributes.setdefault(key, hit)
-        merged.sufficient = a.sufficient or b.sufficient
-        return merged
+        return cls(
+            seen_entities=seen,
+            found_triples=_union(a.found_triples, b.found_triples),
+            relevant_attributes=_union(a.relevant_attributes, b.relevant_attributes),
+            sufficient=a.sufficient or b.sufficient,
+        )
 
     def rendered_triples(self) -> str:
         return "\n".join(kg.render_triple(t) for t in self.found_triples.values())
@@ -429,12 +456,11 @@ def explore(
             break
         for entity_id in frontier:
             meta = state.seen_entities[entity_id]
-            state.seen_entities[entity_id] = SeenEntity(True, meta.depth_discovered)
+            state.seen_entities[entity_id] = seen_entity(True, meta.depth_discovered)
             found = memo.expand(question, entity_id, graph, backend, counters)
             for hit in found.hits:
                 state.relevant_attributes.setdefault((hit.entity_id, hit.key), hit)
-            # Frozen, so every tail this entity discovers shares it.
-            discovered = SeenEntity(False, meta.depth_discovered + 1)
+            discovered = seen_entity(False, meta.depth_discovered + 1)
             for key, triple in found.rows:
                 state.found_triples.setdefault(key, triple)
                 state.seen_entities.setdefault(triple.tail_id, discovered)

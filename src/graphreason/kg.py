@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .textops import first_undecodable_line, tokenize
 
@@ -53,12 +53,13 @@ class NoMatchError(GraphError):
     """No node scored above zero for a retrieval query."""
 
 
-@dataclass(frozen=True)
-class NodeRecord:
+class NodeRecord(NamedTuple):
     """One graph node: unique id, a type label, string features, out-edges.
 
     ``out_edges`` maps a relation name to the list of target node ids in load
-    order; a relation never lists the same target twice.
+    order; a relation never lists the same target twice. A named tuple, not
+    a frozen dataclass: it is as immutable, and a load builds one per node at
+    about half the cost.
     """
 
     id: str
@@ -291,7 +292,11 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
 
     The file is read a line at a time. Parsing builds no reference cycles, so
     the cyclic garbage collector is paused while loading and then left as it
-    was found.
+    was found. The collector still counts the objects made while paused, so
+    the first allocation after it resumes starts a collection that walks the
+    whole graph (about 8 ms at 10k nodes). A run is spared it by
+    ``runner._frozen_set_up``, which owns the run's pause and freeze and
+    freezes the graph before the collector resumes.
 
     Raises:
         GraphLoadError: malformed or non-UTF-8 line (reported with its line number),

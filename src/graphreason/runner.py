@@ -298,22 +298,38 @@ def _write_tables(
 
 
 @contextmanager
-def _setup_frozen():
-    """Keep the cyclic collector off everything allocated before the block.
+def _frozen_set_up(kg_path: str, questions_path: str):
+    """Yield ``(graph, questions)``, loaded and kept out of the cyclic collector.
 
-    A run's set-up (graph, questions) is immutable, acyclic and lives as long
-    as the run, so rescanning it at every full collection during questions is
-    pure waste. Objects a caller already froze stay frozen: the block then
-    neither freezes nor thaws.
+    This block owns a run's collector pause and freeze. A run's set-up is
+    immutable, acyclic and lives as long as the run, so collecting it is
+    pure waste. It is loaded with the collector paused and frozen with
+    ``gc.freeze()`` before the collector resumes: the collector counts
+    allocations while paused, so resuming first would start a collection
+    that walks the whole graph (about 8 ms at 10k nodes). The freeze resets
+    that count, and keeps later full collections off the set-up.
+
+    Objects a caller already froze stay frozen: the block then neither
+    freezes nor thaws. Nothing is left frozen when the block ends, and the
+    collector is left on or off as it was found, whether set-up or the block
+    raises.
     """
-    if gc.get_freeze_count():
-        yield
-        return
-    gc.freeze()
+    collecting = gc.isenabled()
+    freezing = not gc.get_freeze_count()
+    gc.disable()
     try:
-        yield
+        graph = kg.load_graph(kg_path)
+        questions = load_questions(questions_path)
+        if freezing:
+            gc.freeze()
     finally:
-        gc.unfreeze()
+        if collecting:
+            gc.enable()
+    try:
+        yield graph, questions
+    finally:
+        if freezing:
+            gc.unfreeze()
 
 
 def _run_loaded(
@@ -334,9 +350,7 @@ def _run_loaded(
 def run_experiment(config: RunConfig) -> AggregateReport:
     """Run every question and write the artifact tree; returns the aggregate."""
     preflight(config)
-    graph = kg.load_graph(config.kg_path)
-    questions = load_questions(config.questions_path)
-    with _setup_frozen():
+    with _frozen_set_up(config.kg_path, config.questions_path) as (graph, questions):
         return _run_loaded(config, graph, questions)
 
 
@@ -412,11 +426,9 @@ def run_sweep(base: RunConfig, axis: str, values: list[str]) -> None:
 
     # No sweep axis changes the graph or the questions, so they are loaded
     # once; each value still gets its own backend.
-    graph = kg.load_graph(base.kg_path)
-    questions = load_questions(base.questions_path)
-    rows: list[tuple[str, str, str, str]] = []
-    with _setup_frozen():
+    with _frozen_set_up(base.kg_path, base.questions_path) as (graph, questions):
         reports = [(value, _run_loaded(sub, graph, questions)) for value, sub in configs]
+    rows: list[tuple[str, str, str, str]] = []
     for value, report in reports:
         rows.extend(
             [

@@ -336,6 +336,10 @@ def test_state_merge_unions_and_dedupes():
     assert merged.sufficient
     assert merged.found_triples == a.found_triples
     assert set(merged.seen_entities) == set(a.seen_entities)
+    # Two explorations that agree on an entity hold one shared entry for it.
+    for eid, meta in a.seen_entities.items():
+        assert b.seen_entities[eid] is meta
+        assert merged.seen_entities[eid] is meta
 
 
 _IDS = st.sampled_from("xyz")
@@ -368,6 +372,13 @@ def test_state_merge_keeps_a_first_and_adds_only_b_new_keys(a, b):
         assert list(union) == list(mine) + [k for k in theirs if k not in mine]
         for key, entry in union.items():
             assert entry is (mine[key] if key in mine else theirs[key])
+    mine, theirs, union = a.seen_entities, b.seen_entities, merged.seen_entities
+    assert list(union) == list(mine) + [k for k in theirs if k not in mine]
+    for eid, meta in union.items():
+        held = [side[eid] for side in (mine, theirs) if eid in side]
+        assert meta == SeenEntity(
+            any(m.visited for m in held), min(m.depth_discovered for m in held)
+        )
     assert (a, b) == before
 
 

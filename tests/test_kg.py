@@ -350,17 +350,6 @@ def test_graph_checks_match_one_ordered_walk(tmp_path_factory, rows):
 # ------------------------------------------------------ the cyclic collector
 
 
-@pytest.fixture()
-def collector_state():
-    """Restores the collector's on/off state after a test that flips it."""
-    was_enabled = gc.isenabled()
-    yield
-    if was_enabled:
-        gc.enable()
-    else:
-        gc.disable()
-
-
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("valid", [True, False])
 def test_loading_leaves_the_collector_as_it_found_it(tmp_path, collector_state, enabled, valid):

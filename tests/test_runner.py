@@ -18,8 +18,8 @@ from helpers import (
     write_replay_script,
 )
 from graphreason import explore, kg, runner
-from graphreason.evaluation import Question
-from graphreason.kg import SyntheticGraphSpec, generate_synthetic_graph, save_graph
+from graphreason.evaluation import Question, QuestionLoadError
+from graphreason.kg import GraphLoadError, SyntheticGraphSpec, generate_synthetic_graph, save_graph
 from graphreason.llm import (
     MAX_TRANSPORT_RETRIES,
     ReplayBackend,
@@ -57,10 +57,10 @@ def agent_entries(targets=TARGETS) -> list[ReplayEntry]:
     return finishes + lookups
 
 
-def make_inputs(tmp_path, targets=TARGETS, scripted=TARGETS) -> dict:
+def make_inputs(tmp_path, targets=TARGETS, scripted=TARGETS, node_count=40) -> dict:
     """Run inputs asking about ``targets``; the script answers ``scripted``."""
     graph_path = tmp_path / "graph.kg"
-    spec = SyntheticGraphSpec(node_count=40, edges_per_node=2)
+    spec = SyntheticGraphSpec(node_count=node_count, edges_per_node=2)
     save_graph(generate_synthetic_graph(5, spec), graph_path)
     questions = [
         Question(
@@ -408,6 +408,58 @@ def test_objects_the_caller_froze_stay_frozen(inputs, tmp_path, monkeypatch, ent
         assert gc.get_freeze_count() == frozen
     finally:
         gc.unfreeze()
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_set_up_runs_no_collection(tmp_path, monkeypatch, collector_state, entry):
+    """Set-up allocates far more objects than a young-generation threshold,
+    and it is frozen before the collector resumes, so no collection starts
+    before the first question does."""
+    inputs = make_inputs(tmp_path, node_count=2000)
+    searched = []
+    collections = []
+    search = runner.run_search
+
+    def searching(*args, **kwargs):
+        searched.append(True)
+        return search(*args, **kwargs)
+
+    def count(phase, info):
+        if phase == "start" and not searched:
+            collections.append(info["generation"])
+
+    monkeypatch.setattr(runner, "run_search", searching)
+    run = entry_point(entry, inputs, tmp_path)
+    gc.enable()
+    gc.collect()  # so the run starts with empty young generations
+    gc.callbacks.append(count)
+    try:
+        run()
+    finally:
+        gc.callbacks.remove(count)
+    assert searched
+    assert collections == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "bad, error", [("kg_path", GraphLoadError), ("questions_path", QuestionLoadError)]
+)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_failed_set_up_leaves_the_collector_as_it_found_it(
+    tmp_path, collector_state, entry, bad, error, enabled
+):
+    inputs = make_inputs(tmp_path)
+    with open(inputs[bad], "a", encoding="utf-8") as handle:
+        handle.write("not json\n")
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    with pytest.raises(error):
+        entry_point(entry, inputs, tmp_path)()
+    assert gc.isenabled() is enabled
+    assert gc.get_freeze_count() == 0
 
 
 # ------------------------------------------------ a call site that always fails
