@@ -183,6 +183,15 @@ def parse_actions(text: str) -> list[AgentAction]:
     return actions
 
 
+#: The node lookups by action kind: the ``kg`` function, also the kind its
+#: cost is metered under, and the observation its result fills in.
+_NODE_LOOKUPS = {
+    ACTION_FEATURE: ("node_feature", "{node_id} -> {found}"),
+    ACTION_NEIGHBORS: ("neighbor_check", "The neighbors are [{found}]."),
+    ACTION_DEGREE: ("node_degree", "The number of '{key}' neighbors is {found}."),
+}
+
+
 def execute_action(graph: kg.KnowledgeGraph, action: AgentAction, counters: CostCounters) -> str:
     """Run one non-Finish action; errors come back as observation text."""
     if action.kind == ACTION_RETRIEVE:
@@ -195,34 +204,21 @@ def execute_action(graph: kg.KnowledgeGraph, action: AgentAction, counters: Cost
         except kg.NoMatchError:
             return f"No node matches the query '{query}'."
         return f"The ID of the node is {node_id}."
-    if action.kind == ACTION_FEATURE:
-        counters.record_kg_op("node_feature")
-        node_id, feature = action.args
-        try:
-            value = kg.node_feature(graph, node_id, feature)
-        except kg.UnknownNodeError:
-            return f"No such node: {node_id}."
-        except kg.FeatureAbsentError:
-            return f"Node {node_id} has no feature '{feature}'."
-        return f"{node_id} -> {value}"
-    if action.kind == ACTION_NEIGHBORS:
-        counters.record_kg_op("neighbor_check")
-        node_id, relation = action.args
-        try:
-            neighbors = kg.neighbor_check(graph, node_id, relation)
-        except kg.UnknownNodeError:
-            return f"No such node: {node_id}."
-        listing = ", ".join(f"'{n}'" for n in neighbors)
-        return f"The neighbors are [{listing}]."
-    if action.kind == ACTION_DEGREE:
-        counters.record_kg_op("node_degree")
-        node_id, relation = action.args
-        try:
-            degree = kg.node_degree(graph, node_id, relation)
-        except kg.UnknownNodeError:
-            return f"No such node: {node_id}."
-        return f"The number of '{relation}' neighbors is {degree}."
-    raise ValueError(f"cannot execute action kind {action.kind!r}")
+    if action.kind not in _NODE_LOOKUPS:
+        raise ValueError(f"cannot execute action kind {action.kind!r}")
+    op, observation = _NODE_LOOKUPS[action.kind]
+    counters.record_kg_op(op)
+    node_id, key = action.args
+    try:
+        # Found by name at call time, so a function rebound on ``kg`` is the one called.
+        found = getattr(kg, op)(graph, node_id, key)
+    except kg.UnknownNodeError:
+        return f"No such node: {node_id}."
+    except kg.FeatureAbsentError:
+        return f"Node {node_id} has no feature '{key}'."
+    if isinstance(found, list):  # neighbor_check's ids
+        found = ", ".join(f"'{n}'" for n in found)
+    return observation.format(node_id=node_id, key=key, found=found)
 
 
 def _parse_step_reply(text: str) -> tuple[str, str, list[AgentAction]]:

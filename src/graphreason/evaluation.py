@@ -23,8 +23,7 @@ from .llm import (
     parse_yes_no,
     request_for,
 )
-from .prompts import _is_path_component
-from .textops import first_undecodable_line, tokenize
+from .textops import first_undecodable_line, is_path_component, tokenize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .traces import TraceRecord
@@ -62,10 +61,10 @@ class Question:
         if not self.qid:
             raise ValueError("qid must be nonempty")
         # The qid names the question's trace file.
-        if not _is_path_component(self.qid):
+        if not is_path_component(self.qid):
             raise ValueError(f"qid {self.qid!r} cannot be a file name")
         # The domain names the folder its few-shot examples are read from.
-        if not _is_path_component(self.domain):
+        if not is_path_component(self.domain):
             raise ValueError(
                 f"question {self.qid}: domain {self.domain!r} cannot be a folder name"
             )
@@ -102,7 +101,7 @@ def load_questions(path: str | Path) -> list[Question]:
                 unknown = set(record) - _QUESTION_FIELDS
                 if unknown:
                     raise QuestionLoadError(f"{path}:{lineno}: unknown fields {sorted(unknown)}")
-                missing = {"qid", "question", "answer", "difficulty"} - set(record)
+                missing = _QUESTION_FIELDS - {"domain"} - set(record)
                 if missing:
                     raise QuestionLoadError(f"{path}:{lineno}: missing fields {sorted(missing)}")
                 for name, value in record.items():

@@ -259,20 +259,16 @@ def complete(backend: Backend, request: CompletionRequest, counters: CostCounter
 
     The call meter ticks once per request under ``request.tag`` no matter
     how many transport attempts were needed or whether they all failed;
-    retries are counted separately.
+    retries are counted separately. The last attempt's error propagates.
     """
     counters.record_llm_call(request.tag)
-    last_error: TransportError | None = None
-    for attempt in range(1 + MAX_TRANSPORT_RETRIES):
-        if attempt > 0:
-            counters.record_transport_retry()
-            logger.debug("transport retry %d for tag %s", attempt, request.tag)
+    for attempt in range(1, 1 + MAX_TRANSPORT_RETRIES):
         try:
             return backend.raw_complete(request)
-        except TransportError as exc:
-            last_error = exc
-    assert last_error is not None
-    raise last_error
+        except TransportError:
+            counters.record_transport_retry()
+            logger.debug("transport retry %d for tag %s", attempt, request.tag)
+    return backend.raw_complete(request)
 
 
 def complete_with_reask(

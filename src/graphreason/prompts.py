@@ -21,6 +21,8 @@ import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .textops import is_path_component
+
 _ASSETS_ROOT = Path(__file__).resolve().parent / "assets" / "examples"
 
 # Substitution reads every ``{word}`` and leaves one that is not a required
@@ -264,11 +266,6 @@ def get_template(name: str) -> PromptTemplate:
         ) from None
 
 
-def _is_path_component(name: str) -> bool:
-    """Can ``name`` stand alone in a path, naming one entry of one directory?"""
-    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
-
-
 @functools.cache
 def load_examples(template_name: str, domain: str) -> str:
     """Return the few-shot example block for (template, domain).
@@ -283,7 +280,7 @@ def load_examples(template_name: str, domain: str) -> str:
         ValueError: ``domain`` is not one folder name, so it could reach a
             file outside ``assets/examples/``.
     """
-    if not _is_path_component(domain):
+    if not is_path_component(domain):
         raise ValueError(f"domain {domain!r} cannot be a folder name")
     path = _ASSETS_ROOT / domain / f"{template_name}.txt"
     if not path.is_file():

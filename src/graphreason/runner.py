@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import kg
-from .costs import MAX_ACTIONS_PER_STEP, CostCounters
+from .costs import MAX_ACTIONS_PER_STEP
 from .evaluation import (
     AggregateReport,
     EvalResult,
@@ -107,15 +107,8 @@ class RunConfig:
 
     def echo(self) -> dict:
         """The configuration block echoed into every artifact: what the run used."""
-        search = self.search_config()
         return {
-            "strategy": search.strategy,
-            "interaction": search.interaction,
-            "evaluator": search.evaluator,
-            "k": search.k,
-            "t": search.t,
-            "d_max": search.d_max,
-            "search_depth": search.search_depth,
+            **asdict(self.search_config()),
             "backend": self.backend,
             "model": self.model if self.backend == "wire" else None,
             "judge": self.judge,
@@ -207,8 +200,8 @@ def _run_single(
     traces_dir: Path,
 ) -> EvalResult:
     """Run, evaluate and write one question's trace; the states stay on disk."""
-    counters = CostCounters()
-    result = run_search(question, config.search_config(), graph, backend, counters)
+    result = run_search(question, config.search_config(), graph, backend)
+    counters = result.counters
 
     judged: bool | None = None
     if config.judge == "llm" and result.answer is not None:
@@ -243,19 +236,11 @@ def _format_report(
     lines.append(f"# config: {echo}")
     lines.append("qid\tanswer\trouge_l\tjudge\terror_class\tllm_calls\tkg_ops")
     for result in results:
-        lines.append(
-            "\t".join(
-                [
-                    result.qid,
-                    result.answer if result.answer is not None else "-",
-                    _fmt(result.rouge_l),
-                    _fmt(result.judge_correct),
-                    result.error_class if result.error_class is not None else "-",
-                    str(result.llm_calls),
-                    str(result.kg_ops),
-                ]
-            )
+        cells = (
+            result.qid, result.answer, result.rouge_l, result.judge_correct,
+            result.error_class, result.llm_calls, result.kg_ops,
         )
+        lines.append("\t".join(map(_fmt, cells)))
 
     def stats_line(label: str, stats) -> str:
         return (

@@ -145,15 +145,21 @@ class SearchResult:
     termination: str
 
 
+def _triples_part(state: ThoughtState) -> list[str]:
+    """The ``Triples: ...`` part of a rendering, absent when the state holds none."""
+    explored = state.evidence.exploration
+    if explored is None or not explored.found_triples:
+        return []
+    return ["Triples: " + "; ".join(map(kg.render_triple, explored.found_triples.values()))]
+
+
 def describe_candidate(state: ThoughtState) -> str:
     """Compact single-candidate rendering for evaluator prompts."""
-    parts = [state.thought]
-    explored = state.evidence.exploration or ExplorationState()
-    triples, hits = explored.found_triples.values(), explored.relevant_attributes.values()
-    if triples:
-        parts.append("Triples: " + "; ".join(kg.render_triple(t) for t in triples))
-    if hits:
-        parts.append("Attributes: " + "; ".join(render_attribute(h) for h in hits))
+    parts = [state.thought, *_triples_part(state)]
+    explored = state.evidence.exploration
+    if explored is not None and explored.relevant_attributes:
+        hits = explored.relevant_attributes.values()
+        parts.append("Attributes: " + "; ".join(map(render_attribute, hits)))
     if state.evidence.scratchpad is not None and state.evidence.scratchpad.steps:
         last = state.evidence.scratchpad.steps[-1]
         if last.observations:
@@ -164,11 +170,7 @@ def describe_candidate(state: ThoughtState) -> str:
 def describe_chain(state: ThoughtState) -> str:
     """Whole-chain rendering (thought log plus triples) for scoring/merging."""
     lines = list(state.evidence.thought_log) or [state.thought]
-    explored = state.evidence.exploration or ExplorationState()
-    triples = explored.found_triples.values()
-    if triples:
-        lines.append("Triples: " + "; ".join(kg.render_triple(t) for t in triples))
-    return "\n".join(lines)
+    return "\n".join(lines + _triples_part(state))
 
 
 _FINISH_RE = re.compile(r"Finish\s*\[")
@@ -494,9 +496,12 @@ def run_search(
     config: SearchConfig,
     graph: kg.KnowledgeGraph,
     backend: Backend,
-    counters: CostCounters | None = None,
 ) -> SearchResult:
     """Run one full search for a question.
+
+    The search makes its own meter, a fresh :class:`CostCounters`, and
+    returns it as ``SearchResult.counters``; work a caller does for the
+    question afterwards (the judge) is metered into it there.
 
     Rounds proceed to the depth limit ``d_max``; the search ends early as
     soon as the retained frontier contains a finished state, answering with
@@ -514,8 +519,7 @@ def run_search(
     an entity another child is walking waits for that whole walk, and no
     question reuses another's expansions.
     """
-    if counters is None:
-        counters = CostCounters()
+    counters = CostCounters()
     memo = ExploreMemo()
     root = ThoughtState(
         id=0, depth=0, thought=question.text, evidence=Evidence(), parents=()

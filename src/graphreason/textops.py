@@ -1,4 +1,5 @@
-"""Shared text utilities: the frozen tokenizer, and a finder for bytes that are not UTF-8."""
+"""Shared text utilities: the frozen tokenizer, the rule for names that become
+paths, and a finder for bytes that are not UTF-8."""
 
 from __future__ import annotations
 
@@ -17,6 +18,11 @@ def tokenize(text: str) -> list[str]:
     and changing it would shift every reported score and retrieval.
     """
     return _TOKEN_RE.findall(text.lower())
+
+
+def is_path_component(name: str) -> bool:
+    """Can ``name`` stand alone in a path, naming one entry of one directory?"""
+    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
 
 
 def first_undecodable_line(path: str | Path) -> int:

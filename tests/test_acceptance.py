@@ -85,10 +85,10 @@ def test_acceptance_1_golden_traces():
 
     # Agent-driven chain: four steps, each an exact transcript line.
     backend = ReplayBackend(golden_agent_entries(), strict=True)
-    counters = CostCounters()
     result = run_search(
-        question, SearchConfig(strategy="cot", interaction="agent", d_max=10), graph, backend, counters
+        question, SearchConfig(strategy="cot", interaction="agent", d_max=10), graph, backend
     )
+    counters = result.counters
     assert result.answer == "head, skin of body"
     assert result.termination == "finished"
     assert backend.remaining() == 0
@@ -132,14 +132,10 @@ def test_acceptance_1_golden_traces():
 
     # Exploration-driven chain: one search harvesting both triples.
     backend = ReplayBackend(golden_explore_entries(), strict=True)
-    counters = CostCounters()
     result = run_search(
-        question,
-        SearchConfig(strategy="cot", interaction="explore", d_max=10),
-        graph,
-        backend,
-        counters,
+        question, SearchConfig(strategy="cot", interaction="explore", d_max=10), graph, backend
     )
+    counters = result.counters
     assert result.answer == "head, skin of body"
     assert backend.remaining() == 0
 
@@ -228,10 +224,8 @@ def test_acceptance_3_cost_grid():
                             continue  # cot pins k=t=1; identical cells rerun nothing
                         if strategy != "cot" and d_max > 3:
                             continue  # the chain alone is cheap enough to run deep
-                        counters = CostCounters()
-                        result = run_search(
-                            question, config, graph, permissive_backend(), counters
-                        )
+                        result = run_search(question, config, graph, permissive_backend())
+                        counters = result.counters
                         assert result.termination == "step_limit"
 
                         bound = bound_for(config, n=d_max, d=config.search_depth)

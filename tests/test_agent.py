@@ -292,10 +292,8 @@ def test_cot_agent_search_stops_at_step_limit(graph):
     backend = ReplayBackend(
         [ReplayEntry("", "Thought: again.\nAction 1: NodeDegree[390792, Anatomy-expresses-Gene]")]
     )
-    counters = CostCounters()
-    result = run_search(
-        krt39_question(), SearchConfig(strategy="cot", d_max=3), graph, backend, counters
-    )
+    result = run_search(krt39_question(), SearchConfig(strategy="cot", d_max=3), graph, backend)
+    counters = result.counters
     assert result.answer is None
     assert result.termination == "step_limit"
     final = result.states[result.frontier[0]]
