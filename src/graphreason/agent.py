@@ -184,11 +184,19 @@ def parse_actions(text: str) -> list[AgentAction]:
 
 
 #: The node lookups by action kind: the ``kg`` function, also the kind its
-#: cost is metered under, and the observation its result fills in.
+#: cost is metered under, and the observation its result gives.
 _NODE_LOOKUPS = {
-    ACTION_FEATURE: ("node_feature", "{node_id} -> {found}"),
-    ACTION_NEIGHBORS: ("neighbor_check", "The neighbors are [{found}]."),
-    ACTION_DEGREE: ("node_degree", "The number of '{key}' neighbors is {found}."),
+    ACTION_FEATURE: ("node_feature", lambda node_id, feature, value: f"{node_id} -> {value}"),
+    ACTION_NEIGHBORS: (
+        "neighbor_check",
+        lambda node_id, relation, ids: (
+            "The neighbors are [" + ", ".join(f"'{n}'" for n in ids) + "]."
+        ),
+    ),
+    ACTION_DEGREE: (
+        "node_degree",
+        lambda node_id, relation, degree: f"The number of '{relation}' neighbors is {degree}.",
+    ),
 }
 
 
@@ -216,9 +224,7 @@ def execute_action(graph: kg.KnowledgeGraph, action: AgentAction, counters: Cost
         return f"No such node: {node_id}."
     except kg.FeatureAbsentError:
         return f"Node {node_id} has no feature '{key}'."
-    if isinstance(found, list):  # neighbor_check's ids
-        found = ", ".join(f"'{n}'" for n in found)
-    return observation.format(node_id=node_id, key=key, found=found)
+    return observation(node_id, key, found)
 
 
 def _parse_step_reply(text: str) -> tuple[str, str, list[AgentAction]]:

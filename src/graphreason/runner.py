@@ -106,9 +106,13 @@ class RunConfig:
         )
 
     def echo(self) -> dict:
-        """The configuration block echoed into every artifact: what the run used."""
+        """The configuration block echoed into every artifact: what the run used.
+
+        It opens with the search's fields, read with ``vars``: ``asdict``
+        would deep-copy each one, and this runs once per question.
+        """
         return {
-            **asdict(self.search_config()),
+            **vars(self.search_config()),
             "backend": self.backend,
             "model": self.model if self.backend == "wire" else None,
             "judge": self.judge,
@@ -276,8 +280,9 @@ def _write_tables(
         for result in results
     )
     (out_dir / "results.lines").write_text(results_text, encoding="utf-8")
+    # Text that is not UTF-8 (a lone surrogate) is written as its \u escape.
     (out_dir / "report.table").write_text(
-        _format_report(results, config_echo, report), encoding="utf-8"
+        _format_report(results, config_echo, report), encoding="utf-8", errors="backslashreplace"
     )
     return report
 

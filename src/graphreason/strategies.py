@@ -303,6 +303,17 @@ def expand_child(
     )
 
 
+def _pick(run: str) -> int:
+    """The choice number a run of digits names.
+
+    A run of more than 18 significant digits is past any candidate list and
+    reads as the out-of-range pick 0: ``int()`` refuses a run of over 4,300
+    digits (Python 3.11+), and a reply may hold one.
+    """
+    digits = run.lstrip("0") or "0"
+    return int(digits) if len(digits) <= 18 else 0
+
+
 def evaluate_select(
     candidates: list[ThoughtState],
     t: int,
@@ -328,10 +339,10 @@ def evaluate_select(
 
     def parse(reply: str) -> list[int]:
         span = parse_bracketed_answer(reply)
-        numbers = [int(x) for x in re.findall(r"\d+", span)]
-        if not numbers:
+        runs = re.findall(r"\d+", span)
+        if not runs:
             raise MalformedOutputError(f"no choice numbers in span {span!r}")
-        return numbers
+        return [_pick(run) for run in runs]
 
     picks = complete_with_reask(backend, request, counters, parse, [])
     in_range = [pick - 1 for pick in picks if 1 <= pick <= len(candidates)]

@@ -7,6 +7,9 @@ import re
 from pathlib import Path
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
+# What a path component may not hold: a separator, NUL, or a surrogate, which
+# UTF-8 cannot encode.
+_NOT_IN_PATH_RE = re.compile(r"[/\\\x00\ud800-\udfff]")
 
 
 def tokenize(text: str) -> list[str]:
@@ -21,8 +24,11 @@ def tokenize(text: str) -> list[str]:
 
 
 def is_path_component(name: str) -> bool:
-    """Can ``name`` stand alone in a path, naming one entry of one directory?"""
-    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+    """Can ``name`` stand alone in a path, naming one entry of one directory?
+
+    It must be UTF-8 text with no separator or NUL, and not ``.`` or ``..``.
+    """
+    return name not in ("", ".", "..") and _NOT_IN_PATH_RE.search(name) is None
 
 
 def first_undecodable_line(path: str | Path) -> int:

@@ -227,6 +227,18 @@ def test_a_malformed_question_file_is_a_one_line_error(runner, workspace, comman
     assert not (root / "bad").exists()
 
 
+def test_a_qid_that_is_not_utf8_is_a_one_line_error(runner, workspace):
+    # A lone surrogate, escaped in the file, cannot name a trace file.
+    path = Path(workspace["questions"])
+    path.write_text(
+        path.read_text(encoding="utf-8").replace('"q2"', '"q\\ud800"'), encoding="utf-8"
+    )
+    out = workspace["root"] / "bad"
+    result = runner.invoke(main, run_args(workspace, out))
+    assert_one_line_error(result, workspace["questions"], "qid 'q\\ud800' cannot be a file name")
+    assert not out.exists()
+
+
 def test_a_domain_outside_the_examples_is_a_one_line_error(runner, workspace):
     path = Path(workspace["questions"])
     path.write_text(

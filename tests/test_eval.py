@@ -157,6 +157,7 @@ def test_load_questions_round_trip(tmp_path):
         ('{"qid": "a\\u0000b", "question": "x", "answer": "y", "difficulty": "easy"}', "cannot be a file name"),
         ('{"qid": ".", "question": "x", "answer": "y", "difficulty": "easy"}', "qid '.' cannot be a file name"),
         ('{"qid": "..", "question": "x", "answer": "y", "difficulty": "easy"}', "qid '..' cannot be a file name"),
+        ('{"qid": "a\\ud800b", "question": "x", "answer": "y", "difficulty": "easy"}', "qid 'a\\ud800b' cannot be a file name"),
         ('{"qid": null, "question": "x", "answer": "y", "difficulty": "easy"}', "qid must be a string, got null"),
         ('{"qid": 7, "question": "x", "answer": "y", "difficulty": "easy"}', "qid must be a string, got 7"),
         ('{"qid": "a", "question": "x", "answer": null, "difficulty": "easy"}', "answer must be a string, got null"),
@@ -167,7 +168,7 @@ def test_load_questions_round_trip(tmp_path):
                 f'{{"qid": "a", "question": "x", "answer": "y", "difficulty": "easy", "domain": {json.dumps(domain)}}}',
                 f"question a: domain {domain!r} cannot be a folder name",
             )
-            for domain in ("/etc", "../x", "a/b", "a\\b", ".", "..", "")
+            for domain in ("/etc", "../x", "a/b", "a\\b", ".", "..", "", "\ud800")
         ),
     ],
 )

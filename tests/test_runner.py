@@ -544,3 +544,42 @@ def test_a_call_site_whose_calls_all_fail_costs_no_question(template, tmp_path, 
             assert (row["judge_correct"], row["error_class"]) == (False, "wrong_step")
     # Each failed call used up its retries and was not re-asked.
     assert retries * (1 + MAX_TRANSPORT_RETRIES) == backend.failed * MAX_TRANSPORT_RETRIES
+
+
+# ------------------------------------------------------ text that is not UTF-8
+
+
+class DownBackend:
+    """A backend whose every attempt fails, as an endpoint nothing listens on."""
+
+    def raw_complete(self, request):
+        raise TransportError("connection refused")
+
+
+@pytest.mark.parametrize(
+    "where, shown",
+    [("answer", "\talpha \\ud800 2\t"), ("model", " model=m\\udcff ")],
+)
+def test_a_lone_surrogate_is_escaped_in_the_report_and_rescores(
+    where, shown, tmp_path, monkeypatch
+):
+    """A lone surrogate in an answer (a replay reply's JSON escape) or in the
+    model name (a command-line byte that is not UTF-8) ends no run: the
+    report shows its escape, and score rebuilds both tables byte for byte."""
+    graph_path = tmp_path / "graph.kg"
+    save_graph(generate_synthetic_graph(11), graph_path)
+    entries = [ReplayEntry(TEMPLATE_MATCHERS["agent_step"], "Action 1: Finish[alpha \ud800 2]")]
+    options = {"replay_path": str(write_replay_script(tmp_path / "s.replay", entries))}
+    if where == "model":
+        options = {"backend": "wire", "endpoint": "http://127.0.0.1:9/v1", "model": "m\udcff"}
+        monkeypatch.setattr(runner, "build_backend", lambda config: DownBackend())
+    questions = write_question_file(tmp_path / "q.lines", [synthetic_question()])
+    out = tmp_path / "out"
+    config = RunConfig(
+        kg_path=str(graph_path), questions_path=str(questions), out_dir=str(out), **options
+    )
+    run_experiment(config)
+    assert shown in (out / "report.table").read_text(encoding="utf-8")
+    score_run(out / "traces", questions, tmp_path / "rescore")
+    for name in ("results.lines", "report.table"):
+        assert (tmp_path / "rescore" / name).read_bytes() == (out / name).read_bytes()

@@ -248,6 +248,23 @@ def test_evaluate_select_malformed_fills_in_creation_order():
     assert counters.llm_calls_by_tag == {"select": 1, "select:reask": 1}
 
 
+@pytest.mark.parametrize(
+    ("digits", "expected"),
+    [("9" * 5000, [1, 2]), ("0" * 5000 + "3", [3, 1])],
+    ids=["nines", "leading-zeros"],
+)
+def test_evaluate_select_reads_a_number_too_long_for_int(digits, expected):
+    # Python 3.11+ int() refuses a run of over 4,300 digits. The number is
+    # read by its value: 5,000 nines are out of range, so the first t
+    # candidates are kept, with no re-ask; leading zeros do not count.
+    counters = CostCounters()
+    candidates = [make_state(i) for i in range(1, 5)]
+    backend = selection_backend("The best choice is {{" + digits + "}}")
+    kept = evaluate_select(candidates, 2, synthetic_question(), backend, counters)
+    assert [c.id for c in kept] == expected
+    assert counters.llm_calls_by_tag == {"select": 1}
+
+
 @given(picks=st.lists(st.integers(0, 7), min_size=1, max_size=6), t=st.integers(1, 4))
 def test_evaluate_select_keeps_in_range_picks_then_creation_order(picks, t):
     candidates = [make_state(i) for i in range(1, 6)]
