@@ -30,6 +30,7 @@ from .runner import (
     score_run,
 )
 from .strategies import VALID_EVALUATORS, VALID_INTERACTIONS, VALID_STRATEGIES
+from .textops import decode_json
 from .traces import validate_trace
 
 
@@ -114,7 +115,7 @@ def validate_command(paths: tuple[str, ...]) -> None:
     failed = False
     for path in paths:
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            data = decode_json(Path(path).read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             click.echo(f"{path}: unreadable ({exc})")
             failed = True

@@ -23,7 +23,7 @@ from .llm import (
     parse_yes_no,
     request_for,
 )
-from .textops import first_undecodable_line, is_path_component, tokenize
+from .textops import decode_json, first_undecodable_line, is_path_component, tokenize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .traces import TraceRecord
@@ -93,7 +93,7 @@ def load_questions(path: str | Path) -> list[Question]:
                 if not line.strip():
                     continue
                 try:
-                    record = json.loads(line)
+                    record = decode_json(line)
                 except json.JSONDecodeError as exc:
                     raise QuestionLoadError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
                 if not isinstance(record, dict):
@@ -178,16 +178,6 @@ class EvalResult:
     error_class: str | None
     llm_calls: int
     kg_ops: int
-
-    def __post_init__(self) -> None:
-        if (self.answer is None) != (self.rouge_l is None):
-            raise ValueError(f"{self.qid}: rouge_l must be present iff an answer is")
-        if not isinstance(self.judge_correct, (bool, type(None))):
-            raise ValueError(f"{self.qid}: judge verdict {self.judge_correct!r} is not a boolean")
-        if self.error_class is not None and self.error_class not in ERROR_CLASSES:
-            raise ValueError(f"{self.qid}: unknown error class {self.error_class!r}")
-        if self.error_class == ERROR_CORRECT and self.judge_correct is not True:
-            raise ValueError(f"{self.qid}: 'correct' class requires a true judge result")
 
 
 def judge_correct(

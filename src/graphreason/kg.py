@@ -18,7 +18,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .textops import first_undecodable_line, tokenize
+from .textops import decode_json, first_undecodable_line, tokenize
 
 NAME_FEATURE = "name"
 
@@ -216,28 +216,6 @@ def _build_graph(records: list[NodeRecord]) -> KnowledgeGraph:
     return KnowledgeGraph(nodes=nodes, stats=stats)
 
 
-# JSON's own whitespace; ``str.strip()`` with no argument strips more (a form
-# feed, say), which the decoder rejects.
-_JSON_WHITESPACE = " \t\n\r"
-_decode_prefix = json.JSONDecoder().raw_decode
-
-
-def _decode_line(line: str, line_number: int) -> object:
-    text = line.strip(_JSON_WHITESPACE)
-    try:
-        value, end = _decode_prefix(text)
-        if end == len(text):
-            return value
-    except json.JSONDecodeError:
-        pass
-    # Whatever the prefix decode rejects, ``json.loads`` rejects too, and its
-    # message is the one reported.
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise GraphLoadError(f"line {line_number}: not valid JSON ({exc.msg})") from exc
-
-
 def _all_strings(values: Iterable) -> bool:
     # A plain loop: ``all()`` over a generator costs about twice as much on
     # the handful of values a record holds.
@@ -248,7 +226,10 @@ def _all_strings(values: Iterable) -> bool:
 
 
 def _parse_node_line(line: str, line_number: int) -> NodeRecord:
-    raw = _decode_line(line, line_number)
+    try:
+        raw = decode_json(line)
+    except json.JSONDecodeError as exc:
+        raise GraphLoadError(f"line {line_number}: not valid JSON ({exc.msg})") from exc
     if not isinstance(raw, dict):
         raise GraphLoadError(f"line {line_number}: expected an object, got {type(raw).__name__}")
 

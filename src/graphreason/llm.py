@@ -32,7 +32,7 @@ from typing import Callable, Protocol, TypeVar
 from . import prompts
 from .costs import REASK_SUFFIX, CostCounters
 from .prompts import DecodingParams
-from .textops import first_undecodable_line
+from .textops import decode_json, first_undecodable_line
 
 logger = logging.getLogger(__name__)
 
@@ -137,7 +137,7 @@ class ReplayBackend:
                     if not line.strip():
                         continue
                     try:
-                        record = json.loads(line)
+                        record = decode_json(line)
                     except json.JSONDecodeError as exc:
                         raise ValueError(f"{path}:{lineno}: bad replay record: {exc}") from exc
                     match record:  # other keys are allowed
@@ -242,7 +242,7 @@ class WireBackend:
                     exc.close()
                 raise TransportError(f"wire request failed: {exc}") from exc
         try:
-            body = json.loads(raw)
+            body = decode_json(raw)
         except ValueError as exc:
             raise TransportError(f"wire response is not JSON: {exc}") from exc
         try:

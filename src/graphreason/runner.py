@@ -46,6 +46,7 @@ from .traces import (
     TraceRecord,
     build_trace,
     load_trace,
+    outcome_violations,
     write_trace,
 )
 
@@ -222,6 +223,11 @@ def _run_single(
     return outcome
 
 
+# A tab, newline or carriage return in a report value is written as its
+# escape, so the value stays on its one line, in its one cell.
+_ONE_LINE = str.maketrans({"\t": "\\t", "\n": "\\n", "\r": "\\r"})
+
+
 def _fmt(value, pattern: str = "{:.4f}") -> str:
     if value is None:
         return "-"
@@ -229,7 +235,7 @@ def _fmt(value, pattern: str = "{:.4f}") -> str:
         return "yes" if value else "no"
     if isinstance(value, float):
         return pattern.format(value)
-    return str(value)
+    return str(value).translate(_ONE_LINE)
 
 
 def _format_report(
@@ -237,7 +243,7 @@ def _format_report(
 ) -> str:
     lines = [f"# schema: {REPORT_SCHEMA}"]
     echo = " ".join(f"{key}={config_echo[key]}" for key in sorted(config_echo))
-    lines.append(f"# config: {echo}")
+    lines.append(f"# config: {echo.translate(_ONE_LINE)}")
     lines.append("qid\tanswer\trouge_l\tjudge\terror_class\tllm_calls\tkg_ops")
     for result in results:
         cells = (
@@ -248,7 +254,8 @@ def _format_report(
 
     def stats_line(label: str, stats) -> str:
         return (
-            f"# {label}: count={stats.count} rouge_mean={_fmt(stats.rouge_mean)} "
+            f"# {label.translate(_ONE_LINE)}: count={stats.count} "
+            f"rouge_mean={_fmt(stats.rouge_mean)} "
             f"judge_rate={_fmt(stats.judge_rate, '{:.1f}')} "
             f"judge_evaluated={stats.judge_evaluated} judge_absent={stats.judge_absent}"
         )
@@ -350,9 +357,9 @@ def score_run(traces_dir: str | Path, questions_path: str | Path, out_dir: str |
     Deterministic scores are recomputed; judge verdicts and error classes
     are echoed from the traces (re-judging would need a backend). A trace
     that does not load, holds another question's run, has a config that is
-    not an object or differs from the first trace's, or has an eval block no
-    result row can hold, raises ``ConfigError`` naming its file, and so does
-    an output path that cannot be a directory, before anything is read.
+    not an object or differs from the first trace's, or breaks an outcome
+    rule, raises ``ConfigError`` naming its file, and so does an output
+    path that cannot be a directory, before anything is read.
     """
     _check_out_dir(out_dir)
     questions = load_questions(questions_path)
@@ -372,8 +379,10 @@ def score_run(traces_dir: str | Path, questions_path: str | Path, out_dir: str |
             if results and trace.config != config_echo:
                 first = traces_dir / f"{questions[0].qid}.trace"
                 raise ValueError(f"its config differs from that of {first}")
+            if violations := outcome_violations(vars(trace)):
+                raise ValueError(violations[0])
             result = _outcome(question, trace)
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot score trace {path}: {exc}") from exc
         if not results:
             config_echo = trace.config

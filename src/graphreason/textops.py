@@ -1,8 +1,9 @@
 """Shared text utilities: the frozen tokenizer, the rule for names that become
-paths, and a finder for bytes that are not UTF-8."""
+paths, a finder for bytes that are not UTF-8, and the one JSON decoder."""
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
@@ -39,3 +40,33 @@ def first_undecodable_line(path: str | Path) -> int:
     except UnicodeDecodeError as exc:
         return data.count(b"\n", 0, exc.start) + 1
     raise ValueError(f"{path} decodes as UTF-8")
+
+
+# JSON's own whitespace; ``str.strip()`` with no argument strips more (a form
+# feed, say), which the decoder rejects.
+_JSON_WHITESPACE = " \t\n\r"
+_decode_prefix = json.JSONDecoder().raw_decode
+
+
+def decode_json(text: str | bytes) -> object:
+    """``json.loads(text)``, but a value nested too deeply to decode raises
+    ``json.JSONDecodeError`` ("nested too deeply") instead of ``RecursionError``,
+    so every reader's handler for malformed JSON covers it.
+
+    A string that opens with its value is decoded in one pass, skipping
+    ``json.loads``' whitespace scans. Anything else (leading whitespace, a
+    byte-order mark, bytes, an error) goes to ``json.loads``, which accepts
+    what it accepts and words each error its own way.
+    """
+    try:
+        if isinstance(text, str):
+            try:
+                value, end = _decode_prefix(text)
+            except json.JSONDecodeError:
+                pass
+            else:
+                if not text[end:].strip(_JSON_WHITESPACE):
+                    return value
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", "", 0) from None

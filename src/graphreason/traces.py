@@ -41,6 +41,7 @@ from .strategies import (
     ThoughtState,
     VALID_STATUSES,
 )
+from .textops import decode_json
 
 TRACE_SCHEMA = "trace/v3"
 # Each state wrote its cumulative evidence and thought log; such traces
@@ -212,7 +213,7 @@ def write_trace(trace: TraceRecord, path: str | Path) -> None:
 
 
 def load_trace(path: str | Path) -> TraceRecord:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = decode_json(Path(path).read_text(encoding="utf-8"))
     return trace_from_dict(data)
 
 
@@ -237,6 +238,15 @@ _JSON_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "a bool
 
 def _json_type(value: object) -> str:
     return _JSON_NAMES.get(type(value), type(value).__name__)
+
+
+def _typed(holder: dict, key: str, kind: type, bad: Callable[[str], None], where: str = ""):
+    """``holder[key]`` if it is a ``kind``, else an empty one: absent silently, mistyped reported."""
+    value = holder.get(key, kind())
+    if isinstance(value, kind):
+        return value
+    bad(f"{where}{key} must be {_JSON_NAMES[kind]}, got {_json_type(value)}")
+    return kind()
 
 
 _TRIPLE_FIELDS = frozenset(f.name for f in fields(kg.Triple))
@@ -298,6 +308,39 @@ def _check_steps(pad: object, cumulative: bool, where: str, bad: Callable[[str],
         bad(f"{where}scratchpad indices {indices} are not contiguous from {first}")
 
 
+def outcome_violations(data: dict) -> list[str]:
+    """Violations of the shared outcome rules: termination, answer, eval block, counters."""
+    violations: list[str] = []
+    bad = violations.append
+    answer = data.get("answer")
+    termination = data.get("termination")
+    if not isinstance(answer, (str, type(None))):
+        bad(f"answer must be a string or null, got {_json_type(answer)}")
+    if termination not in (TERMINATION_FINISHED, TERMINATION_STEP_LIMIT):
+        bad(f"unknown termination {termination!r}")
+    if (answer is not None) != (termination == TERMINATION_FINISHED):
+        bad("answer must be present exactly when termination is 'finished'")
+    eval_block = _typed(data, "eval", dict, bad)
+    if (eval_block.get("rouge_l") is not None) != (answer is not None):
+        bad("eval.rouge_l must be present exactly when an answer is")
+    if not isinstance(eval_block.get("judge_correct"), (bool, type(None))):
+        bad("eval.judge_correct must be true, false or null")
+    error_class = eval_block.get("error_class")
+    if error_class is not None:
+        if not isinstance(error_class, str) or error_class not in ERROR_CLASSES:
+            bad(f"unknown error class {error_class!r}")
+        if error_class == ERROR_CORRECT and eval_block.get("judge_correct") is not True:
+            bad("error class 'correct' requires a true judge verdict")
+        if termination == TERMINATION_STEP_LIMIT and error_class != ERROR_REACHED_LIMIT:
+            bad("step-limit runs must classify as 'reached_limit'")
+    counters = _typed(data, "counters", dict, bad)
+    for group in ("llm_calls_by_tag", "memo_hits_by_tag", "kg_ops_by_kind"):
+        for key, value in _typed(counters, group, dict, bad, "counters.").items():
+            if type(value) is not int or value < 0:
+                bad(f"counters.{group}[{key!r}] must be a nonnegative integer")
+    return violations
+
+
 def validate_trace(data: object) -> list[str]:
     """Check a raw trace against the structural invariants.
 
@@ -307,15 +350,6 @@ def validate_trace(data: object) -> list[str]:
     """
     violations: list[str] = []
     bad = violations.append
-
-    def typed(holder: dict, key: str, kind: type, where: str = "") -> dict | list:
-        """``holder[key]`` if it is a ``kind`` (absent reads as empty), else
-        report it and read an empty one."""
-        value = holder.get(key, kind())
-        if isinstance(value, kind):
-            return value
-        bad(f"{where}{key} must be {_JSON_NAMES[kind]}, got {_json_type(value)}")
-        return kind()
 
     if not isinstance(data, dict):
         bad(f"a trace must be an object, got {_json_type(data)}")
@@ -329,7 +363,7 @@ def validate_trace(data: object) -> list[str]:
         bad("states must be a nonempty list")
         return violations
 
-    strategy = typed(data, "config", dict).get("strategy")
+    strategy = _typed(data, "config", dict, bad).get("strategy")
     by_id: dict[int, dict] = {}
     previous_id = -1
     for position, state in enumerate(states):
@@ -354,12 +388,12 @@ def validate_trace(data: object) -> list[str]:
     for state in states:
         sid = state["id"]
         where = f"state {sid}: "
-        evidence = typed(state, "evidence", dict, where)
-        triples = typed(evidence, "triples", list, where + "evidence.")
+        evidence = _typed(state, "evidence", dict, bad, where)
+        triples = _typed(evidence, "triples", list, bad, where + "evidence.")
         if _check_records(triples, _TRIPLE_FIELDS, "triple", where, bad):
             if len(set(map(_TRIPLE_KEY, triples))) < len(triples):
                 bad(f"{where}duplicate triples in evidence")
-        attributes = typed(evidence, "attributes", list, where + "evidence.")
+        attributes = _typed(evidence, "attributes", list, bad, where + "evidence.")
         _check_records(attributes, _HIT_FIELDS, "attribute", where, bad)
         _check_steps(evidence.get("scratchpad"), cumulative, where, bad)
         exploration = evidence.get("exploration")
@@ -367,7 +401,7 @@ def validate_trace(data: object) -> list[str]:
         if exploration is not None and not isinstance(exploration, dict):
             bad(f"{where}exploration must be an object or null, got {_json_type(exploration)}")
         elif exploration is not None and not cumulative:
-            seen = typed(exploration, "seen_entities", list, where + "exploration.")
+            seen = _typed(exploration, "seen_entities", list, bad, where + "exploration.")
             _check_seen_rows(seen, where, bad)
         holds_rows = triples or attributes or evidence.get("scratchpad") or seen
         if state is root:
@@ -376,7 +410,7 @@ def validate_trace(data: object) -> list[str]:
                     "so it writes no triple, attribute, step or seen row")
             continue
 
-        parents = typed(state, "parents", list, where)
+        parents = _typed(state, "parents", list, bad, where)
         status = state.get("status")
         if not isinstance(status, str) or status not in VALID_STATUSES:
             bad(f"state {sid}: unknown status {status!r}")
@@ -407,7 +441,7 @@ def validate_trace(data: object) -> list[str]:
             if len(depths) != 1 or state["depth"] not in depths:
                 bad(f"state {sid}: merged state must share its parents' depth")
 
-    frontier = typed(data, "frontier", list)
+    frontier = _typed(data, "frontier", list, bad)
     if not all(type(sid) is int for sid in frontier):
         bad(f"frontier {frontier!r} does not list state ids")
         frontier = []
@@ -425,32 +459,4 @@ def validate_trace(data: object) -> list[str]:
     if list(frontier) != sorted(frontier):
         bad("frontier ids are not in ascending order")
 
-    answer = data.get("answer")
-    termination = data.get("termination")
-    if termination not in (TERMINATION_FINISHED, TERMINATION_STEP_LIMIT):
-        bad(f"unknown termination {termination!r}")
-    if (answer is not None) != (termination == TERMINATION_FINISHED):
-        bad("answer must be present exactly when termination is 'finished'")
-
-    eval_block = typed(data, "eval", dict)
-    rouge = eval_block.get("rouge_l")
-    if (rouge is not None) != (answer is not None):
-        bad("eval.rouge_l must be present exactly when an answer is")
-    if not isinstance(eval_block.get("judge_correct"), (bool, type(None))):
-        bad("eval.judge_correct must be true, false or null")
-    error_class = eval_block.get("error_class")
-    if error_class is not None:
-        if not isinstance(error_class, str) or error_class not in ERROR_CLASSES:
-            bad(f"unknown error class {error_class!r}")
-        if error_class == ERROR_CORRECT and eval_block.get("judge_correct") is not True:
-            bad("error class 'correct' requires a true judge verdict")
-        if termination == TERMINATION_STEP_LIMIT and error_class != ERROR_REACHED_LIMIT:
-            bad("step-limit runs must classify as 'reached_limit'")
-
-    counters = typed(data, "counters", dict)
-    for group in ("llm_calls_by_tag", "memo_hits_by_tag", "kg_ops_by_kind"):
-        for key, value in typed(counters, group, dict, "counters.").items():
-            if type(value) is not int or value < 0:
-                bad(f"counters.{group}[{key!r}] must be a nonnegative integer")
-
-    return violations
+    return violations + outcome_violations(data)

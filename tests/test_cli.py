@@ -16,6 +16,7 @@ from graphreason import runner as runner_module
 from graphreason.cli import main
 from graphreason.evaluation import Question
 from graphreason.kg import load_graph
+from graphreason.llm import ReplayEntry
 from graphreason.traces import validate_trace
 
 
@@ -316,6 +317,29 @@ def test_a_malformed_replay_script_is_a_one_line_error(
     assert not out.exists()
 
 
+# Nested far deeper than Python's recursion limit: it decodes as malformed JSON.
+DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize(
+    "name, fragment",
+    [
+        ("graph", "line 2: not valid JSON (nested too deeply)"),
+        ("questions", ":2: invalid JSON: nested too deeply"),
+        ("script", ":2: bad replay record: nested too deeply"),
+    ],
+)
+def test_a_line_nested_too_deeply_is_a_one_line_error(runner, workspace, name, fragment):
+    path = Path(workspace[name])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines.insert(1, DEEP)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = workspace["root"] / "bad"
+    result = runner.invoke(main, run_args(workspace, out))
+    assert_one_line_error(result, workspace[name], fragment)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_a_replay_script_with_no_entry_for_a_prompt_is_a_one_line_error(
     runner, workspace, command
@@ -484,6 +508,20 @@ def test_validate_trace_reports_a_bad_file_and_checks_the_next(runner, workspace
     assert f"{good_path}: ok" in result.output
 
 
+def test_validate_trace_reports_a_trace_nested_too_deeply(runner, workspace):
+    out = workspace["root"] / "out_vd"
+    assert runner.invoke(main, run_args(workspace, out)).exit_code == 0
+    good_path = out / "traces" / "q1.trace"
+    bad_path = workspace["root"] / "deep.trace"
+    bad_path.write_text(DEEP, encoding="utf-8")
+
+    result = runner.invoke(main, ["validate-trace", str(bad_path), str(good_path)])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"{bad_path}: unreadable (nested too deeply" in result.output
+    assert f"{good_path}: ok" in result.output
+
+
 def test_validate_trace_reports_a_file_that_is_not_utf8(runner, workspace):
     out = workspace["root"] / "out_vu"
     assert runner.invoke(main, run_args(workspace, out)).exit_code == 0
@@ -565,6 +603,112 @@ def test_score_names_a_trace_it_cannot_score(runner, workspace, damage):
     result = runner.invoke(main, score_args(workspace, root / "out" / "traces", root / "bad"))
     assert_one_line_error(result, str(trace))
     assert not (root / "bad").exists()
+
+
+def test_score_names_a_trace_nested_too_deeply(runner, workspace):
+    root = workspace["root"]
+    assert runner.invoke(main, run_args(workspace, root / "out")).exit_code == 0
+    trace = root / "out" / "traces" / "q2.trace"
+    trace.write_text(DEEP, encoding="utf-8")
+    result = runner.invoke(main, score_args(workspace, root / "out" / "traces", root / "bad"))
+    assert_one_line_error(result, f"cannot score trace {trace}: nested too deeply")
+    assert not (root / "bad").exists()
+
+
+def first_count_key(data, group):
+    return next(iter(data["counters"][group]))
+
+
+# Each edit breaks one outcome rule of a finished trace, and the rule's text.
+TAMPERINGS = {
+    "bogus-termination": (
+        lambda data: data.update(termination="bogus"),
+        lambda data: "unknown termination 'bogus'",
+    ),
+    "step-limit-with-an-answer": (
+        lambda data: data.update(termination="step_limit"),
+        lambda data: "answer must be present exactly when termination is 'finished'",
+    ),
+    "fractional-call-count": (
+        lambda data: data["counters"]["llm_calls_by_tag"].update(
+            {first_count_key(data, "llm_calls_by_tag"): 1.5}
+        ),
+        lambda data: f"counters.llm_calls_by_tag[{first_count_key(data, 'llm_calls_by_tag')!r}] "
+        "must be a nonnegative integer",
+    ),
+    "boolean-call-count": (
+        lambda data: data["counters"]["llm_calls_by_tag"].update(
+            {first_count_key(data, "llm_calls_by_tag"): True}
+        ),
+        lambda data: f"counters.llm_calls_by_tag[{first_count_key(data, 'llm_calls_by_tag')!r}] "
+        "must be a nonnegative integer",
+    ),
+    "negative-kg-op-count": (
+        lambda data: data["counters"]["kg_ops_by_kind"].update({"retrieve_node": -4}),
+        lambda data: "counters.kg_ops_by_kind['retrieve_node'] must be a nonnegative integer",
+    ),
+    "numeric-answer": (
+        lambda data: data.update(answer=7),
+        lambda data: "answer must be a string or null, got a number",
+    ),
+    "termination-900-lists-deep": (
+        lambda data: data.update(termination=json.loads("[" * 900 + "]" * 900)),
+        lambda data: f"unknown termination {data['termination']!r}",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERINGS))
+def test_validate_trace_and_score_refuse_a_tampered_outcome_alike(runner, workspace, case):
+    """``score`` applies ``validate-trace``'s outcome rules, and names the
+    first rule broken as ``validate-trace`` does."""
+    tamper, rule = TAMPERINGS[case]
+    root = workspace["root"]
+    assert runner.invoke(main, run_args(workspace, root / "out")).exit_code == 0
+    trace = root / "out" / "traces" / "q2.trace"
+    data = json.loads(trace.read_text(encoding="utf-8"))
+    assert data["termination"] == "finished" and data["counters"]["llm_calls_by_tag"]
+    tamper(data)
+    trace.write_text(json.dumps(data), encoding="utf-8")
+    violation = rule(data)
+
+    checked = runner.invoke(main, ["validate-trace", str(trace)])
+    assert checked.exit_code == 1
+    assert checked.output.startswith(f"{trace}: {violation}\n"), checked.output
+    scored = runner.invoke(main, score_args(workspace, root / "out" / "traces", root / "bad"))
+    assert_one_line_error(scored, f"cannot score trace {trace}: {violation}\n")
+    assert not (root / "bad").exists()
+
+
+def test_a_tab_or_newline_in_an_answer_stays_in_its_cell(runner, workspace):
+    """A reply's tab and newline cannot forge a cell or a row of the report,
+    nor can a domain's forge a footer line."""
+    reply = "Thought 1: Done.\nAction 1: Finish[alpha\t2\nq9\tbeta]"
+    write_replay_script(
+        Path(workspace["script"]), [ReplayEntry(match="Generate the next step", response=reply)]
+    )
+    # q2's domain, a tab and a newline in JSON escapes.
+    path = Path(workspace["questions"])
+    q2 = '"medium", "domain": '
+    text = path.read_text(encoding="utf-8").replace(q2 + '"synthetic"', q2 + '"a\\tb\\nc"')
+    path.write_text(text, encoding="utf-8")
+    root = workspace["root"]
+    assert runner.invoke(main, run_args(workspace, root / "out")).exit_code == 0
+    lines = (root / "out" / "report.table").read_bytes().decode("utf-8").split("\n")
+    assert lines[2].split("\t")[0] == "qid"
+    rows = [line.split("\t") for line in lines[3:5]]
+    assert [row[:2] for row in rows] == [
+        ["q1", "alpha\\t2\\nq9\\tbeta"],
+        ["q2", "alpha\\t2\\nq9\\tbeta"],
+    ]
+    assert [len(row) for row in rows] == [7, 7]
+    assert lines[5].startswith("# overall: count=2 ")
+    assert lines[6].startswith("# domain a\\tb\\nc: count=1 ")
+    assert lines[7].startswith("# domain synthetic: count=1 ")
+    result = runner.invoke(main, score_args(workspace, root / "out" / "traces", root / "rescored"))
+    assert result.exit_code == 0, result.output
+    for name in ("results.lines", "report.table"):
+        assert (root / "rescored" / name).read_bytes() == (root / "out" / name).read_bytes()
 
 
 # ------------------------------------------------------------------ sweep

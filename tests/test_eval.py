@@ -23,7 +23,7 @@ from graphreason.evaluation import (
 )
 from graphreason.llm import ReplayBackend, ReplayEntry
 from graphreason.textops import tokenize
-from graphreason.traces import TraceRecord
+from graphreason.traces import TraceRecord, outcome_violations
 
 
 def make_trace(**overrides):
@@ -207,57 +207,53 @@ def test_error_line_numbers_skip_blanks(tmp_path):
         load_questions(path)
 
 
-# ------------------------------------------------------------- EvalResult
+# ---------------------------------------------------------- outcome rules
 
 
-def test_eval_result_requires_rouge_iff_answer():
-    with pytest.raises(ValueError, match="iff"):
-        EvalResult(
-            qid="q", answer="x", termination="finished", rouge_l=None,
-            judge_correct=None, error_class=None, llm_calls=0, kg_ops=0,
-        )
-    with pytest.raises(ValueError, match="iff"):
-        EvalResult(
-            qid="q", answer=None, termination="step_limit", rouge_l=0.5,
-            judge_correct=None, error_class=None, llm_calls=0, kg_ops=0,
-        )
+def outcome(answer="x", termination="finished", **eval_block):
+    """A trace's outcome fields: a finished run with ROUGE-L, no verdict,
+    no class, and no counters, unless overridden."""
+    return {
+        "answer": answer,
+        "termination": termination,
+        "eval": {"rouge_l": None if answer is None else 1.0, **eval_block},
+        "counters": {},
+    }
 
 
-def test_eval_result_rejects_unknown_error_class():
-    with pytest.raises(ValueError, match="gave_up"):
-        EvalResult(
-            qid="q", answer=None, termination="step_limit", rouge_l=None,
-            judge_correct=None, error_class="gave_up", llm_calls=0, kg_ops=0,
-        )
+def test_outcome_requires_rouge_iff_answer():
+    rule = ["eval.rouge_l must be present exactly when an answer is"]
+    assert outcome_violations(outcome(rouge_l=None)) == rule
+    assert outcome_violations(outcome(None, "step_limit", rouge_l=0.5)) == rule
 
 
-def test_eval_result_correct_needs_a_true_judge():
-    with pytest.raises(ValueError, match="requires"):
-        EvalResult(
-            qid="q", answer="x", termination="finished", rouge_l=1.0,
-            judge_correct=None, error_class="correct", llm_calls=0, kg_ops=0,
-        )
-    EvalResult(
-        qid="q", answer="x", termination="finished", rouge_l=1.0,
-        judge_correct=True, error_class="correct", llm_calls=0, kg_ops=0,
-    )
+def test_outcome_rejects_unknown_error_class():
+    assert outcome_violations(outcome(error_class="gave_up")) == ["unknown error class 'gave_up'"]
+
+
+def test_outcome_correct_needs_a_true_judge():
+    assert outcome_violations(outcome(judge_correct=None, error_class="correct")) == [
+        "error class 'correct' requires a true judge verdict"
+    ]
+    assert outcome_violations(outcome(judge_correct=True, error_class="correct")) == []
 
 
 @pytest.mark.parametrize("verdict", [1, 0, "yes", {"x": 1}, []], ids=repr)
-def test_eval_result_rejects_a_judge_verdict_that_is_not_a_boolean(verdict):
-    with pytest.raises(ValueError, match="is not a boolean"):
-        EvalResult(
-            qid="q", answer="x", termination="finished", rouge_l=1.0,
-            judge_correct=verdict, error_class=None, llm_calls=0, kg_ops=0,
-        )
+def test_outcome_rejects_a_judge_verdict_that_is_not_a_boolean(verdict):
+    assert outcome_violations(outcome(judge_correct=verdict)) == [
+        "eval.judge_correct must be true, false or null"
+    ]
 
 
-def test_every_error_class_is_constructible():
+def test_every_error_class_is_accepted():
     for cls in sorted(ERROR_CLASSES - {"correct"}):
-        EvalResult(
-            qid="q", answer=None, termination="step_limit", rouge_l=None,
-            judge_correct=False, error_class=cls, llm_calls=0, kg_ops=0,
+        # A step-limit run classifies as reached_limit; the others finished.
+        data = (
+            outcome(None, "step_limit", judge_correct=False, error_class=cls)
+            if cls == "reached_limit"
+            else outcome(judge_correct=False, error_class=cls)
         )
+        assert outcome_violations(data) == [], cls
 
 
 # ------------------------------------------------------------------ judge

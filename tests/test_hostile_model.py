@@ -1,7 +1,7 @@
 """A hostile model: seeded random replies built from fragments that break
 parsers, and calls that fail. Whatever it says, every run ends, every trace
-validates, ``score`` rebuilds both tables byte for byte, and the meters stay
-inside their closed-form bounds."""
+validates, ``score`` rebuilds both tables byte for byte, the report holds one
+row per question, and the meters stay inside their closed-form bounds."""
 
 import itertools
 import json
@@ -27,6 +27,7 @@ FRAGMENTS = (
     "]",
     ", ",
     "\n",
+    "\t",
     "Thought: ",
     "Action 1: ",
     "Action 1: Finish[",
@@ -114,3 +115,10 @@ def test_a_hostile_model_costs_no_run(
         score_run(out / "traces", questions_path, rescore)
         for table in ("results.lines", "report.table"):
             assert (rescore / table).read_bytes() == (out / table).read_bytes(), name
+        # Below the two header lines and the column names: one 7-cell row
+        # per question, in question order, then the footer.
+        lines = (out / "report.table").read_bytes().decode("utf-8").split("\n")
+        rows = [line.split("\t") for line in lines[3 : 3 + len(questions)]]
+        assert [row[0] for row in rows] == [q.qid for q in questions], name
+        assert [len(row) for row in rows] == [7] * len(questions), name
+        assert lines[3 + len(questions)].startswith("# overall: "), name

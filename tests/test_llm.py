@@ -34,7 +34,7 @@ from graphreason.llm import (
     parse_yes_no,
     request_for,
 )
-from graphreason.runner import RunConfig, run_experiment
+from graphreason.runner import RunConfig, run_experiment, score_run
 from graphreason.traces import load_trace
 
 
@@ -235,7 +235,7 @@ class _StubHandler(BaseHTTPRequestHandler):
     status = 200
     statuses = []  # consumed, one per request, before ``status`` applies
     delay_s = 0.0
-    reply = "json"  # or "not-json", "hang-up", "cut-body"
+    reply = "json"  # or "not-json", "deep", "hang-up", "cut-body"
 
     def setup(self):
         type(self).connections += 1
@@ -250,7 +250,11 @@ class _StubHandler(BaseHTTPRequestHandler):
         if stub.reply == "hang-up":
             self.close_connection = True
             return
-        body = b"not json" if stub.reply == "not-json" else json.dumps(stub.response_body).encode()
+        body = {
+            "not-json": b"not json",
+            # Nested far deeper than Python's recursion limit.
+            "deep": b"[" * 100000 + b"]" * 100000,
+        }.get(stub.reply) or json.dumps(stub.response_body).encode()
         self.send_response(stub.statuses.pop(0) if stub.statuses else stub.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body) + (100 if stub.reply == "cut-body" else 0)))
@@ -346,6 +350,21 @@ def test_wire_backend_non_json_body_is_transport_error(stub_server):
         backend.raw_complete(_request())
 
 
+def test_a_wire_reply_nested_too_deeply_costs_only_its_call(stub_server):
+    """The body is malformed JSON, so the call is retried as a transport
+    failure, metered, and then answered by the call site's fallback."""
+    _StubHandler.reply = "deep"
+    backend = WireBackend(endpoint=stub_server, model="m-1")
+    with pytest.raises(TransportError, match="not JSON: nested too deeply"):
+        backend.raw_complete(_request())
+    counters = CostCounters()
+    answer = complete_with_reask(backend, _request(), counters, parse_yes_no, "fallback")
+    assert answer == "fallback"
+    assert counters.llm_total() == 1
+    assert counters.transport_retries == MAX_TRANSPORT_RETRIES
+    assert len(_StubHandler.requests_seen) == 2 + MAX_TRANSPORT_RETRIES
+
+
 def test_wire_backend_timeout_is_transport_error(stub_server):
     _StubHandler.delay_s = 0.5
     backend = WireBackend(endpoint=stub_server, model="m-1", timeout_s=0.2)
@@ -429,6 +448,35 @@ def test_a_wire_run_that_gets_the_same_replies_is_byte_identical(stub_server, pr
     assert runs[1] == runs[0]
     assert len(_StubHandler.requests_seen) == 4
     assert load_trace(tmp_path / "first" / "traces" / "q1.trace").answer == "alpha 2"
+
+
+def test_a_tab_in_the_model_name_stays_on_the_config_line(stub_server, proxy_env, tmp_path):
+    """The report writes a tab, newline or carriage return in a value as its
+    escape, and ``score`` rebuilds the same bytes."""
+    reply = "Thought 1: Done.\nAction 1: Finish[alpha\t2\nq9\tbeta]"
+    _StubHandler.response_body = {"choices": [{"message": {"content": reply}}]}
+    graph_path = tmp_path / "graph.kg"
+    save_graph(generate_synthetic_graph(11), graph_path)
+    questions = write_question_file(tmp_path / "q.lines", [synthetic_question("q1")])
+    out = tmp_path / "run"
+    config = RunConfig(
+        kg_path=str(graph_path),
+        questions_path=str(questions),
+        out_dir=str(out),
+        backend="wire",
+        endpoint=stub_server,
+        model="m\t1\r",
+    )
+    run_experiment(config)
+    lines = (out / "report.table").read_bytes().decode("utf-8").split("\n")
+    assert lines[1].startswith("# config: ") and " model=m\\t1\\r " in lines[1]
+    assert lines[3].split("\t") == [
+        "q1", "alpha\\t2\\nq9\\tbeta", "0.6667", "-", "-", "1", "0"
+    ]
+    assert lines[4].startswith("# overall: ")
+    score_run(out / "traces", questions, tmp_path / "rescored")
+    for name in ("results.lines", "report.table"):
+        assert (tmp_path / "rescored" / name).read_bytes() == (out / name).read_bytes()
 
 
 # --- parsers ----------------------------------------------------------------
