@@ -23,7 +23,7 @@ from .llm import (
     parse_yes_no,
     request_for,
 )
-from .textops import decode_json, first_undecodable_line, is_path_component, tokenize
+from .textops import clip, decode_json, first_undecodable_line, is_path_component, tokenize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .traces import TraceRecord
@@ -62,17 +62,18 @@ class Question:
             raise ValueError("qid must be nonempty")
         # The qid names the question's trace file.
         if not is_path_component(self.qid):
-            raise ValueError(f"qid {self.qid!r} cannot be a file name")
+            raise ValueError(f"qid {clip(repr(self.qid))} cannot be a file name")
         # The domain names the folder its few-shot examples are read from.
         if not is_path_component(self.domain):
             raise ValueError(
-                f"question {self.qid}: domain {self.domain!r} cannot be a folder name"
+                f"question {clip(self.qid)}: domain {clip(repr(self.domain))} "
+                "cannot be a folder name"
             )
         if not self.text:
-            raise ValueError(f"question {self.qid}: text must be nonempty")
+            raise ValueError(f"question {clip(self.qid)}: text must be nonempty")
         if self.difficulty not in VALID_DIFFICULTIES:
             raise ValueError(
-                f"question {self.qid}: difficulty {self.difficulty!r} not in "
+                f"question {clip(self.qid)}: difficulty {clip(repr(self.difficulty))} not in "
                 f"{sorted(VALID_DIFFICULTIES)}"
             )
 
@@ -100,14 +101,17 @@ def load_questions(path: str | Path) -> list[Question]:
                     raise QuestionLoadError(f"{path}:{lineno}: expected an object")
                 unknown = set(record) - _QUESTION_FIELDS
                 if unknown:
-                    raise QuestionLoadError(f"{path}:{lineno}: unknown fields {sorted(unknown)}")
+                    raise QuestionLoadError(
+                        f"{path}:{lineno}: unknown fields {clip(repr(sorted(unknown)))}"
+                    )
                 missing = _QUESTION_FIELDS - {"domain"} - set(record)
                 if missing:
                     raise QuestionLoadError(f"{path}:{lineno}: missing fields {sorted(missing)}")
                 for name, value in record.items():
                     if not isinstance(value, str):
                         raise QuestionLoadError(
-                            f"{path}:{lineno}: {name} must be a string, got {json.dumps(value)}"
+                            f"{path}:{lineno}: {name} must be a string, "
+                            f"got {clip(json.dumps(value))}"
                         )
                 try:
                     question = Question(
@@ -120,7 +124,9 @@ def load_questions(path: str | Path) -> list[Question]:
                 except ValueError as exc:
                     raise QuestionLoadError(f"{path}:{lineno}: {exc}") from exc
                 if question.qid in seen:
-                    raise QuestionLoadError(f"{path}:{lineno}: duplicate qid {question.qid!r}")
+                    raise QuestionLoadError(
+                        f"{path}:{lineno}: duplicate qid {clip(repr(question.qid))}"
+                    )
                 seen.add(question.qid)
                 questions.append(question)
     except UnicodeDecodeError as exc:

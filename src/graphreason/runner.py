@@ -39,6 +39,7 @@ from .evaluation import (
 )
 from .llm import Backend, ReplayBackend, WireBackend
 from .strategies import SearchConfig, run_search
+from .textops import clip
 from .traces import (
     REPORT_SCHEMA,
     RESULTS_SCHEMA,
@@ -373,7 +374,9 @@ def score_run(traces_dir: str | Path, questions_path: str | Path, out_dir: str |
         try:
             trace = load_trace(path)
             if trace.qid != question.qid:
-                raise ValueError(f"it holds question {trace.qid!r}, not {question.qid!r}")
+                raise ValueError(
+                    f"it holds question {clip(repr(trace.qid))}, not {question.qid!r}"
+                )
             if not isinstance(trace.config, dict):
                 raise ValueError("its config is not an object")
             if results and trace.config != config_echo:

@@ -1,5 +1,6 @@
 """Shared text utilities: the frozen tokenizer, the rule for names that become
-paths, a finder for bytes that are not UTF-8, and the one JSON decoder."""
+paths, a finder for bytes that are not UTF-8, the one JSON decoder, and the
+clip for input values an error line echoes."""
 
 from __future__ import annotations
 
@@ -30,6 +31,19 @@ def is_path_component(name: str) -> bool:
     It must be UTF-8 text with no separator or NUL, and not ``.`` or ``..``.
     """
     return name not in ("", ".", "..") and _NOT_IN_PATH_RE.search(name) is None
+
+
+# The most characters of a rendered input value an error line echoes.
+CLIP_CHARS = 80
+
+
+def clip(rendered: str) -> str:
+    """``rendered`` itself if it is at most ``CLIP_CHARS`` long, else its
+    first ``CLIP_CHARS`` characters and how long it was, so a hostile value
+    cannot stretch an error line."""
+    if len(rendered) <= CLIP_CHARS:
+        return rendered
+    return f"{rendered[:CLIP_CHARS]}... ({len(rendered):,} characters)"
 
 
 def first_undecodable_line(path: str | Path) -> int:

@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from itertools import chain, groupby
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable
@@ -41,7 +42,7 @@ from .strategies import (
     ThoughtState,
     VALID_STATUSES,
 )
-from .textops import decode_json
+from .textops import clip, decode_json
 
 TRACE_SCHEMA = "trace/v3"
 # Each state wrote its cumulative evidence and thought log; such traces
@@ -50,6 +51,10 @@ TRACE_SCHEMA_V2 = "trace/v2"
 RESULTS_SCHEMA = "results/v1"
 REPORT_SCHEMA = "report/v1"
 SWEEP_SCHEMA = "sweep/v1"
+
+_TRIPLE_FIELDS = frozenset(f.name for f in fields(kg.Triple))
+_HIT_FIELDS = frozenset(f.name for f in fields(AttributeHit))
+
 
 def _serialize_steps(
     pad: Scratchpad | None, inherited_pad: Scratchpad | None
@@ -71,9 +76,15 @@ def _serialize_steps(
     ]
 
 
-def _new_rows(records: dict, inherited: dict) -> list[dict]:
-    """The fields of each record whose key ``inherited`` lacks, in order."""
-    return [vars(record).copy() for key, record in records.items() if key not in inherited]
+def _new_rows(records: dict, inherited: dict, rows: dict[int, dict]) -> list[dict]:
+    """The row of each record whose key ``inherited`` lacks, in order. A
+    record's row holds its fields and is made once: ``rows`` keeps it by the
+    record's identity, so every state that writes the record shares it."""
+    return [
+        rows.get(id(record)) or rows.setdefault(id(record), vars(record).copy())
+        for key, record in records.items()
+        if key not in inherited
+    ]
 
 
 def _serialize_exploration(
@@ -96,12 +107,12 @@ def _serialize_exploration(
     }
 
 
-def _serialize_state(state: ThoughtState, base: ThoughtState) -> dict:
+def _serialize_state(state: ThoughtState, base: ThoughtState, rows: dict[int, dict]) -> dict:
     """A state's fields and the evidence it holds beyond ``base``'s: its
     parent's for a state with one parent, else its own, so the root and a
     merged state write no rows. Triple and attribute rows hold exactly the
     fields of their records, which ``TraceRecord.evidence_strings`` reads
-    back."""
+    back; they come from ``rows``, shared with the trace's other states."""
     evidence = state.evidence
     explored = evidence.exploration or ExplorationState()
     inherited = base.evidence.exploration or ExplorationState()
@@ -113,8 +124,10 @@ def _serialize_state(state: ThoughtState, base: ThoughtState) -> dict:
         "status": state.status,
         "score": state.score,
         "evidence": {
-            "triples": _new_rows(explored.found_triples, inherited.found_triples),
-            "attributes": _new_rows(explored.relevant_attributes, inherited.relevant_attributes),
+            "triples": _new_rows(explored.found_triples, inherited.found_triples, rows),
+            "attributes": _new_rows(
+                explored.relevant_attributes, inherited.relevant_attributes, rows
+            ),
             "answer": evidence.answer,
             "scratchpad": _serialize_steps(evidence.scratchpad, base.evidence.scratchpad),
             "exploration": _serialize_exploration(evidence.exploration, inherited),
@@ -169,11 +182,18 @@ def build_trace(
     result: SearchResult,
     eval_block: dict | None = None,
 ) -> TraceRecord:
+    """The trace of one question's run, in its serialized shape.
+
+    Each triple or attribute record gets one row dict per trace, and every
+    state that writes the record holds that same dict, so the writer encodes
+    it once; editing a row edits every state that holds it.
+    """
     by_id = result.states
+    rows: dict[int, dict] = {}
     # A merged state's evidence is its parents' union, so, like the root,
     # it is read against itself and adds nothing.
     states = [
-        _serialize_state(s, by_id[s.parents[0]] if len(s.parents) == 1 else s)
+        _serialize_state(s, by_id[s.parents[0]] if len(s.parents) == 1 else s, rows)
         for _, s in sorted(by_id.items())
     ]
     return TraceRecord(
@@ -194,9 +214,91 @@ def build_trace(
     )
 
 
+# No indent: CPython 3.10/3.11 use the C encoder only when ``indent`` is None.
+_encode = json.JSONEncoder(sort_keys=True).encode
+_TRACE_FIELDS = sorted(f.name for f in fields(TraceRecord))
+_BEFORE_STATES = _TRACE_FIELDS[: _TRACE_FIELDS.index("states")]
+_AFTER_STATES = _TRACE_FIELDS[_TRACE_FIELDS.index("states") + 1 :]
+# The shape ``_serialize_state`` writes. In key order "depth" comes first,
+# "evidence" second, and "triples" last within the evidence.
+_STATE_KEYS = frozenset(("depth", "evidence", "id", "parents", "score", "status", "thought"))
+_EVIDENCE_KEYS = frozenset(("answer", "attributes", "exploration", "scratchpad", "triples"))
+_AFTER_EVIDENCE = sorted(_STATE_KEYS - {"depth", "evidence"})
+_BEFORE_TRIPLES = sorted(_EVIDENCE_KEYS - {"triples"})
+_ROW_FIELDS = sorted(_TRIPLE_FIELDS)
+_ROW_VALUES = itemgetter(*_ROW_FIELDS)
+_ROW_TEMPLATE = "{" + ", ".join(f'"{name}": %s' for name in _ROW_FIELDS) + "}"
+
+
+def _holds_triple_rows(state: object) -> bool:
+    """Whether ``state`` has the shape ``_serialize_state`` writes and holds triple rows."""
+    if type(state) is not dict or state.keys() != _STATE_KEYS:
+        return False
+    evidence = state["evidence"]
+    return (
+        type(evidence) is dict
+        and evidence.keys() == _EVIDENCE_KEYS
+        and type(evidence["triples"]) is list
+        and len(evidence["triples"]) > 0
+    )
+
+
+def _encode_row(row: object) -> str:
+    """``_encode(row)``, spelled out for a plain dict of the string fields of a ``kg.Triple``."""
+    if type(row) is dict and row.keys() == _TRIPLE_FIELDS:
+        values = _ROW_VALUES(row)
+        if all(type(value) is str for value in values):
+            return _ROW_TEMPLATE % tuple(map(encode_basestring_ascii, values))
+    return _encode(row)
+
+
+def _encode_state(state: dict, rows: dict[int, str], parts: list[str]) -> None:
+    """Append ``_encode(state)`` to ``parts`` in pieces, each triple row's
+    text from ``rows``, which keeps it by the row's identity."""
+    evidence = state["evidence"]
+    parts += (
+        '{"depth": ', _encode(state["depth"]),
+        ', "evidence": ', _encode({key: evidence[key] for key in _BEFORE_TRIPLES})[:-1],
+        ', "triples": [',
+    )
+    for row in evidence["triples"]:
+        text = rows.get(id(row))
+        if text is None:
+            text = rows[id(row)] = _encode_row(row)
+        parts += (text, ", ")
+    parts[-1] = "]}, "
+    parts.append(_encode({key: state[key] for key in _AFTER_EVIDENCE})[1:])
+
+
 def serialize_trace(trace: TraceRecord) -> str:
-    # No indent: CPython 3.10/3.11 use the C encoder only when ``indent`` is None.
-    return json.dumps(trace.as_dict(), sort_keys=True) + "\n"
+    """``json.dumps(trace.as_dict(), sort_keys=True) + "\\n"``, encoding each
+    distinct triple row object once.
+
+    ``build_trace`` shares a row among the states that write it, and
+    sibling explore states write many of the same triples, so a state
+    holding triple rows is composed around its rows' memoized texts. Each
+    run of states between them, and every other value, is one call of the
+    C encoder, and the pieces are joined once.
+    """
+    data = trace.as_dict()
+    states = data["states"]
+    runs = []
+    if type(states) is list:
+        runs = [(holds, list(run)) for holds, run in groupby(states, _holds_triple_rows)]
+    if not any(holds for holds, _ in runs):
+        return _encode(data) + "\n"
+    parts = [_encode({key: data[key] for key in _BEFORE_STATES})[:-1], ', "states": [']
+    rows: dict[int, str] = {}
+    for holds_rows, run in runs:
+        if not holds_rows:
+            parts += (_encode(run)[1:-1], ", ")
+            continue
+        for state in run:
+            _encode_state(state, rows, parts)
+            parts.append(", ")
+    parts[-1] = "], "
+    parts += (_encode({key: data[key] for key in _AFTER_STATES})[1:], "\n")
+    return "".join(parts)
 
 
 def write_trace(trace: TraceRecord, path: str | Path) -> None:
@@ -236,6 +338,11 @@ _JSON_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "a bool
                int: "a number", float: "a number", type(None): "null"}
 
 
+def _shown(value: object) -> str:
+    """An input value as an error line echoes it: its repr, clipped."""
+    return clip(repr(value))
+
+
 def _json_type(value: object) -> str:
     return _JSON_NAMES.get(type(value), type(value).__name__)
 
@@ -249,8 +356,6 @@ def _typed(holder: dict, key: str, kind: type, bad: Callable[[str], None], where
     return kind()
 
 
-_TRIPLE_FIELDS = frozenset(f.name for f in fields(kg.Triple))
-_HIT_FIELDS = frozenset(f.name for f in fields(AttributeHit))
 _SEEN_ROW = (str, int, bool)  # [entity_id, depth_discovered, visited]
 _TRIPLE_KEY = itemgetter("head_id", "relation", "tail_id")
 
@@ -299,13 +404,15 @@ def _check_steps(pad: object, cumulative: bool, where: str, bad: Callable[[str],
     for step in pad:
         observations = step.get("observations", [])
         if not (isinstance(observations, list) and all(type(o) is str for o in observations)):
-            bad(f"{where}step {step.get('index')!r}: observations must be a list of strings")
+            bad(f"{where}step {_shown(step.get('index'))}: "
+                "observations must be a list of strings")
     indices = [step.get("index") for step in pad]
     first = 1 if cumulative else indices[0]
     if type(first) is not int or first < 1:
-        bad(f"{where}scratchpad indices {indices} must start at a positive integer")
+        bad(f"{where}scratchpad indices {_shown(indices)} must start at a positive integer")
     elif indices != list(range(first, first + len(pad))):
-        bad(f"{where}scratchpad indices {indices} are not contiguous from {first}")
+        bad(f"{where}scratchpad indices {_shown(indices)} "
+            f"are not contiguous from {_shown(first)}")
 
 
 def outcome_violations(data: dict) -> list[str]:
@@ -317,7 +424,7 @@ def outcome_violations(data: dict) -> list[str]:
     if not isinstance(answer, (str, type(None))):
         bad(f"answer must be a string or null, got {_json_type(answer)}")
     if termination not in (TERMINATION_FINISHED, TERMINATION_STEP_LIMIT):
-        bad(f"unknown termination {termination!r}")
+        bad(f"unknown termination {_shown(termination)}")
     if (answer is not None) != (termination == TERMINATION_FINISHED):
         bad("answer must be present exactly when termination is 'finished'")
     eval_block = _typed(data, "eval", dict, bad)
@@ -328,7 +435,7 @@ def outcome_violations(data: dict) -> list[str]:
     error_class = eval_block.get("error_class")
     if error_class is not None:
         if not isinstance(error_class, str) or error_class not in ERROR_CLASSES:
-            bad(f"unknown error class {error_class!r}")
+            bad(f"unknown error class {_shown(error_class)}")
         if error_class == ERROR_CORRECT and eval_block.get("judge_correct") is not True:
             bad("error class 'correct' requires a true judge verdict")
         if termination == TERMINATION_STEP_LIMIT and error_class != ERROR_REACHED_LIMIT:
@@ -337,7 +444,7 @@ def outcome_violations(data: dict) -> list[str]:
     for group in ("llm_calls_by_tag", "memo_hits_by_tag", "kg_ops_by_kind"):
         for key, value in _typed(counters, group, dict, bad, "counters.").items():
             if type(value) is not int or value < 0:
-                bad(f"counters.{group}[{key!r}] must be a nonnegative integer")
+                bad(f"counters.{group}[{_shown(key)}] must be a nonnegative integer")
     return violations
 
 
@@ -356,7 +463,7 @@ def validate_trace(data: object) -> list[str]:
         return violations
     schema = data.get("schema")
     if schema not in (TRACE_SCHEMA, TRACE_SCHEMA_V2):
-        bad(f"schema is {schema!r}, expected {TRACE_SCHEMA!r} or {TRACE_SCHEMA_V2!r}")
+        bad(f"schema is {_shown(schema)}, expected {TRACE_SCHEMA!r} or {TRACE_SCHEMA_V2!r}")
     cumulative = schema == TRACE_SCHEMA_V2
     states = data.get("states")
     if not isinstance(states, list) or not states:
@@ -372,10 +479,12 @@ def validate_trace(data: object) -> list[str]:
             return violations
         sid = state.get("id")
         if type(sid) is not int or sid <= previous_id:
-            bad(f"state ids must be strictly increasing, got {sid!r} after {previous_id}")
+            bad(f"state ids must be strictly increasing, got {_shown(sid)} "
+                f"after {_shown(previous_id)}")
             return violations
         if type(state.get("depth")) is not int:
-            bad(f"state {sid}: depth must be an integer, got {state.get('depth')!r}")
+            bad(f"state {_shown(sid)}: depth must be an integer, "
+                f"got {_shown(state.get('depth'))}")
             return violations
         previous_id = sid
         by_id[sid] = state
@@ -387,7 +496,7 @@ def validate_trace(data: object) -> list[str]:
     max_parents = 2 if strategy == "got" else 1
     for state in states:
         sid = state["id"]
-        where = f"state {sid}: "
+        where = f"state {_shown(sid)}: "
         evidence = _typed(state, "evidence", dict, bad, where)
         triples = _typed(evidence, "triples", list, bad, where + "evidence.")
         if _check_records(triples, _TRIPLE_FIELDS, "triple", where, bad):
@@ -413,49 +522,49 @@ def validate_trace(data: object) -> list[str]:
         parents = _typed(state, "parents", list, bad, where)
         status = state.get("status")
         if not isinstance(status, str) or status not in VALID_STATUSES:
-            bad(f"state {sid}: unknown status {status!r}")
+            bad(f"{where}unknown status {_shown(status)}")
         if not parents:
-            bad(f"state {sid}: non-root state has no parents")
+            bad(f"{where}non-root state has no parents")
             continue
         if not all(type(pid) is int for pid in parents):
-            bad(f"state {sid}: parents {parents!r} are not all state ids")
+            bad(f"{where}parents {_shown(parents)} are not all state ids")
             continue
         if len(parents) == 2 and not cumulative and holds_rows:
-            bad(f"state {sid}: a merged state holds exactly its parents' evidence, "
+            bad(f"{where}a merged state holds exactly its parents' evidence, "
                 "so it writes no triple, attribute, step or seen row")
         if len(parents) > max_parents:
-            bad(f"state {sid}: {len(parents)} parents exceeds {max_parents} for {strategy}")
+            bad(f"{where}{len(parents)} parents exceeds {max_parents} for {clip(str(strategy))}")
         if len(set(parents)) != len(parents):
-            bad(f"state {sid}: duplicate parents {parents}")
+            bad(f"{where}duplicate parents {_shown(parents)}")
         for pid in parents:
             if pid not in by_id:
-                bad(f"state {sid}: unknown parent {pid}")
+                bad(f"{where}unknown parent {_shown(pid)}")
             elif pid >= sid:
-                bad(f"state {sid}: parent {pid} does not precede it (cycle)")
+                bad(f"{where}parent {_shown(pid)} does not precede it (cycle)")
         known = [by_id[p] for p in parents if p in by_id]
         if len(parents) == 1 and known:
             if state["depth"] != known[0]["depth"] + 1:
-                bad(f"state {sid}: depth {state['depth']} is not parent depth + 1")
+                bad(f"{where}depth {_shown(state['depth'])} is not parent depth + 1")
         elif len(parents) == 2 and len(known) == 2:
             depths = {k["depth"] for k in known}
             if len(depths) != 1 or state["depth"] not in depths:
-                bad(f"state {sid}: merged state must share its parents' depth")
+                bad(f"{where}merged state must share its parents' depth")
 
     frontier = _typed(data, "frontier", list, bad)
     if not all(type(sid) is int for sid in frontier):
-        bad(f"frontier {frontier!r} does not list state ids")
+        bad(f"frontier {_shown(frontier)} does not list state ids")
         frontier = []
     frontier_depths = set()
     for sid in frontier:
         state = by_id.get(sid)
         if state is None:
-            bad(f"frontier references unknown state {sid}")
+            bad(f"frontier references unknown state {_shown(sid)}")
             continue
         if state.get("status") not in (STATUS_ACTIVE, STATUS_FINISHED):
-            bad(f"frontier state {sid} has status {state.get('status')!r}")
+            bad(f"frontier state {_shown(sid)} has status {_shown(state.get('status'))}")
         frontier_depths.add(state["depth"])
     if len(frontier_depths) > 1:
-        bad(f"frontier spans multiple depths {sorted(frontier_depths)}")
+        bad(f"frontier spans multiple depths {_shown(sorted(frontier_depths))}")
     if list(frontier) != sorted(frontier):
         bad("frontier ids are not in ascending order")
 

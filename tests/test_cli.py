@@ -17,6 +17,7 @@ from graphreason.cli import main
 from graphreason.evaluation import Question
 from graphreason.kg import load_graph
 from graphreason.llm import ReplayEntry
+from graphreason.textops import clip
 from graphreason.traces import validate_trace
 
 
@@ -653,7 +654,7 @@ TAMPERINGS = {
     ),
     "termination-900-lists-deep": (
         lambda data: data.update(termination=json.loads("[" * 900 + "]" * 900)),
-        lambda data: f"unknown termination {data['termination']!r}",
+        lambda data: f"unknown termination {clip(repr(data['termination']))}",
     ),
 }
 
@@ -678,6 +679,29 @@ def test_validate_trace_and_score_refuse_a_tampered_outcome_alike(runner, worksp
     scored = runner.invoke(main, score_args(workspace, root / "out" / "traces", root / "bad"))
     assert_one_line_error(scored, f"cannot score trace {trace}: {violation}\n")
     assert not (root / "bad").exists()
+
+
+def test_a_hostile_value_is_echoed_clipped_by_validate_trace_and_score(
+    runner, workspace, monkeypatch
+):
+    """A 900-deep termination renders as 1,800 characters; both commands
+    echo it clipped, so each of their lines stays short."""
+    root = workspace["root"]
+    assert runner.invoke(main, run_args(workspace, root / "out")).exit_code == 0
+    monkeypatch.chdir(root)
+    trace = Path("out", "traces", "q2.trace")
+    data = json.loads(trace.read_text(encoding="utf-8"))
+    data["termination"] = json.loads("[" * 900 + "]" * 900)
+    trace.write_text(json.dumps(data), encoding="utf-8")
+
+    checked = runner.invoke(main, ["validate-trace", str(trace)])
+    assert checked.exit_code == 1
+    assert "unknown termination [[[" in checked.output
+    assert "... (1,800 characters)" in checked.output
+    scored = runner.invoke(main, score_args(workspace, trace.parent, "bad"))
+    assert_one_line_error(scored, "unknown termination [[[", "... (1,800 characters)")
+    lines = checked.output.splitlines() + scored.output.splitlines()
+    assert max(map(len, lines)) <= 200, lines
 
 
 def test_a_tab_or_newline_in_an_answer_stays_in_its_cell(runner, workspace):

@@ -22,7 +22,7 @@ from graphreason.evaluation import (
     rouge_l,
 )
 from graphreason.llm import ReplayBackend, ReplayEntry
-from graphreason.textops import tokenize
+from graphreason.textops import CLIP_CHARS, clip, tokenize
 from graphreason.traces import TraceRecord, outcome_violations
 
 
@@ -177,6 +177,32 @@ def test_load_questions_rejects_bad_lines(tmp_path, line, fragment):
     with pytest.raises(QuestionLoadError, match="1: ") as err:
         load_questions(path)
     assert fragment in str(err.value)
+
+
+@given(st.text(max_size=3 * CLIP_CHARS))
+def test_clip_keeps_a_short_rendering_and_names_a_long_ones_length(rendered):
+    if len(rendered) <= CLIP_CHARS:
+        assert clip(rendered) == rendered
+    else:
+        assert clip(rendered) == f"{rendered[:CLIP_CHARS]}... ({len(rendered):,} characters)"
+
+
+def test_load_questions_clips_a_huge_value_it_echoes(tmp_path):
+    """A 1 MB field that is not a string is named by its type's start and
+    length, not echoed whole."""
+    huge = [7] * 333_333
+    line = json.dumps({"qid": "a", "question": huge, "answer": "y", "difficulty": "easy"})
+    assert len(line) > 1_000_000
+    path = write_lines(tmp_path / "huge.lines", [line])
+    with pytest.raises(QuestionLoadError) as err:
+        load_questions(path)
+    message = str(err.value)
+    rendered = json.dumps(huge)
+    assert message == (
+        f"{path}:1: question must be a string, got {rendered[:CLIP_CHARS]}... "
+        f"({len(rendered):,} characters)"
+    )
+    assert len(message) < len(str(path)) + 150
 
 
 def test_load_questions_names_the_duplicate(tmp_path):

@@ -1,7 +1,8 @@
 """A hostile model: seeded random replies built from fragments that break
 parsers, and calls that fail. Whatever it says, every run ends, every trace
-validates, ``score`` rebuilds both tables byte for byte, the report holds one
-row per question, and the meters stay inside their closed-form bounds."""
+validates and is written as canonical JSON, ``score`` rebuilds both tables
+byte for byte, the report holds one row per question, and the meters stay
+inside their closed-form bounds."""
 
 import itertools
 import json
@@ -84,6 +85,7 @@ def test_a_hostile_model_costs_no_run(
         return result
 
     monkeypatch.setattr(runner, "run_search", metered)
+    traces_with_rows = 0
     for seed in SEEDS:
         name = f"{strategy}/{interaction}/{evaluator}/{seed}"
         monkeypatch.setattr(runner, "build_backend", lambda config: HostileBackend(name))
@@ -108,7 +110,12 @@ def test_a_hostile_model_costs_no_run(
         bound = bound_for(search_config, n=search_config.d_max, d=search_config.search_depth)
         for question in questions:
             text = (out / "traces" / f"{question.qid}.trace").read_text(encoding="utf-8")
-            assert validate_trace(json.loads(text)) == [], name
+            data = json.loads(text)
+            assert validate_trace(data) == [], name
+            # The writer composes states that hold triple rows by hand; what
+            # it writes is still the canonical encoding.
+            assert text == json.dumps(data, sort_keys=True) + "\n", name
+            traces_with_rows += any(state["evidence"]["triples"] for state in data["states"])
             verdict = check(meters[question.qid], bound)
             assert verdict.ok, (name, verdict.violations)
         rescore = tmp_path / f"rescore{seed}"
@@ -122,3 +129,6 @@ def test_a_hostile_model_costs_no_run(
         assert [row[0] for row in rows] == [q.qid for q in questions], name
         assert [len(row) for row in rows] == [7] * len(questions), name
         assert lines[3 + len(questions)].startswith("# overall: "), name
+    # Explore runs write triple rows even under hostile replies, so the
+    # writer's composed path ran above.
+    assert interaction == "agent" or traces_with_rows, "no fuzz trace holds a triple row"

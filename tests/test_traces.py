@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,10 @@ from hypothesis import strategies as st
 from helpers import (
     TEMPLATE_MATCHERS,
     assert_writes_deltas,
+    golden_agent_entries,
+    golden_explore_entries,
+    krt39_graph,
+    krt39_question,
     permissive_backend,
     permissive_entries,
     rebuild_evidence,
@@ -26,7 +31,13 @@ from graphreason.explore import ExplorationState, render_attribute
 from graphreason.kg import generate_synthetic_graph, save_graph
 from graphreason.llm import ReplayBackend, ReplayEntry, TransportError
 from graphreason.runner import RunConfig, _outcome, run_experiment, score_run
-from graphreason.strategies import SearchConfig, run_search
+from graphreason.strategies import (
+    Evidence,
+    SearchConfig,
+    SearchResult,
+    ThoughtState,
+    run_search,
+)
 from graphreason.traces import (
     TRACE_SCHEMA,
     TraceRecord,
@@ -179,6 +190,136 @@ def test_built_trace_lists_states_by_ascending_id(got_trace):
     ids = [state["id"] for state in got_trace.states]
     assert ids == sorted(ids)
     assert ids[0] == 0
+
+
+# ----------------------------------------------------------------- writer
+
+
+def canonical(data):
+    """The one encoding of a trace: sorted keys, no indent, one line."""
+    return json.dumps(data, sort_keys=True) + "\n"
+
+
+# Strings holding what JSON must escape, or escapes only because the output
+# is ASCII: quotes, backslashes, control characters, characters past the
+# basic plane and lone surrogates.
+HOSTILE_TEXT = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u2028\U0001f600\ud800\udfff')),
+    max_size=6,
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | HOSTILE_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(HOSTILE_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+TRIPLES = st.builds(kg.Triple, HOSTILE_TEXT, HOSTILE_TEXT, HOSTILE_TEXT, HOSTILE_TEXT, HOSTILE_TEXT)
+TRIPLE_ROWS = st.fixed_dictionaries({f.name: HOSTILE_TEXT for f in fields(kg.Triple)})
+ODD_ROWS = st.one_of(
+    TRIPLE_ROWS.map(lambda row: {**row, "extra": 1}),
+    TRIPLE_ROWS.map(lambda row: {k: v for k, v in row.items() if k != "relation"}),
+    st.tuples(TRIPLE_ROWS, JSON_VALUES.filter(lambda v: type(v) is not str)).map(
+        lambda pair: {**pair[0], "tail_id": pair[1]}
+    ),
+    JSON_VALUES,
+)
+STATE_SHAPES = ("rows", "no rows", "triples not a list", "evidence not a dict", "extra key", "any")
+
+
+@st.composite
+def built_traces(draw):
+    """``build_trace`` over a tree of explore states whose triples come from
+    one pool of records, so sibling states share rows."""
+    pool = draw(st.lists(TRIPLES, min_size=1, max_size=6))
+    states = {0: ThoughtState(0, 0, draw(HOSTILE_TEXT), Evidence(), ())}
+    for sid in range(1, draw(st.integers(1, 6)) + 1):
+        parent = states[draw(st.integers(0, sid - 1))]
+        explored = (parent.evidence.exploration or ExplorationState()).clone()
+        for triple in draw(st.lists(st.sampled_from(pool), max_size=4)):
+            explored.found_triples.setdefault(
+                (triple.head_id, triple.relation, triple.tail_id), triple
+            )
+        states[sid] = ThoughtState(
+            sid, parent.depth + 1, draw(HOSTILE_TEXT), Evidence(exploration=explored),
+            (parent.id,), score=draw(st.none() | st.floats()),
+        )
+    result = SearchResult(None, states, [max(states)], CostCounters(), "step_limit")
+    return build_trace(synthetic_question(), {"strategy": "tot"}, result)
+
+
+@st.composite
+def hand_made_traces(draw):
+    """Traces of any JSON values, with states of the writer's shape and
+    others in any order, their rows drawn from one pool of row objects."""
+    pool = draw(st.lists(TRIPLE_ROWS | ODD_ROWS, min_size=1, max_size=5))
+    states = []
+    for shape in draw(st.lists(st.sampled_from(STATE_SHAPES), max_size=6)):
+        evidence = {key: draw(JSON_VALUES)
+                    for key in ("answer", "attributes", "exploration", "scratchpad")}
+        evidence["triples"] = [] if shape == "no rows" else [
+            pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4))
+        ]
+        state = {key: draw(JSON_VALUES)
+                 for key in ("depth", "id", "parents", "score", "status", "thought")}
+        state["evidence"] = evidence
+        if shape == "triples not a list":
+            evidence["triples"] = draw(JSON_VALUES.filter(lambda v: type(v) is not list))
+        elif shape == "evidence not a dict":
+            state["evidence"] = draw(JSON_VALUES.filter(lambda v: type(v) is not dict))
+        elif shape == "extra key":
+            state[draw(HOSTILE_TEXT)] = draw(JSON_VALUES)
+        elif shape == "any":
+            state = draw(JSON_VALUES)
+        states.append(state)
+    if draw(st.booleans()):
+        states = draw(JSON_VALUES)
+    record = {name: draw(JSON_VALUES) for name in (
+        "qid", "question", "config", "frontier", "answer", "termination", "counters", "eval",
+        "schema",
+    )}
+    return TraceRecord(states=states, **record)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(built_traces(), hand_made_traces()))
+def test_the_writer_writes_what_json_dumps_writes(trace):
+    assert serialize_trace(trace) == canonical(trace.as_dict())
+
+
+def golden_traces():
+    question, graph = krt39_question(), krt39_graph()
+    for interaction, entries in (("agent", golden_agent_entries()),
+                                 ("explore", golden_explore_entries())):
+        config = SearchConfig(strategy="cot", interaction=interaction, d_max=10)
+        result = run_search(question, config, graph, ReplayBackend(entries, strict=True))
+        yield build_trace(question, {}, result)
+
+
+def test_the_writer_writes_what_json_dumps_writes_for_real_traces(got_trace, real_traces):
+    v2 = load_trace(DATA / "got_explore_v2.trace")
+    traces = [got_trace, v2, *golden_traces(), *map(trace_from_dict, real_traces.values())]
+    assert any(state["evidence"]["triples"] for trace in traces for state in trace.states)
+    for trace in traces:
+        assert serialize_trace(trace) == canonical(trace.as_dict())
+    assert serialize_trace(v2) == (DATA / "got_explore_v2.trace").read_text(encoding="utf-8")
+
+
+def test_build_trace_shares_one_row_per_triple_among_states():
+    """Sibling explore states that found the same triple hold one row
+    object for it, so the writer encodes it once."""
+    result = explore_with_attributes(finish=False)
+    states = build_trace(synthetic_question(), {"strategy": "got"}, result).states
+    by_key: dict = {}
+    holders: dict = {}
+    for state in states:
+        for row in state["evidence"]["triples"] + state["evidence"]["attributes"]:
+            key = tuple(sorted(row.items()))
+            assert by_key.setdefault(key, row) is row
+            holders.setdefault(key, set()).add(state["id"])
+    shared = [ids for ids in holders.values() if len(ids) > 1]
+    assert shared, "no two states wrote the same triple"
+    parents = {state["id"]: tuple(state["parents"]) for state in states}
+    siblings = [ids for ids in shared if len({parents[sid] for sid in ids}) < len(ids)]
+    assert siblings, "no two siblings wrote the same triple"
 
 
 # ------------------------------------------------------- evidence strings
