@@ -170,10 +170,19 @@ def gen_graph_command(
             node_count=nodes,
             edges_per_node=edges_per_node,
         )
-        graph = kg.generate_synthetic_graph(seed, spec)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    kg.save_graph(graph, out_path)
+    # Checked before generating, which takes seconds on a large graph.
+    out = Path(out_path)
+    if out.is_dir():
+        raise click.ClickException(f"cannot write {out_path}: it is a directory")
+    if not out.parent.is_dir():
+        raise click.ClickException(f"cannot write {out_path}: no directory {str(out.parent)!r}")
+    graph = kg.generate_synthetic_graph(seed, spec)
+    try:
+        kg.save_graph(graph, out)
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     click.echo(f"wrote {graph.stats.node_count} nodes to {out_path}")
 
 

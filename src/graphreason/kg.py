@@ -85,6 +85,13 @@ class NameIndex:
     position, the number of distinct tokens in that node's name (0 when it
     has none), so a lookup scores a candidate from counts alone; ``records``
     lists the nodes in load order, so a position resolves to its node.
+
+    The whole index is built at once, on the first lookup: the names are read
+    once, in load order, and each is tokenized once. Positions are appended
+    in ascending order, so a token repeated within a name is one whose
+    posting list already ends at that name's position; that one test keeps
+    the postings distinct and counts the distinct tokens, with no set per
+    name.
     """
 
     exact: dict[str, str]
@@ -108,22 +115,32 @@ class KnowledgeGraph:
     @cached_property
     def name_index(self) -> NameIndex:
         """The index ``retrieve_node`` looks names up in."""
-        exact: dict[str, str] = {}
-        postings: dict[str, list[int]] = {}
         records = tuple(self.nodes.values())
-        token_counts = [0] * len(records)
-        for position, node in enumerate(records):
-            name = node.features.get(NAME_FEATURE)
-            if name is None:
-                continue
-            folded = name.casefold()
-            # Key on the name itself when folding leaves it unchanged, so the
-            # common all-lowercase name costs no second string.
-            exact.setdefault(name if folded == name else folded, node.id)
-            tokens = set(tokenize(name))
-            token_counts[position] = len(tokens)
+        # A node without a name tokenizes as "" (no tokens), but only a node
+        # that has the feature gets an exact entry.
+        names = [node.features.get(NAME_FEATURE, "") for node in records]
+        exact: dict[str, str] = {}
+        for node, name in zip(records, names):
+            if name or NAME_FEATURE in node.features:
+                folded = name.casefold()
+                # Key on the name itself when folding leaves it unchanged, so
+                # the common all-lowercase name costs no second string.
+                key = name if folded == name else folded
+                if key not in exact:
+                    exact[key] = node.id
+        postings: dict[str, list[int]] = {}
+        token_counts: list[int] = []
+        for position, tokens in enumerate(map(tokenize, names)):
+            count = len(tokens)
             for token in tokens:
-                postings.setdefault(token, []).append(position)
+                posting = postings.get(token)
+                if posting is None:
+                    postings[token] = [position]
+                elif posting[-1] != position:
+                    posting.append(position)
+                else:
+                    count -= 1
+            token_counts.append(count)
         return NameIndex(
             exact=exact, postings=postings, token_counts=token_counts, records=records
         )

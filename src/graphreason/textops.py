@@ -63,9 +63,12 @@ _decode_prefix = json.JSONDecoder().raw_decode
 
 
 def decode_json(text: str | bytes) -> object:
-    """``json.loads(text)``, but a value nested too deeply to decode raises
-    ``json.JSONDecodeError`` ("nested too deeply") instead of ``RecursionError``,
-    so every reader's handler for malformed JSON covers it.
+    """``json.loads(text)``, but every decoding failure is a
+    ``json.JSONDecodeError`` (or, for bytes, a ``UnicodeDecodeError``), so
+    every reader's handler for malformed JSON covers it: a value nested too
+    deeply to decode ("nested too deeply") instead of ``RecursionError``, and
+    a number too long for ``int()`` ("number too long") instead of the
+    ``ValueError`` of Python's 4,300-digit limit.
 
     A string that opens with its value is decoded in one pass, skipping
     ``json.loads``' whitespace scans. Anything else (leading whitespace, a
@@ -84,3 +87,8 @@ def decode_json(text: str | bytes) -> object:
         return json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", "", 0) from None
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        raise
+    except ValueError:
+        # The digit limit is the one other ValueError the decoder raises.
+        raise json.JSONDecodeError("number too long", "", 0) from None

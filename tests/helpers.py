@@ -8,6 +8,7 @@ into the package, so they can catch implementation drift.
 from __future__ import annotations
 
 import json
+import re
 from collections import deque
 from functools import reduce
 from pathlib import Path
@@ -21,8 +22,10 @@ from graphreason.explore import (
     ExplorationState,
     SeenEntity,
 )
-from graphreason.kg import GraphStats, KnowledgeGraph, NodeRecord, Triple
+from graphreason.kg import NAME_FEATURE, GraphStats, KnowledgeGraph, NameIndex, NodeRecord, Triple
 from graphreason.llm import ReplayBackend, ReplayEntry
+from graphreason.prompts import MissingPlaceholderError, PromptTemplate
+from graphreason.textops import tokenize
 from graphreason.strategies import Evidence, SearchResult
 
 # One phrase per template, lifted from each template's instruction text.
@@ -284,6 +287,43 @@ def closure_oracle(
                     queue.append(tail)
     entities = {node_id for node_id, d in dist.items() if d <= depth}
     return triples, entities
+
+
+def reference_name_index(graph: KnowledgeGraph) -> NameIndex:
+    """The name index as a loop over nodes with a set of tokens per name,
+    the way ``KnowledgeGraph.name_index`` once built it."""
+    exact: dict[str, str] = {}
+    postings: dict[str, list[int]] = {}
+    records = tuple(graph.nodes.values())
+    token_counts = [0] * len(records)
+    for position, node in enumerate(records):
+        name = node.features.get(NAME_FEATURE)
+        if name is None:
+            continue
+        folded = name.casefold()
+        exact.setdefault(name if folded == name else folded, node.id)
+        tokens = set(tokenize(name))
+        token_counts[position] = len(tokens)
+        for token in tokens:
+            postings.setdefault(token, []).append(position)
+    return NameIndex(exact=exact, postings=postings, token_counts=token_counts, records=records)
+
+
+def reference_render(template: PromptTemplate, variables: dict) -> str:
+    """``prompts.render`` as one regex pass over the body with a callback
+    per ``{word}``, the way it once rendered."""
+    required = template.required_placeholders
+    missing = required - set(variables)
+    if missing:
+        raise MissingPlaceholderError(
+            f"template {template.name!r} is missing placeholders {sorted(missing)}"
+        )
+
+    def substitute(match: re.Match[str]) -> str:
+        key = match[1]
+        return str(variables[key]) if key in required else match[0]
+
+    return re.sub(r"\{(\w+)\}", substitute, template.body)
 
 
 def _joined(parts, merge, empty):

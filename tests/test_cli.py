@@ -122,6 +122,26 @@ def test_gen_graph_rejects_a_bad_spec(runner, tmp_path):
     assert not (tmp_path / "x.kg").exists()
 
 
+@pytest.mark.parametrize(
+    "name, reason", [("missing/g.kg", "no directory"), ("taken", "it is a directory")]
+)
+def test_gen_graph_to_a_path_it_cannot_write_is_a_one_line_error(
+    runner, tmp_path, monkeypatch, name, reason
+):
+    """The path is checked before the graph is generated, which takes
+    seconds at scale, and nothing is left behind."""
+    generated = []
+    monkeypatch.setattr(
+        "graphreason.kg.generate_synthetic_graph", lambda *args: generated.append(args)
+    )
+    (tmp_path / "taken").mkdir()
+    out = tmp_path / name
+    result = runner.invoke(main, ["gen-graph", "--out", str(out)])
+    assert_one_line_error(result, f"cannot write {out}: {reason}")
+    assert generated == []
+    assert [path.name for path in tmp_path.rglob("*")] == ["taken"]
+
+
 # -------------------------------------------------------------------- run
 
 
@@ -318,22 +338,44 @@ def test_a_malformed_replay_script_is_a_one_line_error(
     assert not out.exists()
 
 
-# Nested far deeper than Python's recursion limit: it decodes as malformed JSON.
+# Nested far deeper than Python's recursion limit, and an integer past its
+# 4,300-digit limit for int(): each decodes as malformed JSON.
 DEEP = "[" * 100000 + "]" * 100000
+LONG_INT = "9" * 5000
 
 
 @pytest.mark.parametrize(
-    "name, fragment",
+    "name, line, fragment",
     [
-        ("graph", "line 2: not valid JSON (nested too deeply)"),
-        ("questions", ":2: invalid JSON: nested too deeply"),
-        ("script", ":2: bad replay record: nested too deeply"),
+        pytest.param("graph", DEEP, "line 2: not valid JSON (nested too deeply)", id="graph-deep"),
+        pytest.param("questions", DEEP, ":2: invalid JSON: nested too deeply", id="questions-deep"),
+        pytest.param("script", DEEP, ":2: bad replay record: nested too deeply", id="script-deep"),
+        pytest.param(
+            "graph",
+            f'{{"id": "c", "type": "", "features": {{}}, "neighbors": {{}}, "n": {LONG_INT}}}',
+            "line 2: not valid JSON (number too long)",
+            id="graph-long",
+        ),
+        pytest.param(
+            "questions",
+            f'{{"qid": {LONG_INT}, "question": "q", "answer": "a", "difficulty": "easy"}}',
+            ":2: invalid JSON: number too long",
+            id="questions-long",
+        ),
+        pytest.param(
+            "script",
+            f'{{"match": "x", "response": {LONG_INT}}}',
+            ":2: bad replay record: number too long",
+            id="script-long",
+        ),
     ],
 )
-def test_a_line_nested_too_deeply_is_a_one_line_error(runner, workspace, name, fragment):
+def test_a_line_that_cannot_be_decoded_is_a_one_line_error(
+    runner, workspace, name, line, fragment
+):
     path = Path(workspace[name])
     lines = path.read_text(encoding="utf-8").splitlines()
-    lines.insert(1, DEEP)
+    lines.insert(1, line)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = workspace["root"] / "bad"
     result = runner.invoke(main, run_args(workspace, out))
@@ -509,18 +551,27 @@ def test_validate_trace_reports_a_bad_file_and_checks_the_next(runner, workspace
     assert f"{good_path}: ok" in result.output
 
 
-def test_validate_trace_reports_a_trace_nested_too_deeply(runner, workspace):
+UNDECODABLE_TRACES = [
+    pytest.param(DEEP, "nested too deeply", id="deep"),
+    pytest.param(f'{{"schema": {LONG_INT}}}', "number too long", id="long"),
+]
+
+
+@pytest.mark.parametrize("text, reason", UNDECODABLE_TRACES)
+def test_validate_trace_reports_a_trace_that_cannot_be_decoded(runner, workspace, text, reason):
     out = workspace["root"] / "out_vd"
     assert runner.invoke(main, run_args(workspace, out)).exit_code == 0
     good_path = out / "traces" / "q1.trace"
-    bad_path = workspace["root"] / "deep.trace"
-    bad_path.write_text(DEEP, encoding="utf-8")
+    bad_path = workspace["root"] / "bad.trace"
+    bad_path.write_text(text, encoding="utf-8")
 
     result = runner.invoke(main, ["validate-trace", str(bad_path), str(good_path)])
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
-    assert f"{bad_path}: unreadable (nested too deeply" in result.output
-    assert f"{good_path}: ok" in result.output
+    assert result.output.splitlines() == [
+        f"{bad_path}: unreadable ({reason}: line 1 column 1 (char 0))",
+        f"{good_path}: ok",
+    ]
 
 
 def test_validate_trace_reports_a_file_that_is_not_utf8(runner, workspace):
@@ -606,13 +657,14 @@ def test_score_names_a_trace_it_cannot_score(runner, workspace, damage):
     assert not (root / "bad").exists()
 
 
-def test_score_names_a_trace_nested_too_deeply(runner, workspace):
+@pytest.mark.parametrize("text, reason", UNDECODABLE_TRACES)
+def test_score_names_a_trace_that_cannot_be_decoded(runner, workspace, text, reason):
     root = workspace["root"]
     assert runner.invoke(main, run_args(workspace, root / "out")).exit_code == 0
     trace = root / "out" / "traces" / "q2.trace"
-    trace.write_text(DEEP, encoding="utf-8")
+    trace.write_text(text, encoding="utf-8")
     result = runner.invoke(main, score_args(workspace, root / "out" / "traces", root / "bad"))
-    assert_one_line_error(result, f"cannot score trace {trace}: nested too deeply")
+    assert_one_line_error(result, f"cannot score trace {trace}: {reason}")
     assert not (root / "bad").exists()
 
 

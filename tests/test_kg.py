@@ -34,7 +34,7 @@ from graphreason.kg import (
 )
 from graphreason.textops import tokenize
 
-from helpers import krt39_graph
+from helpers import krt39_graph, reference_name_index
 
 
 def write_nodes(path, rows):
@@ -477,6 +477,37 @@ def test_retrieve_matches_a_full_scan(names, queries):
                 retrieve_node(graph, query)
         else:
             assert retrieve_node(graph, query) == f"n{expected}"
+
+
+# Repeated tokens within a name, names with no [0-9a-z] token, case
+# variants, and names whose case-fold is not their lower-case: "ß" folds to
+# "ss", "İ" lower-cases to "i" plus a combining dot, and the Kelvin sign
+# folds and lower-cases to "k".
+INDEX_WORDS = ["a", "A", "b", "7", "ß", "SS", "ss", "İ", "i", "\u212a", "k", "K", "--", ""]
+index_names_st = st.lists(st.sampled_from(INDEX_WORDS), max_size=4).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(names=st.lists(st.none() | index_names_st | st.text(max_size=6), max_size=12))
+@example(names=["a a b", "b", "a"])
+@example(names=[None, "", "--", None])
+@example(names=["ß", "SS", "ss", "İ", "i\u0307", "\u212a", "k", "K"])
+@example(names=["A b", "a B", "a b", "A B"])
+def test_name_index_equals_a_set_per_name_build(names):
+    graph = graph_of(names)
+    index = graph.name_index
+    expected = reference_name_index(graph)
+    assert list(index.exact.items()) == list(expected.exact.items())
+    assert index.postings == expected.postings
+    assert index.token_counts == expected.token_counts
+    assert index.records == expected.records
+
+
+def test_a_repeated_token_counts_once_and_is_posted_once():
+    index = graph_of(["a a b", None, "b b b", ""]).name_index
+    assert index.token_counts == [2, 0, 1, 0]
+    assert index.postings == {"a": [0], "b": [0, 2]}
+    assert index.exact == {"a a b": "n0", "b b b": "n2", "": "n3"}
 
 
 def test_retrieve_ties_follow_the_float_f1():

@@ -235,7 +235,7 @@ class _StubHandler(BaseHTTPRequestHandler):
     status = 200
     statuses = []  # consumed, one per request, before ``status`` applies
     delay_s = 0.0
-    reply = "json"  # or "not-json", "deep", "hang-up", "cut-body"
+    reply = "json"  # or "not-json", "deep", "long-int", "hang-up", "cut-body"
 
     def setup(self):
         type(self).connections += 1
@@ -254,6 +254,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             "not-json": b"not json",
             # Nested far deeper than Python's recursion limit.
             "deep": b"[" * 100000 + b"]" * 100000,
+            # Past Python's 4,300-digit limit for int().
+            "long-int": b'{"choices": ' + b"9" * 5000 + b"}",
         }.get(stub.reply) or json.dumps(stub.response_body).encode()
         self.send_response(stub.statuses.pop(0) if stub.statuses else stub.status)
         self.send_header("Content-Type", "application/json")
@@ -350,12 +352,15 @@ def test_wire_backend_non_json_body_is_transport_error(stub_server):
         backend.raw_complete(_request())
 
 
-def test_a_wire_reply_nested_too_deeply_costs_only_its_call(stub_server):
+@pytest.mark.parametrize(
+    "reply, reason", [("deep", "nested too deeply"), ("long-int", "number too long")]
+)
+def test_a_wire_reply_that_cannot_be_decoded_costs_only_its_call(stub_server, reply, reason):
     """The body is malformed JSON, so the call is retried as a transport
     failure, metered, and then answered by the call site's fallback."""
-    _StubHandler.reply = "deep"
+    _StubHandler.reply = reply
     backend = WireBackend(endpoint=stub_server, model="m-1")
-    with pytest.raises(TransportError, match="not JSON: nested too deeply"):
+    with pytest.raises(TransportError, match=f"not JSON: {reason}"):
         backend.raw_complete(_request())
     counters = CostCounters()
     answer = complete_with_reask(backend, _request(), counters, parse_yes_no, "fallback")

@@ -3,7 +3,7 @@
 import os
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphreason import prompts
@@ -16,6 +16,8 @@ from graphreason.prompts import (
     load_examples,
     render,
 )
+
+from helpers import reference_render
 
 EXPECTED_NAMES = {
     "agent_step",
@@ -142,6 +144,51 @@ def test_render_is_one_pass(first, second):
         name="probe", body="A {a} B {b} Z", required_placeholders=frozenset({"a", "b"})
     )
     assert render(template, {"a": first, "b": second}) == f"A {first} B {second} Z"
+
+
+# Template bodies from required slots, unknown ``{word}``s, ``{{...}}``
+# markers, stray braces and backslashes.
+_BODY_PIECES = [
+    "{a}", "{b}", "{c}", "{{a}}", "{{x}}", "{zz}", "{", "}", "{{", "}}", "\\", " a ", "\n"
+]
+_VALUES = (
+    st.text(max_size=6)
+    | st.sampled_from(["{a}", "{b}", "{{a}}", "\\1", "\\g<1>", "}{"])
+    | st.integers()
+    | st.none()
+    | st.floats(allow_nan=False)
+)
+
+
+@settings(max_examples=300)
+@given(
+    body=st.lists(st.sampled_from(_BODY_PIECES) | st.text(max_size=3), max_size=12).map("".join),
+    required=st.frozensets(st.sampled_from(["a", "b", "c", "zz"])),
+    values=st.fixed_dictionaries({name: _VALUES for name in ["a", "b", "c", "zz", "x"]}),
+    omitted=st.sampled_from([None, None, None, "a", "zz"]),
+)
+@example(body="x {{a}} {b} }{a}{", required=frozenset({"a"}), values={"a": 1, "b": 2}, omitted=None)
+@example(body="only {a}", required=frozenset({"a", "zz"}), values={"a": 1, "zz": 2}, omitted="zz")
+def test_render_equals_a_regex_pass_over_any_body(body, required, values, omitted):
+    template = PromptTemplate(name="probe", body=body, required_placeholders=required)
+    variables = {name: value for name, value in values.items() if name != omitted}
+    try:
+        expected = reference_render(template, variables)
+    except MissingPlaceholderError as exc:
+        # The check runs over the required names, in the body or not.
+        with pytest.raises(MissingPlaceholderError) as caught:
+            render(template, variables)
+        assert str(caught.value) == str(exc)
+    else:
+        assert render(template, variables) == expected
+
+
+@given(data=st.data())
+def test_render_equals_a_regex_pass_over_every_template(data):
+    for template in PROMPT_TEMPLATES.values():
+        names = sorted(template.required_placeholders) + ["extra"]
+        variables = {name: data.draw(_VALUES, label=name) for name in names}
+        assert render(template, variables) == reference_render(template, variables)
 
 
 def test_load_examples_reads_packaged_assets():
