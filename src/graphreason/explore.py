@@ -15,8 +15,10 @@ an entity therefore finds the same attributes and edges in every state of
 one search, so an :class:`ExploreMemo` keyed on entity ids walks each
 entity once per search and every later expansion only files what that walk
 kept. A state that reaches an entity while another is walking it waits for
-the whole walk. The tail prune returns its kept edges as triples, so a
-search builds each one once.
+the whole walk. The tail prune returns its kept edges as triples, and the
+walk renders each one's prompt line beside it, so a search builds and
+renders each triple once; a state files the lines with the triples, and
+every prompt that lists a state's triples joins its lines.
 
 The relation prune keeps at most ``MAX_RELATIONS_PER_ENTITY`` (3) relations
 and the tail prune at most ``MAX_NEIGHBORS_PER_RELATION`` (5) tails; the
@@ -99,17 +101,43 @@ class ExplorationState:
     by ``(entity_id, key)``, so each is stored once, in discovery order. The
     entries are frozen values, so a clone copies only the containers and
     shares the entries with the state it came from.
+
+    ``triple_lines`` holds each found triple's prompt line
+    (:func:`kg.render_triple`), in the order of ``found_triples``, so a
+    prompt joins stored lines and a search renders each triple once. Filing
+    (:meth:`file`), :meth:`clone` and :meth:`merge` keep the two in step. It
+    is derived data: state equality ignores it, and a state built with
+    triples but no lines renders them once.
     """
 
     seen_entities: dict[str, SeenEntity] = field(default_factory=dict)
     found_triples: dict[tuple[str, str, str], kg.Triple] = field(default_factory=dict)
     relevant_attributes: dict[tuple[str, str], AttributeHit] = field(default_factory=dict)
     sufficient: bool = False
+    # None, the default, renders the lines of ``found_triples``.
+    triple_lines: list[str] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.triple_lines is None:
+            self.triple_lines = [kg.render_triple(t) for t in self.found_triples.values()]
 
     def add_anchors(self, node_ids: list[str]) -> None:
         for node_id in node_ids:
             if node_id not in self.seen_entities:
                 self.seen_entities[node_id] = seen_entity(False, 0)
+
+    def file(self, found: Expansion, depth: int) -> None:
+        """File an expansion's attributes and triples; a tail not yet seen
+        joins at ``depth``, unvisited. An entry already held is kept."""
+        for hit in found.hits:
+            self.relevant_attributes.setdefault((hit.entity_id, hit.key), hit)
+        triples, lines, seen = self.found_triples, self.triple_lines, self.seen_entities
+        discovered = seen_entity(False, depth)
+        for key, triple, line in found.rows:
+            if key not in triples:
+                triples[key] = triple
+                lines.append(line)
+            seen.setdefault(triple.tail_id, discovered)
 
     def clone(self) -> "ExplorationState":
         return ExplorationState(
@@ -117,6 +145,7 @@ class ExplorationState:
             found_triples=dict(self.found_triples),
             relevant_attributes=dict(self.relevant_attributes),
             sufficient=self.sufficient,
+            triple_lines=list(self.triple_lines),
         )
 
     @classmethod
@@ -141,10 +170,15 @@ class ExplorationState:
             found_triples=_union(a.found_triples, b.found_triples),
             relevant_attributes=_union(a.relevant_attributes, b.relevant_attributes),
             sufficient=a.sufficient or b.sufficient,
+            triple_lines=a.triple_lines + [
+                line
+                for key, line in zip(b.found_triples, b.triple_lines)
+                if key not in a.found_triples
+            ],
         )
 
     def rendered_triples(self) -> str:
-        return "\n".join(kg.render_triple(t) for t in self.found_triples.values())
+        return "\n".join(self.triple_lines)
 
     def rendered_attributes(self) -> str:
         return "\n".join(render_attribute(hit) for hit in self.relevant_attributes.values())
@@ -154,15 +188,17 @@ class ExplorationState:
 class Expansion:
     """One entity's walk in one search: what it kept and the asks it made.
 
-    ``rows`` are the kept edges as ``((head_id, relation, tail_id), triple)``
-    in the order the walk filed them. ``kg_ops`` and ``memo_hits`` are what a
-    later expansion of the entity meters in place of the walk: its node
-    fetch and neighbor checks, and one hit per prune or attribute ask. It
-    holds nothing that depends on the expanding state.
+    ``rows`` are the kept edges as ``((head_id, relation, tail_id), triple,
+    line)`` in the order the walk filed them, ``line`` being the triple's
+    prompt line, rendered once for every state that files it. ``kg_ops``
+    and ``memo_hits`` are what a later expansion of the entity meters in
+    place of the walk: its node fetch and neighbor checks, and one hit per
+    prune or attribute ask. It holds nothing that depends on the expanding
+    state.
     """
 
     hits: tuple[AttributeHit, ...]
-    rows: tuple[tuple[tuple[str, str, str], kg.Triple], ...]
+    rows: tuple[tuple[tuple[str, str, str], kg.Triple, str], ...]
     kg_ops: dict[str, int]
     memo_hits: dict[str, int]
 
@@ -386,7 +422,7 @@ def _expand(
             kept = prune_entities(
                 question, entity_id, relation, node.out_edges[relation], graph, backend, counters
             )
-            rows.extend(((entity_id, relation, t.tail_id), t) for t in kept)
+            rows.extend(((entity_id, relation, t.tail_id), t, kg.render_triple(t)) for t in kept)
         memo_hits["prune_relations"] = 1
         kg_ops["neighbor_check"] = memo_hits["prune_entities"] = len(selected)
     return Expansion(hits, tuple(rows), kg_ops, memo_hits)
@@ -458,12 +494,7 @@ def explore(
             meta = state.seen_entities[entity_id]
             state.seen_entities[entity_id] = seen_entity(True, meta.depth_discovered)
             found = memo.expand(question, entity_id, graph, backend, counters)
-            for hit in found.hits:
-                state.relevant_attributes.setdefault((hit.entity_id, hit.key), hit)
-            discovered = seen_entity(False, meta.depth_discovered + 1)
-            for key, triple in found.rows:
-                state.found_triples.setdefault(key, triple)
-                state.seen_entities.setdefault(triple.tail_id, discovered)
+            state.file(found, meta.depth_discovered + 1)
         state.sufficient = end_check(question, state, backend, counters, thoughts=thoughts)
         if state.sufficient:
             break

@@ -27,7 +27,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Protocol, TypeVar
+from typing import Callable, NamedTuple, Protocol, TypeVar
 
 from . import prompts
 from .costs import REASK_SUFFIX, CostCounters
@@ -39,6 +39,12 @@ logger = logging.getLogger(__name__)
 TOKEN_ENV_VAR = "GRAPHREASON_API_TOKEN"
 
 MAX_TRANSPORT_RETRIES = 2
+
+#: A wire reply body holds at most ``REPLY_ENVELOPE_BYTES`` plus
+#: ``REPLY_BYTES_PER_TOKEN`` per ``max_tokens`` of its request; the reader
+#: stops one byte past that, and a longer body is a ``TransportError``.
+REPLY_ENVELOPE_BYTES = 64 * 1024
+REPLY_BYTES_PER_TOKEN = 64
 
 FORMAT_REMINDER = (
     "\nReminder: answer in exactly the format requested above, placing the "
@@ -65,8 +71,14 @@ class MalformedOutputError(Exception):
     """Model output did not contain the span the call site needs."""
 
 
-@dataclass(frozen=True)
-class CompletionRequest:
+class CompletionRequest(NamedTuple):
+    """One model call: the rendered prompt, its decoding, and its meter tag.
+
+    A named tuple, not a frozen dataclass: it is as immutable, and every
+    call builds one, a re-ask two, in 0.7 us against 1.8 us (keyword
+    arguments, best of 7 x 200,000, 2-core VM, Python 3.11).
+    """
+
     prompt: str
     decoding: DecodingParams
     tag: str
@@ -228,6 +240,7 @@ class WireBackend:
             payload["stop"] = list(request.decoding.stop)
         data = json.dumps(payload).encode("utf-8")
         http_request = urllib.request.Request(self.endpoint, data, headers)
+        limit = REPLY_ENVELOPE_BYTES + REPLY_BYTES_PER_TOKEN * request.decoding.max_tokens
         with self._gate:
             # One fresh connection per call (urllib sends Connection: close).
             # Against bench/stub_server.py (10 ms delay, 4 calls in flight) a
@@ -236,11 +249,17 @@ class WireBackend:
             # stall left when the stub sent headers and body in one write.
             try:
                 with self._opener.open(http_request, timeout=self.timeout_s) as response:
-                    raw = response.read()
+                    raw = response.read(limit + 1)
+                    if len(raw) <= limit:
+                        # Nothing is left of a whole body; a body cut short
+                        # of its Content-Length raises IncompleteRead here.
+                        response.read()
             except (OSError, http.client.HTTPException) as exc:
                 if isinstance(exc, urllib.error.HTTPError):
                     exc.close()
                 raise TransportError(f"wire request failed: {exc}") from exc
+        if len(raw) > limit:
+            raise TransportError(f"wire response body is over {limit} bytes")
         try:
             body = decode_json(raw)
         except ValueError as exc:
@@ -310,9 +329,10 @@ def parse_bracketed_answer(text: str) -> str:
         MalformedOutputError: no bracketed span anywhere in the text.
     """
     last: str | None = None
-    for match in _BRACKET_SPAN_RE.finditer(text):
-        group = match.group(1) if match.group(1) is not None else match.group(2)
-        last = group
+    # A span opens with "[" or "{{", so a reply holding neither skips the scan.
+    if "[" in text or "{{" in text:
+        for match in _BRACKET_SPAN_RE.finditer(text):
+            last = match.group(1) if match.group(1) is not None else match.group(2)
     if last is None:
         raise MalformedOutputError(f"no bracketed answer span in: {text[:120]!r}")
     return last.strip()

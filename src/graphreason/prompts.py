@@ -93,7 +93,7 @@ def render(template: PromptTemplate, variables: dict[str, str]) -> str:
     Raises:
         MissingPlaceholderError: a required placeholder has no value.
     """
-    missing = template.required_placeholders - set(variables)
+    missing = template.required_placeholders.difference(variables)
     if missing:
         raise MissingPlaceholderError(
             f"template {template.name!r} is missing placeholders {sorted(missing)}"

@@ -150,7 +150,7 @@ def _triples_part(state: ThoughtState) -> list[str]:
     explored = state.evidence.exploration
     if explored is None or not explored.found_triples:
         return []
-    return ["Triples: " + "; ".join(map(kg.render_triple, explored.found_triples.values()))]
+    return ["Triples: " + "; ".join(explored.triple_lines)]
 
 
 def describe_candidate(state: ThoughtState) -> str:

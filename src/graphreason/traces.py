@@ -97,11 +97,13 @@ def _serialize_exploration(
     if exploration is None:
         return None
     seen = inherited.seen_entities
+    # Entries come from ``seen_entity``, so an entry both hold is nearly
+    # always one object, and ``!=``, a Python-level call, runs only where not.
     return {
         "seen_entities": [
             [eid, meta.depth_discovered, meta.visited]
             for eid, meta in exploration.seen_entities.items()
-            if eid not in seen or seen[eid] != meta
+            if eid not in seen or (seen[eid] is not meta and seen[eid] != meta)
         ],
         "sufficient": exploration.sufficient,
     }

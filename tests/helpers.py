@@ -22,11 +22,13 @@ from graphreason.explore import (
     ExplorationState,
     SeenEntity,
 )
-from graphreason.kg import NAME_FEATURE, GraphStats, KnowledgeGraph, NameIndex, NodeRecord, Triple
+from graphreason.kg import (
+    NAME_FEATURE, GraphStats, KnowledgeGraph, NameIndex, NodeRecord, Triple, render_triple
+)
 from graphreason.llm import ReplayBackend, ReplayEntry
 from graphreason.prompts import MissingPlaceholderError, PromptTemplate
 from graphreason.textops import tokenize
-from graphreason.strategies import Evidence, SearchResult
+from graphreason.strategies import Evidence, SearchResult, ThoughtState
 
 # One phrase per template, lifted from each template's instruction text.
 # Every rendered prompt contains exactly its own template's phrase, so a
@@ -324,6 +326,44 @@ def reference_render(template: PromptTemplate, variables: dict) -> str:
         return str(variables[key]) if key in required else match[0]
 
     return re.sub(r"\{(\w+)\}", substitute, template.body)
+
+
+def reference_rendered_triples(exploration: ExplorationState) -> str:
+    """``ExplorationState.rendered_triples`` rendering every found triple
+    afresh, the way it did before states kept their lines."""
+    return "\n".join(render_triple(t) for t in exploration.found_triples.values())
+
+
+def _reference_triples_part(state: ThoughtState) -> list[str]:
+    explored = state.evidence.exploration
+    if explored is None or not explored.found_triples:
+        return []
+    return ["Triples: " + "; ".join(render_triple(t) for t in explored.found_triples.values())]
+
+
+def reference_describe_candidate(state: ThoughtState) -> str:
+    """``strategies.describe_candidate``, rendering every triple afresh."""
+    parts = [state.thought, *_reference_triples_part(state)]
+    explored = state.evidence.exploration
+    if explored is not None and explored.relevant_attributes:
+        parts.append(
+            "Attributes: "
+            + "; ".join(
+                f"{hit.entity_name}.{hit.key}: {hit.value}"
+                for hit in explored.relevant_attributes.values()
+            )
+        )
+    if state.evidence.scratchpad is not None and state.evidence.scratchpad.steps:
+        last = state.evidence.scratchpad.steps[-1]
+        if last.observations:
+            parts.append("Observations: " + " | ".join(last.observations))
+    return " ".join(parts)
+
+
+def reference_describe_chain(state: ThoughtState) -> str:
+    """``strategies.describe_chain``, rendering every triple afresh."""
+    lines = list(state.evidence.thought_log) or [state.thought]
+    return "\n".join(lines + _reference_triples_part(state))
 
 
 def _joined(parts, merge, empty):

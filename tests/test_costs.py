@@ -1,6 +1,8 @@
 """Meter arithmetic and closed-form bound checks."""
 
+import json
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -95,6 +97,63 @@ def test_as_dict_shape():
     }
     # Tag keys come out sorted for stable serialization.
     assert list(snapshot["llm_calls_by_tag"]) == ["answer", "thought"]
+
+
+_TALLIES = st.dictionaries(st.sampled_from(["node_fetch", "neighbor_check", "prune"]),
+                           st.integers(0, 3), max_size=3)
+_FOLDS = st.lists(
+    st.one_of(
+        st.tuples(st.just("repeat"), _TALLIES, _TALLIES),
+        st.tuples(st.just("add"), _TALLIES, _TALLIES, _TALLIES, st.integers(0, 2)),
+    ),
+    max_size=8,
+)
+
+
+@given(_FOLDS)
+def test_repeats_and_adds_fold_as_counter_update_does(folds):
+    """``record_repeat`` and ``add`` leave every tally, a new key or a zero
+    count included, and the ``as_dict()`` bytes, as ``Counter.update`` would."""
+    counters = CostCounters()
+    calls, hits, ops = Counter(), Counter(), Counter()
+    retries = 0
+    for fold, *args in folds:
+        if fold == "repeat":
+            kg_ops, memo_hits = args
+            counters.record_repeat(kg_ops, memo_hits)
+            ops.update(kg_ops)
+            hits.update(memo_hits)
+        else:
+            other = CostCounters()
+            other.llm_calls_by_tag, other.memo_hits_by_tag, other.kg_ops_by_kind = (
+                Counter(tally) for tally in args[:3]
+            )
+            other.transport_retries = args[3]
+            counters.add(other)
+            for reference, tally in zip((calls, hits, ops), args[:3]):
+                reference.update(Counter(tally))
+            retries += args[3]
+    # As dicts, so a key held at zero counts (``Counter`` equality ignores it).
+    tallies = (counters.llm_calls_by_tag, counters.memo_hits_by_tag, counters.kg_ops_by_kind)
+    assert [dict(t) for t in tallies] == [dict(calls), dict(hits), dict(ops)]
+    expected = {
+        "llm_calls_by_tag": dict(sorted(calls.items())),
+        "llm_total": sum(calls.values()),
+        "memo_hits_by_tag": dict(sorted(hits.items())),
+        "kg_ops_by_kind": dict(sorted(ops.items())),
+        "kg_total": sum(ops.values()),
+        "transport_retries": retries,
+        "explore_searches": 0,
+        "explore_search_cost_max": 0,
+    }
+    assert json.dumps(counters.as_dict()) == json.dumps(expected)
+
+
+def test_a_zero_count_records_its_key():
+    counters = CostCounters()
+    counters.record_repeat({"node_fetch": 0}, {"prune_entities": 0})
+    assert counters.as_dict()["kg_ops_by_kind"] == {"node_fetch": 0}
+    assert counters.as_dict()["memo_hits_by_tag"] == {"prune_entities": 0}
 
 
 def test_counters_survive_concurrent_recording():

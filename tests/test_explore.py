@@ -14,6 +14,7 @@ from graphreason.costs import CostCounters
 from graphreason.evaluation import Question
 from graphreason.explore import (
     AttributeHit,
+    Expansion,
     ExplorationState,
     ExploreMemo,
     SeenEntity,
@@ -26,9 +27,11 @@ from graphreason.explore import (
     search_attributes,
 )
 from graphreason.kg import (
-    GraphStats, KnowledgeGraph, NodeRecord, Triple, generate_synthetic_graph, node_name
+    GraphStats, KnowledgeGraph, NodeRecord, Triple, generate_synthetic_graph, node_name,
+    render_triple,
 )
 from graphreason.llm import ReplayBackend, ReplayEntry
+from graphreason.strategies import Evidence, ThoughtState, describe_candidate, describe_chain
 
 from helpers import (
     TEMPLATE_MATCHERS,
@@ -37,6 +40,9 @@ from helpers import (
     krt39_graph,
     krt39_question,
     permissive_backend,
+    reference_describe_candidate,
+    reference_describe_chain,
+    reference_rendered_triples,
     under_caps,
 )
 
@@ -523,3 +529,116 @@ def test_a_failed_memo_computation_reaches_every_ask_waiting_on_it(monkeypatch):
     assert raised["second"] is raised["first"]
     assert counters.memo_hits_by_tag == {}
     assert counters.kg_ops_by_kind == {"node_fetch": 1}
+
+
+# --- each triple's prompt line, rendered once --------------------------------
+
+
+def _triple(key, variant):
+    """The triple at ``key``; ``variant`` names its ends, so two states can
+    hold different entries under one key and a merge must keep a's."""
+    head, relation, tail = key
+    return Triple(f"{head}{variant}", relation, f"{tail}{variant}", head, tail)
+
+
+_TRIPLE_KEYS = st.tuples(_IDS, st.sampled_from("rs"), _IDS)
+_VARIANTS = st.sampled_from(["", "'", '"'])
+
+
+@st.composite
+def _expansions(draw):
+    variant = draw(_VARIANTS)
+    rows = []
+    for key in draw(st.lists(_TRIPLE_KEYS, max_size=5)):
+        triple = _triple(key, variant)
+        rows.append((key, triple, render_triple(triple)))
+    hits = tuple(
+        AttributeHit(eid, f"{eid}{variant}", key, variant)
+        for eid, key in draw(st.lists(st.tuples(_IDS, st.sampled_from(["name", "size"])),
+                                      max_size=2))
+    )
+    return Expansion(hits, tuple(rows), {}, {})
+
+
+_STATE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("file"), st.integers(0, 20), _expansions(), st.integers(1, 3)),
+        st.tuples(st.just("clone"), st.integers(0, 20)),
+        st.tuples(st.just("merge"), st.integers(0, 20), st.integers(0, 20)),
+        st.tuples(st.just("build"), st.lists(st.tuples(_TRIPLE_KEYS, _VARIANTS), max_size=4)),
+    ),
+    max_size=14,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_STATE_OPS)
+def test_stored_triple_lines_render_as_fresh_rendering_does(ops):
+    """Filing, cloning, merging and building states in any order: every
+    state's prompt renderings equal the ones that render each of its triples
+    afresh, so the lines stay in step with ``found_triples`` and no state
+    shares its line list with another."""
+    states = [ExplorationState()]
+    for op, *args in ops:
+        if op == "file":
+            index, found, depth = args
+            states[index % len(states)].file(found, depth)
+        elif op == "clone":
+            states.append(states[args[0] % len(states)].clone())
+        elif op == "merge":
+            a, b = (states[i % len(states)] for i in args)
+            states.append(ExplorationState.merge(a, b))
+        else:
+            states.append(
+                ExplorationState(found_triples={k: _triple(k, v) for k, v in args[0]})
+            )
+        for state in states:
+            assert state.rendered_triples() == reference_rendered_triples(state)
+            thought = ThoughtState(1, 1, "t", Evidence(["t0", "t"], exploration=state), (0,))
+            assert describe_chain(thought) == reference_describe_chain(thought)
+            assert describe_candidate(thought) == reference_describe_candidate(thought)
+
+
+class _Recording(ReplayBackend):
+    """A replay backend that keeps every prompt it was sent."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.prompts = []
+
+    def raw_complete(self, request):
+        self.prompts.append(request.prompt)
+        return super().raw_complete(request)
+
+
+def test_a_named_tail_prune_files_exactly_the_named_tails():
+    """A bracketed reply naming some tails, one name that is no tail among
+    them: the walk files exactly the named tails, in the graph's order, and
+    the stop check's prompt holds exactly their lines. A second state that
+    reaches the entity through the memo files the same triples and lines."""
+    graph = fan_graph(6)
+    tails = graph.nodes["390792"].out_edges["Anatomy-expresses-Gene"]
+    entries = [
+        ReplayEntry(TEMPLATE_MATCHERS["prune_relations"], "{{Anatomy-expresses-Gene}}"),
+        ReplayEntry(TEMPLATE_MATCHERS["prune_entities"], "{{tissue 4, not a tail, tissue 1}}"),
+        ReplayEntry(TEMPLATE_MATCHERS["search_end"], "[No] more"),
+    ]
+    memo = ExploreMemo()
+    named = edges(graph, "390792", "Anatomy-expresses-Gene", [tails[1], tails[4]])
+    lines = [render_triple(t) for t in named]
+    for repeat in (False, True):
+        backend, counters = _Recording(entries), CostCounters()
+        state = explore(krt39_question(), ["390792"], ExplorationState(), 1, graph, backend,
+                        counters, memo=memo)
+        assert list(state.found_triples.values()) == named
+        assert state.triple_lines == lines
+        assert set(state.seen_entities) == {"390792", tails[1], tails[4]}
+        end_prompt = backend.prompts[-1]
+        assert "\nKnowledge Triples: " + "\n".join(lines) + "\nEntity Attributes:" in end_prompt
+        if repeat:
+            assert len(backend.prompts) == 1
+            assert counters.memo_hits_by_tag == {"prune_relations": 1, "prune_entities": 1}
+        else:
+            assert counters.llm_calls_by_tag == {
+                "prune_relations": 1, "prune_entities": 1, "end_check": 1
+            }

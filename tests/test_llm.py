@@ -16,6 +16,8 @@ from graphreason.prompts import get_template
 from graphreason.llm import (
     FORMAT_REMINDER,
     MAX_TRANSPORT_RETRIES,
+    REPLY_BYTES_PER_TOKEN,
+    REPLY_ENVELOPE_BYTES,
     TOKEN_ENV_VAR,
     CompletionRequest,
     DecodingParams,
@@ -38,8 +40,10 @@ from graphreason.runner import RunConfig, run_experiment, score_run
 from graphreason.traces import load_trace
 
 
-def _request(prompt="hello world", tag="thought"):
-    return CompletionRequest(prompt=prompt, decoding=DecodingParams(), tag=tag)
+def _request(prompt="hello world", tag="thought", max_tokens=256):
+    return CompletionRequest(
+        prompt=prompt, decoding=DecodingParams(max_tokens=max_tokens), tag=tag
+    )
 
 
 class FlakyBackend:
@@ -235,7 +239,8 @@ class _StubHandler(BaseHTTPRequestHandler):
     status = 200
     statuses = []  # consumed, one per request, before ``status`` applies
     delay_s = 0.0
-    reply = "json"  # or "not-json", "deep", "long-int", "hang-up", "cut-body"
+    reply = "json"  # or "not-json", "deep", "long-int", "hang-up", "cut-body", "padded"
+    padding = 0  # bytes of whitespace a "padded" reply appends to its JSON
 
     def setup(self):
         type(self).connections += 1
@@ -256,6 +261,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             "deep": b"[" * 100000 + b"]" * 100000,
             # Past Python's 4,300-digit limit for int().
             "long-int": b'{"choices": ' + b"9" * 5000 + b"}",
+            "padded": json.dumps(stub.response_body).encode() + b" " * stub.padding,
         }.get(stub.reply) or json.dumps(stub.response_body).encode()
         self.send_response(stub.statuses.pop(0) if stub.statuses else stub.status)
         self.send_header("Content-Type", "application/json")
@@ -280,6 +286,7 @@ def stub_server():
     _StubHandler.statuses = []
     _StubHandler.delay_s = 0.0
     _StubHandler.reply = "json"
+    _StubHandler.padding = 0
     _StubHandler.response_body = {
         "choices": [{"message": {"content": "wire reply"}}]
     }
@@ -357,17 +364,45 @@ def test_wire_backend_non_json_body_is_transport_error(stub_server):
 )
 def test_a_wire_reply_that_cannot_be_decoded_costs_only_its_call(stub_server, reply, reason):
     """The body is malformed JSON, so the call is retried as a transport
-    failure, metered, and then answered by the call site's fallback."""
+    failure, metered, and then answered by the call site's fallback. The
+    request's budget admits the 200 KB nested body under the reply cap."""
     _StubHandler.reply = reply
     backend = WireBackend(endpoint=stub_server, model="m-1")
+    request = _request(max_tokens=4096)
     with pytest.raises(TransportError, match=f"not JSON: {reason}"):
-        backend.raw_complete(_request())
+        backend.raw_complete(request)
     counters = CostCounters()
-    answer = complete_with_reask(backend, _request(), counters, parse_yes_no, "fallback")
+    answer = complete_with_reask(backend, request, counters, parse_yes_no, "fallback")
     assert answer == "fallback"
     assert counters.llm_total() == 1
     assert counters.transport_retries == MAX_TRANSPORT_RETRIES
     assert len(_StubHandler.requests_seen) == 2 + MAX_TRANSPORT_RETRIES
+
+
+@pytest.mark.parametrize("max_tokens", [1, 256, 512])
+def test_a_wire_reply_body_is_capped_by_the_token_budget(stub_server, max_tokens):
+    """A body of up to 64 KiB plus 64 bytes per token is read; one byte more
+    is a transport failure, so it costs only its call: retried, metered, then
+    the call site's fallback."""
+    limit = REPLY_ENVELOPE_BYTES + REPLY_BYTES_PER_TOKEN * max_tokens
+    assert limit == 65536 + 64 * max_tokens
+    _StubHandler.reply = "padded"
+    _StubHandler.response_body = {"choices": [{"message": {"content": "[Yes]"}}]}
+    envelope = len(json.dumps(_StubHandler.response_body))
+    backend = WireBackend(endpoint=stub_server, model="m-1")
+    request = _request(max_tokens=max_tokens)
+    _StubHandler.padding = limit - envelope
+    assert backend.raw_complete(request) == "[Yes]"
+    _StubHandler.padding += 1
+    with pytest.raises(TransportError, match=f"over {limit} bytes"):
+        backend.raw_complete(request)
+    _StubHandler.requests_seen = []
+    counters = CostCounters()
+    answer = complete_with_reask(backend, request, counters, parse_yes_no, "fallback")
+    assert answer == "fallback"
+    assert counters.llm_total() == 1
+    assert counters.transport_retries == MAX_TRANSPORT_RETRIES
+    assert len(_StubHandler.requests_seen) == 1 + MAX_TRANSPORT_RETRIES
 
 
 def test_wire_backend_timeout_is_transport_error(stub_server):
