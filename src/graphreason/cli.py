@@ -9,7 +9,6 @@ error, before anything is written, and exit nonzero.
 
 from __future__ import annotations
 
-import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -30,8 +29,7 @@ from .runner import (
     score_run,
 )
 from .strategies import VALID_EVALUATORS, VALID_INTERACTIONS, VALID_STRATEGIES
-from .textops import decode_json
-from .traces import validate_trace
+from .traces import TraceLoadError, read_document, validate_trace
 
 
 @click.group()
@@ -115,18 +113,12 @@ def validate_command(paths: tuple[str, ...]) -> None:
     failed = False
     for path in paths:
         try:
-            data = decode_json(Path(path).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            click.echo(f"{path}: unreadable ({exc})")
-            failed = True
-            continue
-        violations = validate_trace(data)
-        if violations:
-            failed = True
-            for violation in violations:
-                click.echo(f"{path}: {violation}")
-        else:
-            click.echo(f"{path}: ok")
+            violations = validate_trace(read_document(path))
+        except TraceLoadError as exc:
+            violations = [f"unreadable ({exc})"]
+        failed = failed or bool(violations)
+        for violation in violations or ["ok"]:
+            click.echo(f"{path}: {violation}")
     if failed:
         sys.exit(1)
 

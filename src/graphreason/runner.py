@@ -47,7 +47,6 @@ from .traces import (
     TraceRecord,
     build_trace,
     load_trace,
-    outcome_violations,
     write_trace,
 )
 
@@ -357,12 +356,13 @@ def score_run(traces_dir: str | Path, questions_path: str | Path, out_dir: str |
 
     Deterministic scores are recomputed; judge verdicts and error classes
     are echoed from the traces (re-judging would need a backend). A trace
-    that does not load, holds another question's run, has a config that is
-    not an object or differs from the first trace's, or breaks an outcome
-    rule, raises ``ConfigError`` naming its file, and so does an output
-    path that cannot be a directory, before anything is read.
+    ``load_trace`` refuses, or whose qid or config is not its question's or
+    the first trace's, raises ``ConfigError`` naming its file, as do a
+    missing question file and an unusable output path; nothing is written.
     """
     _check_out_dir(out_dir)
+    if not Path(questions_path).is_file():
+        raise ConfigError(f"question file not found: {questions_path}")
     questions = load_questions(questions_path)
     traces_dir = Path(traces_dir)
     results: list[EvalResult] = []
@@ -377,19 +377,14 @@ def score_run(traces_dir: str | Path, questions_path: str | Path, out_dir: str |
                 raise ValueError(
                     f"it holds question {clip(repr(trace.qid))}, not {question.qid!r}"
                 )
-            if not isinstance(trace.config, dict):
-                raise ValueError("its config is not an object")
             if results and trace.config != config_echo:
                 first = traces_dir / f"{questions[0].qid}.trace"
                 raise ValueError(f"its config differs from that of {first}")
-            if violations := outcome_violations(vars(trace)):
-                raise ValueError(violations[0])
-            result = _outcome(question, trace)
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"cannot score trace {path}: {exc}") from exc
         if not results:
             config_echo = trace.config
-        results.append(result)
+        results.append(_outcome(question, trace))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return _write_tables(out, questions, results, config_echo)

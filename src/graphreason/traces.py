@@ -9,8 +9,8 @@ agent steps and seen entities its parent lacks. The root holds no evidence,
 and a merged state's is exactly its parents' union, so neither writes a row.
 A state's whole evidence is thus its parents' evidence joined by the union
 rules of :meth:`ExplorationState.merge` and :meth:`Scratchpad.merge`, plus
-its own rows. The validator re-checks the structural invariants on the raw
-dict, so hand-edited or truncated artifacts are caught.
+its own rows. ``load_trace`` reads back a trace that keeps the record rules;
+the validator checks those and the states on the raw dict, so tampering shows.
 """
 
 from __future__ import annotations
@@ -316,24 +316,25 @@ def write_trace(trace: TraceRecord, path: str | Path) -> None:
         raise
 
 
+class TraceLoadError(ValueError):
+    """A stored trace cannot be read as a record; the text says why."""
+
+
+def read_document(path: str | Path) -> object:
+    """A trace file's JSON value; ``TraceLoadError`` says why it cannot be read or decoded."""
+    try:
+        return decode_json(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise TraceLoadError(str(exc)) from exc
+
+
 def load_trace(path: str | Path) -> TraceRecord:
-    data = decode_json(Path(path).read_text(encoding="utf-8"))
-    return trace_from_dict(data)
-
-
-def trace_from_dict(data: dict) -> TraceRecord:
-    return TraceRecord(
-        qid=data["qid"],
-        question=data["question"],
-        config=data["config"],
-        states=data["states"],
-        frontier=data["frontier"],
-        answer=data["answer"],
-        termination=data["termination"],
-        counters=data["counters"],
-        eval=data.get("eval", {}),
-        schema=data.get("schema", ""),
-    )
+    """The record a trace file holds. ``TraceLoadError`` says why the file cannot
+    be read, or else names the first record rule it breaks; no state is walked."""
+    data = read_document(path)
+    if violations := record_violations(data):
+        raise TraceLoadError(violations[0])
+    return TraceRecord(**{name: data[name] for name in _TRACE_FIELDS if name in data})
 
 
 _JSON_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
@@ -450,29 +451,40 @@ def outcome_violations(data: dict) -> list[str]:
     return violations
 
 
+def record_violations(data: object) -> list[str]:
+    """Violations of the rules a trace keeps to be read as a ``TraceRecord``:
+    its top-level fields' presence and types, then the outcome rules."""
+    if not isinstance(data, dict):
+        return [f"a trace must be an object, got {_json_type(data)}"]
+    violations: list[str] = []
+    bad = violations.append
+    schema = data.get("schema")
+    if schema not in (TRACE_SCHEMA, TRACE_SCHEMA_V2):
+        bad(f"schema is {_shown(schema)}, expected {TRACE_SCHEMA!r} or {TRACE_SCHEMA_V2!r}")
+    if not isinstance(data.get("states"), list) or not data["states"]:
+        bad("states must be a nonempty list")
+    # A missing schema, states or termination breaks a rule of its own.
+    required = ("qid", "question", "config", "frontier", "answer", "counters")
+    violations += [f"{key} is missing" for key in required if key not in data]
+    for key, kind in (("qid", str), ("question", dict), ("config", dict), ("frontier", list)):
+        _typed(data, key, kind, bad)
+    return violations + outcome_violations(data)
+
+
 def validate_trace(data: object) -> list[str]:
-    """Check a raw trace against the structural invariants.
+    """Check a raw trace against the record rules, then the structural invariants.
 
     Takes any JSON value: a hand-edited trace whose fields have the wrong
     JSON type is reported, never raised on. Returns human-readable violation
     strings; an empty list means the trace is well-formed.
     """
-    violations: list[str] = []
+    violations = record_violations(data)
     bad = violations.append
-
-    if not isinstance(data, dict):
-        bad(f"a trace must be an object, got {_json_type(data)}")
-        return violations
-    schema = data.get("schema")
-    if schema not in (TRACE_SCHEMA, TRACE_SCHEMA_V2):
-        bad(f"schema is {_shown(schema)}, expected {TRACE_SCHEMA!r} or {TRACE_SCHEMA_V2!r}")
-    cumulative = schema == TRACE_SCHEMA_V2
-    states = data.get("states")
+    states = data.get("states") if isinstance(data, dict) else None
     if not isinstance(states, list) or not states:
-        bad("states must be a nonempty list")
         return violations
-
-    strategy = _typed(data, "config", dict, bad).get("strategy")
+    cumulative = data.get("schema") == TRACE_SCHEMA_V2
+    strategy = (data["config"] if isinstance(data.get("config"), dict) else {}).get("strategy")
     by_id: dict[int, dict] = {}
     previous_id = -1
     for position, state in enumerate(states):
@@ -552,7 +564,7 @@ def validate_trace(data: object) -> list[str]:
             if len(depths) != 1 or state["depth"] not in depths:
                 bad(f"{where}merged state must share its parents' depth")
 
-    frontier = _typed(data, "frontier", list, bad)
+    frontier = data["frontier"] if isinstance(data.get("frontier"), list) else []
     if not all(type(sid) is int for sid in frontier):
         bad(f"frontier {_shown(frontier)} does not list state ids")
         frontier = []
@@ -570,4 +582,4 @@ def validate_trace(data: object) -> list[str]:
     if list(frontier) != sorted(frontier):
         bad("frontier ids are not in ascending order")
 
-    return violations + outcome_violations(data)
+    return violations

@@ -668,12 +668,75 @@ def test_score_names_a_trace_that_cannot_be_decoded(runner, workspace, text, rea
     assert not (root / "bad").exists()
 
 
+@pytest.mark.parametrize("missing", ["file", "directory"])
+def test_score_names_a_question_file_that_is_not_a_file(runner, workspace, missing):
+    root = workspace["root"]
+    assert runner.invoke(main, run_args(workspace, root / "out")).exit_code == 0
+    questions = root / "missing.lines"
+    if missing == "directory":
+        questions.mkdir()
+    ws = {**workspace, "questions": str(questions)}
+    result = runner.invoke(main, score_args(ws, root / "out" / "traces", root / "rescore"))
+    assert_one_line_error(result, f"Error: question file not found: {questions}\n")
+    assert not (root / "rescore").exists()
+
+
+def test_validate_trace_and_score_report_an_unreadable_trace(runner, workspace, monkeypatch):
+    root = workspace["root"]
+    assert runner.invoke(main, run_args(workspace, root / "out")).exit_code == 0
+    trace = root / "out" / "traces" / "q1.trace"
+    read_text = Path.read_text
+
+    def refuse_traces(path, *args, **kwargs):
+        if path.suffix == ".trace":
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refuse_traces)
+    reason = f"[Errno 13] Permission denied: {str(trace)!r}"
+    checked = runner.invoke(main, ["validate-trace", str(trace)])
+    assert checked.exit_code == 1
+    assert checked.output == f"{trace}: unreadable ({reason})\n"
+    scored = runner.invoke(main, score_args(workspace, trace.parent, root / "bad"))
+    assert_one_line_error(scored, f"Error: cannot score trace {trace}: {reason}\n")
+    assert not (root / "bad").exists()
+
+
+@pytest.mark.parametrize("document", [None, [], "trace"])
+def test_validate_trace_and_score_refuse_a_trace_that_is_not_an_object(
+    runner, workspace, document
+):
+    root = workspace["root"]
+    assert runner.invoke(main, run_args(workspace, root / "out")).exit_code == 0
+    trace = root / "out" / "traces" / "q2.trace"
+    trace.write_text(json.dumps(document), encoding="utf-8")
+    violation = validate_trace(document)[0]
+    assert violation.startswith("a trace must be an object, got ")
+
+    checked = runner.invoke(main, ["validate-trace", str(trace)])
+    assert checked.exit_code == 1
+    assert checked.output == f"{trace}: {violation}\n"
+    scored = runner.invoke(main, score_args(workspace, trace.parent, root / "bad"))
+    assert_one_line_error(scored, f"Error: cannot score trace {trace}: {violation}\n")
+    assert not (root / "bad").exists()
+
+
 def first_count_key(data, group):
     return next(iter(data["counters"][group]))
 
 
-# Each edit breaks one outcome rule of a finished trace, and the rule's text.
+# Each edit breaks one record rule of a finished trace, and the rule's text.
 TAMPERINGS = {
+    "qid-deleted": (lambda data: data.pop("qid"), lambda data: "qid is missing"),
+    "config-deleted": (lambda data: data.pop("config"), lambda data: "config is missing"),
+    "counters-deleted": (lambda data: data.pop("counters"), lambda data: "counters is missing"),
+    "numeric-qid": (
+        lambda data: data.update(qid=2), lambda data: "qid must be a string, got a number"
+    ),
+    "question-as-a-string": (
+        lambda data: data.update(question="q2"),
+        lambda data: "question must be an object, got a string",
+    ),
     "bogus-termination": (
         lambda data: data.update(termination="bogus"),
         lambda data: "unknown termination 'bogus'",
@@ -712,8 +775,8 @@ TAMPERINGS = {
 
 
 @pytest.mark.parametrize("case", sorted(TAMPERINGS))
-def test_validate_trace_and_score_refuse_a_tampered_outcome_alike(runner, workspace, case):
-    """``score`` applies ``validate-trace``'s outcome rules, and names the
+def test_validate_trace_and_score_refuse_a_tampered_trace_alike(runner, workspace, case):
+    """``score`` applies ``validate-trace``'s record rules, and names the
     first rule broken as ``validate-trace`` does."""
     tamper, rule = TAMPERINGS[case]
     root = workspace["root"]

@@ -208,9 +208,6 @@ def test_score_names_a_trace_whose_error_class_is_unknown(inputs, tmp_path):
     assert not (tmp_path / "rescore").exists()
 
 
-NOT_AN_OBJECT = "its config is not an object"
-
-
 def with_config(config):
     return lambda data, other: {**data, "config": config}
 
@@ -223,9 +220,13 @@ def with_config(config):
             f"it holds question 'q{TARGETS[1]}', not 'q{TARGETS[0]}'",
             id="swapped-qid",
         ),
-        pytest.param(with_config(None), NOT_AN_OBJECT, id="config-null"),
-        pytest.param(with_config(["a"]), NOT_AN_OBJECT, id="config-list"),
-        pytest.param(with_config("x"), NOT_AN_OBJECT, id="config-string"),
+        pytest.param(with_config(None), "config must be an object, got null", id="config-null"),
+        pytest.param(
+            with_config(["a"]), "config must be an object, got a list", id="config-list"
+        ),
+        pytest.param(
+            with_config("x"), "config must be an object, got a string", id="config-string"
+        ),
     ],
 )
 def test_score_names_a_trace_that_is_not_its_questions_run(inputs, tmp_path, damage, message):

@@ -3,11 +3,12 @@
 import copy
 import json
 import os
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -21,6 +22,7 @@ from helpers import (
     permissive_entries,
     rebuild_evidence,
     synthetic_question,
+    write_question_file,
     write_replay_script,
 )
 from graphreason import explore, kg
@@ -30,7 +32,7 @@ from graphreason.evaluation import classify_error, load_questions, rouge_l
 from graphreason.explore import ExplorationState, render_attribute
 from graphreason.kg import generate_synthetic_graph, save_graph
 from graphreason.llm import ReplayBackend, ReplayEntry, TransportError
-from graphreason.runner import RunConfig, _outcome, run_experiment, score_run
+from graphreason.runner import ConfigError, RunConfig, _outcome, run_experiment, score_run
 from graphreason.strategies import (
     Evidence,
     SearchConfig,
@@ -40,11 +42,11 @@ from graphreason.strategies import (
 )
 from graphreason.traces import (
     TRACE_SCHEMA,
+    TraceLoadError,
     TraceRecord,
     build_trace,
     load_trace,
     serialize_trace,
-    trace_from_dict,
     validate_trace,
     write_trace,
 )
@@ -179,11 +181,17 @@ def test_write_leaves_no_partial_trace_when_the_rename_fails(tmp_path, got_trace
     assert list(tmp_path.iterdir()) == []
 
 
-def test_trace_from_dict_fills_optional_blocks():
+def test_load_trace_fills_optional_blocks(tmp_path):
+    """A trace with no answer needs no eval block, and loads with an empty one."""
     data = minimal_trace_dict()
+    data.update(answer=None, termination="step_limit")
+    data["states"][1].update(status="active")
+    data["states"][1]["evidence"]["answer"] = None
     del data["eval"]
-    record = trace_from_dict(data)
-    assert record.eval == {}
+    assert validate_trace(data) == []
+    path = tmp_path / "q1.trace"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert load_trace(path).eval == {}
 
 
 def test_built_trace_lists_states_by_ascending_id(got_trace):
@@ -296,7 +304,8 @@ def golden_traces():
 
 def test_the_writer_writes_what_json_dumps_writes_for_real_traces(got_trace, real_traces):
     v2 = load_trace(DATA / "got_explore_v2.trace")
-    traces = [got_trace, v2, *golden_traces(), *map(trace_from_dict, real_traces.values())]
+    loaded = [TraceRecord(**data) for data in real_traces.values()]
+    traces = [got_trace, v2, *golden_traces(), *loaded]
     assert any(state["evidence"]["triples"] for trace in traces for state in trace.states)
     for trace in traces:
         assert serialize_trace(trace) == canonical(trace.as_dict())
@@ -326,7 +335,7 @@ def test_build_trace_shares_one_row_per_triple_among_states():
 
 
 def test_evidence_strings_flatten_and_dedupe():
-    record = trace_from_dict(minimal_trace_dict())
+    record = TraceRecord(**minimal_trace_dict())
     record.states[0]["evidence"] = {
         "triples": [
             {
@@ -475,7 +484,7 @@ def test_delta_rows_give_the_judge_the_cumulative_evidence(name):
     data = build_trace(synthetic_question(), {"strategy": "got"}, result).as_dict()
     reference = cumulative_evidence_strings(result)
     assert reference
-    assert trace_from_dict(data).evidence_strings() == reference
+    assert TraceRecord(**data).evidence_strings() == reference
     assert_writes_deltas(data, result)
 
 
@@ -1020,3 +1029,46 @@ def test_validator_returns_a_list_for_any_field_replaced(data, value):
     holder, key = data.draw(st.sampled_from(holders))
     holder[key] = value
     assert isinstance(validate_trace(document), list)
+
+
+# ------------------------------------------------------------ the reader
+
+DELETE = object()
+CONTRACT_SOURCES = ("minimal", "v3-explore", "v2-explore")
+
+
+@pytest.mark.parametrize("source", CONTRACT_SOURCES)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), value=st.just(DELETE) | _json_values)
+def test_load_trace_reads_what_validate_trace_passes(real_traces, source, data, value):
+    """One top-level key of a trace deleted or set to any JSON value: a trace
+    that validates loads and scores, and a trace ``load_trace`` refuses is
+    refused for the first violation ``validate_trace`` lists."""
+    document = copy.deepcopy(minimal_trace_dict() if source == "minimal" else real_traces[source])
+    key = data.draw(st.sampled_from(sorted(document)))
+    # Another question's run is refused by score's cross-trace rule alone.
+    assume(not (key == "qid" and isinstance(value, str)))
+    if value is DELETE:
+        del document[key]
+    else:
+        document[key] = value
+    violations = validate_trace(document)
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        (root / "traces").mkdir()
+        path = root / "traces" / "q1.trace"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        questions = write_question_file(root / "q.lines", [synthetic_question()])
+        try:
+            record = load_trace(path)
+        except TraceLoadError as exc:
+            assert violations and str(exc) == violations[0], (str(exc), violations)
+            with pytest.raises(ConfigError) as refused:
+                score_run(root / "traces", questions, root / "rescore")
+            assert str(refused.value) == f"cannot score trace {path}: {violations[0]}"
+            return
+        assert record.qid == "q1"
+        if not violations:
+            score_run(root / "traces", questions, root / "rescore")
+            assert (root / "rescore" / "results.lines").is_file()
+            assert (root / "rescore" / "report.table").is_file()
