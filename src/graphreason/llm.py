@@ -16,15 +16,19 @@ substring of the prompt) or scanned statelessly for the first match.
 
 from __future__ import annotations
 
+import base64
 import functools
 import http.client
 import json
 import logging
 import os
 import re
+import socket
+import ssl
 import threading
-import urllib.error
+import urllib.parse
 import urllib.request
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Protocol, TypeVar
@@ -56,7 +60,17 @@ F = TypeVar("F")
 
 
 class TransportError(Exception):
-    """The backend could not produce a completion (network, HTTP, shape)."""
+    """The backend could not produce a completion (network, HTTP, shape).
+
+    ``retriable`` says whether sending the same request again may succeed.
+    Connection errors, timeouts, bodies that cannot be read and the HTTP
+    statuses 408, 429 and 5xx are; any other status is not, so
+    :func:`complete` sends that request once.
+    """
+
+    def __init__(self, message: str, *, retriable: bool = True) -> None:
+        super().__init__(message)
+        self.retriable = retriable
 
 
 class ReplayMismatchError(Exception):
@@ -193,40 +207,103 @@ class ReplayBackend:
         return len(self.entries) - self._cursor
 
 
+#: Set on a wire connection's socket after each request is sent, where the
+#: platform has it (Linux), so the reply is acknowledged at once.
+_TCP_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
+
+
+class _Route(NamedTuple):
+    """How a backend reaches its endpoint: a factory for a new connection,
+    the request target, and the headers every request adds for a proxy."""
+
+    connect: Callable[[], http.client.HTTPConnection]
+    target: str
+    headers: dict[str, str]
+
+
 @dataclass
 class WireBackend:
-    """Chat-completions endpoint client.
+    """Chat-completions endpoint client, on the standard library alone.
 
     Auth token comes from the environment (never a flag, never logged).
-    ``max_in_flight`` caps concurrent outbound requests. Standard library
-    only: each call is one ``urllib`` request on a fresh connection.
+    ``max_in_flight`` caps concurrent outbound requests. The backend keeps
+    one pool of idle keep-alive ``http.client`` connections, shared by every
+    thread that calls it; since a connection is taken and given back inside
+    the ``max_in_flight`` gate, it never holds more than that many.
+    :meth:`close` closes the idle ones.
     """
 
     endpoint: str
     model: str
     timeout_s: float = 60.0
-    max_in_flight: int = 4
+    max_in_flight: int = 16
     _gate: threading.Semaphore = field(init=False, repr=False)
+    _idle: list[http.client.HTTPConnection] = field(init=False, repr=False)
+    _idle_lock: threading.Lock = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         self._gate = threading.Semaphore(self.max_in_flight)
+        self._idle = []
+        self._idle_lock = threading.Lock()
+        # A backend dropped without close() still closes its idle sockets.
+        weakref.finalize(self, _close_all, self._idle)
 
     @functools.cached_property
-    def _opener(self) -> urllib.request.OpenerDirector:
-        """The backend's one opener, built at its first call.
+    def _route(self) -> _Route:
+        """The backend's route, worked out at its first call.
 
-        Its default ProxyHandler takes HTTP(S)_PROXY from the environment
-        then; NO_PROXY is checked against the endpoint's host at each call.
-        Building scans the environment and registers ten handlers, ~0.8 ms,
-        which at construction would add a third to a wire run's set-up time.
-        Threads that race on the first call build equal openers and keep one.
+        ``urllib.request.getproxies`` reads HTTP(S)_PROXY and NO_PROXY from
+        the environment then, as urllib's ProxyHandler would: a plain-HTTP
+        endpoint is sent through an HTTP proxy in absolute form, an HTTPS one
+        through a CONNECT tunnel, and credentials in the proxy URL become a
+        Basic ``Proxy-Authorization``. HTTPS is verified against
+        ``ssl.create_default_context()``. It is not done at construction:
+        building urllib's opener there once cost a wire run 29% more
+        set-up time. Threads that race on the first call work out equal
+        routes and keep one.
         """
-        return urllib.request.build_opener()
+        parts = urllib.parse.urlsplit(self.endpoint)
+        address = parts.netloc.rpartition("@")[2]
+        target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        headers: dict[str, str] = {}
+        tunnel_headers: dict[str, str] = {}
+        tunnel = None
+        scheme = parts.scheme
+        proxy = urllib.request.getproxies().get(scheme)
+        if proxy and not urllib.request.proxy_bypass(address):
+            proxy_parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"{scheme}://{proxy}")
+            if proxy_parts.username and proxy_parts.password:
+                user = urllib.parse.unquote(proxy_parts.username)
+                password = urllib.parse.unquote(proxy_parts.password)
+                credentials = base64.b64encode(f"{user}:{password}".encode()).decode("ascii")
+                auth = {"Proxy-Authorization": f"Basic {credentials}"}
+            else:
+                auth = {}
+            if scheme == "https":
+                tunnel, tunnel_headers = address, auth
+            else:
+                scheme, target, headers = proxy_parts.scheme, self.endpoint, auth
+            address = urllib.parse.unquote(proxy_parts.netloc.rpartition("@")[2])
+        if scheme == "https":
+            context = ssl.create_default_context()
+
+            def connect() -> http.client.HTTPConnection:
+                connection = http.client.HTTPSConnection(
+                    address, timeout=self.timeout_s, context=context
+                )
+                if tunnel is not None:
+                    connection.set_tunnel(tunnel, headers=tunnel_headers)
+                return connection
+
+        else:
+            connect = functools.partial(http.client.HTTPConnection, address, timeout=self.timeout_s)
+        return _Route(connect, target, headers)
 
     def raw_complete(self, request: CompletionRequest) -> str:
-        headers = {"Content-Type": "application/json"}
+        route = self._route
+        headers = {"Content-Type": "application/json", **route.headers}
         token = os.environ.get(TOKEN_ENV_VAR)
         if token:
             headers["Authorization"] = f"Bearer {token}"
@@ -239,25 +316,12 @@ class WireBackend:
         if request.decoding.stop:
             payload["stop"] = list(request.decoding.stop)
         data = json.dumps(payload).encode("utf-8")
-        http_request = urllib.request.Request(self.endpoint, data, headers)
         limit = REPLY_ENVELOPE_BYTES + REPLY_BYTES_PER_TOKEN * request.decoding.max_tokens
         with self._gate:
-            # One fresh connection per call (urllib sends Connection: close).
-            # Against bench/stub_server.py (10 ms delay, 4 calls in flight) a
-            # reused keep-alive connection took a 52.0 ms median call against
-            # 11.3 ms fresh, and client TCP_NODELAY did not change that; the
-            # stall left when the stub sent headers and body in one write.
-            try:
-                with self._opener.open(http_request, timeout=self.timeout_s) as response:
-                    raw = response.read(limit + 1)
-                    if len(raw) <= limit:
-                        # Nothing is left of a whole body; a body cut short
-                        # of its Content-Length raises IncompleteRead here.
-                        response.read()
-            except (OSError, http.client.HTTPException) as exc:
-                if isinstance(exc, urllib.error.HTTPError):
-                    exc.close()
-                raise TransportError(f"wire request failed: {exc}") from exc
+            status, raw = self._post(route, data, headers, limit)
+        if not 200 <= status <= 299:
+            retriable = status in (408, 429) or 500 <= status <= 599
+            raise TransportError(f"wire request failed: HTTP {status}", retriable=retriable)
         if len(raw) > limit:
             raise TransportError(f"wire response body is over {limit} bytes")
         try:
@@ -272,19 +336,90 @@ class WireBackend:
             raise TransportError("wire response content is not a string")
         return content
 
+    def _post(
+        self, route: _Route, data: bytes, headers: dict[str, str], limit: int
+    ) -> tuple[int, bytes]:
+        """POST on an idle connection, or a new one; return the status and
+        at most ``limit + 1`` bytes of the body.
+
+        A reused connection that fails before any reply byte was most likely
+        closed by the server while idle, so the call is sent once more on a
+        new connection. That is logged, not metered: a trace must not depend
+        on the server's idle timing.
+        """
+        with self._idle_lock:
+            connection = self._idle.pop() if self._idle else None
+        reused = connection is not None
+        try:
+            try:
+                if connection is None:
+                    connection = route.connect()
+                response = _send(connection, route.target, data, headers)
+            except ConnectionError as exc:
+                if not reused:
+                    raise
+                logger.debug("reused wire connection failed (%s); reconnecting", exc)
+                connection.close()
+                connection = route.connect()
+                response = _send(connection, route.target, data, headers)
+            raw = response.read(limit + 1)
+            if len(raw) <= limit:
+                # Nothing is left of a whole body; a body cut short of its
+                # Content-Length raises IncompleteRead here.
+                response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            if connection is not None:
+                connection.close()
+            raise TransportError(f"wire request failed: {exc}") from exc
+        if response.isclosed() and not response.will_close:
+            with self._idle_lock:
+                self._idle.append(connection)
+        else:
+            connection.close()
+        return response.status, raw
+
+    def close(self) -> None:
+        """Close the idle connections; a later call opens new ones."""
+        with self._idle_lock:
+            idle = self._idle[:]
+            self._idle.clear()
+        _close_all(idle)
+
+
+def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+    for connection in connections:
+        connection.close()
+
+
+def _send(
+    connection: http.client.HTTPConnection, target: str, data: bytes, headers: dict[str, str]
+) -> http.client.HTTPResponse:
+    connection.request("POST", target, data, headers)
+    if _TCP_QUICKACK is not None:
+        # A server that writes a reply's headers and body separately (as
+        # bench/stub_server.py does) holds the body back under Nagle until
+        # the headers are acknowledged. On a reused connection the client
+        # delays that ACK, about 40 ms, so a call took a 52.0 ms median
+        # against 11.2 ms fresh; acknowledging at once made it 10.7 ms.
+        connection.sock.setsockopt(socket.IPPROTO_TCP, _TCP_QUICKACK, 1)
+    return connection.getresponse()
+
 
 def complete(backend: Backend, request: CompletionRequest, counters: CostCounters) -> str:
     """Run one completion with transport retries; meter exactly one call.
 
     The call meter ticks once per request under ``request.tag`` no matter
     how many transport attempts were needed or whether they all failed;
-    retries are counted separately. The last attempt's error propagates.
+    retries are counted separately. Only a retriable ``TransportError`` is
+    retried, at once, with no backoff; the last attempt's error propagates.
     """
     counters.record_llm_call(request.tag)
     for attempt in range(1, 1 + MAX_TRANSPORT_RETRIES):
         try:
             return backend.raw_complete(request)
-        except TransportError:
+        except TransportError as exc:
+            if not exc.retriable:
+                raise
             counters.record_transport_retry()
             logger.debug("transport retry %d for tag %s", attempt, request.tag)
     return backend.raw_complete(request)

@@ -47,6 +47,7 @@ from .traces import (
     TraceRecord,
     build_trace,
     load_trace,
+    question_block,
     write_trace,
 )
 
@@ -338,7 +339,11 @@ def _run_loaded(
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
 
-    results = [_run_single(q, config, graph, backend, traces_dir) for q in questions]
+    try:
+        results = [_run_single(q, config, graph, backend, traces_dir) for q in questions]
+    finally:
+        if isinstance(backend, WireBackend):
+            backend.close()
     report = _write_tables(out_dir, questions, results, config.echo())
     logger.info("wrote %d traces to %s", len(results), out_dir)
     return report
@@ -356,9 +361,10 @@ def score_run(traces_dir: str | Path, questions_path: str | Path, out_dir: str |
 
     Deterministic scores are recomputed; judge verdicts and error classes
     are echoed from the traces (re-judging would need a backend). A trace
-    ``load_trace`` refuses, or whose qid or config is not its question's or
-    the first trace's, raises ``ConfigError`` naming its file, as do a
-    missing question file and an unusable output path; nothing is written.
+    ``load_trace`` refuses, whose qid or question block (text, gold answer,
+    difficulty, domain) is not its question's, or whose config is not the
+    first trace's, raises ``ConfigError`` naming its file, as do a missing
+    question file and an unusable output path; nothing is written.
     """
     _check_out_dir(out_dir)
     if not Path(questions_path).is_file():
@@ -377,6 +383,12 @@ def score_run(traces_dir: str | Path, questions_path: str | Path, out_dir: str |
                 raise ValueError(
                     f"it holds question {clip(repr(trace.qid))}, not {question.qid!r}"
                 )
+            for key, asked in question_block(question).items():
+                if trace.question.get(key) != asked:
+                    raise ValueError(
+                        f"its question {key} is {clip(repr(trace.question.get(key)))}, "
+                        f"not the question file's {clip(repr(asked))}"
+                    )
             if results and trace.config != config_echo:
                 first = traces_dir / f"{questions[0].qid}.trace"
                 raise ValueError(f"its config differs from that of {first}")
@@ -422,7 +434,7 @@ def run_sweep(base: RunConfig, axis: str, values: list[str]) -> None:
         configs.append((value, sub))
 
     # No sweep axis changes the graph or the questions, so they are loaded
-    # once; each value still gets its own backend.
+    # once; each value still gets its own backend, closed when its run ends.
     with _frozen_set_up(base.kg_path, base.questions_path) as (graph, questions):
         reports = [(value, _run_loaded(sub, graph, questions)) for value, sub in configs]
     rows: list[tuple[str, str, str, str]] = []

@@ -178,6 +178,16 @@ class TraceRecord:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def question_block(question: Question) -> dict:
+    """What a trace records of its question, beside the qid."""
+    return {
+        "text": question.text,
+        "gold_answer": question.gold_answer,
+        "difficulty": question.difficulty,
+        "domain": question.domain,
+    }
+
+
 def build_trace(
     question: Question,
     config: dict,
@@ -200,12 +210,7 @@ def build_trace(
     ]
     return TraceRecord(
         qid=question.qid,
-        question={
-            "text": question.text,
-            "gold_answer": question.gold_answer,
-            "difficulty": question.difficulty,
-            "domain": question.domain,
-        },
+        question=question_block(question),
         config=dict(config),
         states=states,
         frontier=list(result.frontier),

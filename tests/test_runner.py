@@ -271,6 +271,40 @@ def test_score_names_a_trace_from_another_run(tmp_path):
     assert not (tmp_path / "rescore").exists()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("text", "Something else entirely?"),
+        ("gold_answer", "gamma 9"),
+        ("difficulty", "hard"),
+        ("domain", "other"),
+    ],
+)
+def test_score_names_a_trace_of_another_question_under_the_same_qid(
+    inputs, tmp_path, field, value
+):
+    """The question file now holds a different question under a traced qid:
+    scoring it would grade the old run against the new gold answer and echo
+    the old run's judge verdict, so the trace is refused."""
+    out = tmp_path / "out"
+    run_experiment(RunConfig(out_dir=str(out), **inputs))
+    questions = [json.loads(line) for line in Path(inputs["questions_path"]).read_text().splitlines()]
+    key = {"text": "question", "gold_answer": "answer"}.get(field, field)
+    qid = questions[1]["qid"]
+    was = questions[1].get(key, "synthetic")
+    questions[1][key] = value
+    changed = tmp_path / "changed.lines"
+    changed.write_text("".join(json.dumps(q) + "\n" for q in questions), encoding="utf-8")
+    path = out / "traces" / f"{qid}.trace"
+    expected = re.escape(
+        f"cannot score trace {path}: its question {field} is {was!r}, "
+        f"not the question file's {value!r}"
+    )
+    with pytest.raises(runner.ConfigError, match=expected):
+        score_run(out / "traces", changed, tmp_path / "rescore")
+    assert not (tmp_path / "rescore").exists()
+
+
 @pytest.fixture(scope="module")
 def judged_run(tmp_path_factory):
     """A cot/agent run of one question with the model judge on; its trace
