@@ -157,9 +157,12 @@ class KnowledgeGraph:
         )
 
 
-@dataclass(frozen=True)
-class Triple:
-    """One directed fact: (head, relation, tail) with both ids and names."""
+class Triple(NamedTuple):
+    """One directed fact: (head, relation, tail) with both ids and names.
+
+    A named tuple, like ``NodeRecord``: an explore search builds one per
+    kept tail of every walk.
+    """
 
     head_name: str
     relation: str

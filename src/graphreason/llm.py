@@ -64,8 +64,9 @@ class TransportError(Exception):
 
     ``retriable`` says whether sending the same request again may succeed.
     Connection errors, timeouts, bodies that cannot be read and the HTTP
-    statuses 408, 429 and 5xx are; any other status is not, so
-    :func:`complete` sends that request once.
+    statuses 408, 429 and 5xx are; any other status is not, nor is a body
+    that times out after a status that is not, so :func:`complete` sends
+    that request once.
     """
 
     def __init__(self, message: str, *, retriable: bool = True) -> None:
@@ -320,8 +321,9 @@ class WireBackend:
         with self._gate:
             status, raw = self._post(route, data, headers, limit)
         if not 200 <= status <= 299:
-            retriable = status in (408, 429) or 500 <= status <= 599
-            raise TransportError(f"wire request failed: HTTP {status}", retriable=retriable)
+            raise TransportError(
+                f"wire request failed: HTTP {status}", retriable=_retriable_status(status)
+            )
         if len(raw) > limit:
             raise TransportError(f"wire response body is over {limit} bytes")
         try:
@@ -346,10 +348,17 @@ class WireBackend:
         closed by the server while idle, so the call is sent once more on a
         new connection. That is logged, not metered: a trace must not depend
         on the server's idle timing.
+
+        A body that times out after its headers came is retriable only if
+        its status is. A server that sent a success short of its
+        Content-Length and kept the connection open stalls every resend the
+        same way, so retrying would cost ``timeout_s`` per attempt instead
+        of once per call.
         """
         with self._idle_lock:
             connection = self._idle.pop() if self._idle else None
         reused = connection is not None
+        response = None
         try:
             try:
                 if connection is None:
@@ -370,7 +379,12 @@ class WireBackend:
         except (OSError, http.client.HTTPException) as exc:
             if connection is not None:
                 connection.close()
-            raise TransportError(f"wire request failed: {exc}") from exc
+            stalled = (
+                response is not None
+                and isinstance(exc, TimeoutError)
+                and not _retriable_status(response.status)
+            )
+            raise TransportError(f"wire request failed: {exc}", retriable=not stalled) from exc
         if response.isclosed() and not response.will_close:
             with self._idle_lock:
                 self._idle.append(connection)
@@ -384,6 +398,10 @@ class WireBackend:
             idle = self._idle[:]
             self._idle.clear()
         _close_all(idle)
+
+
+def _retriable_status(status: int) -> bool:
+    return status in (408, 429) or 500 <= status <= 599
 
 
 def _close_all(connections: list[http.client.HTTPConnection]) -> None:

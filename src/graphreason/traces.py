@@ -5,11 +5,14 @@ evidence its own step added, the final frontier, the answer, the cost
 meters, and the evaluation block — written as one line of canonical JSON
 (sorted keys, no indent) so replay runs are byte-identical. Each state
 writes deltas: a state with one parent writes only the triples, attributes,
-agent steps and seen entities its parent lacks. The root holds no evidence,
-and a merged state's is exactly its parents' union, so neither writes a row.
-A state's whole evidence is thus its parents' evidence joined by the union
-rules of :meth:`ExplorationState.merge` and :meth:`Scratchpad.merge`, plus
-its own rows. ``load_trace`` reads back a trace that keeps the record rules;
+agent steps and seen entities its parent lacks. A triple row is written
+once per trace, by the first state that adds the triple; rows are numbered
+in the order they are written, and each state cites the triples it added by
+number. The root holds no evidence, and a merged state's is exactly its
+parents' union, so neither writes a row. A state's whole evidence is thus
+its parents' evidence joined by the union rules of
+:meth:`ExplorationState.merge` and :meth:`Scratchpad.merge`, plus what it
+added. ``load_trace`` reads back a trace that keeps the record rules;
 the validator checks those and the states on the raw dict, so tampering shows.
 """
 
@@ -18,8 +21,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, fields
-from itertools import chain, groupby
-from json.encoder import encode_basestring_ascii
+from itertools import chain, count
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable
@@ -44,15 +46,18 @@ from .strategies import (
 )
 from .textops import clip, decode_json
 
-TRACE_SCHEMA = "trace/v3"
-# Each state wrote its cumulative evidence and thought log; such traces
-# still load, validate and score.
+TRACE_SCHEMA = "trace/v4"
+# Older layouts still load, validate and score. In v3 each state wrote the
+# row of every triple it added, so sibling states repeated rows; in v2 each
+# state wrote its cumulative evidence and thought log.
+TRACE_SCHEMA_V3 = "trace/v3"
 TRACE_SCHEMA_V2 = "trace/v2"
+_SCHEMAS = (TRACE_SCHEMA, TRACE_SCHEMA_V3, TRACE_SCHEMA_V2)
 RESULTS_SCHEMA = "results/v1"
 REPORT_SCHEMA = "report/v1"
 SWEEP_SCHEMA = "sweep/v1"
 
-_TRIPLE_FIELDS = frozenset(f.name for f in fields(kg.Triple))
+_TRIPLE_FIELDS = frozenset(kg.Triple._fields)
 _HIT_FIELDS = frozenset(f.name for f in fields(AttributeHit))
 
 
@@ -76,24 +81,14 @@ def _serialize_steps(
     ]
 
 
-def _new_rows(records: dict, inherited: dict, rows: dict[int, dict]) -> list[dict]:
-    """The row of each record whose key ``inherited`` lacks, in order. A
-    record's row holds its fields and is made once: ``rows`` keeps it by the
-    record's identity, so every state that writes the record shares it."""
-    return [
-        rows.get(id(record)) or rows.setdefault(id(record), vars(record).copy())
-        for key, record in records.items()
-        if key not in inherited
-    ]
-
-
 def _serialize_exploration(
-    exploration: ExplorationState | None, inherited: ExplorationState
+    exploration: ExplorationState | None, inherited: ExplorationState, triple_refs: list[int]
 ) -> dict | None:
-    """Whether an exploration found enough, and a ``[entity_id,
-    depth_discovered, visited]`` row per seen entity that is new or differs
-    from ``inherited``; its triples and attributes are the state's
-    ``evidence.triples``/``evidence.attributes``."""
+    """Whether an exploration found enough, the numbers of the triple rows
+    its step added, and a ``[entity_id, depth_discovered, visited]`` row per
+    seen entity that is new or differs from ``inherited``; its attributes
+    and first-written triples are the state's ``evidence.attributes`` and
+    ``evidence.triples``."""
     if exploration is None:
         return None
     seen = inherited.seen_entities
@@ -106,18 +101,31 @@ def _serialize_exploration(
             if eid not in seen or (seen[eid] is not meta and seen[eid] != meta)
         ],
         "sufficient": exploration.sufficient,
+        "triple_refs": triple_refs,
     }
 
 
-def _serialize_state(state: ThoughtState, base: ThoughtState, rows: dict[int, dict]) -> dict:
+def _serialize_state(
+    state: ThoughtState, base: ThoughtState, numbers: dict[tuple[str, str, str], int]
+) -> dict:
     """A state's fields and the evidence it holds beyond ``base``'s: its
     parent's for a state with one parent, else its own, so the root and a
-    merged state write no rows. Triple and attribute rows hold exactly the
-    fields of their records, which ``TraceRecord.evidence_strings`` reads
-    back; they come from ``rows``, shared with the trace's other states."""
+    merged state write no rows.
+
+    ``numbers`` maps each triple key the trace has written to its row
+    number. The state cites every triple it added by number, and writes the
+    row of each one no earlier state wrote, numbering it next. Triple and
+    attribute rows hold exactly the fields of their records, which
+    ``TraceRecord.evidence_strings`` reads back.
+    """
     evidence = state.evidence
     explored = evidence.exploration or ExplorationState()
     inherited = base.evidence.exploration or ExplorationState()
+    found, known = explored.found_triples, inherited.found_triples
+    added = [key for key in found if key not in known]
+    first = [key for key in added if key not in numbers]
+    numbers.update(zip(first, count(len(numbers))))
+    hits = inherited.relevant_attributes
     return {
         "id": state.id,
         "depth": state.depth,
@@ -126,13 +134,17 @@ def _serialize_state(state: ThoughtState, base: ThoughtState, rows: dict[int, di
         "status": state.status,
         "score": state.score,
         "evidence": {
-            "triples": _new_rows(explored.found_triples, inherited.found_triples, rows),
-            "attributes": _new_rows(
-                explored.relevant_attributes, inherited.relevant_attributes, rows
-            ),
+            "triples": [found[key]._asdict() for key in first],
+            "attributes": [
+                dict(vars(hit))
+                for key, hit in explored.relevant_attributes.items()
+                if key not in hits
+            ],
             "answer": evidence.answer,
             "scratchpad": _serialize_steps(evidence.scratchpad, base.evidence.scratchpad),
-            "exploration": _serialize_exploration(evidence.exploration, inherited),
+            "exploration": _serialize_exploration(
+                evidence.exploration, inherited, list(map(numbers.__getitem__, added))
+            ),
         },
     }
 
@@ -194,18 +206,13 @@ def build_trace(
     result: SearchResult,
     eval_block: dict | None = None,
 ) -> TraceRecord:
-    """The trace of one question's run, in its serialized shape.
-
-    Each triple or attribute record gets one row dict per trace, and every
-    state that writes the record holds that same dict, so the writer encodes
-    it once; editing a row edits every state that holds it.
-    """
+    """The trace of one question's run, in its serialized shape."""
     by_id = result.states
-    rows: dict[int, dict] = {}
+    numbers: dict[tuple[str, str, str], int] = {}
     # A merged state's evidence is its parents' union, so, like the root,
     # it is read against itself and adds nothing.
     states = [
-        _serialize_state(s, by_id[s.parents[0]] if len(s.parents) == 1 else s, rows)
+        _serialize_state(s, by_id[s.parents[0]] if len(s.parents) == 1 else s, numbers)
         for _, s in sorted(by_id.items())
     ]
     return TraceRecord(
@@ -224,88 +231,11 @@ def build_trace(
 # No indent: CPython 3.10/3.11 use the C encoder only when ``indent`` is None.
 _encode = json.JSONEncoder(sort_keys=True).encode
 _TRACE_FIELDS = sorted(f.name for f in fields(TraceRecord))
-_BEFORE_STATES = _TRACE_FIELDS[: _TRACE_FIELDS.index("states")]
-_AFTER_STATES = _TRACE_FIELDS[_TRACE_FIELDS.index("states") + 1 :]
-# The shape ``_serialize_state`` writes. In key order "depth" comes first,
-# "evidence" second, and "triples" last within the evidence.
-_STATE_KEYS = frozenset(("depth", "evidence", "id", "parents", "score", "status", "thought"))
-_EVIDENCE_KEYS = frozenset(("answer", "attributes", "exploration", "scratchpad", "triples"))
-_AFTER_EVIDENCE = sorted(_STATE_KEYS - {"depth", "evidence"})
-_BEFORE_TRIPLES = sorted(_EVIDENCE_KEYS - {"triples"})
-_ROW_FIELDS = sorted(_TRIPLE_FIELDS)
-_ROW_VALUES = itemgetter(*_ROW_FIELDS)
-_ROW_TEMPLATE = "{" + ", ".join(f'"{name}": %s' for name in _ROW_FIELDS) + "}"
-
-
-def _holds_triple_rows(state: object) -> bool:
-    """Whether ``state`` has the shape ``_serialize_state`` writes and holds triple rows."""
-    if type(state) is not dict or state.keys() != _STATE_KEYS:
-        return False
-    evidence = state["evidence"]
-    return (
-        type(evidence) is dict
-        and evidence.keys() == _EVIDENCE_KEYS
-        and type(evidence["triples"]) is list
-        and len(evidence["triples"]) > 0
-    )
-
-
-def _encode_row(row: object) -> str:
-    """``_encode(row)``, spelled out for a plain dict of the string fields of a ``kg.Triple``."""
-    if type(row) is dict and row.keys() == _TRIPLE_FIELDS:
-        values = _ROW_VALUES(row)
-        if all(type(value) is str for value in values):
-            return _ROW_TEMPLATE % tuple(map(encode_basestring_ascii, values))
-    return _encode(row)
-
-
-def _encode_state(state: dict, rows: dict[int, str], parts: list[str]) -> None:
-    """Append ``_encode(state)`` to ``parts`` in pieces, each triple row's
-    text from ``rows``, which keeps it by the row's identity."""
-    evidence = state["evidence"]
-    parts += (
-        '{"depth": ', _encode(state["depth"]),
-        ', "evidence": ', _encode({key: evidence[key] for key in _BEFORE_TRIPLES})[:-1],
-        ', "triples": [',
-    )
-    for row in evidence["triples"]:
-        text = rows.get(id(row))
-        if text is None:
-            text = rows[id(row)] = _encode_row(row)
-        parts += (text, ", ")
-    parts[-1] = "]}, "
-    parts.append(_encode({key: state[key] for key in _AFTER_EVIDENCE})[1:])
 
 
 def serialize_trace(trace: TraceRecord) -> str:
-    """``json.dumps(trace.as_dict(), sort_keys=True) + "\\n"``, encoding each
-    distinct triple row object once.
-
-    ``build_trace`` shares a row among the states that write it, and
-    sibling explore states write many of the same triples, so a state
-    holding triple rows is composed around its rows' memoized texts. Each
-    run of states between them, and every other value, is one call of the
-    C encoder, and the pieces are joined once.
-    """
-    data = trace.as_dict()
-    states = data["states"]
-    runs = []
-    if type(states) is list:
-        runs = [(holds, list(run)) for holds, run in groupby(states, _holds_triple_rows)]
-    if not any(holds for holds, _ in runs):
-        return _encode(data) + "\n"
-    parts = [_encode({key: data[key] for key in _BEFORE_STATES})[:-1], ', "states": [']
-    rows: dict[int, str] = {}
-    for holds_rows, run in runs:
-        if not holds_rows:
-            parts += (_encode(run)[1:-1], ", ")
-            continue
-        for state in run:
-            _encode_state(state, rows, parts)
-            parts.append(", ")
-    parts[-1] = "], "
-    parts += (_encode({key: data[key] for key in _AFTER_STATES})[1:], "\n")
-    return "".join(parts)
+    """``json.dumps(trace.as_dict(), sort_keys=True) + "\\n"``: one line of canonical JSON."""
+    return _encode(trace.as_dict()) + "\n"
 
 
 def write_trace(trace: TraceRecord, path: str | Path) -> None:
@@ -423,6 +353,34 @@ def _check_steps(pad: object, cumulative: bool, where: str, bad: Callable[[str],
             f"are not contiguous from {_shown(first)}")
 
 
+def _triple_ref_problem(triples: list, refs: object, written: int, keys: set) -> str | None:
+    """What breaks the trace/v4 row numbering in a state with one parent
+    that writes ``triples`` and cites ``refs``, after ``written`` rows of
+    the triple ``keys``; None if nothing does.
+
+    Rows are numbered across the trace in the order they are written, each
+    triple's row once. A state cites the triples it added: rows written
+    before it or by it, each at most once. The rows it writes are exactly
+    those its references introduce, in order.
+    """
+    if not triples and refs == []:
+        return None  # an agent or born-pruned state: it writes and cites nothing
+    limit = written + len(triples)
+    if not (type(refs) is list and set(map(type, refs)) <= {int} and min(refs, default=0) >= 0):
+        return "exploration.triple_refs must be a list of nonnegative integers"
+    if len(set(refs)) < len(refs):
+        return "exploration.triple_refs cites a row twice"
+    if refs and max(refs) >= limit:
+        return (f"exploration.triple_refs cites row {max(refs)}, "
+                f"but only {limit} rows are written by then")
+    if list(filter(written.__le__, refs)) != list(range(written, limit)):
+        return (f"its triple rows, numbered {written} on, must be the rows "
+                "its triple_refs introduce, in order")
+    if not keys.isdisjoint(map(_TRIPLE_KEY, triples)):
+        return "writes a triple row an earlier state wrote"
+    return None
+
+
 def outcome_violations(data: dict) -> list[str]:
     """Violations of the shared outcome rules: termination, answer, eval block, counters."""
     violations: list[str] = []
@@ -464,8 +422,8 @@ def record_violations(data: object) -> list[str]:
     violations: list[str] = []
     bad = violations.append
     schema = data.get("schema")
-    if schema not in (TRACE_SCHEMA, TRACE_SCHEMA_V2):
-        bad(f"schema is {_shown(schema)}, expected {TRACE_SCHEMA!r} or {TRACE_SCHEMA_V2!r}")
+    if schema not in _SCHEMAS:
+        bad(f"schema is {_shown(schema)}, expected one of {', '.join(map(repr, _SCHEMAS))}")
     if not isinstance(data.get("states"), list) or not data["states"]:
         bad("states must be a nonempty list")
     # A missing schema, states or termination breaks a rule of its own.
@@ -489,6 +447,7 @@ def validate_trace(data: object) -> list[str]:
     if not isinstance(states, list) or not states:
         return violations
     cumulative = data.get("schema") == TRACE_SCHEMA_V2
+    tabled = data.get("schema") == TRACE_SCHEMA
     strategy = (data["config"] if isinstance(data.get("config"), dict) else {}).get("strategy")
     by_id: dict[int, dict] = {}
     previous_id = -1
@@ -513,9 +472,15 @@ def validate_trace(data: object) -> list[str]:
         bad("first state must be the root: id 0, depth 0, no parents")
 
     max_parents = 2 if strategy == "got" else 1
+    # The v4 row numbering: rows written so far, their triple keys, and
+    # whether a broken state has put every later row number in doubt.
+    written = 0
+    keys: set = set()
+    numbered = tabled
     for state in states:
         sid = state["id"]
         where = f"state {_shown(sid)}: "
+        reported = len(violations)
         evidence = _typed(state, "evidence", dict, bad, where)
         triples = _typed(evidence, "triples", list, bad, where + "evidence.")
         if _check_records(triples, _TRIPLE_FIELDS, "triple", where, bad):
@@ -526,19 +491,34 @@ def validate_trace(data: object) -> list[str]:
         _check_steps(evidence.get("scratchpad"), cumulative, where, bad)
         exploration = evidence.get("exploration")
         seen: list = []
+        refs: object = []
         if exploration is not None and not isinstance(exploration, dict):
             bad(f"{where}exploration must be an object or null, got {_json_type(exploration)}")
         elif exploration is not None and not cumulative:
             seen = _typed(exploration, "seen_entities", list, bad, where + "exploration.")
             _check_seen_rows(seen, where, bad)
-        holds_rows = triples or attributes or evidence.get("scratchpad") or seen
+            if tabled:
+                refs = exploration.get("triple_refs")
+        holds_rows = triples or attributes or evidence.get("scratchpad") or seen or refs
+        parents = [] if state is root else _typed(state, "parents", list, bad, where)
+        if numbered:
+            # Only the first state that breaks the numbering is reported. A
+            # state with another violation, or a root or merged state that
+            # writes or cites a row (reported below), ends it unreported.
+            if len(violations) > reported or state is root or len(parents) == 2:
+                numbered = len(violations) == reported and not (triples or refs)
+            elif problem := _triple_ref_problem(triples, refs, written, keys):
+                bad(where + problem)
+                numbered = False
+            else:
+                keys.update(map(_TRIPLE_KEY, triples))
+                written += len(triples)
         if state is root:
             if holds_rows:
                 bad(f"{where}the root holds no evidence, "
                     "so it writes no triple, attribute, step or seen row")
             continue
 
-        parents = _typed(state, "parents", list, bad, where)
         status = state.get("status")
         if not isinstance(status, str) or status not in VALID_STATUSES:
             bad(f"{where}unknown status {_shown(status)}")

@@ -381,16 +381,36 @@ def _step(row: dict) -> AgentStep:
     )
 
 
+def added_triples(data: dict) -> dict[int, list[dict]]:
+    """The rows of the triples each state of a trace/v3 or trace/v4 dict added.
+
+    A v3 state writes them as its ``evidence.triples``. A v4 state writes
+    only the rows no earlier state wrote, numbered on across the trace, and
+    cites each triple it added by number in ``exploration.triple_refs``.
+    """
+    if data["schema"] != "trace/v4":
+        return {state["id"]: state["evidence"]["triples"] for state in data["states"]}
+    table: list[dict] = []
+    added = {}
+    for state in data["states"]:
+        evidence = state["evidence"]
+        table += evidence["triples"]
+        refs = (evidence["exploration"] or {"triple_refs": []})["triple_refs"]
+        added[state["id"]] = [table[i] for i in refs]
+    return added
+
+
 def rebuild_evidence(data: dict) -> dict[int, Evidence]:
-    """Each state's whole evidence, rebuilt from a trace/v3 dict's rows.
+    """Each state's whole evidence, rebuilt from a trace/v3 or trace/v4 dict's rows.
 
     A state holds its parents' evidence joined by the union rules of
-    ``ExplorationState.merge`` and ``Scratchpad.merge``, then its own rows;
+    ``ExplorationState.merge`` and ``Scratchpad.merge``, then what it added;
     a null ``exploration`` or ``scratchpad`` means it holds none. Its thought
     log is its parents' logs joined as ``merged_state`` joins them, then its
     thought; a non-root state holding neither was born pruned and keeps its
     parent's log.
     """
+    added = added_triples(data)
     built: dict[int, Evidence] = {}
     for state in data["states"]:
         rows = state["evidence"]
@@ -402,7 +422,7 @@ def rebuild_evidence(data: dict) -> dict[int, Evidence]:
             )
             for eid, depth, visited in rows["exploration"]["seen_entities"]:
                 exploration.seen_entities[eid] = SeenEntity(visited, depth)
-            for row in rows["triples"]:
+            for row in added[state["id"]]:
                 exploration.found_triples[row["head_id"], row["relation"], row["tail_id"]] = (
                     Triple(**row)
                 )
@@ -427,33 +447,43 @@ def rebuild_evidence(data: dict) -> dict[int, Evidence]:
     return built
 
 
-def _fact_keys(evidence: dict) -> list:
-    keys = [("triple", t["head_id"], t["relation"], t["tail_id"]) for t in evidence["triples"]]
-    return keys + [("attribute", h["entity_id"], h["key"]) for h in evidence["attributes"]]
+def _fact_keys(triples: list[dict], attributes: list[dict] = ()) -> list:
+    keys = [("triple", t["head_id"], t["relation"], t["tail_id"]) for t in triples]
+    return keys + [("attribute", h["entity_id"], h["key"]) for h in attributes]
 
 
 def assert_writes_deltas(data: dict, result: SearchResult) -> None:
-    """A trace/v3 dict holds each state's additions only, and they rebuild
-    every in-memory state's evidence.
+    """A trace/v3 or trace/v4 dict holds each state's additions only, and
+    they rebuild every in-memory state's evidence.
 
-    No state writes a triple or attribute row that an ancestor holds, and
-    each step row extends its parents' joined scratchpad (checked by the
+    No state adds a triple or attribute that an ancestor holds, and each
+    step row extends its parents' joined scratchpad (checked by the
     rebuild: ``Scratchpad.merge`` keeps one step per thought and action, so
     a step an ancestor repeated may be dropped and added again later). A
-    merged state writes no rows at all.
+    merged state writes and cites no rows at all. In v4 each triple row is
+    written once, by the first state that adds it, and the rows a state
+    writes are those its references introduce, in order.
     """
     by_id = {state["id"]: state for state in data["states"]}
+    added = added_triples(data)
     ancestors: dict[int, set[int]] = {}
+    written: set[tuple] = set()
     for state in data["states"]:
-        sid, parents = state["id"], state["parents"]
+        sid, parents, evidence = state["id"], state["parents"], state["evidence"]
         ancestors[sid] = set(parents).union(*(ancestors[pid] for pid in parents))
-        own = _fact_keys(state["evidence"])
+        own = _fact_keys(added[sid], evidence["attributes"])
         assert len(set(own)) == len(own), sid
-        inherited = {key for aid in ancestors[sid] for key in _fact_keys(by_id[aid]["evidence"])}
+        inherited = {
+            key for aid in ancestors[sid]
+            for key in _fact_keys(added[aid], by_id[aid]["evidence"]["attributes"])
+        }
         assert not inherited.intersection(own), (sid, inherited.intersection(own))
+        if data["schema"] == "trace/v4":
+            new = [key for key in own if key[0] == "triple" and key not in written]
+            assert _fact_keys(evidence["triples"]) == new, sid
+            written.update(new)
         if len(parents) == 2:
-            evidence = state["evidence"]
             exploration = evidence["exploration"] or {"seen_entities": []}
-            assert own == [] and not evidence["scratchpad"], sid
+            assert own == [] and evidence["triples"] == [] and not evidence["scratchpad"], sid
             assert exploration["seen_entities"] == [], sid
     assert rebuild_evidence(data) == {sid: s.evidence for sid, s in result.states.items()}

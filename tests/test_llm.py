@@ -440,9 +440,31 @@ def test_wire_backend_timeout_is_transport_error(stub_server):
 @pytest.mark.parametrize("reply", ["hang-up", "cut-body"])
 def test_wire_backend_dropped_connection_is_transport_error(stub_server, reply):
     _StubHandler.reply = reply
-    backend = WireBackend(endpoint=stub_server, model="m-1", timeout_s=5)
+    backend = WireBackend(endpoint=stub_server, model="m-1", timeout_s=0.5)
     with pytest.raises(TransportError):
         backend.raw_complete(_request())
+
+
+@pytest.mark.parametrize(("statuses", "requests"), [([], 1), ([503], 2)])
+def test_a_cut_body_costs_one_request_and_one_timeout(stub_server, statuses, requests):
+    """A reply cut short of its Content-Length on a kept-alive connection
+    stalls until ``timeout_s``. A resend would stall the same way, so
+    ``complete`` sends a stalled success once: three attempts would take
+    three timeouts. A stalled body keeps its status's verdict, so a stalled
+    503 is sent again."""
+    _StubHandler.reply = "cut-body"
+    _StubHandler.statuses = statuses
+    timeout_s = 0.2
+    backend = WireBackend(endpoint=stub_server, model="m-1", timeout_s=timeout_s)
+    counters = CostCounters()
+    began = time.perf_counter()
+    with pytest.raises(TransportError) as raised:
+        complete(backend, _request(), counters)
+    assert time.perf_counter() - began < (requests + 1) * timeout_s
+    assert raised.value.retriable is False
+    assert isinstance(raised.value.__cause__, TimeoutError)
+    assert len(_StubHandler.requests_seen) == requests
+    assert (counters.llm_total(), counters.transport_retries) == (1, requests - 1)
 
 
 def test_wire_backend_503_is_retried_by_complete(stub_server):

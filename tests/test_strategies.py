@@ -562,12 +562,12 @@ def test_run_search_explore_interaction_round_trip():
 def test_got_trace_writes_each_state_only_what_it_added(interaction):
     result = run(strategy="got", interaction=interaction, k=3, t=3, d_max=2)
     data = build_trace(synthetic_question(), {}, result).as_dict()
-    assert data["schema"] == "trace/v3"
+    assert data["schema"] == "trace/v4"
     merged = [state for state in data["states"] if len(state["parents"]) == 2]
     assert merged
     if interaction == "explore":
-        assert all(set(s["evidence"]["exploration"]) == {"seen_entities", "sufficient"}
-                   for s in data["states"][1:])
+        keys = {"seen_entities", "sufficient", "triple_refs"}
+        assert all(set(s["evidence"]["exploration"]) == keys for s in data["states"][1:])
         a, b = (result.states[p].evidence.exploration for p in merged[0]["parents"])
         assert ExplorationState.merge(a, b).found_triples
     assert_writes_deltas(data, result)

@@ -4,7 +4,6 @@ import copy
 import json
 import os
 import tempfile
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -156,7 +155,7 @@ def test_serialized_form_is_canonical(got_trace):
     data = json.loads(text)
     assert text == json.dumps(data, sort_keys=True) + "\n"
     assert "\n" not in text[:-1]
-    assert data["schema"] == "trace/v3"
+    assert data["schema"] == "trace/v4"
 
 
 def test_write_then_load_round_trips(tmp_path, got_trace):
@@ -221,7 +220,7 @@ JSON_VALUES = st.recursive(
     max_leaves=6,
 )
 TRIPLES = st.builds(kg.Triple, HOSTILE_TEXT, HOSTILE_TEXT, HOSTILE_TEXT, HOSTILE_TEXT, HOSTILE_TEXT)
-TRIPLE_ROWS = st.fixed_dictionaries({f.name: HOSTILE_TEXT for f in fields(kg.Triple)})
+TRIPLE_ROWS = st.fixed_dictionaries(dict.fromkeys(kg.Triple._fields, HOSTILE_TEXT))
 ODD_ROWS = st.one_of(
     TRIPLE_ROWS.map(lambda row: {**row, "extra": 1}),
     TRIPLE_ROWS.map(lambda row: {k: v for k, v in row.items() if k != "relation"}),
@@ -236,7 +235,7 @@ STATE_SHAPES = ("rows", "no rows", "triples not a list", "evidence not a dict", 
 @st.composite
 def built_traces(draw):
     """``build_trace`` over a tree of explore states whose triples come from
-    one pool of records, so sibling states share rows."""
+    one pool of records, so sibling states cite the same rows."""
     pool = draw(st.lists(TRIPLES, min_size=1, max_size=6))
     states = {0: ThoughtState(0, 0, draw(HOSTILE_TEXT), Evidence(), ())}
     for sid in range(1, draw(st.integers(1, 6)) + 1):
@@ -303,32 +302,34 @@ def golden_traces():
 
 
 def test_the_writer_writes_what_json_dumps_writes_for_real_traces(got_trace, real_traces):
-    v2 = load_trace(DATA / "got_explore_v2.trace")
+    stored = [DATA / "got_explore_v2.trace", DATA / "got_explore_v3.trace"]
     loaded = [TraceRecord(**data) for data in real_traces.values()]
-    traces = [got_trace, v2, *golden_traces(), *loaded]
+    traces = [got_trace, *map(load_trace, stored), *golden_traces(), *loaded]
     assert any(state["evidence"]["triples"] for trace in traces for state in trace.states)
     for trace in traces:
         assert serialize_trace(trace) == canonical(trace.as_dict())
-    assert serialize_trace(v2) == (DATA / "got_explore_v2.trace").read_text(encoding="utf-8")
+    for path in stored:
+        assert serialize_trace(load_trace(path)) == path.read_text(encoding="utf-8")
 
 
 def test_build_trace_shares_one_row_per_triple_among_states():
-    """Sibling explore states that found the same triple hold one row
-    object for it, so the writer encodes it once."""
+    """Sibling explore states that found the same triple share its one row:
+    the first state to add it writes it, and each state that added it cites
+    its number."""
     result = explore_with_attributes(finish=False)
     states = build_trace(synthetic_question(), {"strategy": "got"}, result).states
-    by_key: dict = {}
-    holders: dict = {}
+    rows = [row for state in states for row in state["evidence"]["triples"]]
+    assert len({(r["head_id"], r["relation"], r["tail_id"]) for r in rows}) == len(rows)
+    citers: dict = {}
     for state in states:
-        for row in state["evidence"]["triples"] + state["evidence"]["attributes"]:
-            key = tuple(sorted(row.items()))
-            assert by_key.setdefault(key, row) is row
-            holders.setdefault(key, set()).add(state["id"])
-    shared = [ids for ids in holders.values() if len(ids) > 1]
-    assert shared, "no two states wrote the same triple"
+        for number in (state["evidence"]["exploration"] or {"triple_refs": []})["triple_refs"]:
+            citers.setdefault(number, set()).add(state["id"])
+    assert sorted(citers) == list(range(len(rows)))
+    shared = [ids for ids in citers.values() if len(ids) > 1]
+    assert shared, "no two states cite the same triple"
     parents = {state["id"]: tuple(state["parents"]) for state in states}
     siblings = [ids for ids in shared if len({parents[sid] for sid in ids}) < len(ids)]
-    assert siblings, "no two siblings wrote the same triple"
+    assert siblings, "no two siblings cite the same triple"
 
 
 # ------------------------------------------------------- evidence strings
@@ -505,8 +506,8 @@ def test_build_trace_makes_no_merge(name, monkeypatch):
     assert_writes_deltas(data, result)
 
 
-# The CI got/explore replay (its run was written as trace/v2 into DATA).
-V2_RUN_REPLAY = [
+# The CI got/explore replay (its run was written as trace/v2 and trace/v3 into DATA).
+STORED_RUN_REPLAY = [
     ReplayEntry("Generate the next thought for the merged chain",
                 "Both chains point the same way; keep exploring."),
     ReplayEntry("Generate a score", "Score: 0.5"),
@@ -518,7 +519,7 @@ V2_RUN_REPLAY = [
 ]
 
 
-def test_a_v2_trace_loads_validates_and_scores_as_its_v3_rewrite(tmp_path):
+def test_v2_and_v3_traces_load_validate_and_score_as_their_v4_rewrite(tmp_path):
     questions = tmp_path / "questions.lines"
     questions.write_text(
         '{"qid": "q1", "question": "Which entries are linked to beta 1?", '
@@ -528,45 +529,54 @@ def test_a_v2_trace_loads_validates_and_scores_as_its_v3_rewrite(tmp_path):
     graph_path = tmp_path / "graph.kg"
     save_graph(generate_synthetic_graph(11), graph_path)
     run_experiment(RunConfig(
-        kg_path=str(graph_path), questions_path=str(questions), out_dir=str(tmp_path / "v3"),
-        replay_path=str(write_replay_script(tmp_path / "explore.replay", V2_RUN_REPLAY)),
+        kg_path=str(graph_path), questions_path=str(questions), out_dir=str(tmp_path / "v4"),
+        replay_path=str(write_replay_script(tmp_path / "explore.replay", STORED_RUN_REPLAY)),
         strategy="got", interaction="explore", evaluator="score", max_depth=2, search_depth=1,
     ))
-    v2_path = DATA / "got_explore_v2.trace"
-    v2, v3 = load_trace(v2_path), load_trace(tmp_path / "v3" / "traces" / "q1.trace")
-    assert (v2.schema, v3.schema) == ("trace/v2", "trace/v3")
-    assert validate_trace(json.loads(v2_path.read_text(encoding="utf-8"))) == []
-
+    v4 = load_trace(tmp_path / "v4" / "traces" / "q1.trace")
+    assert v4.schema == "trace/v4"
     (question,) = load_questions(questions)
-    assert _outcome(question, v2) == _outcome(question, v3)
-    assert v2.evidence_strings() == v3.evidence_strings()
-    old = tmp_path / "v2"
-    old.mkdir()
-    (old / "q1.trace").write_bytes(v2_path.read_bytes())
-    score_run(old, questions, tmp_path / "rescore")
-    lines = (tmp_path / "v3" / "results.lines").read_bytes()
-    assert (tmp_path / "rescore" / "results.lines").read_bytes() == lines
+    lines = (tmp_path / "v4" / "results.lines").read_bytes()
 
-    # Everything but the evidence is written alike, and the v3 rows rebuild
-    # each state's v2 evidence.
     def without(record, *names):
         return {k: v for k, v in record.items() if k not in names}
 
-    assert without(v2.as_dict(), "schema", "states") == without(v3.as_dict(), "schema", "states")
-    rebuilt = rebuild_evidence(v3.as_dict())
-    for old_state, new_state in zip(v2.states, v3.states, strict=True):
-        assert without(old_state, "evidence") == without(new_state, "evidence")
-        rows, whole = old_state["evidence"], rebuilt[new_state["id"]]
+    stored = {}
+    for version in ("v2", "v3"):
+        path = DATA / f"got_explore_{version}.trace"
+        old = stored[version] = load_trace(path)
+        assert old.schema == f"trace/{version}"
+        assert validate_trace(json.loads(path.read_text(encoding="utf-8"))) == []
+        assert _outcome(question, old) == _outcome(question, v4)
+        assert old.evidence_strings() == v4.evidence_strings()
+        traces = tmp_path / version
+        traces.mkdir()
+        (traces / "q1.trace").write_bytes(path.read_bytes())
+        score_run(traces, questions, tmp_path / f"{version}-rescore")
+        assert (tmp_path / f"{version}-rescore" / "results.lines").read_bytes() == lines
+        # Everything but the evidence is written alike.
+        top = [without(trace.as_dict(), "schema", "states") for trace in (old, v4)]
+        assert top[0] == top[1]
+        for old_state, new_state in zip(old.states, v4.states, strict=True):
+            assert without(old_state, "evidence") == without(new_state, "evidence")
+
+    # The v3 and v4 rows rebuild the same evidence, and it is each state's
+    # v2 evidence.
+    rebuilt = rebuild_evidence(v4.as_dict())
+    assert rebuild_evidence(stored["v3"].as_dict()) == rebuilt
+    for old_state in stored["v2"].states:
+        rows, whole = old_state["evidence"], rebuilt[old_state["id"]]
         explored = whole.exploration or ExplorationState()
         assert rows["thought_log"] == whole.thought_log
-        assert rows["triples"] == [vars(t) for t in explored.found_triples.values()]
+        assert rows["triples"] == [t._asdict() for t in explored.found_triples.values()]
         assert rows["attributes"] == [vars(h) for h in explored.relevant_attributes.values()]
         if rows["exploration"] is not None:
             assert rows["exploration"] == {
                 "seen_entities": {e: vars(m) for e, m in explored.seen_entities.items()},
                 "sufficient": explored.sufficient,
             }
-    assert len(serialize_trace(v3)) < 0.6 * len(serialize_trace(v2))
+    sizes = [len(serialize_trace(trace)) for trace in (stored["v2"], stored["v3"], v4)]
+    assert sizes[1] < 0.6 * sizes[0] and sizes[2] < sizes[1], sizes
 
 
 # ------------------------------------------------------------- validation
@@ -827,8 +837,9 @@ def test_tampering_a_real_trace_is_caught(got_trace):
 def real_traces(got_trace):
     result = explore_with_attributes(finish=False)
     return {
-        "v3-explore": build_trace(synthetic_question(), {"strategy": "got"}, result).as_dict(),
-        "v3-agent": got_trace.as_dict(),
+        "v4-explore": build_trace(synthetic_question(), {"strategy": "got"}, result).as_dict(),
+        "v4-agent": got_trace.as_dict(),
+        "v3-explore": json.loads((DATA / "got_explore_v3.trace").read_text(encoding="utf-8")),
         "v2-explore": json.loads((DATA / "got_explore_v2.trace").read_text(encoding="utf-8")),
     }
 
@@ -840,11 +851,14 @@ def _pop_tail_name(rows):
 # (trace, evidence field, change to the first state's nonempty rows, fragment)
 ROW_MUTATIONS = {
     "triple-without-tail_name": (
-        "v3-explore", "triples", _pop_tail_name, "every triple must be an object of the string"
+        "v4-explore", "triples", _pop_tail_name, "every triple must be an object of the string"
     ),
     "triple-with-numeric-head_name": (
-        "v3-explore", "triples", lambda rows: rows[0].update(head_name=7),
+        "v4-explore", "triples", lambda rows: rows[0].update(head_name=7),
         "every triple must be an object of the string",
+    ),
+    "v3-triple-without-tail_name": (
+        "v3-explore", "triples", _pop_tail_name, "every triple must be an object of the string"
     ),
     "v2-triple-without-tail_name": (
         "v2-explore", "triples", _pop_tail_name, "every triple must be an object of the string"
@@ -854,21 +868,21 @@ ROW_MUTATIONS = {
         "every triple must be an object of the string",
     ),
     "attribute-of-other-fields": (
-        "v3-explore", "attributes", lambda rows: rows.append({"x": 1}),
+        "v4-explore", "attributes", lambda rows: rows.append({"x": 1}),
         "every attribute must be an object of the string",
     ),
     "observations-as-a-string": (
-        "v3-agent", "scratchpad",
+        "v4-agent", "scratchpad",
         lambda rows: rows[0].update(observations="The number of neighbors is 0."),
         "observations must be a list of strings",
     ),
     "scratchpad-from-index-0": (
-        "v3-agent", "scratchpad",
+        "v4-agent", "scratchpad",
         lambda rows: [row.update(index=row["index"] - 1) for row in rows],
         "must start at a positive integer",
     ),
     "seen-row-with-a-string-depth": (
-        "v3-explore", "exploration",
+        "v4-explore", "exploration",
         lambda exploration: exploration["seen_entities"][0].__setitem__(1, "0"),
         "every seen entity must be an [entity_id, depth_discovered, visited] row",
     ),
@@ -886,12 +900,22 @@ def test_validator_checks_row_shapes(real_traces, name):
     expect(validate_trace(data), fragment)
 
 
-# (trace, the rows of one kind in a state's evidence)
+def _cited(evidence):
+    return evidence["exploration"]["triple_refs"]
+
+
+# (traces, the rows of one kind in a state's evidence[, the row to add, else a
+# one-parent state's first])
 MERGED_ROWS = {
-    "triple": ("v3-explore", lambda evidence: evidence["triples"]),
-    "attribute": ("v3-explore", lambda evidence: evidence["attributes"]),
-    "seen": ("v3-explore", lambda evidence: evidence["exploration"]["seen_entities"]),
-    "step": ("v3-agent", lambda evidence: evidence["scratchpad"]),
+    "triple": (("v4-explore", "v3-explore"), lambda evidence: evidence["triples"]),
+    "triple_ref": (("v4-explore",), _cited),
+    # A reference of the wrong type is still one line: the state's.
+    "triple_ref=-1": (("v4-explore",), _cited, -1),
+    "triple_ref='x'": (("v4-explore",), _cited, "x"),
+    "attribute": (("v4-explore",), lambda evidence: evidence["attributes"]),
+    "seen": (("v4-explore", "v3-explore"),
+             lambda evidence: evidence["exploration"]["seen_entities"]),
+    "step": (("v4-agent",), lambda evidence: evidence["scratchpad"]),
 }
 
 
@@ -899,25 +923,123 @@ MERGED_ROWS = {
 @pytest.mark.parametrize("name", MERGED_ROWS)
 def test_validator_reports_rows_in_a_v3_merged_state(real_traces, name, target):
     """The root holds no evidence and a merged state's is exactly its
-    parents' union, so a v3 root or merged state holding another state's row
-    is one violation naming it."""
-    source, rows = MERGED_ROWS[name]
-    data = copy.deepcopy(real_traces[source])
+    parents' union, so a v3 or v4 root or merged state that holds another
+    state's row, or cites its triple, is one violation naming it."""
+    sources, rows, *row = MERGED_ROWS[name]
+    for source in sources:
+        data = copy.deepcopy(real_traces[source])
+        states = data["states"]
+        merged = next(s for s in states if len(s["parents"]) == 2)
+        state = merged
+        if target == "root":
+            # The root writes null where a merged state writes empty rows.
+            state = states[0]
+            state["evidence"] = copy.deepcopy(merged["evidence"])
+        assert validate_trace(data) == [] and rows(state["evidence"]) == []
+        donor = next(s for s in states[1:] if len(s["parents"]) == 1 and rows(s["evidence"]))
+        rows(state["evidence"]).append(row[0] if row else rows(donor["evidence"])[0])
+        holds = ("the root holds no evidence, so it" if target == "root" else
+                 "a merged state holds exactly its parents' evidence, so it")
+        assert validate_trace(data) == [
+            f"state {state['id']}: {holds} writes no triple, attribute, step or seen row"
+        ], source
+
+
+def _writer(data, least=1):
+    """The first state that writes at least ``least`` triple rows."""
+    return next(s for s in data["states"] if len(s["evidence"]["triples"]) >= least)
+
+
+def _refs(state):
+    return state["evidence"]["exploration"]["triple_refs"]
+
+
+def _cite_a_later_row(data):
+    state = _writer(data)
+    _refs(state)[-1] = sum(len(s["evidence"]["triples"]) for s in data["states"]) - 1
+    return state
+
+
+def _set_first_ref(value):
+    def edit(data):
+        state = _writer(data)
+        _refs(state)[0] = value
+        return state
+    return edit
+
+
+def _cite_twice(data):
+    state = _writer(data)
+    _refs(state).append(_refs(state)[0])
+    return state
+
+
+def _leave_a_row_uncited(data):
+    state = _writer(data, 2)
+    _refs(state).remove(max(_refs(state)))
+    return state
+
+
+def _cite_out_of_order(data):
+    state = _writer(data, 2)
+    refs = _refs(state)
+    # Its two highest numbers are the last two rows it writes.
+    i, j = refs.index(max(refs)), refs.index(max(refs) - 1)
+    refs[i], refs[j] = refs[j], refs[i]
+    return state
+
+
+def _drop_refs(data):
+    state = _writer(data)
+    del state["evidence"]["exploration"]["triple_refs"]
+    return state
+
+
+def _write_an_uncited_row(data):
+    state = _writer(data)
+    state["evidence"]["triples"].append(
+        {"head_id": "x", "head_name": "x", "relation": "r", "tail_id": "y", "tail_name": "y"}
+    )
+    return state
+
+
+def _write_a_row_again(data):
+    first = _writer(data)
     states = data["states"]
-    merged = next(s for s in states if len(s["parents"]) == 2)
-    state = merged
-    if target == "root":
-        # The root writes null where a merged state writes empty rows.
-        state = states[0]
-        state["evidence"] = copy.deepcopy(merged["evidence"])
-    assert validate_trace(data) == [] and rows(state["evidence"]) == []
-    donor = next(s for s in states[1:] if rows(s["evidence"]))
-    rows(state["evidence"]).append(rows(donor["evidence"])[0])
-    holds = ("the root holds no evidence, so it" if target == "root" else
-             "a merged state holds exactly its parents' evidence, so it")
-    assert validate_trace(data) == [
-        f"state {state['id']}: {holds} writes no triple, attribute, step or seen row"
-    ]
+    later = next(s for s in states[first["id"] + 1:]
+                 if len(s["parents"]) == 1 and s["evidence"]["exploration"] is not None)
+    written = sum(len(s["evidence"]["triples"]) for s in states[: states.index(later) + 1])
+    later["evidence"]["triples"].append(first["evidence"]["triples"][0])
+    _refs(later).append(written)
+    return later
+
+
+# (edit of a v4 trace returning the state it broke, the violation's text after "state <id>: ")
+REF_TAMPERS = {
+    "cites-a-row-not-yet-written": (_cite_a_later_row, "exploration.triple_refs cites row"),
+    "cites-a-negative-row": (_set_first_ref(-1), "must be a list of nonnegative integers"),
+    "cites-a-fraction": (_set_first_ref(0.5), "must be a list of nonnegative integers"),
+    "cites-a-string": (_set_first_ref("0"), "must be a list of nonnegative integers"),
+    "cites-a-boolean": (_set_first_ref(False), "must be a list of nonnegative integers"),
+    "cites-a-row-twice": (_cite_twice, "exploration.triple_refs cites a row twice"),
+    "leaves-a-row-uncited": (_leave_a_row_uncited, "must be the rows its triple_refs introduce"),
+    "cites-rows-out-of-order": (_cite_out_of_order, "must be the rows its triple_refs introduce"),
+    "writes-an-uncited-row": (_write_an_uncited_row, "must be the rows its triple_refs introduce"),
+    "writes-a-row-again": (_write_a_row_again, "writes a triple row an earlier state wrote"),
+    "drops-triple_refs": (_drop_refs, "must be a list of nonnegative integers"),
+}
+
+
+@pytest.mark.parametrize("name", REF_TAMPERS)
+def test_validator_reports_one_line_for_a_broken_triple_reference(real_traces, name):
+    """Each v4 row number is written once and cited as the rules say; one
+    broken reference is one violation, and row numbers after it go unchecked."""
+    edit, fragment = REF_TAMPERS[name]
+    data = copy.deepcopy(real_traces["v4-explore"])
+    assert validate_trace(data) == []
+    state = edit(data)
+    (violation,) = validate_trace(data)
+    assert violation.startswith(f"state {state['id']}: ") and fragment in violation, violation
 
 
 # (dotted path into the minimal trace, or into a file under DATA named before a
@@ -1031,10 +1153,22 @@ def test_validator_returns_a_list_for_any_field_replaced(data, value):
     assert isinstance(validate_trace(document), list)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), value=_json_values)
+def test_validator_returns_a_list_for_any_field_of_a_v4_explore_trace_replaced(
+    real_traces, data, value
+):
+    """The row-number checks, too, report any JSON value anywhere rather than raise."""
+    document = copy.deepcopy(real_traces["v4-explore"])
+    holder, key = data.draw(st.sampled_from(list(_holders(document))))
+    holder[key] = value
+    assert isinstance(validate_trace(document), list)
+
+
 # ------------------------------------------------------------ the reader
 
 DELETE = object()
-CONTRACT_SOURCES = ("minimal", "v3-explore", "v2-explore")
+CONTRACT_SOURCES = ("minimal", "v4-explore", "v3-explore", "v2-explore")
 
 
 @pytest.mark.parametrize("source", CONTRACT_SOURCES)
