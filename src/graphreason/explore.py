@@ -108,6 +108,14 @@ class ExplorationState:
     (:meth:`file`), :meth:`clone` and :meth:`merge` keep the two in step. It
     is derived data: state equality ignores it, and a state built with
     triples but no lines renders them once.
+
+    ``new_anchors`` and ``rounds`` say what :func:`explore` did to this
+    state: the anchors it added at depth 0, in order, and how many rounds it
+    ran with a nonempty frontier. A new state, a clone and a merge start
+    with none, so in a search they describe the one step that built the
+    state from its parent; with the parent's seen entities and the triples
+    the step added they fix the state's seen entities (see
+    :mod:`.traces`). State equality ignores them.
     """
 
     seen_entities: dict[str, SeenEntity] = field(default_factory=dict)
@@ -116,15 +124,19 @@ class ExplorationState:
     sufficient: bool = False
     # None, the default, renders the lines of ``found_triples``.
     triple_lines: list[str] = field(default=None, compare=False, repr=False)
+    new_anchors: list[str] = field(default_factory=list, compare=False, repr=False)
+    rounds: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.triple_lines is None:
             self.triple_lines = [kg.render_triple(t) for t in self.found_triples.values()]
 
     def add_anchors(self, node_ids: list[str]) -> None:
+        """Seed each node not yet seen at depth 0, unvisited, and note it in ``new_anchors``."""
         for node_id in node_ids:
             if node_id not in self.seen_entities:
                 self.seen_entities[node_id] = seen_entity(False, 0)
+                self.new_anchors.append(node_id)
 
     def file(self, found: Expansion, depth: int) -> None:
         """File an expansion's attributes and triples; a tail not yet seen
@@ -490,6 +502,7 @@ def explore(
         frontier = [eid for eid, meta in state.seen_entities.items() if not meta.visited]
         if not frontier:
             break
+        state.rounds += 1
         for entity_id in frontier:
             meta = state.seen_entities[entity_id]
             state.seen_entities[entity_id] = seen_entity(True, meta.depth_discovered)

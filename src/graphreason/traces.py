@@ -4,21 +4,30 @@ A trace accounts for one question's run — every thought state with the
 evidence its own step added, the final frontier, the answer, the cost
 meters, and the evaluation block — written as one line of canonical JSON
 (sorted keys, no indent) so replay runs are byte-identical. Each state
-writes deltas: a state with one parent writes only the triples, attributes,
-agent steps and seen entities its parent lacks. A triple row is written
-once per trace, by the first state that adds the triple; rows are numbered
-in the order they are written, and each state cites the triples it added by
-number. The root holds no evidence, and a merged state's is exactly its
-parents' union, so neither writes a row. A state's whole evidence is thus
-its parents' evidence joined by the union rules of
-:meth:`ExplorationState.merge` and :meth:`Scratchpad.merge`, plus what it
-added. ``load_trace`` reads back a trace that keeps the record rules;
-the validator checks those and the states on the raw dict, so tampering shows.
+writes deltas: a state with one parent writes only the triples, attributes
+and agent steps its parent lacks. A triple row is written once per trace,
+by the first state that adds the triple; rows are numbered in the order
+they are written, and each state cites the triples it added by number. The
+root holds no evidence, and a merged state's is exactly its parents' union,
+so neither writes a row. A state's whole evidence is thus its parents'
+evidence joined by the union rules of :meth:`ExplorationState.merge` and
+:meth:`Scratchpad.merge`, plus what it added.
+
+An explore state's seen entities are not written: its step's ``anchors``
+and ``rounds`` fix them. Start from the parent's map and append each anchor,
+unvisited, at depth 0. Then, ``rounds`` times: mark every unvisited entity
+visited, in map order, and for each such entity ``setdefault`` the tail of
+each triple the step added that it heads, unvisited, at its depth + 1. That
+replays :func:`explore`'s breadth-first rounds, key order included.
+
+``load_trace`` reads back a trace that keeps the record rules; the
+validator checks those and the states on the raw dict, so tampering shows.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 from itertools import chain, count
@@ -46,13 +55,17 @@ from .strategies import (
 )
 from .textops import clip, decode_json
 
-TRACE_SCHEMA = "trace/v4"
-# Older layouts still load, validate and score. In v3 each state wrote the
-# row of every triple it added, so sibling states repeated rows; in v2 each
-# state wrote its cumulative evidence and thought log.
+TRACE_SCHEMA = "trace/v5"
+# Older layouts still load, validate and score. In v4 each state wrote the
+# ``[entity_id, depth_discovered, visited]`` row of every seen entity that
+# was new or changed over its parent, in place of its anchors and rounds;
+# in v3 each state also wrote the row of every triple it added, so sibling
+# states repeated rows; in v2 each state wrote its cumulative evidence and
+# thought log.
+TRACE_SCHEMA_V4 = "trace/v4"
 TRACE_SCHEMA_V3 = "trace/v3"
 TRACE_SCHEMA_V2 = "trace/v2"
-_SCHEMAS = (TRACE_SCHEMA, TRACE_SCHEMA_V3, TRACE_SCHEMA_V2)
+_SCHEMAS = (TRACE_SCHEMA, TRACE_SCHEMA_V4, TRACE_SCHEMA_V3, TRACE_SCHEMA_V2)
 RESULTS_SCHEMA = "results/v1"
 REPORT_SCHEMA = "report/v1"
 SWEEP_SCHEMA = "sweep/v1"
@@ -82,24 +95,17 @@ def _serialize_steps(
 
 
 def _serialize_exploration(
-    exploration: ExplorationState | None, inherited: ExplorationState, triple_refs: list[int]
+    exploration: ExplorationState | None, triple_refs: list[int]
 ) -> dict | None:
-    """Whether an exploration found enough, the numbers of the triple rows
-    its step added, and a ``[entity_id, depth_discovered, visited]`` row per
-    seen entity that is new or differs from ``inherited``; its attributes
-    and first-written triples are the state's ``evidence.attributes`` and
-    ``evidence.triples``."""
+    """Whether an exploration found enough, the anchors its step added and
+    the rounds it ran, and the numbers of the triple rows it added; its
+    attributes and first-written triples are the state's
+    ``evidence.attributes`` and ``evidence.triples``."""
     if exploration is None:
         return None
-    seen = inherited.seen_entities
-    # Entries come from ``seen_entity``, so an entry both hold is nearly
-    # always one object, and ``!=``, a Python-level call, runs only where not.
     return {
-        "seen_entities": [
-            [eid, meta.depth_discovered, meta.visited]
-            for eid, meta in exploration.seen_entities.items()
-            if eid not in seen or (seen[eid] is not meta and seen[eid] != meta)
-        ],
+        "anchors": list(exploration.new_anchors),
+        "rounds": exploration.rounds,
         "sufficient": exploration.sufficient,
         "triple_refs": triple_refs,
     }
@@ -134,7 +140,12 @@ def _serialize_state(
         "status": state.status,
         "score": state.score,
         "evidence": {
-            "triples": [found[key]._asdict() for key in first],
+            # Built from the tuple's fields: about half the cost of ``_asdict()``.
+            "triples": [
+                {"head_name": head, "relation": relation, "tail_name": tail,
+                 "head_id": head_id, "tail_id": tail_id}
+                for head, relation, tail, head_id, tail_id in map(found.__getitem__, first)
+            ],
             "attributes": [
                 dict(vars(hit))
                 for key, hit in explored.relevant_attributes.items()
@@ -143,7 +154,7 @@ def _serialize_state(
             "answer": evidence.answer,
             "scratchpad": _serialize_steps(evidence.scratchpad, base.evidence.scratchpad),
             "exploration": _serialize_exploration(
-                evidence.exploration, inherited, list(map(numbers.__getitem__, added))
+                evidence.exploration, list(map(numbers.__getitem__, added))
             ),
         },
     }
@@ -229,7 +240,8 @@ def build_trace(
 
 
 # No indent: CPython 3.10/3.11 use the C encoder only when ``indent`` is None.
-_encode = json.JSONEncoder(sort_keys=True).encode
+# ``build_trace`` builds a fresh tree, so there is no cycle to check for.
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 _TRACE_FIELDS = sorted(f.name for f in fields(TraceRecord))
 
 
@@ -354,9 +366,9 @@ def _check_steps(pad: object, cumulative: bool, where: str, bad: Callable[[str],
 
 
 def _triple_ref_problem(triples: list, refs: object, written: int, keys: set) -> str | None:
-    """What breaks the trace/v4 row numbering in a state with one parent
-    that writes ``triples`` and cites ``refs``, after ``written`` rows of
-    the triple ``keys``; None if nothing does.
+    """What breaks the trace/v4 and v5 row numbering in a state with one
+    parent that writes ``triples`` and cites ``refs``, after ``written`` rows
+    of the triple ``keys``; None if nothing does.
 
     Rows are numbered across the trace in the order they are written, each
     triple's row once. A state cites the triples it added: rows written
@@ -446,9 +458,15 @@ def validate_trace(data: object) -> list[str]:
     states = data.get("states") if isinstance(data, dict) else None
     if not isinstance(states, list) or not states:
         return violations
-    cumulative = data.get("schema") == TRACE_SCHEMA_V2
-    tabled = data.get("schema") == TRACE_SCHEMA
-    strategy = (data["config"] if isinstance(data.get("config"), dict) else {}).get("strategy")
+    schema = data.get("schema")
+    cumulative = schema == TRACE_SCHEMA_V2
+    tabled = schema in (TRACE_SCHEMA, TRACE_SCHEMA_V4)
+    config = data["config"] if isinstance(data.get("config"), dict) else {}
+    strategy = config.get("strategy")
+    # A step runs at most search_depth rounds; a config without one bounds nothing.
+    most_rounds = config.get("search_depth")
+    if type(most_rounds) is not int:
+        most_rounds = math.inf
     by_id: dict[int, dict] = {}
     previous_id = -1
     for position, state in enumerate(states):
@@ -472,8 +490,8 @@ def validate_trace(data: object) -> list[str]:
         bad("first state must be the root: id 0, depth 0, no parents")
 
     max_parents = 2 if strategy == "got" else 1
-    # The v4 row numbering: rows written so far, their triple keys, and
-    # whether a broken state has put every later row number in doubt.
+    # The v4 and v5 row numbering: rows written so far, their triple keys,
+    # and whether a broken state has put every later row number in doubt.
     written = 0
     keys: set = set()
     numbered = tabled
@@ -491,15 +509,27 @@ def validate_trace(data: object) -> list[str]:
         _check_steps(evidence.get("scratchpad"), cumulative, where, bad)
         exploration = evidence.get("exploration")
         seen: list = []
+        anchors: object = []
+        rounds: object = 0
         refs: object = []
         if exploration is not None and not isinstance(exploration, dict):
             bad(f"{where}exploration must be an object or null, got {_json_type(exploration)}")
+        elif exploration is not None and schema == TRACE_SCHEMA:
+            anchors, rounds = exploration.get("anchors"), exploration.get("rounds")
+            if not (type(anchors) is list and set(map(type, anchors)) <= {str}):
+                bad(f"{where}exploration.anchors must be a list of strings")
+                anchors = []
+            if type(rounds) is not int or not 0 <= rounds <= most_rounds:
+                bad(f"{where}exploration.rounds must be an integer from 0 to the config's "
+                    f"search_depth, got {_shown(rounds)}")
+                rounds = 0
         elif exploration is not None and not cumulative:
             seen = _typed(exploration, "seen_entities", list, bad, where + "exploration.")
             _check_seen_rows(seen, where, bad)
-            if tabled:
-                refs = exploration.get("triple_refs")
-        holds_rows = triples or attributes or evidence.get("scratchpad") or seen or refs
+        if tabled and isinstance(exploration, dict):
+            refs = exploration.get("triple_refs")
+        holds_rows = (triples or attributes or evidence.get("scratchpad") or seen or anchors
+                      or rounds or refs)
         parents = [] if state is root else _typed(state, "parents", list, bad, where)
         if numbered:
             # Only the first state that breaks the numbering is reported. A
@@ -516,7 +546,8 @@ def validate_trace(data: object) -> list[str]:
         if state is root:
             if holds_rows:
                 bad(f"{where}the root holds no evidence, "
-                    "so it writes no triple, attribute, step or seen row")
+                    "so it writes no triple, attribute, step, seen or anchor row "
+                    "and runs no round")
             continue
 
         status = state.get("status")
@@ -530,7 +561,8 @@ def validate_trace(data: object) -> list[str]:
             continue
         if len(parents) == 2 and not cumulative and holds_rows:
             bad(f"{where}a merged state holds exactly its parents' evidence, "
-                "so it writes no triple, attribute, step or seen row")
+                "so it writes no triple, attribute, step, seen or anchor row "
+                "and runs no round")
         if len(parents) > max_parents:
             bad(f"{where}{len(parents)} parents exceeds {max_parents} for {clip(str(strategy))}")
         if len(set(parents)) != len(parents):

@@ -382,13 +382,14 @@ def _step(row: dict) -> AgentStep:
 
 
 def added_triples(data: dict) -> dict[int, list[dict]]:
-    """The rows of the triples each state of a trace/v3 or trace/v4 dict added.
+    """The rows of the triples each state of a trace/v3, v4 or v5 dict added.
 
-    A v3 state writes them as its ``evidence.triples``. A v4 state writes
-    only the rows no earlier state wrote, numbered on across the trace, and
-    cites each triple it added by number in ``exploration.triple_refs``.
+    A v3 state writes them as its ``evidence.triples``. A v4 or v5 state
+    writes only the rows no earlier state wrote, numbered on across the
+    trace, and cites each triple it added by number in
+    ``exploration.triple_refs``.
     """
-    if data["schema"] != "trace/v4":
+    if data["schema"] == "trace/v3":
         return {state["id"]: state["evidence"]["triples"] for state in data["states"]}
     table: list[dict] = []
     added = {}
@@ -400,15 +401,39 @@ def added_triples(data: dict) -> dict[int, list[dict]]:
     return added
 
 
+def replay_rounds(
+    seen: dict[str, SeenEntity], anchors: list[str], rounds: int, triples: list[dict]
+) -> None:
+    """Rebuild a trace/v5 state's seen entities in place from its parent's.
+
+    Each anchor joins unvisited at depth 0. Then, ``rounds`` times, every
+    unvisited entity is marked visited, in map order, and the tail of each
+    added triple it heads joins unvisited one hop deeper, unless already seen.
+    """
+    tails: dict[str, list[str]] = {}
+    for row in triples:
+        tails.setdefault(row["head_id"], []).append(row["tail_id"])
+    for anchor in anchors:
+        seen[anchor] = SeenEntity(False, 0)
+    for _ in range(rounds):
+        for eid in [eid for eid, meta in seen.items() if not meta.visited]:
+            depth = seen[eid].depth_discovered
+            seen[eid] = SeenEntity(True, depth)
+            for tail in tails.get(eid, ()):
+                seen.setdefault(tail, SeenEntity(False, depth + 1))
+
+
 def rebuild_evidence(data: dict) -> dict[int, Evidence]:
-    """Each state's whole evidence, rebuilt from a trace/v3 or trace/v4 dict's rows.
+    """Each state's whole evidence, rebuilt from a trace/v3, v4 or v5 dict's rows.
 
     A state holds its parents' evidence joined by the union rules of
     ``ExplorationState.merge`` and ``Scratchpad.merge``, then what it added;
-    a null ``exploration`` or ``scratchpad`` means it holds none. Its thought
-    log is its parents' logs joined as ``merged_state`` joins them, then its
-    thought; a non-root state holding neither was born pruned and keeps its
-    parent's log.
+    a null ``exploration`` or ``scratchpad`` means it holds none. A v3 or v4
+    state's seen rows replace the entries they name; a v5 state's seen
+    entities are replayed from its anchors and rounds (``replay_rounds``).
+    Its thought log is its parents' logs joined as ``merged_state`` joins
+    them, then its thought; a non-root state holding neither was born pruned
+    and keeps its parent's log.
     """
     added = added_triples(data)
     built: dict[int, Evidence] = {}
@@ -420,15 +445,22 @@ def rebuild_evidence(data: dict) -> dict[int, Evidence]:
             exploration = _joined(
                 [p.exploration for p in parents], ExplorationState.merge, ExplorationState
             )
-            for eid, depth, visited in rows["exploration"]["seen_entities"]:
-                exploration.seen_entities[eid] = SeenEntity(visited, depth)
+            step = rows["exploration"]
+            if data["schema"] == "trace/v5":
+                replay_rounds(
+                    exploration.seen_entities, step["anchors"], step["rounds"],
+                    added[state["id"]],
+                )
+            else:
+                for eid, depth, visited in step["seen_entities"]:
+                    exploration.seen_entities[eid] = SeenEntity(visited, depth)
             for row in added[state["id"]]:
                 exploration.found_triples[row["head_id"], row["relation"], row["tail_id"]] = (
                     Triple(**row)
                 )
             for row in rows["attributes"]:
                 exploration.relevant_attributes[row["entity_id"], row["key"]] = AttributeHit(**row)
-            exploration.sufficient = rows["exploration"]["sufficient"]
+            exploration.sufficient = step["sufficient"]
         if rows["scratchpad"] is not None:
             pad = _joined([p.scratchpad for p in parents], Scratchpad.merge, Scratchpad)
             for row in rows["scratchpad"]:
@@ -447,22 +479,35 @@ def rebuild_evidence(data: dict) -> dict[int, Evidence]:
     return built
 
 
+def assert_rebuilds(data: dict, result: SearchResult) -> None:
+    """A trace dict's rows rebuild every in-memory state's evidence, each
+    seen map in the same key order."""
+    rebuilt = rebuild_evidence(data)
+    assert rebuilt == {sid: s.evidence for sid, s in result.states.items()}
+    for sid, state in result.states.items():
+        explored = state.evidence.exploration
+        if explored is not None:
+            order = list(rebuilt[sid].exploration.seen_entities.items())
+            assert order == list(explored.seen_entities.items()), sid
+
+
 def _fact_keys(triples: list[dict], attributes: list[dict] = ()) -> list:
     keys = [("triple", t["head_id"], t["relation"], t["tail_id"]) for t in triples]
     return keys + [("attribute", h["entity_id"], h["key"]) for h in attributes]
 
 
 def assert_writes_deltas(data: dict, result: SearchResult) -> None:
-    """A trace/v3 or trace/v4 dict holds each state's additions only, and
-    they rebuild every in-memory state's evidence.
+    """A trace/v3, v4 or v5 dict holds each state's additions only, and
+    they rebuild every in-memory state's evidence (``assert_rebuilds``).
 
     No state adds a triple or attribute that an ancestor holds, and each
     step row extends its parents' joined scratchpad (checked by the
     rebuild: ``Scratchpad.merge`` keeps one step per thought and action, so
     a step an ancestor repeated may be dropped and added again later). A
-    merged state writes and cites no rows at all. In v4 each triple row is
-    written once, by the first state that adds it, and the rows a state
-    writes are those its references introduce, in order.
+    merged state writes and cites no rows at all, and in v5 adds no anchor
+    and runs no round. In v4 and v5 each triple row is written once, by the
+    first state that adds it, and the rows a state writes are those its
+    references introduce, in order.
     """
     by_id = {state["id"]: state for state in data["states"]}
     added = added_triples(data)
@@ -478,12 +523,15 @@ def assert_writes_deltas(data: dict, result: SearchResult) -> None:
             for key in _fact_keys(added[aid], by_id[aid]["evidence"]["attributes"])
         }
         assert not inherited.intersection(own), (sid, inherited.intersection(own))
-        if data["schema"] == "trace/v4":
+        if data["schema"] != "trace/v3":
             new = [key for key in own if key[0] == "triple" and key not in written]
             assert _fact_keys(evidence["triples"]) == new, sid
             written.update(new)
         if len(parents) == 2:
-            exploration = evidence["exploration"] or {"seen_entities": []}
+            exploration = evidence["exploration"]
             assert own == [] and evidence["triples"] == [] and not evidence["scratchpad"], sid
-            assert exploration["seen_entities"] == [], sid
-    assert rebuild_evidence(data) == {sid: s.evidence for sid, s in result.states.items()}
+            if exploration is not None and data["schema"] == "trace/v5":
+                assert exploration["anchors"] == [] and exploration["rounds"] == 0, sid
+            elif exploration is not None:
+                assert exploration["seen_entities"] == [], sid
+    assert_rebuilds(data, result)

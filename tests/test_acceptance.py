@@ -16,6 +16,7 @@ from click.testing import CliRunner
 
 from helpers import (
     TEMPLATE_MATCHERS,
+    assert_rebuilds,
     closure_oracle,
     golden_agent_entries,
     golden_explore_entries,
@@ -97,7 +98,9 @@ def test_acceptance_1_golden_traces():
     pad = final.evidence.scratchpad
     # Each state of the chain writes only the step it added, numbered by
     # its position in the whole scratchpad.
-    rows = build_trace(question, {}, result).states
+    trace = build_trace(question, {}, result)
+    assert_rebuilds(trace.as_dict(), result)
+    rows = trace.states
     lineage = [final.id]
     while result.states[lineage[-1]].parents != (0,):
         lineage.append(result.states[lineage[-1]].parents[0])
@@ -138,6 +141,8 @@ def test_acceptance_1_golden_traces():
     counters = result.counters
     assert result.answer == "head, skin of body"
     assert backend.remaining() == 0
+    # The trace's anchors and rounds rebuild each seen map, in order.
+    assert_rebuilds(build_trace(question, {}, result).as_dict(), result)
 
     final = result.states[max(result.states)]
     triples = final.evidence.exploration.found_triples.values()
@@ -227,6 +232,7 @@ def test_acceptance_3_cost_grid():
                         result = run_search(question, config, graph, permissive_backend())
                         counters = result.counters
                         assert result.termination == "step_limit"
+                        assert_rebuilds(build_trace(question, {}, result).as_dict(), result)
 
                         bound = bound_for(config, n=d_max, d=config.search_depth)
                         verdict = check(counters, bound)

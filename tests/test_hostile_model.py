@@ -1,8 +1,8 @@
 """A hostile model: seeded random replies built from fragments that break
 parsers, and calls that fail. Whatever it says, every run ends, every trace
-validates and is written as canonical JSON, ``score`` rebuilds both tables
-byte for byte, the report holds one row per question, and the meters stay
-inside their closed-form bounds."""
+validates, is written as canonical JSON and rebuilds every state's evidence,
+``score`` rebuilds both tables byte for byte, the report holds one row per
+question, and the meters stay inside their closed-form bounds."""
 
 import itertools
 import json
@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from helpers import synthetic_question, write_question_file
+from helpers import assert_rebuilds, synthetic_question, write_question_file
 from graphreason import runner
 from graphreason.costs import bound_for, check
 from graphreason.kg import generate_synthetic_graph, save_graph
@@ -76,12 +76,12 @@ def test_a_hostile_model_costs_no_run(
 ):
     questions = [synthetic_question("q1"), synthetic_question("q2")]
     questions_path = write_question_file(tmp_path / "q.lines", questions)
-    meters = {}
+    results = {}
     search = runner.run_search
 
     def metered(question, *args, **kwargs):
         result = search(question, *args, **kwargs)
-        meters[question.qid] = result.counters
+        results[question.qid] = result
         return result
 
     monkeypatch.setattr(runner, "run_search", metered)
@@ -116,7 +116,8 @@ def test_a_hostile_model_costs_no_run(
             # it writes is still the canonical encoding.
             assert text == json.dumps(data, sort_keys=True) + "\n", name
             traces_with_rows += any(state["evidence"]["triples"] for state in data["states"])
-            verdict = check(meters[question.qid], bound)
+            assert_rebuilds(data, results[question.qid])
+            verdict = check(results[question.qid].counters, bound)
             assert verdict.ok, (name, verdict.violations)
         rescore = tmp_path / f"rescore{seed}"
         score_run(out / "traces", questions_path, rescore)

@@ -562,11 +562,11 @@ def test_run_search_explore_interaction_round_trip():
 def test_got_trace_writes_each_state_only_what_it_added(interaction):
     result = run(strategy="got", interaction=interaction, k=3, t=3, d_max=2)
     data = build_trace(synthetic_question(), {}, result).as_dict()
-    assert data["schema"] == "trace/v4"
+    assert data["schema"] == "trace/v5"
     merged = [state for state in data["states"] if len(state["parents"]) == 2]
     assert merged
     if interaction == "explore":
-        keys = {"seen_entities", "sufficient", "triple_refs"}
+        keys = {"anchors", "rounds", "sufficient", "triple_refs"}
         assert all(set(s["evidence"]["exploration"]) == keys for s in data["states"][1:])
         a, b = (result.states[p].evidence.exploration for p in merged[0]["parents"])
         assert ExplorationState.merge(a, b).found_triples

@@ -155,7 +155,7 @@ def test_serialized_form_is_canonical(got_trace):
     data = json.loads(text)
     assert text == json.dumps(data, sort_keys=True) + "\n"
     assert "\n" not in text[:-1]
-    assert data["schema"] == "trace/v4"
+    assert data["schema"] == "trace/v5"
 
 
 def test_write_then_load_round_trips(tmp_path, got_trace):
@@ -302,7 +302,7 @@ def golden_traces():
 
 
 def test_the_writer_writes_what_json_dumps_writes_for_real_traces(got_trace, real_traces):
-    stored = [DATA / "got_explore_v2.trace", DATA / "got_explore_v3.trace"]
+    stored = [DATA / f"got_explore_{version}.trace" for version in OLD_VERSIONS]
     loaded = [TraceRecord(**data) for data in real_traces.values()]
     traces = [got_trace, *map(load_trace, stored), *golden_traces(), *loaded]
     assert any(state["evidence"]["triples"] for trace in traces for state in trace.states)
@@ -506,7 +506,8 @@ def test_build_trace_makes_no_merge(name, monkeypatch):
     assert_writes_deltas(data, result)
 
 
-# The CI got/explore replay (its run was written as trace/v2 and trace/v3 into DATA).
+# The CI got/explore replay (its run was written as trace/v2, trace/v3 and
+# trace/v4 into DATA).
 STORED_RUN_REPLAY = [
     ReplayEntry("Generate the next thought for the merged chain",
                 "Both chains point the same way; keep exploring."),
@@ -517,9 +518,16 @@ STORED_RUN_REPLAY = [
     ReplayEntry("whether it's sufficient", "{{No}}"),
     ReplayEntry("Next Thought:", "Look at the entries linked to beta 1."),
 ]
+OLD_VERSIONS = ("v2", "v3", "v4")
 
 
-def test_v2_and_v3_traces_load_validate_and_score_as_their_v4_rewrite(tmp_path):
+def seen_orders(rebuilt):
+    """Each rebuilt state's seen entries, in map order."""
+    return {sid: list(evidence.exploration.seen_entities.items())
+            for sid, evidence in rebuilt.items() if evidence.exploration is not None}
+
+
+def test_v2_v3_and_v4_traces_load_validate_and_score_as_their_v5_rewrite(tmp_path):
     questions = tmp_path / "questions.lines"
     questions.write_text(
         '{"qid": "q1", "question": "Which entries are linked to beta 1?", '
@@ -529,41 +537,43 @@ def test_v2_and_v3_traces_load_validate_and_score_as_their_v4_rewrite(tmp_path):
     graph_path = tmp_path / "graph.kg"
     save_graph(generate_synthetic_graph(11), graph_path)
     run_experiment(RunConfig(
-        kg_path=str(graph_path), questions_path=str(questions), out_dir=str(tmp_path / "v4"),
+        kg_path=str(graph_path), questions_path=str(questions), out_dir=str(tmp_path / "v5"),
         replay_path=str(write_replay_script(tmp_path / "explore.replay", STORED_RUN_REPLAY)),
         strategy="got", interaction="explore", evaluator="score", max_depth=2, search_depth=1,
     ))
-    v4 = load_trace(tmp_path / "v4" / "traces" / "q1.trace")
-    assert v4.schema == "trace/v4"
+    v5 = load_trace(tmp_path / "v5" / "traces" / "q1.trace")
+    assert v5.schema == "trace/v5"
     (question,) = load_questions(questions)
-    lines = (tmp_path / "v4" / "results.lines").read_bytes()
+    lines = (tmp_path / "v5" / "results.lines").read_bytes()
 
     def without(record, *names):
         return {k: v for k, v in record.items() if k not in names}
 
     stored = {}
-    for version in ("v2", "v3"):
+    for version in OLD_VERSIONS:
         path = DATA / f"got_explore_{version}.trace"
         old = stored[version] = load_trace(path)
         assert old.schema == f"trace/{version}"
         assert validate_trace(json.loads(path.read_text(encoding="utf-8"))) == []
-        assert _outcome(question, old) == _outcome(question, v4)
-        assert old.evidence_strings() == v4.evidence_strings()
+        assert _outcome(question, old) == _outcome(question, v5)
+        assert old.evidence_strings() == v5.evidence_strings()
         traces = tmp_path / version
         traces.mkdir()
         (traces / "q1.trace").write_bytes(path.read_bytes())
         score_run(traces, questions, tmp_path / f"{version}-rescore")
         assert (tmp_path / f"{version}-rescore" / "results.lines").read_bytes() == lines
         # Everything but the evidence is written alike.
-        top = [without(trace.as_dict(), "schema", "states") for trace in (old, v4)]
+        top = [without(trace.as_dict(), "schema", "states") for trace in (old, v5)]
         assert top[0] == top[1]
-        for old_state, new_state in zip(old.states, v4.states, strict=True):
+        for old_state, new_state in zip(old.states, v5.states, strict=True):
             assert without(old_state, "evidence") == without(new_state, "evidence")
 
-    # The v3 and v4 rows rebuild the same evidence, and it is each state's
-    # v2 evidence.
-    rebuilt = rebuild_evidence(v4.as_dict())
-    assert rebuild_evidence(stored["v3"].as_dict()) == rebuilt
+    # The v3, v4 and v5 rows rebuild the same evidence, seen maps in the
+    # same order, and it is each state's v2 evidence.
+    rebuilt = rebuild_evidence(v5.as_dict())
+    for version in ("v3", "v4"):
+        old = rebuild_evidence(stored[version].as_dict())
+        assert old == rebuilt and seen_orders(old) == seen_orders(rebuilt), version
     for old_state in stored["v2"].states:
         rows, whole = old_state["evidence"], rebuilt[old_state["id"]]
         explored = whole.exploration or ExplorationState()
@@ -575,8 +585,9 @@ def test_v2_and_v3_traces_load_validate_and_score_as_their_v4_rewrite(tmp_path):
                 "seen_entities": {e: vars(m) for e, m in explored.seen_entities.items()},
                 "sufficient": explored.sufficient,
             }
-    sizes = [len(serialize_trace(trace)) for trace in (stored["v2"], stored["v3"], v4)]
-    assert sizes[1] < 0.6 * sizes[0] and sizes[2] < sizes[1], sizes
+    sizes = [len(serialize_trace(stored[version])) for version in OLD_VERSIONS]
+    sizes.append(len(serialize_trace(v5)))
+    assert sizes[1] < 0.6 * sizes[0] and sizes[3] < sizes[2] < sizes[1], sizes
 
 
 # ------------------------------------------------------------- validation
@@ -837,10 +848,16 @@ def test_tampering_a_real_trace_is_caught(got_trace):
 def real_traces(got_trace):
     result = explore_with_attributes(finish=False)
     return {
-        "v4-explore": build_trace(synthetic_question(), {"strategy": "got"}, result).as_dict(),
-        "v4-agent": got_trace.as_dict(),
-        "v3-explore": json.loads((DATA / "got_explore_v3.trace").read_text(encoding="utf-8")),
-        "v2-explore": json.loads((DATA / "got_explore_v2.trace").read_text(encoding="utf-8")),
+        "v5-explore": build_trace(
+            synthetic_question(), {"strategy": "got", "search_depth": 1}, result
+        ).as_dict(),
+        "v5-agent": got_trace.as_dict(),
+        **{
+            f"{version}-explore": json.loads(
+                (DATA / f"got_explore_{version}.trace").read_text(encoding="utf-8")
+            )
+            for version in OLD_VERSIONS
+        },
     }
 
 
@@ -851,11 +868,14 @@ def _pop_tail_name(rows):
 # (trace, evidence field, change to the first state's nonempty rows, fragment)
 ROW_MUTATIONS = {
     "triple-without-tail_name": (
-        "v4-explore", "triples", _pop_tail_name, "every triple must be an object of the string"
+        "v5-explore", "triples", _pop_tail_name, "every triple must be an object of the string"
     ),
     "triple-with-numeric-head_name": (
-        "v4-explore", "triples", lambda rows: rows[0].update(head_name=7),
+        "v5-explore", "triples", lambda rows: rows[0].update(head_name=7),
         "every triple must be an object of the string",
+    ),
+    "v4-triple-without-tail_name": (
+        "v4-explore", "triples", _pop_tail_name, "every triple must be an object of the string"
     ),
     "v3-triple-without-tail_name": (
         "v3-explore", "triples", _pop_tail_name, "every triple must be an object of the string"
@@ -868,16 +888,16 @@ ROW_MUTATIONS = {
         "every triple must be an object of the string",
     ),
     "attribute-of-other-fields": (
-        "v4-explore", "attributes", lambda rows: rows.append({"x": 1}),
+        "v5-explore", "attributes", lambda rows: rows.append({"x": 1}),
         "every attribute must be an object of the string",
     ),
     "observations-as-a-string": (
-        "v4-agent", "scratchpad",
+        "v5-agent", "scratchpad",
         lambda rows: rows[0].update(observations="The number of neighbors is 0."),
         "observations must be a list of strings",
     ),
     "scratchpad-from-index-0": (
-        "v4-agent", "scratchpad",
+        "v5-agent", "scratchpad",
         lambda rows: [row.update(index=row["index"] - 1) for row in rows],
         "must start at a positive integer",
     ),
@@ -907,15 +927,16 @@ def _cited(evidence):
 # (traces, the rows of one kind in a state's evidence[, the row to add, else a
 # one-parent state's first])
 MERGED_ROWS = {
-    "triple": (("v4-explore", "v3-explore"), lambda evidence: evidence["triples"]),
-    "triple_ref": (("v4-explore",), _cited),
+    "triple": (("v5-explore", "v4-explore", "v3-explore"), lambda evidence: evidence["triples"]),
+    "triple_ref": (("v5-explore", "v4-explore"), _cited),
     # A reference of the wrong type is still one line: the state's.
-    "triple_ref=-1": (("v4-explore",), _cited, -1),
-    "triple_ref='x'": (("v4-explore",), _cited, "x"),
-    "attribute": (("v4-explore",), lambda evidence: evidence["attributes"]),
+    "triple_ref=-1": (("v5-explore", "v4-explore"), _cited, -1),
+    "triple_ref='x'": (("v5-explore", "v4-explore"), _cited, "x"),
+    "attribute": (("v5-explore",), lambda evidence: evidence["attributes"]),
     "seen": (("v4-explore", "v3-explore"),
              lambda evidence: evidence["exploration"]["seen_entities"]),
-    "step": (("v4-agent",), lambda evidence: evidence["scratchpad"]),
+    "anchor": (("v5-explore",), lambda evidence: evidence["exploration"]["anchors"]),
+    "step": (("v5-agent",), lambda evidence: evidence["scratchpad"]),
 }
 
 
@@ -923,8 +944,8 @@ MERGED_ROWS = {
 @pytest.mark.parametrize("name", MERGED_ROWS)
 def test_validator_reports_rows_in_a_v3_merged_state(real_traces, name, target):
     """The root holds no evidence and a merged state's is exactly its
-    parents' union, so a v3 or v4 root or merged state that holds another
-    state's row, or cites its triple, is one violation naming it."""
+    parents' union, so a v3, v4 or v5 root or merged state that holds
+    another state's row, or cites its triple, is one violation naming it."""
     sources, rows, *row = MERGED_ROWS[name]
     for source in sources:
         data = copy.deepcopy(real_traces[source])
@@ -938,11 +959,77 @@ def test_validator_reports_rows_in_a_v3_merged_state(real_traces, name, target):
         assert validate_trace(data) == [] and rows(state["evidence"]) == []
         donor = next(s for s in states[1:] if len(s["parents"]) == 1 and rows(s["evidence"]))
         rows(state["evidence"]).append(row[0] if row else rows(donor["evidence"])[0])
-        holds = ("the root holds no evidence, so it" if target == "root" else
-                 "a merged state holds exactly its parents' evidence, so it")
-        assert validate_trace(data) == [
-            f"state {state['id']}: {holds} writes no triple, attribute, step or seen row"
-        ], source
+        assert validate_trace(data) == [holds_line(state, target)], source
+
+
+def holds_line(state, target):
+    """The one line for a root or merged state that holds a row or ran a round."""
+    holds = ("the root holds no evidence, so it" if target == "root" else
+             "a merged state holds exactly its parents' evidence, so it")
+    return (f"state {state['id']}: {holds} writes no triple, attribute, step, seen "
+            "or anchor row and runs no round")
+
+
+@pytest.mark.parametrize("target", ["root", "merged"])
+def test_validator_reports_rounds_in_a_v5_merged_state(real_traces, target):
+    """A v5 root or merged state ran no explore step, so rounds other than 0
+    are one violation naming it."""
+    data = copy.deepcopy(real_traces["v5-explore"])
+    states = data["states"]
+    state = next(s for s in states if len(s["parents"]) == 2)
+    if target == "root":
+        states[0]["evidence"] = copy.deepcopy(state["evidence"])
+        state = states[0]
+    assert validate_trace(data) == [] and state["evidence"]["exploration"]["rounds"] == 0
+    state["evidence"]["exploration"]["rounds"] = 1
+    assert validate_trace(data) == [holds_line(state, target)]
+
+
+def _first_step(data):
+    """The first state with one parent and an exploration."""
+    return next(s["evidence"]["exploration"] for s in data["states"]
+                if len(s["parents"]) == 1 and s["evidence"]["exploration"] is not None)
+
+
+def _set_step(key, value):
+    def edit(data):
+        _first_step(data)[key] = value
+    return edit
+
+
+def _drop_step(key):
+    def edit(data):
+        del _first_step(data)[key]
+    return edit
+
+
+ANCHORS_LINE = "exploration.anchors must be a list of strings"
+ROUNDS_LINE = "exploration.rounds must be an integer from 0 to the config's search_depth"
+# (edit of the v5 explore trace, whose config has search_depth 1, the violation's text)
+STEP_TAMPERS = {
+    "anchors-a-string": (_set_step("anchors", "n0000"), ANCHORS_LINE),
+    "anchors-of-numbers": (_set_step("anchors", [0]), ANCHORS_LINE),
+    "anchors-of-null": (_set_step("anchors", [None]), ANCHORS_LINE),
+    "anchors-missing": (_drop_step("anchors"), ANCHORS_LINE),
+    "rounds-negative": (_set_step("rounds", -1), ROUNDS_LINE + ", got -1"),
+    "rounds-a-fraction": (_set_step("rounds", 0.5), ROUNDS_LINE + ", got 0.5"),
+    "rounds-a-string": (_set_step("rounds", "1"), ROUNDS_LINE + ", got '1'"),
+    "rounds-a-boolean": (_set_step("rounds", True), ROUNDS_LINE + ", got True"),
+    "rounds-above-search_depth": (_set_step("rounds", 2), ROUNDS_LINE + ", got 2"),
+    "rounds-missing": (_drop_step("rounds"), ROUNDS_LINE + ", got None"),
+}
+
+
+@pytest.mark.parametrize("name", STEP_TAMPERS)
+def test_validator_reports_one_line_for_a_broken_v5_step(real_traces, name):
+    """A v5 state's anchors are a list of strings and its rounds an integer
+    from 0 to the config's search_depth; one broken field is one line."""
+    edit, line = STEP_TAMPERS[name]
+    data = copy.deepcopy(real_traces["v5-explore"])
+    assert validate_trace(data) == [] and data["config"]["search_depth"] == 1
+    edit(data)
+    (violation,) = validate_trace(data)
+    assert violation.startswith("state ") and violation.endswith(": " + line), violation
 
 
 def _writer(data, least=1):
@@ -1014,7 +1101,7 @@ def _write_a_row_again(data):
     return later
 
 
-# (edit of a v4 trace returning the state it broke, the violation's text after "state <id>: ")
+# (edit of a v4 or v5 trace returning the state it broke, the violation's text after "state <id>: ")
 REF_TAMPERS = {
     "cites-a-row-not-yet-written": (_cite_a_later_row, "exploration.triple_refs cites row"),
     "cites-a-negative-row": (_set_first_ref(-1), "must be a list of nonnegative integers"),
@@ -1030,12 +1117,14 @@ REF_TAMPERS = {
 }
 
 
+@pytest.mark.parametrize("source", ["v5-explore", "v4-explore"])
 @pytest.mark.parametrize("name", REF_TAMPERS)
-def test_validator_reports_one_line_for_a_broken_triple_reference(real_traces, name):
-    """Each v4 row number is written once and cited as the rules say; one
-    broken reference is one violation, and row numbers after it go unchecked."""
+def test_validator_reports_one_line_for_a_broken_triple_reference(real_traces, name, source):
+    """Each v4 or v5 row number is written once and cited as the rules say;
+    one broken reference is one violation, and row numbers after it go
+    unchecked."""
     edit, fragment = REF_TAMPERS[name]
-    data = copy.deepcopy(real_traces["v4-explore"])
+    data = copy.deepcopy(real_traces[source])
     assert validate_trace(data) == []
     state = edit(data)
     (violation,) = validate_trace(data)
@@ -1153,13 +1242,15 @@ def test_validator_returns_a_list_for_any_field_replaced(data, value):
     assert isinstance(validate_trace(document), list)
 
 
+@pytest.mark.parametrize("source", ["v5-explore", "v4-explore"])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), value=_json_values)
-def test_validator_returns_a_list_for_any_field_of_a_v4_explore_trace_replaced(
-    real_traces, data, value
+def test_validator_returns_a_list_for_any_field_of_an_explore_trace_replaced(
+    real_traces, source, data, value
 ):
-    """The row-number checks, too, report any JSON value anywhere rather than raise."""
-    document = copy.deepcopy(real_traces["v4-explore"])
+    """The row-number, anchor and round checks, too, report any JSON value
+    anywhere rather than raise."""
+    document = copy.deepcopy(real_traces[source])
     holder, key = data.draw(st.sampled_from(list(_holders(document))))
     holder[key] = value
     assert isinstance(validate_trace(document), list)
@@ -1168,7 +1259,7 @@ def test_validator_returns_a_list_for_any_field_of_a_v4_explore_trace_replaced(
 # ------------------------------------------------------------ the reader
 
 DELETE = object()
-CONTRACT_SOURCES = ("minimal", "v4-explore", "v3-explore", "v2-explore")
+CONTRACT_SOURCES = ("minimal", "v5-explore", "v4-explore", "v3-explore", "v2-explore")
 
 
 @pytest.mark.parametrize("source", CONTRACT_SOURCES)
