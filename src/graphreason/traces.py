@@ -318,6 +318,8 @@ def _check_records(
 ) -> bool:
     """Whether every row is an object holding exactly ``names``, all
     strings, as ``evidence_strings`` reads it back; if not, report it."""
+    if not rows:  # agent traces write no triple or attribute rows
+        return True
     try:
         if (
             set(map(type, rows)) <= {dict}

@@ -5,11 +5,13 @@ import json
 import re
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphreason import kg
 from graphreason.kg import (
     EmptyGraphError,
     FeatureAbsentError,
@@ -345,6 +347,170 @@ def test_graph_checks_match_one_ordered_walk(tmp_path_factory, rows):
         with pytest.raises(GraphLoadError) as caught:
             load_graph(path)
         assert str(caught.value) == expected
+
+
+# ------------------------------------------ the chunked reader and the per-line one
+
+
+def load_outcome(load, path):
+    """What loading ``path`` gives: each node's fields with their key order,
+    and the stats, or the ``GraphLoadError`` text."""
+    try:
+        graph = load(path)
+    except GraphLoadError as exc:
+        return str(exc)
+    nodes = [
+        (node_id, node.id, node.node_type, list(node.features.items()), list(node.out_edges.items()))
+        for node_id, node in graph.nodes.items()
+    ]
+    return nodes, graph.stats
+
+
+def per_line_load(path):
+    return kg._build_graph(kg._read_lines(path))
+
+
+FILE_IDS = st.sampled_from(["a", "b", "c", "ghost", ""])
+FILE_KEYS = st.sampled_from(["name", "summary", "linked-to", "part-of"])
+FILE_ROWS = st.lists(
+    st.fixed_dictionaries(
+        {
+            "id": FILE_IDS,
+            "type": st.sampled_from(["gene", ""]),
+            "features": st.dictionaries(FILE_KEYS, st.sampled_from(["x", "KRT39", ""]), max_size=2),
+            "neighbors": st.dictionaries(FILE_KEYS, st.lists(FILE_IDS, max_size=3), max_size=2),
+        }
+    ),
+    max_size=6,
+)
+# Each edit inserts a piece at a position, deletes the character there, or
+# turns the next newline into a comma, making a {...},{...} line.
+FILE_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "delete", "comma-join"]),
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(list('{}[],":') + ["\n", "\n\n", "\r", "\r\n", "\f", "\ufeff", " "]),
+    ),
+    max_size=4,
+)
+
+
+def edit_text(text, edits):
+    for kind, at, piece in edits:
+        at %= len(text) + 1
+        if kind == "insert":
+            text = text[:at] + piece + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + 1 :]
+        elif (newline := text.find("\n", at)) >= 0:
+            text = text[:newline] + "," + text[newline + 1 :]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=FILE_ROWS,
+    spaced=st.booleans(),
+    edits=FILE_EDITS,
+    bad_byte_at=st.none() | st.integers(min_value=0, max_value=10_000),
+    chunk_chars=st.sampled_from([1, 64, 1 << 16]),
+)
+def test_the_chunked_load_is_the_per_line_load(
+    tmp_path_factory, rows, spaced, edits, bad_byte_at, chunk_chars
+):
+    """On node files and on edits of them, ``load_graph`` builds the per-line
+    reader's graph, nodes in the same order, or raises its error, whatever
+    the chunk size."""
+    separators = (", ", ": ") if spaced else (",", ":")
+    text = edit_text("".join(json.dumps(row, separators=separators) + "\n" for row in rows), edits)
+    data = text.encode("utf-8")
+    if bad_byte_at is not None:
+        at = bad_byte_at % (len(data) + 1)
+        data = data[:at] + b"\xff" + data[at:]
+    path = tmp_path_factory.mktemp("chunks") / "g.lines"
+    path.write_bytes(data)
+    with mock.patch.object(kg, "_CHUNK_CHARS", chunk_chars):
+        assert load_outcome(load_graph, path) == load_outcome(per_line_load, path)
+
+
+A_ROW = json.dumps(node_row("a", r=["b"]))
+B_ROW = json.dumps(node_row("b"))
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        ((A_ROW + "\n\n" + B_ROW + "\n").encode(), 2),
+        ((A_ROW + "\n " + B_ROW + "\n").encode(), 2),
+        ((A_ROW + "," + B_ROW + "\n").encode(), "line 1: not valid JSON (Extra data)"),
+        (
+            b'{"neighbors": [{}\n{}]}\n',
+            "line 1: not valid JSON (Expecting ',' delimiter)",
+        ),
+        # The array counts one value per line, but a node runs over two
+        # lines: the comma between them falls inside an object or a list.
+        (
+            (A_ROW + "," + B_ROW + '\n{"id": "c", "type": ""\n"features": {}, "neighbors": {}}\n')
+            .encode(),
+            "line 1: not valid JSON (Extra data)",
+        ),
+        (
+            (A_ROW + "," + B_ROW + '\n{"id": "c", "type": "", "features": {}, "neighbors": {"r": [{}'
+             + "\n{}]}}\n").encode(),
+            "line 1: not valid JSON (Extra data)",
+        ),
+        (
+            (A_ROW + "\n" + B_ROW + "\n{oops\n").encode(),
+            "line 3: not valid JSON (Expecting property name enclosed in double quotes)",
+        ),
+        ((A_ROW + "\n" + row_with(features={"k": 3}) + "\n").encode(), BAD_FEATURES),
+        ((A_ROW + "\n" + B_ROW.replace('""', '"\xff"') + "\n").encode("latin-1"),
+         "line 2: not UTF-8 (invalid start byte)"),
+    ],
+    ids=[
+        "blank-line",
+        "line-not-opening-with-a-brace",
+        "two-values-on-a-line",
+        "one-value-over-two-lines",
+        "a-node-over-two-lines",
+        "a-target-list-over-two-lines",
+        "not-json",
+        "record-rules",
+        "not-utf8",
+    ],
+)
+def test_each_chunk_check_hands_the_file_to_the_per_line_reader(tmp_path, data, expected):
+    path = tmp_path / "g.lines"
+    path.write_bytes(data)
+    assert kg._read_chunks(path) is None
+    outcome = load_outcome(load_graph, path)
+    assert outcome == load_outcome(per_line_load, path)
+    if isinstance(expected, int):  # the node count of a file that loads
+        assert len(outcome[0]) == expected
+    else:
+        assert outcome == expected
+
+
+def test_a_graph_check_names_the_per_line_readers_error(tmp_path):
+    """A file whose every line passes but whose graph does not fails in
+    ``_build_graph``, over the records the per-line reader reads too."""
+    path = write_nodes(tmp_path / "g.lines", [node_row("a", r=["ghost"]), node_row("b")])
+    assert kg._read_chunks(path) == kg._read_lines(path)
+    with pytest.raises(GraphLoadError) as caught:
+        load_graph(path)
+    assert str(caught.value) == "node 'a' references missing node 'ghost' under relation 'r'"
+
+
+def test_nodes_of_one_chunk_share_their_key_strings(tmp_path):
+    rows = [
+        {"id": node_id, "type": "gene", "features": {"summary": node_id}, "neighbors": {"linked-to": ["a"]}}
+        for node_id in ("a", "b")
+    ]
+    graph = load_graph(write_nodes(tmp_path / "g.lines", rows))
+    (a_feature,), (b_feature,) = (node.features for node in graph.nodes.values())
+    (a_relation,), (b_relation,) = (node.out_edges for node in graph.nodes.values())
+    assert a_feature == "summary" and a_feature is b_feature
+    assert a_relation == "linked-to" and a_relation is b_relation
 
 
 # ------------------------------------------------------ the cyclic collector
