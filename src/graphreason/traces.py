@@ -56,16 +56,6 @@ from .strategies import (
 from .textops import clip, decode_json
 
 TRACE_SCHEMA = "trace/v5"
-# Older layouts still load, validate and score. In v4 each state wrote the
-# ``[entity_id, depth_discovered, visited]`` row of every seen entity that
-# was new or changed over its parent, in place of its anchors and rounds;
-# in v3 each state also wrote the row of every triple it added, so sibling
-# states repeated rows; in v2 each state wrote its cumulative evidence and
-# thought log.
-TRACE_SCHEMA_V4 = "trace/v4"
-TRACE_SCHEMA_V3 = "trace/v3"
-TRACE_SCHEMA_V2 = "trace/v2"
-_SCHEMAS = (TRACE_SCHEMA, TRACE_SCHEMA_V4, TRACE_SCHEMA_V3, TRACE_SCHEMA_V2)
 RESULTS_SCHEMA = "results/v1"
 REPORT_SCHEMA = "report/v1"
 SWEEP_SCHEMA = "sweep/v1"
@@ -306,7 +296,6 @@ def _typed(holder: dict, key: str, kind: type, bad: Callable[[str], None], where
     return kind()
 
 
-_SEEN_ROW = (str, int, bool)  # [entity_id, depth_discovered, visited]
 _TRIPLE_KEY = itemgetter("head_id", "relation", "tail_id")
 
 # The row checks below see every row of a trace, so they loop in map and
@@ -333,21 +322,10 @@ def _check_records(
     return False
 
 
-def _check_seen_rows(rows: list, where: str, bad: Callable[[str], None]) -> None:
-    """Report unless every row is a list of a string, an integer and a boolean."""
-    if not (
-        set(map(type, rows)) <= {list}
-        and set(map(len, rows)) <= {len(_SEEN_ROW)}
-        and all(set(map(type, column)) <= {kind} for column, kind in zip(zip(*rows), _SEEN_ROW))
-    ):
-        bad(f"{where}every seen entity must be an [entity_id, depth_discovered, visited] "
-            "row of a string, an integer and a boolean")
-
-
-def _check_steps(pad: object, cumulative: bool, where: str, bad: Callable[[str], None]) -> None:
+def _check_steps(pad: object, where: str, bad: Callable[[str], None]) -> None:
     """A scratchpad is null or a list of step objects whose observations are
-    lists of strings. Its indices count up by one: from 1 where each state
-    wrote its whole scratchpad, else from the first new step's position."""
+    lists of strings. Its indices count up by one from the first new step's
+    position."""
     if not pad:
         return
     if not (isinstance(pad, list) and all(isinstance(step, dict) for step in pad)):
@@ -359,7 +337,7 @@ def _check_steps(pad: object, cumulative: bool, where: str, bad: Callable[[str],
             bad(f"{where}step {_shown(step.get('index'))}: "
                 "observations must be a list of strings")
     indices = [step.get("index") for step in pad]
-    first = 1 if cumulative else indices[0]
+    first = indices[0]
     if type(first) is not int or first < 1:
         bad(f"{where}scratchpad indices {_shown(indices)} must start at a positive integer")
     elif indices != list(range(first, first + len(pad))):
@@ -368,9 +346,9 @@ def _check_steps(pad: object, cumulative: bool, where: str, bad: Callable[[str],
 
 
 def _triple_ref_problem(triples: list, refs: object, written: int, keys: set) -> str | None:
-    """What breaks the trace/v4 and v5 row numbering in a state with one
-    parent that writes ``triples`` and cites ``refs``, after ``written`` rows
-    of the triple ``keys``; None if nothing does.
+    """What breaks the row numbering in a state with one parent that writes
+    ``triples`` and cites ``refs``, after ``written`` rows of the triple
+    ``keys``; None if nothing does.
 
     Rows are numbered across the trace in the order they are written, each
     triple's row once. A state cites the triples it added: rows written
@@ -436,8 +414,9 @@ def record_violations(data: object) -> list[str]:
     violations: list[str] = []
     bad = violations.append
     schema = data.get("schema")
-    if schema not in _SCHEMAS:
-        bad(f"schema is {_shown(schema)}, expected one of {', '.join(map(repr, _SCHEMAS))}")
+    # Any JSON value, a list included, so compared, not looked up.
+    if schema != TRACE_SCHEMA:
+        bad(f"schema is {_shown(schema)}, expected {TRACE_SCHEMA!r}")
     if not isinstance(data.get("states"), list) or not data["states"]:
         bad("states must be a nonempty list")
     # A missing schema, states or termination breaks a rule of its own.
@@ -453,16 +432,15 @@ def validate_trace(data: object) -> list[str]:
 
     Takes any JSON value: a hand-edited trace whose fields have the wrong
     JSON type is reported, never raised on. Returns human-readable violation
-    strings; an empty list means the trace is well-formed.
+    strings; an empty list means the trace is well-formed. A trace of
+    another schema followed none of the state rules, so it gets the record
+    rules' lines alone.
     """
     violations = record_violations(data)
     bad = violations.append
     states = data.get("states") if isinstance(data, dict) else None
-    if not isinstance(states, list) or not states:
+    if not isinstance(states, list) or not states or data.get("schema") != TRACE_SCHEMA:
         return violations
-    schema = data.get("schema")
-    cumulative = schema == TRACE_SCHEMA_V2
-    tabled = schema in (TRACE_SCHEMA, TRACE_SCHEMA_V4)
     config = data["config"] if isinstance(data.get("config"), dict) else {}
     strategy = config.get("strategy")
     # A step runs at most search_depth rounds; a config without one bounds nothing.
@@ -492,11 +470,11 @@ def validate_trace(data: object) -> list[str]:
         bad("first state must be the root: id 0, depth 0, no parents")
 
     max_parents = 2 if strategy == "got" else 1
-    # The v4 and v5 row numbering: rows written so far, their triple keys,
-    # and whether a broken state has put every later row number in doubt.
+    # The row numbering: rows written so far, their triple keys, and
+    # whether a broken state has put every later row number in doubt.
     written = 0
     keys: set = set()
-    numbered = tabled
+    numbered = True
     for state in states:
         sid = state["id"]
         where = f"state {_shown(sid)}: "
@@ -508,15 +486,14 @@ def validate_trace(data: object) -> list[str]:
                 bad(f"{where}duplicate triples in evidence")
         attributes = _typed(evidence, "attributes", list, bad, where + "evidence.")
         _check_records(attributes, _HIT_FIELDS, "attribute", where, bad)
-        _check_steps(evidence.get("scratchpad"), cumulative, where, bad)
+        _check_steps(evidence.get("scratchpad"), where, bad)
         exploration = evidence.get("exploration")
-        seen: list = []
         anchors: object = []
         rounds: object = 0
         refs: object = []
         if exploration is not None and not isinstance(exploration, dict):
             bad(f"{where}exploration must be an object or null, got {_json_type(exploration)}")
-        elif exploration is not None and schema == TRACE_SCHEMA:
+        elif exploration is not None:
             anchors, rounds = exploration.get("anchors"), exploration.get("rounds")
             if not (type(anchors) is list and set(map(type, anchors)) <= {str}):
                 bad(f"{where}exploration.anchors must be a list of strings")
@@ -525,13 +502,9 @@ def validate_trace(data: object) -> list[str]:
                 bad(f"{where}exploration.rounds must be an integer from 0 to the config's "
                     f"search_depth, got {_shown(rounds)}")
                 rounds = 0
-        elif exploration is not None and not cumulative:
-            seen = _typed(exploration, "seen_entities", list, bad, where + "exploration.")
-            _check_seen_rows(seen, where, bad)
-        if tabled and isinstance(exploration, dict):
             refs = exploration.get("triple_refs")
-        holds_rows = (triples or attributes or evidence.get("scratchpad") or seen or anchors
-                      or rounds or refs)
+        holds_rows = (triples or attributes or evidence.get("scratchpad") or anchors or rounds
+                      or refs)
         parents = [] if state is root else _typed(state, "parents", list, bad, where)
         if numbered:
             # Only the first state that breaks the numbering is reported. A
@@ -561,7 +534,7 @@ def validate_trace(data: object) -> list[str]:
         if not all(type(pid) is int for pid in parents):
             bad(f"{where}parents {_shown(parents)} are not all state ids")
             continue
-        if len(parents) == 2 and not cumulative and holds_rows:
+        if len(parents) == 2 and holds_rows:
             bad(f"{where}a merged state holds exactly its parents' evidence, "
                 "so it writes no triple, attribute, step, seen or anchor row "
                 "and runs no round")

@@ -382,15 +382,12 @@ def _step(row: dict) -> AgentStep:
 
 
 def added_triples(data: dict) -> dict[int, list[dict]]:
-    """The rows of the triples each state of a trace/v3, v4 or v5 dict added.
+    """The rows of the triples each state of a trace dict added.
 
-    A v3 state writes them as its ``evidence.triples``. A v4 or v5 state
-    writes only the rows no earlier state wrote, numbered on across the
-    trace, and cites each triple it added by number in
+    A state writes only the rows no earlier state wrote, numbered on across
+    the trace, and cites each triple it added by number in
     ``exploration.triple_refs``.
     """
-    if data["schema"] == "trace/v3":
-        return {state["id"]: state["evidence"]["triples"] for state in data["states"]}
     table: list[dict] = []
     added = {}
     for state in data["states"]:
@@ -424,12 +421,11 @@ def replay_rounds(
 
 
 def rebuild_evidence(data: dict) -> dict[int, Evidence]:
-    """Each state's whole evidence, rebuilt from a trace/v3, v4 or v5 dict's rows.
+    """Each state's whole evidence, rebuilt from a trace dict's rows.
 
     A state holds its parents' evidence joined by the union rules of
     ``ExplorationState.merge`` and ``Scratchpad.merge``, then what it added;
-    a null ``exploration`` or ``scratchpad`` means it holds none. A v3 or v4
-    state's seen rows replace the entries they name; a v5 state's seen
+    a null ``exploration`` or ``scratchpad`` means it holds none. Its seen
     entities are replayed from its anchors and rounds (``replay_rounds``).
     Its thought log is its parents' logs joined as ``merged_state`` joins
     them, then its thought; a non-root state holding neither was born pruned
@@ -446,14 +442,9 @@ def rebuild_evidence(data: dict) -> dict[int, Evidence]:
                 [p.exploration for p in parents], ExplorationState.merge, ExplorationState
             )
             step = rows["exploration"]
-            if data["schema"] == "trace/v5":
-                replay_rounds(
-                    exploration.seen_entities, step["anchors"], step["rounds"],
-                    added[state["id"]],
-                )
-            else:
-                for eid, depth, visited in step["seen_entities"]:
-                    exploration.seen_entities[eid] = SeenEntity(visited, depth)
+            replay_rounds(
+                exploration.seen_entities, step["anchors"], step["rounds"], added[state["id"]]
+            )
             for row in added[state["id"]]:
                 exploration.found_triples[row["head_id"], row["relation"], row["tail_id"]] = (
                     Triple(**row)
@@ -497,17 +488,17 @@ def _fact_keys(triples: list[dict], attributes: list[dict] = ()) -> list:
 
 
 def assert_writes_deltas(data: dict, result: SearchResult) -> None:
-    """A trace/v3, v4 or v5 dict holds each state's additions only, and
-    they rebuild every in-memory state's evidence (``assert_rebuilds``).
+    """A trace dict holds each state's additions only, and they rebuild
+    every in-memory state's evidence (``assert_rebuilds``).
 
     No state adds a triple or attribute that an ancestor holds, and each
     step row extends its parents' joined scratchpad (checked by the
     rebuild: ``Scratchpad.merge`` keeps one step per thought and action, so
     a step an ancestor repeated may be dropped and added again later). A
-    merged state writes and cites no rows at all, and in v5 adds no anchor
-    and runs no round. In v4 and v5 each triple row is written once, by the
-    first state that adds it, and the rows a state writes are those its
-    references introduce, in order.
+    merged state writes and cites no rows at all, adds no anchor and runs
+    no round. Each triple row is written once, by the first state that adds
+    it, and the rows a state writes are those its references introduce, in
+    order.
     """
     by_id = {state["id"]: state for state in data["states"]}
     added = added_triples(data)
@@ -523,15 +514,12 @@ def assert_writes_deltas(data: dict, result: SearchResult) -> None:
             for key in _fact_keys(added[aid], by_id[aid]["evidence"]["attributes"])
         }
         assert not inherited.intersection(own), (sid, inherited.intersection(own))
-        if data["schema"] != "trace/v3":
-            new = [key for key in own if key[0] == "triple" and key not in written]
-            assert _fact_keys(evidence["triples"]) == new, sid
-            written.update(new)
+        new = [key for key in own if key[0] == "triple" and key not in written]
+        assert _fact_keys(evidence["triples"]) == new, sid
+        written.update(new)
         if len(parents) == 2:
             exploration = evidence["exploration"]
             assert own == [] and evidence["triples"] == [] and not evidence["scratchpad"], sid
-            if exploration is not None and data["schema"] == "trace/v5":
+            if exploration is not None:
                 assert exploration["anchors"] == [] and exploration["rounds"] == 0, sid
-            elif exploration is not None:
-                assert exploration["seen_entities"] == [], sid
     assert_rebuilds(data, result)

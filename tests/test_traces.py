@@ -7,6 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -19,19 +20,19 @@ from helpers import (
     krt39_question,
     permissive_backend,
     permissive_entries,
-    rebuild_evidence,
     synthetic_question,
     write_question_file,
     write_replay_script,
 )
 from graphreason import explore, kg
 from graphreason.agent import Scratchpad
+from graphreason.cli import main
 from graphreason.costs import CostCounters
-from graphreason.evaluation import classify_error, load_questions, rouge_l
+from graphreason.evaluation import classify_error, rouge_l
 from graphreason.explore import ExplorationState, render_attribute
 from graphreason.kg import generate_synthetic_graph, save_graph
 from graphreason.llm import ReplayBackend, ReplayEntry, TransportError
-from graphreason.runner import ConfigError, RunConfig, _outcome, run_experiment, score_run
+from graphreason.runner import ConfigError, RunConfig, run_experiment, score_run
 from graphreason.strategies import (
     Evidence,
     SearchConfig,
@@ -50,7 +51,6 @@ from graphreason.traces import (
     write_trace,
 )
 
-DATA = Path(__file__).parent / "data"
 
 def run_trace(strategy="got", interaction="agent", finish=False, **overrides):
     config = SearchConfig(
@@ -301,15 +301,16 @@ def golden_traces():
         yield build_trace(question, {}, result)
 
 
-def test_the_writer_writes_what_json_dumps_writes_for_real_traces(got_trace, real_traces):
-    stored = [DATA / f"got_explore_{version}.trace" for version in OLD_VERSIONS]
+def test_the_writer_writes_what_json_dumps_writes_for_real_traces(
+    got_trace, real_traces, stored_run
+):
     loaded = [TraceRecord(**data) for data in real_traces.values()]
-    traces = [got_trace, *map(load_trace, stored), *golden_traces(), *loaded]
+    traces = [got_trace, *golden_traces(), *loaded]
     assert any(state["evidence"]["triples"] for trace in traces for state in trace.states)
     for trace in traces:
         assert serialize_trace(trace) == canonical(trace.as_dict())
-    for path in stored:
-        assert serialize_trace(load_trace(path)) == path.read_text(encoding="utf-8")
+    path = stored_run / "run" / "traces" / "q1.trace"
+    assert serialize_trace(load_trace(path)) == path.read_text(encoding="utf-8")
 
 
 def test_build_trace_shares_one_row_per_triple_among_states():
@@ -506,8 +507,7 @@ def test_build_trace_makes_no_merge(name, monkeypatch):
     assert_writes_deltas(data, result)
 
 
-# The CI got/explore replay (its run was written as trace/v2, trace/v3 and
-# trace/v4 into DATA).
+# The CI got/explore replay.
 STORED_RUN_REPLAY = [
     ReplayEntry("Generate the next thought for the merged chain",
                 "Both chains point the same way; keep exploring."),
@@ -518,76 +518,22 @@ STORED_RUN_REPLAY = [
     ReplayEntry("whether it's sufficient", "{{No}}"),
     ReplayEntry("Next Thought:", "Look at the entries linked to beta 1."),
 ]
-OLD_VERSIONS = ("v2", "v3", "v4")
 
 
-def seen_orders(rebuilt):
-    """Each rebuilt state's seen entries, in map order."""
-    return {sid: list(evidence.exploration.seen_entities.items())
-            for sid, evidence in rebuilt.items() if evidence.exploration is not None}
-
-
-def test_v2_v3_and_v4_traces_load_validate_and_score_as_their_v5_rewrite(tmp_path):
-    questions = tmp_path / "questions.lines"
-    questions.write_text(
-        '{"qid": "q1", "question": "Which entries are linked to beta 1?", '
-        '"answer": "alpha 2", "difficulty": "easy"}\n',
-        encoding="utf-8",
-    )
-    graph_path = tmp_path / "graph.kg"
+@pytest.fixture(scope="module")
+def stored_run(tmp_path_factory):
+    """A directory holding ``questions.lines`` and the CI got/explore run
+    over it, written to ``run``."""
+    root = tmp_path_factory.mktemp("stored")
+    questions = write_question_file(root / "questions.lines", [synthetic_question()])
+    graph_path = root / "graph.kg"
     save_graph(generate_synthetic_graph(11), graph_path)
     run_experiment(RunConfig(
-        kg_path=str(graph_path), questions_path=str(questions), out_dir=str(tmp_path / "v5"),
-        replay_path=str(write_replay_script(tmp_path / "explore.replay", STORED_RUN_REPLAY)),
+        kg_path=str(graph_path), questions_path=str(questions), out_dir=str(root / "run"),
+        replay_path=str(write_replay_script(root / "explore.replay", STORED_RUN_REPLAY)),
         strategy="got", interaction="explore", evaluator="score", max_depth=2, search_depth=1,
     ))
-    v5 = load_trace(tmp_path / "v5" / "traces" / "q1.trace")
-    assert v5.schema == "trace/v5"
-    (question,) = load_questions(questions)
-    lines = (tmp_path / "v5" / "results.lines").read_bytes()
-
-    def without(record, *names):
-        return {k: v for k, v in record.items() if k not in names}
-
-    stored = {}
-    for version in OLD_VERSIONS:
-        path = DATA / f"got_explore_{version}.trace"
-        old = stored[version] = load_trace(path)
-        assert old.schema == f"trace/{version}"
-        assert validate_trace(json.loads(path.read_text(encoding="utf-8"))) == []
-        assert _outcome(question, old) == _outcome(question, v5)
-        assert old.evidence_strings() == v5.evidence_strings()
-        traces = tmp_path / version
-        traces.mkdir()
-        (traces / "q1.trace").write_bytes(path.read_bytes())
-        score_run(traces, questions, tmp_path / f"{version}-rescore")
-        assert (tmp_path / f"{version}-rescore" / "results.lines").read_bytes() == lines
-        # Everything but the evidence is written alike.
-        top = [without(trace.as_dict(), "schema", "states") for trace in (old, v5)]
-        assert top[0] == top[1]
-        for old_state, new_state in zip(old.states, v5.states, strict=True):
-            assert without(old_state, "evidence") == without(new_state, "evidence")
-
-    # The v3, v4 and v5 rows rebuild the same evidence, seen maps in the
-    # same order, and it is each state's v2 evidence.
-    rebuilt = rebuild_evidence(v5.as_dict())
-    for version in ("v3", "v4"):
-        old = rebuild_evidence(stored[version].as_dict())
-        assert old == rebuilt and seen_orders(old) == seen_orders(rebuilt), version
-    for old_state in stored["v2"].states:
-        rows, whole = old_state["evidence"], rebuilt[old_state["id"]]
-        explored = whole.exploration or ExplorationState()
-        assert rows["thought_log"] == whole.thought_log
-        assert rows["triples"] == [t._asdict() for t in explored.found_triples.values()]
-        assert rows["attributes"] == [vars(h) for h in explored.relevant_attributes.values()]
-        if rows["exploration"] is not None:
-            assert rows["exploration"] == {
-                "seen_entities": {e: vars(m) for e, m in explored.seen_entities.items()},
-                "sufficient": explored.sufficient,
-            }
-    sizes = [len(serialize_trace(stored[version])) for version in OLD_VERSIONS]
-    sizes.append(len(serialize_trace(v5)))
-    assert sizes[1] < 0.6 * sizes[0] and sizes[3] < sizes[2] < sizes[1], sizes
+    return root
 
 
 # ------------------------------------------------------------- validation
@@ -845,19 +791,16 @@ def test_tampering_a_real_trace_is_caught(got_trace):
 
 
 @pytest.fixture(scope="module")
-def real_traces(got_trace):
+def real_traces(got_trace, stored_run):
     result = explore_with_attributes(finish=False)
     return {
         "v5-explore": build_trace(
             synthetic_question(), {"strategy": "got", "search_depth": 1}, result
         ).as_dict(),
         "v5-agent": got_trace.as_dict(),
-        **{
-            f"{version}-explore": json.loads(
-                (DATA / f"got_explore_{version}.trace").read_text(encoding="utf-8")
-            )
-            for version in OLD_VERSIONS
-        },
+        "v5-stored": json.loads(
+            (stored_run / "run" / "traces" / "q1.trace").read_text(encoding="utf-8")
+        ),
     }
 
 
@@ -874,17 +817,11 @@ ROW_MUTATIONS = {
         "v5-explore", "triples", lambda rows: rows[0].update(head_name=7),
         "every triple must be an object of the string",
     ),
-    "v4-triple-without-tail_name": (
-        "v4-explore", "triples", _pop_tail_name, "every triple must be an object of the string"
+    "stored-triple-without-tail_name": (
+        "v5-stored", "triples", _pop_tail_name, "every triple must be an object of the string"
     ),
-    "v3-triple-without-tail_name": (
-        "v3-explore", "triples", _pop_tail_name, "every triple must be an object of the string"
-    ),
-    "v2-triple-without-tail_name": (
-        "v2-explore", "triples", _pop_tail_name, "every triple must be an object of the string"
-    ),
-    "v2-triple-with-numeric-head_name": (
-        "v2-explore", "triples", lambda rows: rows[0].update(head_name=7),
+    "stored-triple-with-numeric-head_name": (
+        "v5-stored", "triples", lambda rows: rows[0].update(head_name=7),
         "every triple must be an object of the string",
     ),
     "attribute-of-other-fields": (
@@ -900,11 +837,6 @@ ROW_MUTATIONS = {
         "v5-agent", "scratchpad",
         lambda rows: [row.update(index=row["index"] - 1) for row in rows],
         "must start at a positive integer",
-    ),
-    "seen-row-with-a-string-depth": (
-        "v4-explore", "exploration",
-        lambda exploration: exploration["seen_entities"][0].__setitem__(1, "0"),
-        "every seen entity must be an [entity_id, depth_discovered, visited] row",
     ),
 }
 
@@ -927,25 +859,23 @@ def _cited(evidence):
 # (traces, the rows of one kind in a state's evidence[, the row to add, else a
 # one-parent state's first])
 MERGED_ROWS = {
-    "triple": (("v5-explore", "v4-explore", "v3-explore"), lambda evidence: evidence["triples"]),
-    "triple_ref": (("v5-explore", "v4-explore"), _cited),
+    "triple": (("v5-explore", "v5-stored"), lambda evidence: evidence["triples"]),
+    "triple_ref": (("v5-explore", "v5-stored"), _cited),
     # A reference of the wrong type is still one line: the state's.
-    "triple_ref=-1": (("v5-explore", "v4-explore"), _cited, -1),
-    "triple_ref='x'": (("v5-explore", "v4-explore"), _cited, "x"),
+    "triple_ref=-1": (("v5-explore", "v5-stored"), _cited, -1),
+    "triple_ref='x'": (("v5-explore", "v5-stored"), _cited, "x"),
     "attribute": (("v5-explore",), lambda evidence: evidence["attributes"]),
-    "seen": (("v4-explore", "v3-explore"),
-             lambda evidence: evidence["exploration"]["seen_entities"]),
-    "anchor": (("v5-explore",), lambda evidence: evidence["exploration"]["anchors"]),
+    "anchor": (("v5-explore", "v5-stored"), lambda evidence: evidence["exploration"]["anchors"]),
     "step": (("v5-agent",), lambda evidence: evidence["scratchpad"]),
 }
 
 
 @pytest.mark.parametrize("target", ["root", "merged"])
 @pytest.mark.parametrize("name", MERGED_ROWS)
-def test_validator_reports_rows_in_a_v3_merged_state(real_traces, name, target):
+def test_validator_reports_rows_in_a_merged_state(real_traces, name, target):
     """The root holds no evidence and a merged state's is exactly its
-    parents' union, so a v3, v4 or v5 root or merged state that holds
-    another state's row, or cites its triple, is one violation naming it."""
+    parents' union, so a root or merged state that holds another state's
+    row, or cites its triple, is one violation naming it."""
     sources, rows, *row = MERGED_ROWS[name]
     for source in sources:
         data = copy.deepcopy(real_traces[source])
@@ -1101,7 +1031,7 @@ def _write_a_row_again(data):
     return later
 
 
-# (edit of a v4 or v5 trace returning the state it broke, the violation's text after "state <id>: ")
+# (edit of a trace returning the state it broke, the violation's text after "state <id>: ")
 REF_TAMPERS = {
     "cites-a-row-not-yet-written": (_cite_a_later_row, "exploration.triple_refs cites row"),
     "cites-a-negative-row": (_set_first_ref(-1), "must be a list of nonnegative integers"),
@@ -1117,10 +1047,10 @@ REF_TAMPERS = {
 }
 
 
-@pytest.mark.parametrize("source", ["v5-explore", "v4-explore"])
+@pytest.mark.parametrize("source", ["v5-explore", "v5-stored"])
 @pytest.mark.parametrize("name", REF_TAMPERS)
 def test_validator_reports_one_line_for_a_broken_triple_reference(real_traces, name, source):
-    """Each v4 or v5 row number is written once and cited as the rules say;
+    """Each row number is written once and cited as the rules say;
     one broken reference is one violation, and row numbers after it go
     unchecked."""
     edit, fragment = REF_TAMPERS[name]
@@ -1131,7 +1061,7 @@ def test_validator_reports_one_line_for_a_broken_triple_reference(real_traces, n
     assert violation.startswith(f"state {state['id']}: ") and fragment in violation, violation
 
 
-# (dotted path into the minimal trace, or into a file under DATA named before a
+# (dotted path into the minimal trace, or into a real trace named before a
 # colon, JSON value put there, expected fragment)
 WRONG_TYPES = [
     ("states.1", None, "position 1 must be an object, got null"),
@@ -1169,11 +1099,11 @@ WRONG_TYPES = [
     ("frontier", [[1]], "does not list state ids"),
     # A JSON boolean is not an integer.
     ("frontier", [True], "does not list state ids"),
-    ("got_explore_v2.trace:states.0.id", False, "got False after -1"),
-    ("got_explore_v2.trace:states.1.depth", True, "state 1: depth must be an integer, got True"),
-    ("got_explore_v2.trace:states.4.parents", [True, 2], "are not all state ids"),
-    ("got_explore_v2.trace:states.1.id", True, "got True after 0"),
-    ("got_explore_v2.trace:counters.llm_calls_by_tag.merge", True,
+    ("v5-stored:states.0.id", False, "got False after -1"),
+    ("v5-stored:states.1.depth", True, "state 1: depth must be an integer, got True"),
+    ("v5-stored:states.4.parents", [True, 2], "are not all state ids"),
+    ("v5-stored:states.1.id", True, "got True after 0"),
+    ("v5-stored:counters.llm_calls_by_tag.merge", True,
      "counters.llm_calls_by_tag['merge'] must be a nonnegative integer"),
 ]
 
@@ -1183,12 +1113,9 @@ WRONG_TYPES = [
     WRONG_TYPES,
     ids=[f"{path}={json.dumps(value)}" for path, value, _ in WRONG_TYPES],
 )
-def test_validator_reports_wrong_json_types(path, value, fragment):
+def test_validator_reports_wrong_json_types(real_traces, path, value, fragment):
     source, _, path = path.rpartition(":")
-    if source:
-        document = json.loads((DATA / source).read_text(encoding="utf-8"))
-    else:
-        document = minimal_trace_dict()
+    document = copy.deepcopy(real_traces[source]) if source else minimal_trace_dict()
     *parents, last = [int(key) if key.isdigit() else key for key in path.split(".")]
     holder = document
     for key in parents:
@@ -1242,7 +1169,7 @@ def test_validator_returns_a_list_for_any_field_replaced(data, value):
     assert isinstance(validate_trace(document), list)
 
 
-@pytest.mark.parametrize("source", ["v5-explore", "v4-explore"])
+@pytest.mark.parametrize("source", ["v5-explore", "v5-stored"])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), value=_json_values)
 def test_validator_returns_a_list_for_any_field_of_an_explore_trace_replaced(
@@ -1259,7 +1186,7 @@ def test_validator_returns_a_list_for_any_field_of_an_explore_trace_replaced(
 # ------------------------------------------------------------ the reader
 
 DELETE = object()
-CONTRACT_SOURCES = ("minimal", "v5-explore", "v4-explore", "v3-explore", "v2-explore")
+CONTRACT_SOURCES = ("minimal", "v5-explore", "v5-stored")
 
 
 @pytest.mark.parametrize("source", CONTRACT_SOURCES)
@@ -1299,3 +1226,44 @@ def test_load_trace_reads_what_validate_trace_passes(real_traces, source, data, 
             score_run(root / "traces", questions, root / "rescore")
             assert (root / "rescore" / "results.lines").is_file()
             assert (root / "rescore" / "report.table").is_file()
+
+
+@pytest.mark.parametrize("schema", ["trace/v2", "trace/v3", "trace/v4"])
+def test_a_trace_of_an_older_schema_is_refused_with_the_schema_line(stored_run, tmp_path, schema):
+    """Only trace/v5 is read: a v5 run relabelled with an older schema gets
+    the one schema line from ``load_trace``, ``score`` and ``validate-trace``."""
+    line = f"schema is {schema!r}, expected 'trace/v5'"
+    text = (stored_run / "run" / "traces" / "q1.trace").read_text(encoding="utf-8")
+    trace = tmp_path / "traces" / "q1.trace"
+    trace.parent.mkdir()
+    trace.write_text(text.replace('"schema": "trace/v5"', f'"schema": "{schema}"'), "utf-8")
+    assert json.loads(trace.read_text(encoding="utf-8"))["schema"] == schema
+
+    with pytest.raises(TraceLoadError) as refused:
+        load_trace(trace)
+    assert str(refused.value) == line
+    runner = CliRunner()
+    scored = runner.invoke(main, [
+        "score", "--traces", str(trace.parent),
+        "--questions", str(stored_run / "questions.lines"), "--out", str(tmp_path / "rescore"),
+    ])
+    assert scored.exit_code == 1
+    assert scored.output == f"Error: cannot score trace {trace}: {line}\n"
+    assert not (tmp_path / "rescore").exists()
+    checked = runner.invoke(main, ["validate-trace", str(trace)])
+    assert checked.exit_code == 1
+    assert checked.output == f"{trace}: {line}\n"
+
+
+def test_a_trace_of_an_older_schema_is_held_to_no_state_rule(real_traces):
+    """A trace/v4 explore state wrote seen-entity rows in place of its
+    anchors and rounds; the trace gets the schema line, not one line per
+    state from trace/v5 rules it never followed."""
+    data = copy.deepcopy(real_traces["v5-stored"])
+    data["schema"] = "trace/v4"
+    for state in data["states"]:
+        exploration = state["evidence"]["exploration"]
+        if exploration is not None:
+            del exploration["anchors"], exploration["rounds"]
+            exploration["seen_entities"] = []
+    assert validate_trace(data) == ["schema is 'trace/v4', expected 'trace/v5'"]
