@@ -1186,7 +1186,7 @@ def test_validator_returns_a_list_for_any_field_of_an_explore_trace_replaced(
 # ------------------------------------------------------------ the reader
 
 DELETE = object()
-CONTRACT_SOURCES = ("minimal", "v5-explore", "v5-stored")
+CONTRACT_SOURCES = ("minimal", "v5-explore", "v5-stored", "v5-agent")
 
 
 @pytest.mark.parametrize("source", CONTRACT_SOURCES)
@@ -1255,15 +1255,47 @@ def test_a_trace_of_an_older_schema_is_refused_with_the_schema_line(stored_run, 
     assert checked.output == f"{trace}: {line}\n"
 
 
-def test_a_trace_of_an_older_schema_is_held_to_no_state_rule(real_traces):
-    """A trace/v4 explore state wrote seen-entity rows in place of its
+def _seen_rows(exploration):
+    """trace/v4: seen-entity rows in place of anchors and rounds."""
+    del exploration["anchors"], exploration["rounds"]
+    exploration["seen_entities"] = []
+
+
+def _seen_rows_untabled(exploration):
+    """trace/v3: as trace/v4, with each triple's row written, not cited."""
+    _seen_rows(exploration)
+    del exploration["triple_refs"]
+
+
+def _seen_object(exploration):
+    """trace/v2: cumulative rows and a seen-entity object."""
+    _seen_rows_untabled(exploration)
+    exploration["seen_entities"] = {}
+
+
+RETIRED_SHAPES = {"trace/v4": _seen_rows, "trace/v3": _seen_rows_untabled,
+                  "trace/v2": _seen_object}
+
+
+@pytest.mark.parametrize("schema", RETIRED_SHAPES)
+def test_a_trace_of_an_older_schema_is_held_to_no_state_rule(real_traces, schema):
+    """A retired schema's explore states wrote seen-entity rows in place of
     anchors and rounds; the trace gets the schema line, not one line per
     state from trace/v5 rules it never followed."""
     data = copy.deepcopy(real_traces["v5-stored"])
-    data["schema"] = "trace/v4"
+    data["schema"] = schema
     for state in data["states"]:
         exploration = state["evidence"]["exploration"]
         if exploration is not None:
-            del exploration["anchors"], exploration["rounds"]
-            exploration["seen_entities"] = []
-    assert validate_trace(data) == ["schema is 'trace/v4', expected 'trace/v5'"]
+            RETIRED_SHAPES[schema](exploration)
+    assert validate_trace(data) == [f"schema is {schema!r}, expected 'trace/v5'"]
+
+
+@pytest.mark.parametrize("schema", [["trace/v5"], {"schema": "trace/v5"}, 5, None],
+                         ids=["list", "object", "number", "null"])
+def test_a_schema_of_any_json_type_is_one_line(real_traces, schema):
+    """The schema is compared, never looked up, so a list or an object is
+    reported like any other wrong schema, not raised on."""
+    data = copy.deepcopy(real_traces["v5-explore"])
+    data["schema"] = schema
+    assert validate_trace(data) == [f"schema is {schema!r}, expected 'trace/v5'"]
