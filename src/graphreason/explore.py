@@ -15,7 +15,8 @@ an entity therefore finds the same attributes and edges in every state of
 one search, so an :class:`ExploreMemo` keyed on entity ids walks each
 entity once per search and every later expansion only files what that walk
 kept. A state that reaches an entity while another is walking it waits for
-the whole walk. The tail prune returns its kept edges as triples, and the
+the whole walk; only such a wait makes a future, so a search on one thread
+walks without one. The tail prune returns its kept edges as triples, and the
 walk renders each one's prompt line beside it, so a search builds and
 renders each triple once; a state files the lines with the triples, and
 every prompt that lists a state's triples joins its lines.
@@ -225,17 +226,24 @@ class ExploreMemo:
     so an entity's id fixes every prompt its walk sends and every fallback it
     takes. A memo must therefore never outlive its search.
 
-    The first expansion of an entity walks it (:func:`_expand`); one that
-    starts while that walk runs waits on the same in-flight future, so each
-    entity is walked once whatever the thread timing. Such a wait lasts the
-    whole walk, every prune of the entity, not one call. Every later
-    expansion is metered, in one update, as the node fetch, neighbor checks
-    and prune and attribute hits the walk would have made, never as a call.
+    The first expansion of an entity marks it running under the memo's lock
+    and walks it (:func:`_expand`). A walk that nobody waits for costs the
+    lock twice and nothing more. An expansion that starts while the walk
+    runs puts a :class:`~concurrent.futures.Future` in its place, and the
+    walk settles that future when it ends, so each entity is walked once
+    whatever the thread timing. Such a wait lasts the whole walk, every
+    prune of the entity, not one call. A walk that raises leaves a failed
+    future in its place, so every expansion of the entity, waiting or later,
+    raises the same error and none walks it again. Every later expansion is
+    metered, in one update, as the node fetch, neighbor checks and prune and
+    attribute hits the walk would have made, never as a call.
     """
 
     def __init__(self) -> None:
         self._done: dict[str, Expansion] = {}
-        self._running: dict[str, Future] = {}
+        # Entity id -> None while its walk runs with nobody waiting, else the
+        # future its waiters wait on; a failed walk's future stays.
+        self._running: dict[str, Future | None] = {}
         self._lock = threading.Lock()
 
     def expand(
@@ -251,21 +259,46 @@ class ExploreMemo:
             found = self._done[entity_id]
         except KeyError:
             with self._lock:
-                future = self._running.get(entity_id)
-                owner = future is None
+                # The walk may have ended since the look above.
+                found = self._done.get(entity_id)
+                owner = found is None and entity_id not in self._running
                 if owner:
-                    future = self._running[entity_id] = Future()
+                    self._running[entity_id] = None
+                elif found is None:
+                    waiter = self._running[entity_id]
+                    if waiter is None:
+                        waiter = self._running[entity_id] = Future()
             if owner:
-                try:
-                    found = _expand(question, entity_id, graph, backend, counters)
-                except BaseException as exc:
-                    future.set_exception(exc)
-                    raise
-                self._done[entity_id] = found
-                future.set_result(found)
-                return found
-            found = future.result()
+                return self._walk(question, entity_id, graph, backend, counters)
+            if found is None:
+                found = waiter.result()
         counters.record_repeat(found.kg_ops, found.memo_hits)
+        return found
+
+    def _walk(
+        self,
+        question: Question,
+        entity_id: str,
+        graph: kg.KnowledgeGraph,
+        backend: Backend,
+        counters: CostCounters,
+    ) -> Expansion:
+        """Walk the entity this thread marked running, then settle the
+        future of any expansion that arrived meanwhile."""
+        try:
+            found = _expand(question, entity_id, graph, backend, counters)
+        except BaseException as exc:
+            with self._lock:
+                waiter = self._running[entity_id]
+                if waiter is None:
+                    waiter = self._running[entity_id] = Future()
+            waiter.set_exception(exc)
+            raise
+        with self._lock:
+            self._done[entity_id] = found
+            waiter = self._running.pop(entity_id)
+        if waiter is not None:
+            waiter.set_result(found)
         return found
 
 

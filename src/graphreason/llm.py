@@ -144,14 +144,18 @@ class ReplayBackend:
 
     Strict mode consumes entries in order and fails loudly when the next
     entry's ``match`` is not a substring of the incoming prompt — the right
-    mode for golden-trace tests. Non-strict mode statelessly returns the
-    first entry whose ``match`` occurs in the prompt, so one script can
-    serve many structurally similar requests.
+    mode for golden-trace tests; its cursor moves under a lock. Non-strict
+    mode statelessly returns the first entry whose ``match`` occurs in the
+    prompt, so one script can serve many structurally similar requests. It
+    only reads, so it scans a tuple of ``(match, response)`` pairs, made
+    once with the script, with no lock. The script is fixed when the
+    backend is made: ``entries`` is a tuple.
     """
 
     def __init__(self, entries: list[ReplayEntry], *, strict: bool = False) -> None:
-        self.entries = list(entries)
+        self.entries = tuple(entries)
         self.strict = strict
+        self._pairs = tuple((entry.match, entry.response) for entry in self.entries)
         self._cursor = 0
         self._lock = threading.Lock()
 
@@ -181,27 +185,28 @@ class ReplayBackend:
         return cls(entries)
 
     def raw_complete(self, request: CompletionRequest) -> str:
-        with self._lock:
-            if self.strict:
-                if self._cursor >= len(self.entries):
-                    raise ReplayMismatchError(
-                        f"replay script exhausted after {len(self.entries)} entries; "
-                        f"unmatched prompt starts: {request.prompt[:120]!r}"
-                    )
-                entry = self.entries[self._cursor]
-                if entry.match not in request.prompt:
-                    raise ReplayMismatchError(
-                        f"replay entry {self._cursor} expects {entry.match!r} "
-                        f"in prompt starting: {request.prompt[:120]!r}"
-                    )
-                self._cursor += 1
-                return entry.response
-            for entry in self.entries:
-                if entry.match in request.prompt:
-                    return entry.response
+        if not self.strict:
+            prompt = request.prompt
+            for match, response in self._pairs:
+                if match in prompt:
+                    return response
             raise ReplayMismatchError(
-                f"no replay entry matches prompt starting: {request.prompt[:120]!r}"
+                f"no replay entry matches prompt starting: {prompt[:120]!r}"
             )
+        with self._lock:
+            if self._cursor >= len(self.entries):
+                raise ReplayMismatchError(
+                    f"replay script exhausted after {len(self.entries)} entries; "
+                    f"unmatched prompt starts: {request.prompt[:120]!r}"
+                )
+            entry = self.entries[self._cursor]
+            if entry.match not in request.prompt:
+                raise ReplayMismatchError(
+                    f"replay entry {self._cursor} expects {entry.match!r} "
+                    f"in prompt starting: {request.prompt[:120]!r}"
+                )
+            self._cursor += 1
+            return entry.response
 
     def remaining(self) -> int:
         """Unconsumed entry count (strict mode); handy for exhaustion checks."""

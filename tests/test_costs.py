@@ -1,6 +1,7 @@
 """Meter arithmetic and closed-form bound checks."""
 
 import json
+import sys
 import threading
 from collections import Counter
 
@@ -171,6 +172,71 @@ def test_counters_survive_concurrent_recording():
         thread.join()
     assert counters.llm_calls_by_tag["thought"] == 1600
     assert counters.kg_ops_by_kind["node_fetch"] == 1600
+
+
+def test_counters_stay_exact_while_read_and_added_to_concurrently():
+    """Eight threads record calls, ops and repeats while one more reads a
+    snapshot and the totals and adds another meter in, each read folding
+    the events recorded so far. No event is lost or counted twice, and no
+    snapshot ever shows a count go down or a total that is not its sum."""
+    counters = CostCounters()
+    search = CostCounters()
+    search.record_llm_call("prune_relations")
+    search.record_repeat({"node_fetch": 1}, {"prune_entities": 2})
+    start, writers_done = threading.Barrier(9, timeout=10), threading.Event()
+    adds, bad = [], []
+
+    def record():
+        start.wait()
+        for _ in range(5000):
+            counters.record_llm_call("thought")
+            counters.record_kg_op("retrieve_node")
+            counters.record_repeat({"node_fetch": 1, "neighbor_check": 2}, {"prune_relations": 1})
+
+    def read():
+        start.wait()
+        last = 0
+        while not writers_done.is_set() or not adds:
+            snapshot = counters.as_dict()
+            total = counters.llm_total()
+            if not (
+                snapshot["llm_total"] == sum(snapshot["llm_calls_by_tag"].values())
+                and snapshot["kg_total"] == sum(snapshot["kg_ops_by_kind"].values())
+                and total >= snapshot["llm_total"] >= last
+            ):
+                bad.append((last, total, snapshot))
+            last = total
+            counters.add(search)
+            adds.append(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        writers = [threading.Thread(target=record, daemon=True) for _ in range(8)]
+        reader = threading.Thread(target=read, daemon=True)
+        for thread in (*writers, reader):
+            thread.start()
+        for thread in writers:
+            thread.join(30)
+        writers_done.set()
+        reader.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in (*writers, reader))
+    assert bad == []
+    events, searches = 8 * 5000, len(adds)
+    assert counters.as_dict() == {
+        "llm_calls_by_tag": {"prune_relations": searches, "thought": events},
+        "llm_total": events + searches,
+        "memo_hits_by_tag": {"prune_entities": 2 * searches, "prune_relations": events},
+        "kg_ops_by_kind": {
+            "neighbor_check": 2 * events, "node_fetch": events + searches, "retrieve_node": events,
+        },
+        "kg_total": 4 * events + searches,
+        "transport_retries": 0,
+        "explore_searches": 0,
+        "explore_search_cost_max": 0,
+    }
 
 
 # ---------------------------------------------------------------- bounds

@@ -531,6 +531,29 @@ def test_a_failed_memo_computation_reaches_every_ask_waiting_on_it(monkeypatch):
     assert counters.kg_ops_by_kind == {"node_fetch": 1}
 
 
+def test_a_failed_memo_walk_raises_again_without_a_second_walk(monkeypatch):
+    """After an entity's walk raised, a later expansion of it raises the
+    same error and sends no prune of its own."""
+    memo = ExploreMemo()
+    counters = CostCounters()
+    calls = []
+
+    def compute(*args):
+        calls.append(1)
+        raise RuntimeError("prune failed")
+
+    monkeypatch.setattr("graphreason.explore.prune_relations", compute)
+    graph = krt39_graph()
+    with pytest.raises(RuntimeError) as first:
+        memo.expand(krt39_question(), "390792", graph, permissive_backend(), counters)
+    with pytest.raises(RuntimeError) as later:
+        memo.expand(krt39_question(), "390792", graph, permissive_backend(), counters)
+    assert later.value is first.value
+    assert calls == [1]
+    assert counters.memo_hits_by_tag == {}
+    assert counters.kg_ops_by_kind == {"node_fetch": 1}
+
+
 # --- each triple's prompt line, rendered once --------------------------------
 
 

@@ -132,6 +132,40 @@ def test_replay_nonstrict_no_match_raises():
         backend.raw_complete(_request("no such cue"))
 
 
+def test_replay_nonstrict_serves_concurrent_callers_their_first_match():
+    """Eight threads asking one non-strict script at once each get the reply
+    of the first entry whose match is in their prompt. Every prompt holds
+    the last entry's match too, and the later ``cue 07`` entry never
+    answers, so a scan that skips, repeats or reorders entries under
+    contention answers some prompts wrongly."""
+    entries = [ReplayEntry(f"cue {i:02d}", f"reply {i}") for i in range(40)]
+    entries += [ReplayEntry("cue 07", "shadowed"), ReplayEntry("cue", "any cue")]
+    backend = ReplayBackend(entries)
+    prompts = [f"answer cue {i:02d} now" for i in range(39, -1, -1)] + ["a bare cue"]
+    expected = [next(e.response for e in entries if e.match in p) for p in prompts]
+    assert "shadowed" not in expected and expected[-1] == "any cue"
+    requests = [_request(p) for p in prompts] * 20
+    start = threading.Barrier(8, timeout=10)
+    replies = {}
+
+    def serve(worker):
+        start.wait()
+        replies[worker] = [backend.raw_complete(request) for request in requests]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=serve, args=(w,), daemon=True) for w in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert replies == {w: expected * 20 for w in range(8)}
+
+
 def test_replay_strict_consumes_in_order():
     backend = ReplayBackend(
         [ReplayEntry("one", "1"), ReplayEntry("two", "2")], strict=True

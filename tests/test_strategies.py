@@ -7,7 +7,7 @@ import sys
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from functools import partial
 
 import pytest
@@ -720,6 +720,31 @@ def test_a_search_asks_each_prune_key_once(monkeypatch):
         # The reply never parses, so each call draws one re-ask.
         assert counters["llm_calls_by_tag"][tag + ":reask"] == distinct
     assert set(backend_calls_per_prune_key(shared).values()) == {1}
+
+
+def test_an_inline_search_walks_its_memo_without_a_future(monkeypatch, fast_switching):
+    """On one thread no expansion ever waits, so a got/explore search makes
+    no future at all; at width 4, where siblings reach one entity's prunes
+    together, the waits still send each prune key once."""
+    made = []
+    init = Future.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Future, "__init__", counting_init)
+    for name in ("got-explore-score", "got-explore-siblings"):
+        config = SearchConfig(**CONCURRENCY_CONFIGS[name])
+        made.clear()
+        _, counters, _ = search_outcome(config, JitteryReplay(concurrency_entries(), width=1))
+        assert made == []
+        assert counters["memo_hits_by_tag"]["prune_relations"]
+        for seed in range(3):
+            backend = JitteryReplay(concurrency_entries(), width=4, seed=seed, delay_s=0.005)
+            assert search_outcome(config, backend)[1] == counters
+            assert set(backend_calls_per_prune_key(backend).values()) == {1}
+        assert made  # the pool's own, at least: the count sees a future made
 
 
 @pytest.mark.parametrize("width", [pytest.param(1, id="inline"), pytest.param(4, id="concurrent")])
